@@ -49,7 +49,6 @@ __all__ = [
     "enthalpy_of_potential",
     "eta_of_potential",
     "big_g",
-    "big_g_of_potential",
     "sigma_tilde",
     "sigma_tilde_slope",
     "mu_coefficient",
@@ -123,12 +122,15 @@ def _as_float_or_array(x):
 
 
 def _check_rho(eos: BarotropicEos, rho):
-    a, _ = _as_float_or_array(rho)
-    if np.any(~np.isfinite(a)) or np.any(a < eos.rho_min) or np.any(a > eos.rho_max):
-        lo = float(np.min(a)) if a.size else math.nan
-        hi = float(np.max(a)) if a.size else math.nan
+    a = np.asarray(rho, dtype=float)
+    if not a.size:
+        return a
+    lo, hi = (a.min(), a.max()) if a.ndim else (a, a)
+    # NaN fails both comparisons and +-inf fails one, so this also rejects
+    # non-finite densities
+    if not (eos.rho_min <= lo and hi <= eos.rho_max):
         raise OutOfRange(
-            f"{eos.label}: density in [{lo}, {hi}] outside admissible "
+            f"{eos.label}: density in [{float(lo)}, {float(hi)}] outside admissible "
             f"[{eos.rho_min}, {eos.rho_max}]"
         )
     return a
@@ -343,14 +345,6 @@ def big_g(eos: BarotropicEos, H):
         raise OutOfRange(f"{eos.label}: H must be positive")
     h = np.sqrt(a)
     rho = rho_of_enthalpy(eos, h)
-    out = np.asarray(sigma(eos, rho), dtype=float) / h
-    return out if out.ndim else float(out)
-
-
-def big_g_of_potential(eos: BarotropicEos, rho_tilde):
-    """G evaluated at a given enthalpy potential."""
-    rho = rho_of_potential(eos, rho_tilde)
-    h = np.asarray(enthalpy(eos, rho), dtype=float)
     out = np.asarray(sigma(eos, rho), dtype=float) / h
     return out if out.ndim else float(out)
 

@@ -1,8 +1,8 @@
 """Shared numerical utilities: high-order differencing, sequence
 
-extrapolation, small-parameter fits, and safeguarded scalar root solves.
-These are deliberately plain so they can double as independent oracles in
-the test suite.
+extrapolation, small-parameter fits, and safeguarded root solves, scalar
+and lane-wise.  These are deliberately plain so they can double as
+independent oracles in the test suite.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ __all__ = [
     "quadratic_extrapolate",
     "bisection_root",
     "safeguarded_newton",
+    "safeguarded_newton_lanes",
 ]
 
 # central stencils of 4th-order accuracy: order -> (offsets, coefficients)
@@ -244,3 +245,92 @@ def safeguarded_newton(
     raise NonConvergence(
         f"newton/bisection did not reach |f| < {f_tol} in {max_iter} iterations"
     )
+
+
+def safeguarded_newton_lanes(
+    fdf: Callable,
+    x0,
+    lo,
+    hi,
+    f_tol,
+    max_iter: int = 60,
+    polish: int = 6,
+) -> np.ndarray:
+    """Lane-wise :func:`safeguarded_newton` over independent 1-D problems.
+
+    Lane k solves f_k(x_k) = 0 on [lo[k], hi[k]] from x0[k] to |f_k| <
+    f_tol[k] and takes exactly the steps the scalar routine takes on that
+    lane alone: end-point acceptance, bracket adoption and tightening,
+    bisection when Newton leaves the bracket, then the polish.  Lanes that
+    finish early are frozen by masks while the others continue.
+
+    Args:
+        fdf: maps an array of iterates (one per lane) to the arrays
+            (f, df/dx) at those iterates, lane by lane.
+        x0, lo, hi, f_tol: per-lane arrays (or scalars broadcast to lanes).
+
+    Raises:
+        NoRoot: Newton left the range of some lane with no sign change there.
+        NonConvergence: some lane exhausted the iteration budget.
+    """
+    x0, lo, hi, f_tol = (
+        np.array(a, dtype=float) for a in np.broadcast_arrays(x0, lo, hi, f_tol)
+    )
+    blo, bhi = lo, hi
+    flo, _ = fdf(blo)
+    fhi, _ = fdf(bhi)
+    take_lo = np.abs(flo) < f_tol
+    take_hi = ~take_lo & (np.abs(fhi) < f_tol)
+    done = take_lo | take_hi
+    bracketed = flo * fhi < 0
+    x = np.where(take_lo, blo, np.where(take_hi, bhi, np.clip(x0, blo, bhi)))
+    fx, dx = fdf(x)
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(max_iter):
+            done |= np.abs(fx) < f_tol
+            run = ~done
+            if not run.any():
+                break
+            # tighten any bracket we have using the latest evaluation
+            tight = run & bracketed
+            left = flo * fx <= 0
+            bhi, fhi = np.where(tight & left, x, bhi), np.where(tight & left, fx, fhi)
+            blo, flo = np.where(tight & ~left, x, blo), np.where(tight & ~left, fx, flo)
+            xn = np.where((dx != 0) & np.isfinite(dx), x - fx / dx, np.nan)
+            inside = np.isfinite(xn) & (blo < xn) & (xn < bhi)
+            lost = run & ~inside & ~bracketed
+            if lost.any():
+                k = int(np.flatnonzero(lost)[0])
+                raise NoRoot(
+                    f"newton left [{lo.flat[k]}, {hi.flat[k]}] in lane {k} "
+                    "without a sign change to fall back on"
+                )
+            x = np.where(run, np.where(inside, xn, 0.5 * (blo + bhi)), x)
+            fn, dn = fdf(x)
+            fx, dx = np.where(run, fn, fx), np.where(run, dn, dx)
+            open_ = run & ~bracketed
+            adopt_hi = open_ & (flo * fx < 0)
+            adopt_lo = open_ & ~adopt_hi & (fhi * fx < 0)
+            bhi, fhi = np.where(adopt_hi, x, bhi), np.where(adopt_hi, fx, fhi)
+            blo, flo = np.where(adopt_lo, x, blo), np.where(adopt_lo, fx, flo)
+            bracketed |= adopt_hi | adopt_lo
+        else:
+            if not done.all():
+                raise NonConvergence(
+                    f"newton/bisection did not reach |f| < f_tol in {max_iter} "
+                    f"iterations on {int(np.count_nonzero(~done))} of {done.size} lanes"
+                )
+
+        # polish each lane until its |f| stops decreasing
+        going = np.ones_like(done)
+        for _ in range(polish):
+            xn = x - fx / dx
+            going &= (dx != 0) & np.isfinite(dx) & (xn != x) & np.isfinite(xn)
+            if not going.any():
+                break
+            fn, dn = fdf(np.where(going, xn, x))
+            going &= np.abs(fn) < np.abs(fx)
+            x = np.where(going, xn, x)
+            fx, dx = np.where(going, fn, fx), np.where(going, dn, dx)
+    return x

@@ -138,19 +138,13 @@ def corner_expansion(
 
     def sample(y1: float):
         fhat1 = lam * y1 / (24.0 * kap**2)
-        w2s, bhs = [], []
-        for v in vs:
-            f = f2 * v**2 + fhat1 * v**3
-            z = v * (-1.0 + y1 * v)
-            ahead = RiemannPair(
-                float(model.eval("alpha", f, z)), float(model.eval("beta", f, z))
-            )
-            a_plus = float(model.eval("alpha", 0.0, v)) + ahat0 * v**2
-            b_plus = solve_jump_beta(eos, a_plus, ahead)
-            V = shock_speed(eos, JumpPair(ahead, RiemannPair(a_plus, b_plus)))
-            w2s.append((V - cusp.c_plus0) / v**2)
-            bhs.append((b_plus - cusp.beta0) / v**2)
-        return np.asarray(w2s), np.asarray(bhs)
+        f = f2 * vs**2 + fhat1 * vs**3
+        z = vs * (-1.0 + y1 * vs)
+        ahead = RiemannPair(model.eval("alpha", f, z), model.eval("beta", f, z))
+        a_plus = model.eval("alpha", 0.0, vs) + ahat0 * vs**2
+        b_plus = solve_jump_beta(eos, a_plus, ahead)
+        V = shock_speed(eos, JumpPair(ahead, RiemannPair(a_plus, b_plus)))
+        return (V - cusp.c_plus0) / vs**2, (b_plus - cusp.beta0) / vs**2
 
     def advance(y1: float):
         w2s, bhs = sample(y1)
@@ -402,7 +396,8 @@ def jump_update(fg: FieldGrid, model: StateAheadModel, eos: eos_mod.BarotropicEo
 
     The ahead state is the pre-shock model evaluated at (f(v), z(v)); the
     behind alpha comes from the solved fields.  The corner node is the
-    coincidence limit (beta_plus = beta0, V = corner outgoing speed).
+    coincidence limit (beta_plus = beta0, V = corner outgoing speed); all
+    other nodes are the lanes of one jump solve and one speed evaluation.
 
     Returns:
         (beta_plus, V, alpha_minus, beta_minus) arrays.
@@ -413,16 +408,11 @@ def jump_update(fg: FieldGrid, model: StateAheadModel, eos: eos_mod.BarotropicEo
     alpha_plus = fg.diagonal("alpha")
     alpha_minus = np.asarray(model.eval("alpha", f, z), dtype=float)
     beta_minus = np.asarray(model.eval("beta", f, z), dtype=float)
-    m = len(f)
-    beta_plus = np.empty(m)
-    V = np.empty(m)
-    beta_plus[0] = cusp.beta0
-    V[0] = cusp.c_plus0
-    for k in range(1, m):
-        ahead = RiemannPair(alpha_minus[k], beta_minus[k])
-        bp = solve_jump_beta(eos, float(alpha_plus[k]), ahead)
-        beta_plus[k] = bp
-        V[k] = shock_speed(eos, JumpPair(ahead, RiemannPair(float(alpha_plus[k]), bp)))
+    ahead = RiemannPair(alpha_minus[1:], beta_minus[1:])
+    bp = solve_jump_beta(eos, alpha_plus[1:], ahead)
+    V = shock_speed(eos, JumpPair(ahead, RiemannPair(alpha_plus[1:], bp)))
+    beta_plus = np.concatenate([[cusp.beta0], bp])
+    V = np.concatenate([[cusp.c_plus0], V])
     return beta_plus, V, alpha_minus, beta_minus
 
 
@@ -737,14 +727,12 @@ def geometry_checks(
     v = curve.v
     kt = curve.trust_index
     delta = fg.grid.delta
-    m = len(v)
 
     # balance of the jump polynomial at every node
-    rh = 0.0
-    for k in range(1, m):
-        ahead = RiemannPair(curve.alpha_minus[k], curve.beta_minus[k])
-        behind = RiemannPair(curve.alpha_plus[k], curve.beta_plus[k])
-        rh = max(rh, abs(jump_J(eos, JumpPair(ahead, behind))) / jump_scale(eos, ahead))
+    ahead = RiemannPair(curve.alpha_minus[1:], curve.beta_minus[1:])
+    behind = RiemannPair(curve.alpha_plus[1:], curve.beta_plus[1:])
+    rh_rel = np.abs(jump_J(eos, JumpPair(ahead, behind))) / jump_scale(eos, ahead)
+    rh = float(np.max(rh_rel, initial=0.0))
 
     # curve tangency: time slope times speed equals radius slope
     dfdv = np.gradient(curve.f, v, edge_order=2)

@@ -20,6 +20,12 @@ the physical branch follows the cubic law
     G0 = -mu^2 / (192 eta^2),
 
 which seeds the Newton solve here.
+
+The stress jumps, J, its scale, the cubic coefficient, the behind-beta
+solve and the shock speed work on lanes: their state arguments may be
+arrays whose leading axes enumerate independent ahead/behind pairs (the
+shock nodes of one outer step, say), and one call handles all of them.
+Scalar states are the one-lane case and give Python floats.
 """
 
 from __future__ import annotations
@@ -35,6 +41,7 @@ from .errors import DegenerateJump, NoRoot, OutOfRange
 from .state import (
     RiemannPair,
     StressComponents,
+    StressDerivatives,
     char_speeds,
     point_data,
     stress,
@@ -69,8 +76,45 @@ _GAUSS_S = 0.5 * (_GAUSS_X + 1.0)
 _GAUSS_W01 = 0.5 * _GAUSS_W
 
 
+def _lane_result(x):
+    """A Python float for a single-lane (0-d) result, the lane array otherwise."""
+    return float(x) if np.ndim(x) == 0 else x
+
+
+def _jump_and_behind_slopes(eos: eos_mod.BarotropicEos, jp: JumpPair):
+    """Stress jumps per lane plus the stress derivatives at the behind state.
+
+    The 8 Gauss points of every lane and the behind state itself form a
+    trailing axis of 9 states, evaluated in one ``stress_derivatives`` call.
+    """
+    a0, b0, a1, b1 = np.broadcast_arrays(
+        *(np.asarray(x, dtype=float) for x in (*jp.ahead, *jp.behind))
+    )
+    da, db = a1 - a0, b1 - b0
+    points = RiemannPair(
+        np.concatenate([a0[..., None] + _GAUSS_S * da[..., None], a1[..., None]], axis=-1),
+        np.concatenate([b0[..., None] + _GAUSS_S * db[..., None], b1[..., None]], axis=-1),
+    )
+    d = stress_derivatives(eos, points)
+    dT = StressComponents(
+        *(
+            da * (d_a[..., :-1] @ _GAUSS_W01) + db * (d_b[..., :-1] @ _GAUSS_W01)
+            for d_a, d_b in (
+                (d.tt_alpha, d.tt_beta),
+                (d.tr_alpha, d.tr_beta),
+                (d.rr_alpha, d.rr_beta),
+            )
+        )
+    )
+    return dT, StressDerivatives(*(x[..., -1] for x in d))
+
+
 def stress_jump(eos: eos_mod.BarotropicEos, jp: JumpPair) -> StressComponents:
     """Stress jumps [T] = T(behind) - T(ahead), to relative accuracy.
+
+    The states may be scalars or arrays of lanes (broadcast against each
+    other); every lane is an independent pair and the components come back
+    as lane arrays, or as floats for scalar states.
 
     Direct subtraction of the O(1) stress components leaves absolute
     rounding of order ulp(T), which downstream divisions by powers of the
@@ -82,105 +126,115 @@ def stress_jump(eos: eos_mod.BarotropicEos, jp: JumpPair) -> StressComponents:
     (the integrand is analytic with O(1) variation scale, so the defect
     is of 16th order in the strength).
     """
-    da = jp.behind.alpha - jp.ahead.alpha
-    db = jp.behind.beta - jp.ahead.beta
-    dtt = dtr = drr = 0.0
-    for s, w in zip(_GAUSS_S, _GAUSS_W01):
-        d = stress_derivatives(
-            eos, RiemannPair(jp.ahead.alpha + s * da, jp.ahead.beta + s * db)
-        )
-        dtt += w * (d.tt_alpha * da + d.tt_beta * db)
-        dtr += w * (d.tr_alpha * da + d.tr_beta * db)
-        drr += w * (d.rr_alpha * da + d.rr_beta * db)
-    return StressComponents(dtt, dtr, drr)
+    dT, _ = _jump_and_behind_slopes(eos, jp)
+    return StressComponents(*(_lane_result(x) for x in dT))
 
 
-def jump_J(eos: eos_mod.BarotropicEos, jp: JumpPair) -> float:
-    """Scalar jump function J = [T^tt][T^rr] - [T^tr]^2."""
+def jump_J(eos: eos_mod.BarotropicEos, jp: JumpPair):
+    """Jump function J = [T^tt][T^rr] - [T^tr]^2, per lane."""
     dT = stress_jump(eos, jp)
     return dT.tt * dT.rr - dT.tr**2
 
 
-def jump_scale(eos: eos_mod.BarotropicEos, state: RiemannPair) -> float:
-    """Natural size of J: (rho + p)^2 at the given state."""
+def jump_scale(eos: eos_mod.BarotropicEos, state: RiemannPair):
+    """Natural size of J: (rho + p)^2 at the given state(s), per lane."""
     d = point_data(eos, state)
     return (d.G * d.h**2) ** 2
 
 
-def cubic_coefficient(eos: eos_mod.BarotropicEos, state: RiemannPair) -> float:
-    """Leading coefficient G0 = -mu^2/(192 eta^2) of the cubic jump law."""
+def cubic_coefficient(eos: eos_mod.BarotropicEos, state: RiemannPair):
+    """Leading coefficient G0 = -mu^2/(192 eta^2) of the cubic jump law, per lane."""
     d = point_data(eos, state)
     mu = eos_mod.mu_coefficient(eos, d.rho_tilde)
     return -(mu**2) / (192.0 * d.eta2)
 
 
-def _dJ_dbeta_behind(eos: eos_mod.BarotropicEos, jp: JumpPair) -> float:
-    dT = stress_jump(eos, jp)
-    db = stress_derivatives(eos, jp.behind)
-    return db.tt_beta * dT.rr + dT.tt * db.rr_beta - 2.0 * dT.tr * db.tr_beta
-
-
 def solve_jump_beta(
     eos: eos_mod.BarotropicEos,
-    alpha_plus: float,
+    alpha_plus,
     ahead: RiemannPair,
     dalpha_cap: float = 0.5,
     j_tol_rel: float = 1e-13,
     max_expand: int = 4,
-) -> float:
+):
     """Behind beta on the physical branch of J = 0 at a given behind alpha.
 
-    Seeds with the cubic law, brackets around the seed with width
+    ``alpha_plus`` and the ``ahead`` components are scalars or arrays of
+    lanes, broadcast against each other; each lane is solved on its own and
+    the result has the broadcast shape (a Python float for scalar input).
+    All lanes share one Newton loop, so each iteration costs one
+    ``stress_derivatives`` call whatever the number of lanes.
+
+    Per lane: lanes with zero jump in alpha return the ahead beta; the
+    others seed with the cubic law, bracket around the seed with width
     8 |G0 dalpha^3| + 1e-14 (doubled up to ``max_expand`` times if needed),
-    and runs safeguarded Newton to |J| < j_tol_rel * (rho+p)^2, then
-    polishes to a machine-precision root.
+    and run safeguarded Newton to |J| < j_tol_rel * (rho+p)^2, then
+    polish to a machine-precision root.
 
     Raises:
-        OutOfRange: |alpha_plus - ahead.alpha| exceeds dalpha_cap.
-        NoRoot: no sign change after all bracket expansions.
+        OutOfRange: some lane's |alpha_plus - ahead.alpha| exceeds dalpha_cap.
+        NoRoot: some lane has no sign change after all bracket expansions.
+        NonConvergence: some lane exhausted the Newton iteration budget.
     """
-    dalpha = alpha_plus - ahead.alpha
-    if abs(dalpha) > dalpha_cap:
+    a_plus, a_ahead, b_ahead = np.broadcast_arrays(
+        *(np.asarray(x, dtype=float) for x in (alpha_plus, ahead.alpha, ahead.beta))
+    )
+    dalpha = a_plus - a_ahead
+    over = np.abs(dalpha) > dalpha_cap
+    if over.any():
         raise OutOfRange(
-            f"jump in alpha {dalpha} exceeds the configured cap {dalpha_cap}"
+            f"jump in alpha {dalpha[over][0]} exceeds the configured cap {dalpha_cap}"
         )
-    if dalpha == 0.0:
-        return ahead.beta
+    out = np.array(b_ahead)
+    lanes = np.flatnonzero(dalpha)
+    if not lanes.size:
+        return _lane_result(out)
 
+    a_plus = a_plus.ravel()[lanes]
+    ahead = RiemannPair(a_ahead.ravel()[lanes], b_ahead.ravel()[lanes])
+    dalpha3 = dalpha.ravel()[lanes] ** 3
     g0 = cubic_coefficient(eos, ahead)
-    seed = ahead.beta + g0 * dalpha**3
-    width = 8.0 * abs(g0 * dalpha**3) + 1e-14
-    scale = jump_scale(eos, ahead)
+    seed = ahead.beta + g0 * dalpha3
+    width = 8.0 * np.abs(g0 * dalpha3) + 1e-14
 
-    def f(b: float) -> float:
-        return jump_J(eos, JumpPair(ahead, RiemannPair(alpha_plus, b)))
+    def fdf(b):
+        dT, d = _jump_and_behind_slopes(eos, JumpPair(ahead, RiemannPair(a_plus, b)))
+        J = dT.tt * dT.rr - dT.tr**2
+        dJ = d.tt_beta * dT.rr + dT.tt * d.rr_beta - 2.0 * dT.tr * d.tr_beta
+        return J, dJ
 
-    def df(b: float) -> float:
-        return _dJ_dbeta_behind(eos, JumpPair(ahead, RiemannPair(alpha_plus, b)))
-
-    lo, hi = seed - width, seed + width
+    pending = np.ones(lanes.size, dtype=bool)
     for _ in range(max_expand + 1):
-        if f(lo) * f(hi) <= 0:
+        f_lo, _ = fdf(seed - width)
+        f_hi, _ = fdf(seed + width)
+        pending &= ~(f_lo * f_hi <= 0)
+        if not pending.any():
             break
-        width *= 2.0
-        lo, hi = seed - width, seed + width
+        width = np.where(pending, 2.0 * width, width)
     else:
         raise NoRoot(
-            f"no sign change of J around the cubic seed after {max_expand} expansions"
+            f"no sign change of J around the cubic seed after {max_expand} expansions "
+            f"in {int(np.count_nonzero(pending))} of {pending.size} lanes"
         )
-    return fitting.safeguarded_newton(
-        f, df, seed, lo, hi, f_tol=j_tol_rel * scale, polish=8
+    out.flat[lanes] = fitting.safeguarded_newton_lanes(
+        fdf,
+        seed,
+        seed - width,
+        seed + width,
+        f_tol=j_tol_rel * jump_scale(eos, ahead),
+        polish=8,
     )
+    return _lane_result(out)
 
 
-def shock_speed(eos: eos_mod.BarotropicEos, jp: JumpPair) -> float:
-    """Front speed V = [T^tr]/[T^tt].
+def shock_speed(eos: eos_mod.BarotropicEos, jp: JumpPair):
+    """Front speed V = [T^tr]/[T^tt], per lane.
 
     Raises:
-        DegenerateJump: the states (nearly) coincide and V is 0/0.
+        DegenerateJump: the states of some lane (nearly) coincide and V is 0/0.
     """
     dT = stress_jump(eos, jp)
-    if abs(dT.tt) <= 2e-14 * abs(stress(eos, jp.ahead).tt):
+    if np.any(np.abs(dT.tt) <= 2e-14 * np.abs(stress(eos, jp.ahead).tt)):
         raise DegenerateJump("states coincide; front speed is indeterminate")
     return dT.tr / dT.tt
 

@@ -261,10 +261,9 @@ def _check_jump_coincidence(eos, cusp_state, rng):
 def _check_jump_cubic(eos, cusp_state):
     def body():
         g0 = cubic_coefficient(eos, cusp_state)
-        ratios = []
-        for da in (1e-2, 5e-3):
-            b = solve_jump_beta(eos, cusp_state.alpha + da, cusp_state)
-            ratios.append((b - cusp_state.beta) / da**3)
+        da = np.array([1e-2, 5e-3])
+        b = solve_jump_beta(eos, cusp_state.alpha + da, cusp_state)
+        ratios = ((b - cusp_state.beta) / da**3).tolist()
         refined = fitting.richardson(ratios[0], ratios[1], order=1)
         rel = abs(refined - g0) / abs(g0)
         return rel, rel <= 0.10, {

@@ -48,6 +48,34 @@ class TestSoundSpeed:
             assert np.all(eta2 > 0) and np.all(eta2 < 1)
 
 
+class TestDensityRange:
+    """Every chain function rejects densities outside [rho_min, rho_max]."""
+
+    @pytest.mark.parametrize(
+        "rho",
+        [math.nan, math.inf, -math.inf, 1e-7, 2e6, np.array([1.0, math.nan, 2.0])],
+        ids=["nan", "plus_inf", "minus_inf", "below_min", "above_max", "nan_in_array"],
+    )
+    def test_rejected(self, rad, rho):
+        with pytest.raises(OutOfRange, match=r"density in \[.*\] outside admissible"):
+            E.pressure(rad, rho)
+
+    def test_message_names_the_extremes(self, rad):
+        with pytest.raises(OutOfRange, match=r"density in \[0\.5, 3000000\.0\]"):
+            E.pressure(rad, np.array([2.0, 0.5, 3e6]))
+
+    def test_zero_dim_input_accepted(self, rad):
+        out = E.pressure(rad, np.float64(2.0))
+        assert type(out) is float and out == pytest.approx(2.0 / 3.0)
+
+    def test_array_input_accepted(self, rad):
+        rho = np.array([rad.rho_min, 1.0, rad.rho_max])
+        np.testing.assert_array_equal(E.pressure(rad, rho), rho / 3.0)
+
+    def test_empty_array_accepted(self, rad):
+        assert E.pressure(rad, np.array([])).shape == (0,)
+
+
 class TestPotentialChain:
     def test_reference_point_vanishes(self, rad, p2, rad_generic):
         for eos in (rad, p2, rad_generic):

@@ -10,7 +10,7 @@ import shockdev.free_boundary as FBD
 import shockdev.state_ahead as SA
 from shockdev.errors import NonConvergence
 from shockdev.fixed_bvp import BoundaryFunctions, corner_beta_hat
-from shockdev.jump import JumpPair, jump_J, jump_scale
+from shockdev.jump import JumpPair, jump_J, jump_scale, shock_speed
 from shockdev.state import RiemannPair
 
 EPS = 0.01
@@ -170,6 +170,47 @@ class TestOuterIteration:
         bf_next, _, _ = FBD.outer_iterate(canon_sol.boundary, ctx)
         metric = FBD.boundary_difference(bf_next, canon_sol.boundary)
         assert max(metric[:3]) < 10.0 * TOL_OUTER
+
+
+class TestJumpUpdate:
+    @pytest.fixture(scope="class")
+    def sol_n16(self, rad, canon_model, canon_cusp):
+        return FBD.run_shock_development(
+            rad, canon_model, canon_cusp, eps=EPS, n=16, collect_diagnostics=False
+        )
+
+    def test_batched_update_matches_per_node_jump(self, sol_n16, canon_model, rad):
+        curve = sol_n16.curve
+        beta_plus, V, alpha_minus, beta_minus = FBD.jump_update(
+            sol_n16.fields, canon_model, rad, curve.v * curve.y
+        )
+        assert beta_plus[0] == canon_model.cusp.beta0
+        assert V[0] == canon_model.cusp.c_plus0
+        for k in range(1, len(curve.v)):
+            ahead = RiemannPair(float(alpha_minus[k]), float(beta_minus[k]))
+            jp = JumpPair(ahead, RiemannPair(float(curve.alpha_plus[k]), float(beta_plus[k])))
+            assert abs(jump_J(rad, jp)) / jump_scale(rad, ahead) < 1e-10
+            assert abs(V[k] - shock_speed(rad, jp)) <= 1e-14
+
+    def test_jump_nonconvergence_retries_on_halved_domain(
+        self, rad, canon_model, canon_cusp, monkeypatch
+    ):
+        solve = FBD.solve_jump_beta
+        failed = []
+
+        def fails_once(*args, **kwargs):
+            if not failed:
+                failed.append(True)
+                raise NonConvergence("jump solve exhausted its iteration budget")
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(FBD, "solve_jump_beta", fails_once)
+        sol = FBD.run_shock_development(
+            rad, canon_model, canon_cusp, eps=EPS, n=16, collect_diagnostics=False
+        )
+        assert failed
+        assert sol.retries == 1
+        assert sol.eps == EPS / 2
 
 
 class TestConvergedCanonicalRun:

@@ -15,7 +15,7 @@ import pytest
 from shockdev import eos as E
 from shockdev import fitting
 from shockdev import jump as J
-from shockdev.errors import DegenerateJump, OutOfRange
+from shockdev.errors import DegenerateJump, NoRoot, OutOfRange
 from shockdev.state import RiemannPair, char_speed_derivatives, char_speeds
 
 
@@ -112,19 +112,84 @@ class TestCubicLaw:
             for ahead in random_states(rng, 10, rt_range=(-0.1, 0.25), zeta_range=(-0.4, 0.4)):
                 da = float(rng.uniform(1e-3, 2e-2))
                 newton = J.solve_jump_beta(eos, ahead.alpha + da, ahead)
-                g0 = J.cubic_coefficient(eos, ahead)
-                w = 8 * abs(g0 * da**3) + 1e-12
+                assert newton == pytest.approx(bisection_beta(eos, ahead, da), abs=1e-12)
 
-                def f(b):
-                    return J.jump_J(
-                        eos, J.JumpPair(ahead, RiemannPair(ahead.alpha + da, b))
-                    )
 
-                oracle = fitting.bisection_root(
-                    f, ahead.beta + g0 * da**3 - w, ahead.beta + g0 * da**3 + w,
-                    xtol=1e-16,
-                )
-                assert newton == pytest.approx(oracle, abs=1e-12)
+def bisection_beta(eos, ahead, da):
+    """Behind beta by plain bisection around the cubic seed (the Newton-free oracle)."""
+    if da == 0.0:
+        return ahead.beta
+    g0 = J.cubic_coefficient(eos, ahead)
+    w = 8 * abs(g0 * da**3) + 1e-12
+
+    def f(b):
+        return J.jump_J(eos, J.JumpPair(ahead, RiemannPair(ahead.alpha + da, b)))
+
+    return fitting.bisection_root(
+        f, ahead.beta + g0 * da**3 - w, ahead.beta + g0 * da**3 + w, xtol=1e-16
+    )
+
+
+class TestLanes:
+    """A batched solve is the per-lane scalar solve, lane by lane."""
+
+    N = 24
+
+    def batch(self, rng):
+        states = random_states(rng, self.N, rt_range=(-0.1, 0.25), zeta_range=(-0.4, 0.4))
+        ahead = RiemannPair(
+            np.array([s.alpha for s in states]), np.array([s.beta for s in states])
+        )
+        da = rng.uniform(1e-3, 2e-2, size=self.N) * rng.choice([-1.0, 1.0], size=self.N)
+        da[0], da[1], da[2] = 0.0, 1e-2, -1e-2
+        return ahead, da
+
+    @pytest.mark.parametrize("eos_name", ["rad", "p2"])
+    def test_batch_matches_bisection_per_lane(self, eos_name, request, rng, monkeypatch):
+        eos = request.getfixturevalue(eos_name)
+        ahead, da = self.batch(rng)
+        oracle = np.array(
+            [
+                bisection_beta(eos, RiemannPair(float(a), float(b)), float(d))
+                for a, b, d in zip(ahead.alpha, ahead.beta, da)
+            ]
+        )
+        # Put the last lane's cubic seed on the wrong side of its root, so
+        # its first bracket misses and has to be expanded once.
+        marked = ahead.alpha[-1]
+        cubic = J.cubic_coefficient
+        monkeypatch.setattr(
+            J,
+            "cubic_coefficient",
+            lambda e, s: cubic(e, s) * np.where(s.alpha == marked, -0.1, 1.0),
+        )
+        with pytest.raises(NoRoot):
+            J.solve_jump_beta(eos, ahead.alpha + da, ahead, max_expand=0)
+
+        got = J.solve_jump_beta(eos, ahead.alpha + da, ahead)
+        assert got.shape == (self.N,)
+        np.testing.assert_allclose(got, oracle, rtol=0.0, atol=1e-12)
+        assert got[0] == ahead.beta[0]
+
+    def test_one_lane_over_cap_rejects_the_batch(self, rad, rng):
+        ahead, da = self.batch(rng)
+        da[5] = 0.6
+        with pytest.raises(OutOfRange):
+            J.solve_jump_beta(rad, ahead.alpha + da, ahead)
+
+    def test_scalar_call_returns_float(self, rad):
+        ahead = RiemannPair(0.0, 0.0)
+        assert type(J.solve_jump_beta(rad, 1e-2, ahead)) is float
+        assert type(J.solve_jump_beta(rad, 0.0, ahead)) is float
+        behind = RiemannPair(1e-2, J.solve_jump_beta(rad, 1e-2, ahead))
+        assert type(J.shock_speed(rad, J.JumpPair(ahead, behind))) is float
+        assert type(J.jump_J(rad, J.JumpPair(ahead, behind))) is float
+
+    def test_degenerate_lane_rejects_the_batch(self, rad):
+        ahead = RiemannPair(np.zeros(3), np.zeros(3))
+        behind = RiemannPair(np.array([1e-2, 0.0, -1e-2]), np.zeros(3))
+        with pytest.raises(DegenerateJump):
+            J.shock_speed(rad, J.JumpPair(ahead, behind))
 
 
 class TestShockSpeed:
