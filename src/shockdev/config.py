@@ -12,8 +12,7 @@ Sections and keys::
     [eos]     kind (radiation | poly2), coefficient (poly2 stiffness)
     [cusp]    alpha0, beta0, kappa, lam, r0, dbeta_dt0, alpha_ddot0, xi
     [solver]  eps, n, tol_inner, tol_outer, max_outer, max_sweeps,
-              t_max_iter, max_retries, v_floor (blank = auto),
-              trust_index (blank = auto)
+              max_retries, v_floor (blank = auto), trust_index (blank = auto)
     [output]  grid_csv, shock_csv, report_json
     [checks]  seed (RNG seed for the sampled property checks)
 
@@ -64,7 +63,6 @@ _SCHEMA: dict[str, dict[str, tuple[type, object]]] = {
         "tol_outer": (float, 1e-10),
         "max_outer": (int, 60),
         "max_sweeps": (int, 60),
-        "t_max_iter": (int, 400),
         "max_retries": (int, 3),
         "v_floor": (float, None),
         "trust_index": (int, None),
@@ -100,7 +98,6 @@ class SolverConfig:
     tol_outer: float = 1e-10
     max_outer: int = 60
     max_sweeps: int = 60
-    t_max_iter: int = 400
     max_retries: int = 3
     v_floor: float | None = None
     trust_index: int | None = None
@@ -128,7 +125,6 @@ class SolverConfig:
             "tol_outer": self.tol_outer,
             "max_outer": self.max_outer,
             "max_sweeps": self.max_sweeps,
-            "t_max_iter": self.t_max_iter,
             "max_retries": self.max_retries,
             "v_floor": self.v_floor,
             "trust_index": self.trust_index,
@@ -153,7 +149,6 @@ _FIELD_OF = {
     ("solver", "tol_outer"): "tol_outer",
     ("solver", "max_outer"): "max_outer",
     ("solver", "max_sweeps"): "max_sweeps",
-    ("solver", "t_max_iter"): "t_max_iter",
     ("solver", "max_retries"): "max_retries",
     ("solver", "v_floor"): "v_floor",
     ("solver", "trust_index"): "trust_index",
@@ -279,7 +274,7 @@ def _validate(values: dict, errors: list[str]) -> None:
             errors.append(
                 f"[solver] {key}: must exceed machine epsilon ({_MACH_EPS:.2e}), got {tol}"
             )
-    for key in ("max_outer", "max_sweeps", "t_max_iter"):
+    for key in ("max_outer", "max_sweeps"):
         if get("solver", key) < 1:
             errors.append(f"[solver] {key}: must be at least 1")
     if get("solver", "max_retries") < 0:

@@ -7,13 +7,13 @@ characteristic, this module solves the characteristic system
     d(alpha)/dv = (dt/dv) A,   d(beta)/du = (dt/du) B,
     d(r)/dv     = (dt/dv) c+,  d(r)/du     = (dt/du) c-
 
-on the triangle 0 <= v <= u <= eps by nested fixed-point iteration: an outer
-sweep updates (alpha, beta) from the transport equations, and each sweep
-solves the linear problem for t exactly (up to tolerance) via the
-integrating-factor form of the coupled Volterra equations for the derivative
-grids dt/du and dt/dv.  The diagonal closes the system through the
-reflection ratio: dt/dv = (dt/du) * (V - c_bar_minus)/(c_bar_plus - V)
-along u = v.
+on the triangle 0 <= v <= u <= eps by fixed-point iteration: a sweep
+updates (alpha, beta) from the transport equations, and each sweep solves
+the linear problem for t -- the integrating-factor form of the coupled
+Volterra equations for dt/du and dt/dv, whose trapezoid discretization is
+triangular -- in one direct marching pass, with no tolerance.  The diagonal
+closes the system through the reflection ratio:
+dt/dv = (dt/du) * (V - c_bar_minus)/(c_bar_plus - V) along u = v.
 
 All quadrature is composite trapezoid (2nd order).  Column integrals that
 start on the diagonal are taken as differences of cumulative integrals from
@@ -208,21 +208,6 @@ def _sup(X: np.ndarray, mask: np.ndarray) -> float:
     return float(np.max(np.abs(X[mask])))
 
 
-def _second_order_line(vals: np.ndarray, d: float) -> np.ndarray:
-    """2nd-order derivative of uniform samples: centered inside, one-sided at ends."""
-    m = len(vals)
-    out = np.empty(m)
-    if m == 1:
-        out[0] = 0.0
-    elif m == 2:
-        out[:] = (vals[1] - vals[0]) / d
-    else:
-        out[1:-1] = (vals[2:] - vals[:-2]) / (2.0 * d)
-        out[0] = (-3.0 * vals[0] + 4.0 * vals[1] - vals[2]) / (2.0 * d)
-        out[-1] = (3.0 * vals[-1] - 4.0 * vals[-2] + vals[-3]) / (2.0 * d)
-    return out
-
-
 def _extrapolate_entry(sources: list) -> float | None:
     """Extrapolate the next uniform sample from up to three predecessors."""
     if len(sources) >= 3:
@@ -240,16 +225,21 @@ def dv_grid(X: np.ndarray, grid: TriGrid) -> np.ndarray:
     Centered in the interior, one-sided at the row ends.  The corner rows
     i = 0, 1 are too short for a second-order stencil, so their entries are
     filled by quadratic extrapolation down the columns, where full-length
-    stencils exist.
+    stencils exist.  Entries with j > i are 0.
     """
     d = grid.delta
     n = grid.n
-    out = np.zeros_like(np.asarray(X, dtype=float))
-    for i in range(n + 1):
-        out[i, : i + 1] = _second_order_line(X[i, : i + 1], d)
+    X = np.asarray(X, dtype=float)
+    out = np.zeros_like(X)
+    if n >= 2:
+        inner = out[:, 1:-1]
+        np.subtract(X[:, 2:], X[:, :-2], out=inner, where=grid.mask[:, 2:])
+        inner /= 2.0 * d
+        i = np.arange(2, n + 1)
+        out[i, 0] = (-3.0 * X[i, 0] + 4.0 * X[i, 1] - X[i, 2]) / (2.0 * d)
+        out[i, i] = (3.0 * X[i, i] - 4.0 * X[i, i - 1] + X[i, i - 2]) / (2.0 * d)
+    out[1, :2] = (X[1, 1] - X[1, 0]) / d
     for i, j in ((1, 0), (1, 1), (0, 0)):
-        if i > n or j > n:
-            continue
         sources = [out[k, j] for k in range(i + 1, min(i + 4, n + 1)) if k >= j]
         fixed = _extrapolate_entry(sources)
         if fixed is not None:
@@ -263,16 +253,21 @@ def du_grid(X: np.ndarray, grid: TriGrid) -> np.ndarray:
     Centered in the interior, one-sided at the column ends.  The corner
     columns j = n-1, n next to the diagonal tip are too short for a
     second-order stencil, so their entries are filled by quadratic
-    extrapolation along the rows.
+    extrapolation along the rows.  Entries with j > i are 0.
     """
     d = grid.delta
     n = grid.n
-    out = np.zeros_like(np.asarray(X, dtype=float))
-    for j in range(n + 1):
-        out[j:, j] = _second_order_line(X[j:, j], d)
+    X = np.asarray(X, dtype=float)
+    out = np.zeros_like(X)
+    if n >= 2:
+        inner = out[1:-1, :]
+        np.subtract(X[2:, :], X[:-2, :], out=inner, where=grid.mask[:-2, :])
+        inner /= 2.0 * d
+        j = np.arange(n - 1)
+        out[j, j] = (-3.0 * X[j, j] + 4.0 * X[j + 1, j] - X[j + 2, j]) / (2.0 * d)
+        out[n, j] = (3.0 * X[n, j] - 4.0 * X[n - 1, j] + X[n - 2, j]) / (2.0 * d)
+    out[n - 1 :, n - 1] = (X[n, n - 1] - X[n - 1, n - 1]) / d
     for i, j in ((n - 1, n - 1), (n, n - 1), (n, n)):
-        if i < 0 or j < 0:
-            continue
         sources = [out[i, k] for k in range(j - 1, max(j - 4, -1), -1) if k >= 0]
         fixed = _extrapolate_entry(sources)
         if fixed is not None:
@@ -287,9 +282,6 @@ def solve_linear_t(
     h,
     dh_du,
     grid: TriGrid,
-    *,
-    tol_inner: float = 1e-12,
-    max_iter: int = 400,
 ):
     """Solve the linear problem for the time coordinate at frozen coefficients.
 
@@ -300,69 +292,76 @@ def solve_linear_t(
         P(u, v) = e^{-K} [h'(u) - int_0^v e^{K} mu Q dv'],  K = int_0^v (-nu) dv'
         Q(u, v) = e^{-L} [a(v) + int_v^u e^{L} nu P du'],   L = int_v^u mu du'
 
-    closed on the diagonal by a(v) = P(v, v) / gamma(v), with a(0) = 0.  The
-    pair is iterated from Q = 0 until the sup-norm change drops below
-    ``tol_inner``, then polished while the change still strictly decreases
-    (downstream hatted quantities divide by v^2 and cannot afford
-    tolerance-band jitter).  t is reconstructed last so the data t(u, 0) =
-    h(u) is exact at the nodes.
+    closed on the diagonal by a(v) = P(v, v) / gamma(v), with a(0) = 0 and
+    a = 0 wherever P(v, v) = 0 (where gamma_inv may be +inf).  The
+    trapezoid discretization of the pair is triangular, so one pass over
+    the rows u_i solves it directly, with no tolerance: the column integrals
+    advance by one panel per row, the row integral obeys a first-order
+    linear recurrence along the row (the end-point weight couples P and Q
+    at each node), and the diagonal node closes through gamma_inv.  t is
+    reconstructed last so the data t(u, 0) = h(u) is exact at the nodes.
 
     Returns:
-        (t, P, Q) as (n+1, n+1) arrays.
+        (t, P, Q) as (n+1, n+1) arrays; P and Q are 0 outside the triangle
+        (j > i), and t continues its diagonal value there.
 
     Raises:
-        NonConvergence: iteration budget exhausted or non-finite update; the
-            exception carries the change history.
+        NonConvergence: non-finite values in the triangle, including an
+            infinite gamma_inv at a node v > 0 whose diagonal P is nonzero.
     """
+    n = grid.n
     d = grid.delta
+    half = 0.5 * d
     mask = grid.mask
     h = np.asarray(h, dtype=float)
     dh = np.asarray(dh_du, dtype=float)
     ginv = np.asarray(gamma_inv_diag, dtype=float)
     mu = np.where(mask, mu_grid, 0.0)
     nu = np.where(mask, nu_grid, 0.0)
-
     K = _ct_v(-nu, d)
-    eK = np.exp(K)
-    emK = np.exp(-K)
     L = _from_diag(_ct_u(mu, d))
-    eL = np.exp(L)
+    emK = np.exp(-K)
     emL = np.exp(-L)
+    F = np.exp(K) * mu
+    halfG = half * np.exp(L) * nu
+    del K, L, mu, nu
 
-    P = np.zeros_like(mu)
-    Q = np.zeros_like(mu)
-    history: list[float] = []
-    met = False
-    prev = math.inf
-    for _ in range(max_iter):
-        P_new = emK * (dh[:, None] - _ct_v(eK * mu * Q, d))
-        b = np.diagonal(P_new).copy()
-        with np.errstate(invalid="ignore"):
-            a = np.where(b == 0.0, 0.0, b * ginv)
-        a[0] = 0.0
-        Q_new = emL * (a[None, :] + _from_diag(_ct_u(np.where(mask, eL * nu * P_new, 0.0), d)))
-        change = max(_sup(P_new - P, mask), _sup(Q_new - Q, mask))
-        P, Q = P_new, Q_new
-        history.append(change)
-        if not math.isfinite(change):
-            raise NonConvergence(
-                "time solve produced non-finite updates", history, diverging=True
-            )
-        if met and change >= prev:
-            break
-        if change < tol_inner:
-            met = True
-            if change == 0.0:
-                break
-        prev = change
-    else:
-        if not met:
-            raise NonConvergence(
-                f"time solve failed to reach {tol_inner:g} in {max_iter} sweeps",
-                history,
-                diverging=history[-1] > history[0],
-            )
-    t = h[:, None] + _ct_v(np.where(mask, Q, 0.0), d)
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+        # Off the diagonal of row i, P = e^{-K} (h' - R) and Q = q - gam R,
+        # with R the row integral and q the value of Q at R = 0.  Then
+        # R_j = A_j R_{j-1} + half ((F q)_{j-1} + (F q)_j) / (1 + c_j) with
+        # A_j = (1 - c_{j-1}) / (1 + c_j), so R_j = prod_j sum_{k <= j} W_k
+        # ((F q)_{k-1} + (F q)_k), prod_j = A_1...A_j, W_k = half / ((1 + c_k) prod_k).
+        gam = emL * halfG * emK
+        c = half * F * gam
+        W = 1.0 / (1.0 + c)
+        prod = np.cumprod(np.hstack([np.ones((n + 1, 1)), (1.0 - c[:, :-1]) * W[:, 1:]]), axis=1)
+        W *= half / prod
+        del c
+
+        P = np.zeros_like(F)
+        Q = np.zeros_like(F)
+        P[0, 0] = dh[0]
+        # S[j] = a(v_j) + int_{v_j}^{u_i} e^L nu P du' along column j, at row i
+        S = np.zeros(n + 1)
+        for i in range(1, n + 1):
+            S[:i] += halfG[i - 1, :i] * P[i - 1, :i]
+            q = emL[i, :i] * S[:i] + gam[i, :i] * dh[i]
+            Fq = F[i, :i] * q
+            R = np.zeros(i)
+            R[1:] = prod[i, 1:i] * np.cumsum((Fq[:-1] + Fq[1:]) * W[i, 1:i])
+            P[i, :i] = emK[i, :i] * (dh[i] - R)
+            Q[i, :i] = q - gam[i, :i] * R
+            S[:i] += halfG[i, :i] * P[i, :i]
+            b = emK[i, i] * (dh[i] - R[-1] - half * F[i, i - 1] * Q[i, i - 1])
+            # an infinite gamma_inv leaves Q = NaN here unless b = 0
+            if b != 0.0:
+                P[i, i] = b / (1.0 + emK[i, i] * half * F[i, i] * ginv[i])
+                Q[i, i] = ginv[i] * P[i, i]
+            S[i] = Q[i, i]
+    if not (np.isfinite(P[mask]).all() and np.isfinite(Q[mask]).all()):
+        raise NonConvergence("time solve produced non-finite values", diverging=True)
+    t = h[:, None] + _ct_v(Q, d)
     return t, P, Q
 
 
@@ -413,20 +412,20 @@ def solve_fixed_bvp(
     *,
     tol_inner: float = 1e-12,
     max_sweeps: int = 60,
-    t_max_iter: int = 400,
     v_floor: float | None = None,
 ) -> FieldGrid:
     """Solve the characteristic system for fixed boundary functions.
 
-    Iterates (alpha, beta) -> coefficients -> linear t solve -> r -> updated
-    (alpha, beta) from the transport integrals, starting from the transported
-    boundary data (alpha constant along v, beta constant along u).  Stops
-    when the sup-norm change in (alpha, beta) is below ``tol_inner``, then
-    polishes while still strictly improving.
+    Iterates (alpha, beta) -> coefficients -> direct linear t solve -> r ->
+    updated (alpha, beta) from the transport integrals, starting from the
+    transported boundary data (alpha constant along v, beta constant along
+    u).  Stops when the sup-norm change in (alpha, beta) is below
+    ``tol_inner``, then polishes while still strictly improving.
 
     Raises:
-        NonConvergence: budget exhausted or the sweep changes grow by 100x
-            (the domain size is too large for contraction).
+        NonConvergence: budget exhausted, the sweep changes grow by 100x
+            (the domain size is too large for contraction), or the time
+            solve met non-finite values.
         SingularGamma, OutOfRange: propagated from the coefficients.
     """
     _check_nodes("initial data", init.u, grid)
@@ -445,9 +444,7 @@ def solve_fixed_bvp(
         mu = np.where(mask, du_grid(cp, grid) / spread, 0.0)
         nu = np.where(mask, dv_grid(cm, grid) / spread, 0.0)
         ginv = gamma_inverse(bf, np.diagonal(alpha).copy(), eos, v_floor=v_floor)
-        t, P, Q = solve_linear_t(
-            mu, nu, ginv, init.h, init.dh_du, grid, tol_inner=tol_inner, max_iter=t_max_iter
-        )
+        t, P, Q = solve_linear_t(mu, nu, ginv, init.h, init.dh_du, grid)
         s_edge = cumulative_trapezoid((cm * P)[:, 0], dx=d, initial=0.0)
         s = s_edge[:, None] + _ct_v(np.where(mask, cp * Q, 0.0), d)
         return t, P, Q, bf.cusp.r0 + s, s

@@ -244,7 +244,6 @@ class SolverContext:
     speed_trust_index: int
     tol_inner: float = 1e-12
     max_sweeps: int = 60
-    t_max_iter: int = 400
     v_floor: float | None = None
 
     @classmethod
@@ -447,7 +446,6 @@ def outer_iterate(bf: BoundaryFunctions, ctx: SolverContext):
         ctx.grid,
         tol_inner=ctx.tol_inner,
         max_sweeps=ctx.max_sweeps,
-        t_max_iter=ctx.t_max_iter,
         v_floor=ctx.v_floor,
     )
     v = ctx.grid.nodes
@@ -547,7 +545,6 @@ def _attempt(
     max_outer: int,
     tol_inner: float,
     max_sweeps: int,
-    t_max_iter: int,
     v_floor: float | None,
     trust_index: int | None,
     seed_fn,
@@ -562,7 +559,6 @@ def _attempt(
         tol_outer=tol_outer,
         tol_inner=tol_inner,
         max_sweeps=max_sweeps,
-        t_max_iter=t_max_iter,
         v_floor=v_floor,
     )
     bf = seed_fn(cusp, ctx.grid.nodes)
@@ -599,7 +595,6 @@ def run_shock_development(
     max_outer: int = 60,
     tol_inner: float = 1e-12,
     max_sweeps: int = 60,
-    t_max_iter: int = 400,
     v_floor: float | None = None,
     max_retries: int = 3,
     trust_index: int | None = None,
@@ -633,7 +628,6 @@ def run_shock_development(
                 max_outer=max_outer,
                 tol_inner=tol_inner,
                 max_sweeps=max_sweeps,
-                t_max_iter=t_max_iter,
                 v_floor=v_floor,
                 trust_index=trust_index,
                 seed_fn=seed_fn,

@@ -30,7 +30,6 @@ Scalar states are the one-lane case and give Python floats.
 
 from __future__ import annotations
 
-import math
 from typing import NamedTuple
 
 import numpy as np
@@ -234,9 +233,14 @@ def shock_speed(eos: eos_mod.BarotropicEos, jp: JumpPair):
         DegenerateJump: the states of some lane (nearly) coincide and V is 0/0.
     """
     dT = stress_jump(eos, jp)
-    if np.any(np.abs(dT.tt) <= 2e-14 * np.abs(stress(eos, jp.ahead).tt)):
+    if np.any(_coincident(eos, dT, jp.ahead)):
         raise DegenerateJump("states coincide; front speed is indeterminate")
     return dT.tr / dT.tt
+
+
+def _coincident(eos: eos_mod.BarotropicEos, dT: StressComponents, ahead: RiemannPair):
+    """Lanes whose states (nearly) coincide, where V = [T^tr]/[T^tt] is 0/0."""
+    return np.abs(dT.tt) <= 2e-14 * np.abs(stress(eos, ahead).tt)
 
 
 def jump_balance_residuals(eos: eos_mod.BarotropicEos, jp: JumpPair):
@@ -261,7 +265,7 @@ def entropy_q(eos: eos_mod.BarotropicEos, state: RiemannPair) -> float:
 
 
 def determinism_margin(eos: eos_mod.BarotropicEos, jp: JumpPair):
-    """Margins that make the front deterministic.
+    """Margins that make the front deterministic, per lane.
 
     Returns:
         (m_ahead, m_behind):
@@ -269,22 +273,19 @@ def determinism_margin(eos: eos_mod.BarotropicEos, jp: JumpPair):
                    positive exactly when the behind state is the denser one.
         m_behind = c_plus(behind) - V, the subsonic margin of the front as
                    seen from behind.
-        Coincident states return (0.0, 0.0).
+        Lanes whose states (nearly) coincide, where V is 0/0, give (0, 0).
     """
 
     def val(state):
         d = point_data(eos, state)
-        return d.eta * d.sigma / math.sqrt(1.0 - d.eta2)
+        return d.eta * d.sigma / np.sqrt(1.0 - d.eta2)
 
-    if jp.ahead == jp.behind:
-        return 0.0, 0.0
+    dT = stress_jump(eos, jp)
+    live = ~_coincident(eos, dT, jp.ahead)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        m_behind = char_speeds(eos, jp.behind)[0] - np.divide(dT.tr, dT.tt)
     m_ahead = val(jp.behind) - val(jp.ahead)
-    try:
-        V = shock_speed(eos, jp)
-    except DegenerateJump:
-        return 0.0, 0.0
-    cp_behind, _ = char_speeds(eos, jp.behind)
-    return m_ahead, cp_behind - V
+    return _lane_result(np.where(live, m_ahead, 0.0)), _lane_result(np.where(live, m_behind, 0.0))
 
 
 def hugoniot_residual(eos: eos_mod.BarotropicEos, jp: JumpPair) -> float:

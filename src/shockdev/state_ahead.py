@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field as dc_field
 from typing import Mapping, NamedTuple
 
 import numpy as np
@@ -49,6 +49,11 @@ __all__ = [
 _SLOPE_FLOOR = 1e-7
 
 _FIELDS = ("r", "alpha", "beta")
+
+
+def _abs_max(a: np.ndarray) -> float:
+    """Largest |a|: NaN if any entry is NaN, 0 for an empty array."""
+    return abs(float(a)) if a.ndim == 0 else float(np.abs(a).max(initial=0.0))
 
 
 @dataclass(frozen=True)
@@ -190,6 +195,8 @@ class StateAheadModel:
     box_t: float
     box_w: float
     coeffs: Mapping[str, Mapping[tuple[int, int], float]]
+    # (factor, t-power, w-power) of every term, per (field, dt, dw)
+    _terms: dict = dc_field(default_factory=dict, init=False, repr=False, compare=False)
 
     def eval(self, field: str, t, w, dt: int = 0, dw: int = 0):
         """Evaluate a field or one of its partial derivatives.
@@ -200,30 +207,35 @@ class StateAheadModel:
             dt, dw: derivative orders in t and w (total order at most 4).
 
         Raises:
-            OutOfBox: any requested point outside |t| <= box_t, |w| <= box_w.
+            OutOfBox: any requested point outside |t| <= box_t, |w| <= box_w
+                (NaN counts as outside).
         """
-        if field not in self.coeffs:
-            raise ValueError(f"unknown field {field!r}; expected one of {_FIELDS}")
-        if dt < 0 or dw < 0 or dt + dw > 4:
-            raise ValueError("derivative multi-index must be non-negative with total order <= 4")
+        key = (field, dt, dw)
+        if key not in self._terms:
+            if field not in self.coeffs:
+                raise ValueError(f"unknown field {field!r}; expected one of {_FIELDS}")
+            if dt < 0 or dw < 0 or dt + dw > 4:
+                raise ValueError(
+                    "derivative multi-index must be non-negative with total order <= 4"
+                )
+            self._terms[key] = tuple(
+                (c * math.perm(i, dt) * math.perm(j, dw), i - dt, j - dw)
+                for (i, j), c in self.coeffs[field].items()
+                if i >= dt and j >= dw
+            )
         t_arr = np.asarray(t, dtype=float)
         w_arr = np.asarray(w, dtype=float)
         slack = 1.0 + 1e-12
-        if np.any(np.abs(t_arr) > self.box_t * slack) or np.any(
-            np.abs(w_arr) > self.box_w * slack
-        ):
+        if not (_abs_max(t_arr) <= self.box_t * slack and _abs_max(w_arr) <= self.box_w * slack):
             raise OutOfBox(
                 f"evaluation outside validity box |t| <= {self.box_t:g}, |w| <= {self.box_w:g}"
             )
         out = np.zeros(np.broadcast(t_arr, w_arr).shape)
-        for (i, j), c in self.coeffs[field].items():
-            if i < dt or j < dw:
-                continue
-            factor = c * math.perm(i, dt) * math.perm(j, dw)
-            out = out + factor * t_arr ** (i - dt) * w_arr ** (j - dw)
-        if out.ndim == 0:
-            return float(out)
-        return out
+        for factor, pt, pw in self._terms[key]:
+            # a zero power is an exact factor 1, so skipping it changes no bit
+            term = factor * t_arr**pt if pt else factor
+            out = out + (term * w_arr**pw if pw else term)
+        return float(out) if out.ndim == 0 else out
 
     def dump(self, path) -> None:
         """Write the model (cusp data + nonzero coefficients) as JSON."""

@@ -39,7 +39,7 @@ class TestDefaults:
         opts = SolverConfig.canonical().solver_options()
         assert set(opts) == {
             "tol_inner", "tol_outer", "max_outer", "max_sweeps",
-            "t_max_iter", "max_retries", "v_floor", "trust_index",
+            "max_retries", "v_floor", "trust_index",
         }
 
 
@@ -166,6 +166,14 @@ class TestValidation:
             load_config(path, env={})
         assert "unknown section [sovler]" in str(err.value)
         assert "unknown key [solver] grid" in str(err.value)
+
+    def test_removed_time_solve_budget_is_unknown(self, tmp_path):
+        # the time solve is direct and has no iteration budget to set
+        path = tmp_path / "run.ini"
+        path.write_text("[solver]\nt_max_iter = 400\n")
+        with pytest.raises(ConfigError, match=r"unknown key \[solver\] t_max_iter"):
+            load_config(path, env={})
+        assert "t_max_iter" not in SolverConfig.canonical().as_sections()["solver"]
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read config file"):

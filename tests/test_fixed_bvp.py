@@ -165,6 +165,64 @@ class TestGammaInverse:
         assert np.array_equal(lifted[4:], direct[4:])
 
 
+def second_order_line(vals, d):
+    """2nd-order derivative of uniform samples: centered inside, one-sided at ends."""
+    m = len(vals)
+    out = np.empty(m)
+    if m == 1:
+        out[0] = 0.0
+    elif m == 2:
+        out[:] = (vals[1] - vals[0]) / d
+    else:
+        out[1:-1] = (vals[2:] - vals[:-2]) / (2.0 * d)
+        out[0] = (-3.0 * vals[0] + 4.0 * vals[1] - vals[2]) / (2.0 * d)
+        out[-1] = (3.0 * vals[-1] - 4.0 * vals[-2] + vals[-3]) / (2.0 * d)
+    return out
+
+
+def per_line_dv(X, grid):
+    """Reference for dv_grid: one stencil line per row, then the corner fill."""
+    n = grid.n
+    out = np.zeros_like(X)
+    for i in range(n + 1):
+        out[i, : i + 1] = second_order_line(X[i, : i + 1], grid.delta)
+    for i, j in ((1, 0), (1, 1), (0, 0)):
+        sources = [out[k, j] for k in range(i + 1, min(i + 4, n + 1)) if k >= j]
+        fixed = FB._extrapolate_entry(sources)
+        if fixed is not None:
+            out[i, j] = fixed
+    return out
+
+
+def per_line_du(X, grid):
+    """Reference for du_grid: one stencil line per column, then the corner fill."""
+    n = grid.n
+    out = np.zeros_like(X)
+    for j in range(n + 1):
+        out[j:, j] = second_order_line(X[j:, j], grid.delta)
+    for i, j in ((n - 1, n - 1), (n, n - 1), (n, n)):
+        sources = [out[i, k] for k in range(j - 1, max(j - 4, -1), -1) if k >= 0]
+        fixed = FB._extrapolate_entry(sources)
+        if fixed is not None:
+            out[i, j] = fixed
+    return out
+
+
+class TestGridDerivatives:
+    @pytest.mark.parametrize("n", [2, 3, 16])
+    def test_bit_identical_to_per_line_reference(self, n, rng):
+        g = FB.TriGrid(EPS, n)
+        X = rng.normal(size=(n + 1, n + 1))
+        assert np.array_equal(FB.dv_grid(X, g), per_line_dv(X, g))
+        assert np.array_equal(FB.du_grid(X, g), per_line_du(X, g))
+
+    def test_quadratic_is_exact(self):
+        g = FB.TriGrid(EPS, 8)
+        X = 2.0 * g.U**2 - 3.0 * g.U * g.V + g.V**2
+        assert np.allclose(FB.du_grid(X, g)[g.mask], (4.0 * g.U - 3.0 * g.V)[g.mask], atol=1e-12)
+        assert np.allclose(FB.dv_grid(X, g)[g.mask], (2.0 * g.V - 3.0 * g.U)[g.mask], atol=1e-12)
+
+
 def manufactured_case(n, eps=0.5):
     """Exact solution of the linear pair with corner-compatible data.
 
@@ -185,6 +243,92 @@ def manufactured_case(n, eps=0.5):
     return g, mu, nu, ginv, h, dh, P_ex, Q_ex, t_ex
 
 
+def picard_linear_t(mu_grid, nu_grid, gamma_inv_diag, h, dh_du, grid, tol=1e-12, max_iter=400):
+    """Reference: the time solve by Picard iteration of the discrete pair.
+
+    Iterates the trapezoid-discretized Volterra pair from Q = 0 until the
+    sup-norm change drops below ``tol``, then polishes while it still
+    strictly decreases; the direct march must reproduce this fixed point.
+    """
+    d = grid.delta
+    mask = grid.mask
+    h = np.asarray(h, dtype=float)
+    dh = np.asarray(dh_du, dtype=float)
+    ginv = np.asarray(gamma_inv_diag, dtype=float)
+    mu = np.where(mask, mu_grid, 0.0)
+    nu = np.where(mask, nu_grid, 0.0)
+
+    def ct_v(X):
+        return cumulative_trapezoid(X, dx=d, axis=1, initial=0.0)
+
+    def ct_u_from_diag(X):
+        CT = cumulative_trapezoid(X, dx=d, axis=0, initial=0.0)
+        return CT - np.diagonal(CT)[None, :]
+
+    K = ct_v(-nu)
+    L = ct_u_from_diag(mu)
+    P = np.zeros_like(mu)
+    Q = np.zeros_like(mu)
+    history = []
+    met = False
+    prev = math.inf
+    for _ in range(max_iter):
+        P_new = np.exp(-K) * (dh[:, None] - ct_v(np.exp(K) * mu * Q))
+        b = np.diagonal(P_new).copy()
+        with np.errstate(invalid="ignore"):
+            a = np.where(b == 0.0, 0.0, b * ginv)
+        a[0] = 0.0
+        Q_new = np.exp(-L) * (
+            a[None, :] + ct_u_from_diag(np.where(mask, np.exp(L) * nu * P_new, 0.0))
+        )
+        change = max(np.max(np.abs(P_new - P)[mask]), np.max(np.abs(Q_new - Q)[mask]))
+        P, Q = P_new, Q_new
+        history.append(change)
+        if not math.isfinite(change):
+            raise NonConvergence("non-finite update", history, diverging=True)
+        if met and change >= prev:
+            break
+        if change < tol:
+            met = True
+            if change == 0.0:
+                break
+        prev = change
+    else:
+        if not met:
+            raise NonConvergence("budget exhausted", history)
+    t = h[:, None] + ct_v(np.where(mask, Q, 0.0))
+    return t, P, Q
+
+
+def frozen_curve_args(rad, cusp, model, n):
+    """Arguments of every time solve of a canonical frozen-curve inner solve."""
+    grid = FB.TriGrid(EPS, n)
+    init = SA.initial_data(model, rad, EPS, n)
+    bf = FB.BoundaryFunctions.seed(cusp, grid.nodes)
+    seen = []
+    direct = FB.solve_linear_t
+
+    def record(*args):
+        seen.append(args)
+        return direct(*args)
+
+    FB.solve_linear_t = record
+    try:
+        FB.solve_fixed_bvp(bf, init, rad, grid)
+    finally:
+        FB.solve_linear_t = direct
+    return seen
+
+
+def assert_matches_picard(args):
+    grid = args[-1]
+    got = FB.solve_linear_t(*args)
+    want = picard_linear_t(*args)
+    for x, y in zip(got, want):
+        scale = np.max(np.abs(y[grid.mask]))
+        assert np.max(np.abs(x - y)[grid.mask]) <= 1e-13 * scale
+
+
 class TestSolveLinearT:
     def test_decoupled_is_exact(self, rad, cusp, model):
         n = 32
@@ -194,14 +338,26 @@ class TestSolveLinearT:
         ginv = 1.0 + g.nodes
         t, P, Q = FB.solve_linear_t(zero, zero, ginv, init.h, init.dh_du, g)
         dh = np.asarray(init.dh_du)
-        assert np.array_equal(P, np.broadcast_to(dh[:, None], P.shape))
         a = dh * ginv
         a[0] = 0.0
-        assert np.array_equal(Q, np.broadcast_to(a[None, :], Q.shape))
+        assert np.array_equal(P, np.where(g.mask, dh[:, None], 0.0))
+        assert np.array_equal(Q, np.where(g.mask, a[None, :], 0.0))
         t_manual = np.asarray(init.h)[:, None] + cumulative_trapezoid(
             np.where(g.mask, Q, 0.0), dx=g.delta, axis=1, initial=0.0
         )
         assert np.array_equal(t, t_manual)
+
+    @pytest.mark.parametrize("n", [16, 64])
+    def test_matches_picard_manufactured(self, n):
+        g, mu, nu, ginv, h, dh, *_ = manufactured_case(n)
+        assert_matches_picard((mu, nu, ginv, h, dh, g))
+
+    @pytest.mark.parametrize("n", [16, 64])
+    def test_matches_picard_frozen_curve(self, rad, cusp, model, n):
+        calls = frozen_curve_args(rad, cusp, model, n)
+        assert len(calls) >= 2
+        for args in (calls[0], calls[-1]):
+            assert_matches_picard(args)
 
     def test_manufactured_second_order(self):
         errs = {}
@@ -217,11 +373,44 @@ class TestSolveLinearT:
         for k in range(3):
             assert 3.4 < errs[16][k] / errs[32][k] < 4.6
 
-    def test_budget_exhaustion(self):
+    @pytest.mark.parametrize("where", ["mu", "nu", "dh"])
+    def test_non_finite_input_raises(self, where):
         g, mu, nu, ginv, h, dh, *_ = manufactured_case(16)
+        mu, nu, dh = mu.copy(), nu.copy(), dh.copy()
+        if where == "dh":
+            dh[5] = math.inf
+        else:
+            {"mu": mu, "nu": nu}[where][9, 4] = math.nan
         with pytest.raises(NonConvergence) as exc:
-            FB.solve_linear_t(mu, nu, ginv, h, dh, g, max_iter=1)
-        assert len(exc.value.history) == 1
+            FB.solve_linear_t(mu, nu, ginv, h, dh, g)
+        assert exc.value.diverging
+        with pytest.raises(NonConvergence), np.errstate(invalid="ignore"):
+            picard_linear_t(mu, nu, ginv, h, dh, g)
+
+    def test_non_finite_outside_triangle_ignored(self):
+        g, mu, nu, ginv, h, dh, *_ = manufactured_case(16)
+        mu = np.where(g.mask, mu, math.nan)
+        nu = np.where(g.mask, nu, math.inf)
+        assert_matches_picard((mu, nu, ginv, h, dh, g))
+
+    def test_sonic_node_with_nonzero_slope_raises(self):
+        g, mu, nu, ginv, h, dh, *_ = manufactured_case(16)
+        ginv = ginv.copy()
+        ginv[6] = math.inf
+        with pytest.raises(NonConvergence) as exc:
+            FB.solve_linear_t(mu, nu, ginv, h, dh, g)
+        assert exc.value.diverging
+        with pytest.raises(NonConvergence):
+            picard_linear_t(mu, nu, ginv, h, dh, g)
+
+    def test_sonic_nodes_with_zero_slope_close_to_zero(self):
+        # gamma_inv = +inf at every node (the corner and exactly sonic
+        # nodes): a = 0 where dt/du vanishes, with no NaN from 0 * inf
+        g, mu, nu, *_ = manufactured_case(16)
+        zeros = np.zeros(17)
+        ginv = np.full(17, math.inf)
+        t, P, Q = FB.solve_linear_t(mu, nu, ginv, zeros, zeros, g)
+        assert not np.any(t) and not np.any(P) and not np.any(Q)
 
 
 class TestSolveFixedBvp:

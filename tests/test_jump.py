@@ -234,6 +234,28 @@ class TestDeterminism:
         assert m_ahead > 0
         assert m_behind > 0
 
+    def test_lanes_match_scalar_calls(self, rad, p2, rng):
+        for eos in (rad, p2):
+            aheads = random_states(rng, 16, rt_range=(-0.1, 0.25), zeta_range=(-0.3, 0.3))
+            a0 = np.array([s.alpha for s in aheads])
+            b0 = np.array([s.beta for s in aheads])
+            a1 = a0 + rng.choice([-1.0, 1.0], 16) * rng.uniform(5e-3, 2e-2, 16)
+            b1 = J.solve_jump_beta(eos, a1, RiemannPair(a0, b0))
+            a1[3], b1[3] = a0[3], b0[3]  # a coincident lane
+            m_ahead, m_behind = J.determinism_margin(
+                eos, J.JumpPair(RiemannPair(a0, b0), RiemannPair(a1, b1))
+            )
+            assert m_ahead.shape == m_behind.shape == (16,)
+            assert m_ahead[3] == 0.0 and m_behind[3] == 0.0
+            for k in range(16):
+                jp = J.JumpPair(
+                    RiemannPair(float(a0[k]), float(b0[k])), RiemannPair(float(a1[k]), float(b1[k]))
+                )
+                s_ahead, s_behind = J.determinism_margin(eos, jp)
+                assert type(s_ahead) is float and type(s_behind) is float
+                assert m_ahead[k] == pytest.approx(s_ahead, rel=1e-12, abs=1e-14)
+                assert m_behind[k] == pytest.approx(s_behind, rel=1e-12, abs=1e-14)
+
     def test_margin_sign_tracks_steepness_jump(self, rad, p2, rng):
         # sign(m_ahead) == sign(-[q]) on either branch
         for eos in (rad, p2):

@@ -12,6 +12,7 @@ import inspect
 import pytest
 
 from shockdev import cli, fixed_bvp, free_boundary, jump, report, state_ahead
+from shockdev.state_ahead import CuspData, synthesize_model
 
 WRAPPED = {
     cli: (
@@ -61,3 +62,25 @@ def test_jump_update_takes_z_fourth():
     # the tracer counts the jump nodes of a call as len(args[3]) - 1
     params = list(inspect.signature(free_boundary.jump_update).parameters)
     assert params[3] == "z"
+
+
+def test_solve_linear_t_is_called_through_the_module(rad, monkeypatch):
+    # the tracer counts fixed_bvp.solve_linear_t calls by replacing the
+    # module attribute; a bound reference inside solve_fixed_bvp would
+    # silently drop that count to 0
+    direct = fixed_bvp.solve_linear_t
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return direct(*args, **kwargs)
+
+    monkeypatch.setattr(fixed_bvp, "solve_linear_t", counting)
+    eps, n = 0.01, 8
+    cusp = CuspData.from_physics(rad, kappa=1.0, lam=1.0, dbeta_dt0=0.3)
+    model = synthesize_model(cusp, rad, eps=eps)
+    grid = fixed_bvp.TriGrid(eps, n)
+    init = state_ahead.initial_data(model, rad, eps, n)
+    bf = fixed_bvp.BoundaryFunctions.seed(cusp, grid.nodes)
+    fg = fixed_bvp.solve_fixed_bvp(bf, init, rad, grid)
+    assert len(calls) == fg.sweeps + 1

@@ -114,6 +114,9 @@ class TestModelCoefficients:
             model.eval("r", 2 * model.box_t, 0.0)
         with pytest.raises(OutOfBox):
             model.eval("alpha", 0.0, np.array([0.0, 3 * model.box_w]))
+        with pytest.raises(OutOfBox):
+            model.eval("beta", math.nan, 0.0)
+        assert model.eval("r", np.zeros(0), 0.0).shape == (0,)
 
     def test_eval_rejects_bad_requests(self, model):
         with pytest.raises(ValueError):
@@ -262,3 +265,33 @@ class TestModelSerialization:
         model.dump(path)
         with pytest.raises(ValueError):
             SA.load_model(path, p2)
+
+
+def reference_eval(model, field, t, w, dt=0, dw=0):
+    """The model polynomial summed slot by slot, straight from the coefficients."""
+    t_arr = np.asarray(t, dtype=float)
+    w_arr = np.asarray(w, dtype=float)
+    if np.any(np.abs(t_arr) > model.box_t * (1.0 + 1e-12)) or np.any(
+        np.abs(w_arr) > model.box_w * (1.0 + 1e-12)
+    ):
+        raise OutOfBox("outside")
+    out = np.zeros(np.broadcast(t_arr, w_arr).shape)
+    for (i, j), c in model.coeffs[field].items():
+        if i < dt or j < dw:
+            continue
+        factor = c * math.perm(i, dt) * math.perm(j, dw)
+        out = out + factor * t_arr ** (i - dt) * w_arr ** (j - dw)
+    return float(out) if out.ndim == 0 else out
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [None, {"alpha": {(1, 1): 0.7, (2, 0): -3.0, (0, 3): 2.0}, "r": {(2, 1): 0.4, (1, 2): -0.2}}],
+)
+def test_initial_data_bit_identical_to_reference_eval(rad, cusp, overrides, monkeypatch):
+    model = SA.synthesize_model(cusp, rad, eps=0.01, overrides=overrides)
+    got = SA.initial_data(model, rad, 0.01, 64)
+    monkeypatch.setattr(SA.StateAheadModel, "eval", reference_eval)
+    want = SA.initial_data(model, rad, 0.01, 64)
+    for name in got._fields:
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
