@@ -149,8 +149,11 @@ def sound_speed_sq(eos: BarotropicEos, rho):
     """
     a = _check_rho(eos, rho)
     eta2 = np.asarray(eos.dp_drho_fn(a), dtype=float)
-    if np.any(eta2 <= 0) or np.any(eta2 >= 1):
-        raise OutOfRange(f"{eos.label}: dp/drho left (0, 1) at rho={rho}")
+    if eta2.size:
+        lo, hi = (eta2.min(), eta2.max()) if eta2.ndim else (eta2, eta2)
+        # NaN fails both comparisons, so a NaN sound speed is rejected too
+        if not (0 < lo and hi < 1):
+            raise OutOfRange(f"{eos.label}: dp/drho left (0, 1) at rho={rho}")
     return eta2 if eta2.ndim else float(eta2)
 
 

@@ -76,6 +76,42 @@ class TestDensityRange:
         assert E.pressure(rad, np.array([])).shape == (0,)
 
 
+class TestSoundSpeedRange:
+    @pytest.fixture(scope="class")
+    def nan_gap(self):
+        """Radiation-like law whose dp/drho is NaN only on (5.5, 5.51),
+
+        between the 65 construction probes, so the EOS builds.
+        """
+
+        def dp_drho(rho):
+            a = np.asarray(rho, dtype=float)
+            out = np.where((a > 5.5) & (a < 5.51), math.nan, 1.0 / 3.0)
+            return out if out.ndim else float(out)
+
+        return E.BarotropicEos(
+            label="nan-gap",
+            pressure_fn=lambda r: np.asarray(r, dtype=float) / 3.0,
+            dp_drho_fn=dp_drho,
+            rho_min=0.05,
+            rho_max=20.0,
+        )
+
+    @pytest.mark.parametrize(
+        "rho", [5.505, np.array([1.0, 5.505, 2.0])], ids=["scalar", "array"]
+    )
+    def test_nan_sound_speed_rejected(self, nan_gap, rho):
+        with pytest.raises(OutOfRange, match=r"dp/drho left \(0, 1\) at rho="):
+            E.sound_speed_sq(nan_gap, rho)
+
+    def test_finite_values_pass(self, nan_gap):
+        assert E.sound_speed_sq(nan_gap, 5.0) == 1.0 / 3.0
+        np.testing.assert_array_equal(
+            E.sound_speed_sq(nan_gap, np.array([1.0, 6.0])), [1.0 / 3.0, 1.0 / 3.0]
+        )
+        assert E.sound_speed_sq(nan_gap, np.array([])).shape == (0,)
+
+
 class TestPotentialChain:
     def test_reference_point_vanishes(self, rad, p2, rad_generic):
         for eos in (rad, p2, rad_generic):

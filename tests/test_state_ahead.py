@@ -1,8 +1,9 @@
 """Pre-shock model: cusp constraints, boundary curves, carried initial data.
 
 Oracles: exact coefficient identities by construction, 4th-order stencils
-for eval self-consistency, scipy.integrate.solve_ivp for the incoming
-characteristic, and least-squares expansion fits for the corner behavior.
+for eval self-consistency, scipy.integrate.solve_ivp and the node-by-node
+RK4 march for the incoming characteristic, per-node Newton solves for the
+singular boundary, and least-squares expansion fits for the corner behavior.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from scipy.integrate import solve_ivp
 from shockdev import eos as E
 from shockdev import fitting
 from shockdev import state_ahead as SA
-from shockdev.errors import InconsistentCusp, LeftBox, OutOfBox
+from shockdev.errors import InconsistentCusp, LeftBox, NonConvergence, OutOfBox
 from shockdev.state import RiemannPair, char_speeds
 
 CUBIC_TARGET = math.sqrt(3.0) / 12.0  # lam / (6 kappa (c+0 - c-0)) at the canonical cusp
@@ -163,6 +164,28 @@ class TestSingularBoundary:
         t = SA.singular_boundary(model, w)
         assert t == pytest.approx(0.5 * w**2, rel=1e-12, abs=1e-300)
 
+    @pytest.mark.parametrize("n_nodes", [1, 3, 65])
+    @pytest.mark.parametrize("xi", [0.0, 0.6, -40.0])
+    def test_lanes_bit_identical_to_per_node_solves(self, rad, n_nodes, xi):
+        c = SA.CuspData.from_physics(rad, kappa=1.0, lam=1.0, dbeta_dt0=0.3, r0=1.0, xi=xi)
+        m = SA.synthesize_model(c, rad, eps=0.1)
+        w = np.linspace(0.0, 0.2, n_nodes) if n_nodes > 1 else np.array([0.13])
+        got = SA.singular_boundary(m, w)
+        want = np.array([per_node_singular_boundary(m, float(wv)) for wv in w])
+        assert got.shape == w.shape
+        assert np.array_equal(got, want)
+
+    def test_scalar_input_returns_float(self, model):
+        t = SA.singular_boundary(model, 0.07)
+        assert type(t) is float
+        assert t == per_node_singular_boundary(model, 0.07)
+        assert type(SA.singular_boundary(model, np.float64(0.07))) is float
+
+    def test_shape_kept(self, model):
+        w = np.array([[0.0, 0.05], [0.1, 0.02]])
+        assert SA.singular_boundary(model, w).shape == (2, 2)
+        assert SA.singular_boundary(model, np.zeros(0)).shape == (0,)
+
 
 class TestIncomingCharacteristic:
     def test_cubic_coefficient_fit(self, model, rad):
@@ -211,15 +234,26 @@ class TestIncomingCharacteristic:
         assert curve.t == pytest.approx(uniform.t, abs=1e-15)
 
     def test_interval_outside_box(self, model, rad):
-        with pytest.raises(LeftBox):
+        with pytest.raises(LeftBox, match=r"requested interval \[0, 0.3\]"):
             SA.incoming_characteristic(model, rad, 0.3, 10)
+        with pytest.raises(LeftBox):
+            sequential_march(model, rad, 0.3, 10)
 
     def test_trajectory_exit(self, rad):
         # huge quartic shape term drives the curve out of the shallow box
         c = SA.CuspData.from_physics(rad, kappa=1.0, lam=1.0, dbeta_dt0=0.0, r0=1.0, xi=-1e6)
         m = SA.synthesize_model(c, rad, eps=0.01)
-        with pytest.raises(LeftBox):
+        with pytest.raises(LeftBox, match=r"left the validity box at \(t, w\) = "):
             SA.incoming_characteristic(m, rad, 0.02, 64)
+        with pytest.raises(LeftBox):
+            sequential_march(m, rad, 0.02, 64)
+
+    def test_pass_cap_raises_with_history(self, model, rad, monkeypatch):
+        monkeypatch.setattr(SA, "_MARCH_PASSES", 1)
+        with pytest.raises(NonConvergence) as info:
+            SA.incoming_characteristic(model, rad, 0.05, 64)
+        assert len(info.value.history) == 1
+        assert info.value.history[0] > 0.0
 
 
 class TestInitialData:
@@ -295,3 +329,139 @@ def test_initial_data_bit_identical_to_reference_eval(rad, cusp, overrides, monk
     want = SA.initial_data(model, rad, 0.01, 64)
     for name in got._fields:
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
+# ---------------------------------------------------------------------------
+# Node-by-node references for the lane-wise solves
+# ---------------------------------------------------------------------------
+
+def per_node_singular_boundary(model, wv):
+    """Newton solve of dr/dw = 0 for t at one w, one scalar step at a time."""
+    cusp = model.cusp
+    tv = cusp.lam / (2.0 * cusp.kappa**2) * wv * wv
+    for _ in range(50):
+        step = model.eval("r", tv, wv, dw=1) / model.eval("r", tv, wv, dt=1, dw=1)
+        tv -= step
+        if abs(step) <= 1e-15 * (abs(tv) + wv * wv) + 1e-300:
+            break
+    return tv
+
+
+def sequential_march(model, eos, u_max=None, n_points=None, *, w_nodes=None):
+    """The RK4 march of the incoming characteristic, one interval after the
+
+    other with Python-float right-hand sides (same nodes, series seed and
+    4 substeps per interval as ``incoming_characteristic``).
+    """
+    if w_nodes is not None:
+        w = np.asarray(w_nodes, dtype=float)
+        u_max = float(w[-1])
+    else:
+        w = np.linspace(0.0, float(u_max), int(n_points) + 1)
+    if u_max > model.box_w:
+        raise LeftBox(f"requested interval [0, {u_max:g}] exceeds the validity box")
+    cusp = model.cusp
+    cubic = cusp.lam / (6.0 * cusp.kappa * (cusp.c_plus0 - cusp.c_minus0))
+
+    def rhs(wv, tv):
+        if abs(tv) > model.box_t or abs(wv) > model.box_w:
+            raise LeftBox(f"left the validity box at (t, w) = ({tv:g}, {wv:g})")
+        a = model.eval("alpha", tv, wv)
+        b = model.eval("beta", tv, wv)
+        cp, cm = char_speeds(eos, RiemannPair(a, b))
+        return -model.eval("r", tv, wv, dw=1) / (cp - cm)
+
+    w_series = min(4.0 * float(np.max(np.diff(w))), u_max / 8.0)
+    t = np.empty_like(w)
+    series = w <= w_series
+    t[series] = cubic * w[series] ** 3
+    for i in range(int(np.count_nonzero(series)) - 1, len(w) - 1):
+        wv, tv = float(w[i]), float(t[i])
+        sub = (float(w[i + 1]) - wv) / 4.0
+        for _ in range(4):
+            k1 = rhs(wv, tv)
+            k2 = rhs(wv + sub / 2.0, tv + sub * k1 / 2.0)
+            k3 = rhs(wv + sub / 2.0, tv + sub * k2 / 2.0)
+            k4 = rhs(wv + sub, tv + sub * k3)
+            tv += sub * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
+            wv += sub
+        t[i + 1] = tv
+    slope = np.array([rhs(float(wv), float(tv)) for wv, tv in zip(w, t)])
+    return SA.CharacteristicData(w=w, t=t, slope=slope)
+
+
+def assert_matches_march(curve, ref, rel=1e-15):
+    """t and slope agree with the march to rel * their largest magnitude."""
+    assert np.array_equal(curve.w, ref.w)
+    assert np.max(np.abs(curve.t - ref.t)) <= rel * np.max(np.abs(ref.t))
+    assert np.max(np.abs(curve.slope - ref.slope)) <= rel * np.max(np.abs(ref.slope))
+
+
+class TestLaneMarch:
+    """The whole-trajectory Newton solve against the node-by-node march."""
+
+    @pytest.mark.parametrize("n", [16, 64, 256])
+    @pytest.mark.parametrize("eos_name", ["rad", "p2"])
+    def test_matches_sequential_march(self, request, eos_name, n):
+        eos = request.getfixturevalue(eos_name)
+        c = SA.CuspData.from_physics(eos, kappa=1.0, lam=1.0, dbeta_dt0=0.3)
+        m = SA.synthesize_model(c, eos, eps=0.01)
+        assert_matches_march(
+            SA.incoming_characteristic(m, eos, 0.01, n), sequential_march(m, eos, 0.01, n)
+        )
+
+    def test_non_uniform_nodes(self, model, rad):
+        s = np.linspace(0.0, 1.0, 81)
+        nodes = 0.05 * (s + 0.3 * s**2) / 1.3
+        assert_matches_march(
+            SA.incoming_characteristic(model, rad, w_nodes=nodes),
+            sequential_march(model, rad, w_nodes=nodes),
+        )
+
+    def test_overridden_model(self, rad, cusp):
+        overrides = {
+            "alpha": {(1, 1): 0.7, (2, 0): -3.0, (0, 3): 2.0},
+            "r": {(2, 1): 0.4, (1, 2): -0.2},
+        }
+        m = SA.synthesize_model(cusp, rad, eps=0.01, overrides=overrides)
+        assert_matches_march(
+            SA.incoming_characteristic(m, rad, 0.01, 64), sequential_march(m, rad, 0.01, 64)
+        )
+
+    @pytest.mark.parametrize("xi", [-1e5, 1e5])
+    def test_large_shape_term(self, rad, xi):
+        c = SA.CuspData.from_physics(rad, kappa=1.0, lam=1.0, dbeta_dt0=0.0, r0=1.0, xi=xi)
+        m = SA.synthesize_model(c, rad, eps=0.01)
+        assert_matches_march(
+            SA.incoming_characteristic(m, rad, 0.02, 64), sequential_march(m, rad, 0.02, 64)
+        )
+
+    def test_generic_eos_matches_closed_form(self, rad, rad_generic):
+        # the lane march evaluates the generic law on its chart; measured
+        # max|dt| 4e-23 on max|t| 1.4e-7 (2.8e-16 relative) at n = 16...256
+        c_rad = SA.CuspData.from_physics(rad, kappa=1.0, lam=1.0, dbeta_dt0=0.3)
+        c_gen = SA.CuspData.from_physics(rad_generic, kappa=1.0, lam=1.0, dbeta_dt0=0.3)
+        for n in (16, 64, 256):
+            got = SA.incoming_characteristic(
+                SA.synthesize_model(c_gen, rad_generic, eps=0.01), rad_generic, 0.01, n
+            )
+            want = SA.incoming_characteristic(
+                SA.synthesize_model(c_rad, rad, eps=0.01), rad, 0.01, n
+            )
+            assert_matches_march(got, want)
+
+    def test_char_speeds_calls_do_not_grow_with_n(self, rad, canon_model, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return char_speeds(*args, **kwargs)
+
+        monkeypatch.setattr(SA, "char_speeds", counting)
+        counts = []
+        for n in (64, 256):
+            calls.clear()
+            SA.initial_data(canon_model, rad, 0.01, n)
+            counts.append(len(calls))
+        # 16 right-hand sides per Newton pass, at most 8 passes, one slope call
+        assert counts[0] == counts[1] <= 16 * 8 + 1
