@@ -419,8 +419,13 @@ def solve_fixed_bvp(
     Iterates (alpha, beta) -> coefficients -> direct linear t solve -> r ->
     updated (alpha, beta) from the transport integrals, starting from the
     transported boundary data (alpha constant along v, beta constant along
-    u).  Stops when the sup-norm change in (alpha, beta) is below
-    ``tol_inner``, then polishes while still strictly improving.
+    u).  Once the sup-norm change in (alpha, beta) is below ``tol_inner``
+    and at least two sweeps have run, stops when the error the last sweep
+    leaves under the observed contraction, change * min(1, change/prev),
+    is within 2 ulp of max(|alpha|, |beta|) on the triangle; it also stops
+    on a zero change or on the first sweep that fails to improve.  Every
+    solve with a nonzero first change thus makes at least two sweeps, so
+    ``changes[1] / changes[0]`` is defined.
 
     Raises:
         NonConvergence: budget exhausted, the sweep changes grow by 100x
@@ -472,6 +477,10 @@ def solve_fixed_bvp(
             met = True
             if change == 0.0:
                 break
+            if len(history) >= 2:
+                floor = 2.0 * np.spacing(max(_sup(alpha, mask), _sup(beta, mask)))
+                if change * min(1.0, change / prev) <= floor:
+                    break
         prev = change
     else:
         if not met:

@@ -11,7 +11,7 @@ import shockdev.fitting as fitting
 import shockdev.fixed_bvp as FB
 import shockdev.state_ahead as SA
 from shockdev.errors import NonConvergence, SingularGamma
-from shockdev.state import RiemannPair, char_speeds
+from shockdev.state import RiemannPair, char_speeds, source_terms
 
 EPS = 0.01
 ROOT3 = math.sqrt(3.0)
@@ -413,6 +413,71 @@ class TestSolveLinearT:
         assert not np.any(t) and not np.any(P) and not np.any(Q)
 
 
+def polished_fixed_bvp(bf, init, eos, grid, tol_inner=1e-12, max_sweeps=60):
+    """Reference: the field sweep with the old polish rule.
+
+    The same sweeps as ``solve_fixed_bvp``, but once the change is below
+    ``tol_inner`` it keeps sweeping while the change still strictly
+    decreases (to 0 on the canonical data).  Returns (fields, changes).
+    """
+    d = grid.delta
+    mask = grid.mask
+    shape = (grid.n + 1, grid.n + 1)
+    alpha_i = np.asarray(init.alpha_i, dtype=float)
+    beta_p = bf.beta_plus()
+    alpha = np.broadcast_to(alpha_i[:, None], shape).copy()
+    beta = np.broadcast_to(beta_p[None, :], shape).copy()
+
+    def assemble(alpha, beta):
+        cp, cm = char_speeds(eos, RiemannPair(alpha, beta))
+        spread = cp - cm
+        mu = np.where(mask, FB.du_grid(cp, grid) / spread, 0.0)
+        nu = np.where(mask, FB.dv_grid(cm, grid) / spread, 0.0)
+        ginv = FB.gamma_inverse(bf, np.diagonal(alpha).copy(), eos)
+        t, P, Q = FB.solve_linear_t(mu, nu, ginv, init.h, init.dh_du, grid)
+        s_edge = cumulative_trapezoid((cm * P)[:, 0], dx=d, initial=0.0)
+        s = s_edge[:, None] + FB._ct_v(np.where(mask, cp * Q, 0.0), d)
+        return t, P, Q, bf.cusp.r0 + s, s
+
+    changes = []
+    met = False
+    prev = math.inf
+    for _ in range(max_sweeps):
+        t, P, Q, r, s = assemble(alpha, beta)
+        A, B = source_terms(eos, RiemannPair(alpha, beta), r)
+        alpha_new = alpha_i[:, None] + FB._ct_v(np.where(mask, Q * A, 0.0), d)
+        beta_new = beta_p[None, :] + FB._from_diag(FB._ct_u(np.where(mask, P * B, 0.0), d))
+        change = max(FB._sup(alpha_new - alpha, mask), FB._sup(beta_new - beta, mask))
+        alpha, beta = alpha_new, beta_new
+        changes.append(change)
+        if met and change >= prev:
+            break
+        if change < tol_inner:
+            met = True
+            if change == 0.0:
+                break
+        prev = change
+    t, P, Q, r, s = assemble(alpha, beta)
+    fields = {"t": t, "r": r, "r_off": s, "alpha": alpha, "beta": beta, "dt_du": P, "dt_dv": Q}
+    return fields, changes
+
+
+def assert_matches_polished(rad, cusp, model, n):
+    """The floor stop agrees with the polished reference; returns the solve."""
+    fg, bf, init = canonical_solve(rad, cusp, model, n)
+    ref, changes = polished_fixed_bvp(bf, init, rad, fg.grid)
+    m = fg.grid.mask
+    assert changes[: fg.sweeps] == fg.changes
+    for name, R in ref.items():
+        scale = np.max(np.abs(R[m]))
+        assert np.max(np.abs(getattr(fg, name) - R)[m]) <= 1e-14 * scale, name
+    # alpha and beta sit within the stop rule's own floor of the polished point
+    floor = 2.0 * np.spacing(max(np.max(np.abs(ref["alpha"][m])), np.max(np.abs(ref["beta"][m]))))
+    for name in ("alpha", "beta"):
+        assert np.max(np.abs(getattr(fg, name) - ref[name])[m]) <= floor, name
+    return fg
+
+
 class TestSolveFixedBvp:
     def test_degenerate_constant_solution(self, rad):
         cusp0 = SA.CuspData.from_physics(rad, kappa=1.0, lam=1.0, dbeta_dt0=0.0)
@@ -437,6 +502,28 @@ class TestSolveFixedBvp:
         assert fg.sweeps <= 6
         assert fg.contraction_ratios[0] < 1e-4
         assert all(r < 1.0 for r in fg.contraction_ratios)
+
+    def test_stops_at_the_rounding_floor(self, base_run):
+        fg, _, _ = base_run
+        assert fg.sweeps == 2
+
+    def test_two_sweeps_even_under_a_loose_tolerance(self, rad, cusp, model):
+        # the first change is already below tol_inner here; a second sweep
+        # still runs, so the first contraction ratio is defined
+        g = FB.TriGrid(EPS, 16)
+        init = SA.initial_data(model, rad, EPS, 16)
+        bf = FB.BoundaryFunctions.seed(cusp, g.nodes)
+        fg = FB.solve_fixed_bvp(bf, init, rad, g, tol_inner=1e-3)
+        assert fg.changes[0] < 1e-3
+        assert fg.sweeps == 2
+        assert 0.0 < fg.contraction_ratios[0] < 1.0
+
+    # n = 32 is the grid of test_contraction_shrinks_with_eps, whose larger
+    # domain (EPS) contracts more slowly than its halved one
+    @pytest.mark.parametrize("n", [32, 64, 256])
+    def test_matches_polished_reference(self, rad, cusp, model, n):
+        fg = assert_matches_polished(rad, cusp, model, n)
+        assert fg.changes[1] / fg.changes[0] < 1.0
 
     def test_data_edges_exact(self, base_run):
         fg, bf, init = base_run

@@ -8,7 +8,7 @@ import pytest
 import shockdev.fitting as fitting
 import shockdev.free_boundary as FBD
 import shockdev.state_ahead as SA
-from shockdev.errors import NonConvergence
+from shockdev.errors import NonConvergence, ShockDevError, SingularGamma
 from shockdev.fixed_bvp import BoundaryFunctions, corner_beta_hat
 from shockdev.jump import JumpPair, jump_J, jump_scale, shock_speed
 from shockdev.state import RiemannPair
@@ -105,17 +105,6 @@ class TestIdentification:
         y = FBD.solve_identification(canon_model, v, f_hat, dh)
         assert np.max(np.abs(y - y_true)) < 1e-10
 
-    def test_seeded_solve_matches_continuation(self, canon_model):
-        v = np.linspace(0.0, EPS, 33)
-        f_hat = np.full_like(v, 1.0 / 6.0)
-        y_true = -1.0 - 0.34 * v
-        dh = _delta_hat_for(canon_model, v, f_hat, y_true)
-        plain = FBD.solve_identification(canon_model, v, f_hat, dh)
-        seeded = FBD.solve_identification(
-            canon_model, v, f_hat, dh, y_seed=y_true + 0.05
-        )
-        assert np.max(np.abs(plain - seeded)) < 1e-10
-
     def test_limit_cubic_against_companion_roots(self, canon_model, canon_cusp):
         # at v -> 0 the factored residual is the cubic
         #   dh - kap * f_hat * y + (lam / 6 kap) * y^3
@@ -137,8 +126,24 @@ class TestIdentification:
         v = np.linspace(0.0, EPS, 17)
         f_hat = np.full_like(v, 1.0 / 6.0)
         dh = _delta_hat_for(canon_model, v, f_hat, np.full_like(v, -1.0))
-        y = FBD.solve_identification(canon_model, v, f_hat, dh, cross_check=True)
+        y = FBD.solve_identification(canon_model, v, f_hat, dh)
         assert np.max(np.abs(y + 1.0)) < 1e-10
+
+    def test_cross_check_always_runs(self, canon_model, monkeypatch):
+        # a raw radius path that disagrees with the factored one must be
+        # caught on every call: the cross-check has no off switch
+        v = np.linspace(0.0, EPS, 17)
+        f_hat = np.full_like(v, 1.0 / 6.0)
+        dh = _delta_hat_for(canon_model, v, f_hat, np.full_like(v, -1.0))
+        evaluate = SA.StateAheadModel.eval
+
+        def shifted(self, name, *args, **kwargs):
+            out = evaluate(self, name, *args, **kwargs)
+            return out + 1e-6 if name == "r" else out
+
+        monkeypatch.setattr(SA.StateAheadModel, "eval", shifted)
+        with pytest.raises(ShockDevError, match="identification residual paths disagree"):
+            FBD.solve_identification(canon_model, v, f_hat, dh)
 
 
 class TestOuterIteration:
@@ -170,6 +175,154 @@ class TestOuterIteration:
         bf_next, _, _ = FBD.outer_iterate(canon_sol.boundary, ctx)
         metric = FBD.boundary_difference(bf_next, canon_sol.boundary)
         assert max(metric[:3]) < 10.0 * TOL_OUTER
+
+
+def picard_outer(eos, model, cusp, eps, n, seed_fn=BoundaryFunctions.seed):
+    """Plain Picard iteration of the outer map, the reference for the
+    accelerated solve: x_{k+1} = G(x_k) until the raw residual is below
+    the outer tolerance.  Returns (G(x_k), history)."""
+    ctx = FBD.SolverContext.build(eos, model, cusp, eps, n, tol_outer=TOL_OUTER)
+    bf = seed_fn(cusp, ctx.grid.nodes)
+    history = []
+    for _ in range(60):
+        bf_next, _, _ = FBD.outer_iterate(bf, ctx)
+        metric = FBD.boundary_difference(bf_next, bf)
+        history.append(metric)
+        bf = bf_next
+        if max(metric[:3]) < TOL_OUTER:
+            return bf, history
+    raise NonConvergence("plain outer iteration did not converge")
+
+
+def _displaced_seed(cusp, v):
+    return BoundaryFunctions.seed(cusp, v).replace(y=-1.0 + 0.1 * v)
+
+
+def _linear_outer_map(calls, kick_at=None):
+    """An affine contraction in R^3 standing in for ``outer_iterate``.
+
+    Every node k >= 1 maps (y, beta_hat_plus, V_hat) by the same 3 x 3
+    matrix; V_hat[0] stays 0, so the iterates live in R^3.  ``calls``
+    records (input, output) of each call; the call numbered ``kick_at``
+    returns a displaced value, so its residual grows.
+    """
+    A = np.array([[0.5, 0.2, -0.1], [0.0, -0.4, 0.3], [0.1, 0.1, 0.6]])
+    b = np.array([0.3, -0.2, 0.5])
+
+    def step(bf, ctx):
+        g = A @ np.stack([bf.y, bf.beta_hat_plus, bf.V_hat]) + b[:, None]
+        g[2, 0] = 0.0
+        if len(calls) == kick_at:
+            g[:, 1:] += 1.0
+        bf_next = bf.replace(y=g[0], beta_hat_plus=g[1], V_hat=g[2])
+        calls.append((bf, bf_next))
+        return bf_next, None, None
+
+    return step, np.linalg.solve(np.eye(3) - A, b)
+
+
+class TestAndersonAcceleration:
+    @pytest.mark.parametrize(
+        "eos_name, n, seed_fn",
+        [
+            ("rad", 16, BoundaryFunctions.seed),
+            ("rad", 64, BoundaryFunctions.seed),
+            ("p2", 16, BoundaryFunctions.seed),
+            ("p2", 64, BoundaryFunctions.seed),
+            ("rad", 64, _displaced_seed),
+        ],
+    )
+    def test_matches_plain_picard(self, request, eos_name, n, seed_fn):
+        eos = request.getfixturevalue(eos_name)
+        cusp = SA.CuspData.from_physics(eos, kappa=1.0, lam=1.0, dbeta_dt0=0.3)
+        model = SA.synthesize_model(cusp, eos, eps=EPS)
+        sol = FBD.run_shock_development(
+            eos, model, cusp, eps=EPS, n=n, seed_fn=seed_fn, collect_diagnostics=False
+        )
+        ref, ref_history = picard_outer(eos, model, cusp, EPS, n, seed_fn)
+        assert sol.retries == 0
+        for name in ("y", "beta_hat_plus", "V_hat"):
+            d = np.max(np.abs(getattr(sol.boundary, name) - getattr(ref, name)))
+            assert d < 5.0 * TOL_OUTER, name
+        # the first step is plain, so the contraction witness is untouched
+        assert sol.outer_history[:2] == ref_history[:2]
+        assert len(sol.outer_history) < len(ref_history)
+
+    def test_canonical_step_count(self, canon_sol):
+        assert len(canon_sol.outer_history) <= 11
+
+    def test_linear_contraction_in_few_steps(self, rad, canon_model, canon_cusp, monkeypatch):
+        calls = []
+        step, fixed = _linear_outer_map(calls)
+        monkeypatch.setattr(FBD, "outer_iterate", step)
+        sol = FBD.run_shock_development(
+            rad, canon_model, canon_cusp, eps=EPS, n=2, collect_diagnostics=False
+        )
+        assert len(sol.outer_history) <= 5
+        got = np.stack([sol.boundary.y, sol.boundary.beta_hat_plus, sol.boundary.V_hat])
+        assert np.max(np.abs(got[:, 1:] - fixed[:, None])) < TOL_OUTER
+        # every history entry is the raw map residual at the point evaluated
+        assert len(calls) == len(sol.outer_history)
+        for (x, gx), metric in zip(calls, sol.outer_history):
+            assert metric == FBD.boundary_difference(gx, x)
+
+    def test_growth_restarts_with_plain_step(self, rad, canon_model, canon_cusp, monkeypatch):
+        calls = []
+        step, fixed = _linear_outer_map(calls, kick_at=2)
+        monkeypatch.setattr(FBD, "outer_iterate", step)
+        sol = FBD.run_shock_development(
+            rad, canon_model, canon_cusp, eps=EPS, n=2, collect_diagnostics=False
+        )
+        m = [max(h[:3]) for h in sol.outer_history]
+        assert m[1] < m[0] < m[2] and m[3] < m[2]
+        # x_2 is mixed; after the growth at x_2 the next point is G(x_2) ...
+        assert calls[2][0] is not calls[1][1]
+        assert calls[3][0] is calls[2][1]
+        # ... and mixing resumes once the window refills
+        assert calls[4][0] is not calls[3][1]
+        got = np.stack([sol.boundary.y, sol.boundary.beta_hat_plus, sol.boundary.V_hat])
+        assert np.max(np.abs(got[:, 1:] - fixed[:, None])) < TOL_OUTER
+
+    def _fail_at(self, monkeypatch, failing_calls):
+        step = FBD.outer_iterate
+        calls = []
+
+        def flaky(bf, ctx):
+            calls.append(bf)
+            if len(calls) in failing_calls:
+                raise SingularGamma("shock speed exceeds the behind outgoing speed")
+            return step(bf, ctx)
+
+        monkeypatch.setattr(FBD, "outer_iterate", flaky)
+        return calls
+
+    def test_failure_at_mixed_iterate_retries_plain(
+        self, rad, canon_model, canon_cusp, monkeypatch
+    ):
+        # calls 1 and 2 evaluate the seed and G(seed); call 3 is the first
+        # mixed iterate, and the step is retried from the plain iterate
+        calls = self._fail_at(monkeypatch, {3})
+        sol = FBD.run_shock_development(
+            rad, canon_model, canon_cusp, eps=EPS, n=16, collect_diagnostics=False
+        )
+        assert sol.retries == 0
+        assert sol.eps == EPS
+        assert len(calls) == len(sol.outer_history) + 1
+        ref, _ = picard_outer(rad, canon_model, canon_cusp, EPS, 16)
+        for name in ("y", "beta_hat_plus", "V_hat"):
+            d = np.max(np.abs(getattr(sol.boundary, name) - getattr(ref, name)))
+            assert d < 5.0 * TOL_OUTER, name
+
+    def test_failure_at_plain_iterate_halves_domain(
+        self, rad, canon_model, canon_cusp, monkeypatch
+    ):
+        # the retry from the plain iterate fails too: the halved domain takes over
+        self._fail_at(monkeypatch, {3, 4})
+        sol = FBD.run_shock_development(
+            rad, canon_model, canon_cusp, eps=EPS, n=16, collect_diagnostics=False
+        )
+        assert sol.retries == 1
+        assert sol.eps == EPS / 2
 
 
 class TestJumpUpdate:
