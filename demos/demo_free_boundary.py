@@ -27,7 +27,7 @@ def main():
           f"{sol.retries} domain retries\n")
 
     print("outer iteration history (largest of the three curve updates):")
-    metric = [max(h[:3]) for h in sol.outer_history]
+    metric = [max(h) for h in sol.outer_history]
     for k in (0, 1, 2, 3, len(metric) - 1):
         print(f"  iteration {k + 1:>2}: {metric[k]:.3e}")
     print(f"  first contraction ratio: {metric[1] / metric[0]:.4f}\n")
@@ -36,10 +36,10 @@ def main():
     print("grid-free corner expansion vs fitted limits of the curve:")
     lim = sol.diagnostics["limits"]
     rows = [
-        ("f_hat(0)", lim["f_hat0"]["fitted"], lim["f_hat0"]["target"]),
-        ("g_hat(0)", lim["g_hat0"]["fitted"], lim["g_hat0"]["target"]),
-        ("y(0)", lim["y0"]["fitted"], lim["y0"]["target"]),
-        ("beta_hat+(0)", lim["beta_hat_plus0"]["fitted"], lim["beta_hat_plus0"]["target"]),
+        ("f_hat(0)", lim["f_hat0"].value, lim["f_hat0"].target),
+        ("g_hat(0)", lim["g_hat0"].value, lim["g_hat0"].target),
+        ("y(0)", lim["y0"].value, lim["y0"].target),
+        ("beta_hat+(0)", lim["beta_hat_plus0"].value, lim["beta_hat_plus0"].target),
         ("V_hat(0)", sol.curve.V_hat[0], corner.V_hat0),
     ]
     for name, fitted, target in rows:
@@ -49,18 +49,18 @@ def main():
 
     geo = sol.diagnostics["geometry"]
     print("front geometry:")
-    print(f"  jump balance residual (relative):   {geo['rankine_hugoniot_rel']['value']:.3e}")
-    print(f"  curve tangency defect:              {geo['tangency_max']['value']:.3e}")
+    print(f"  jump balance residual (relative):   {geo['rankine_hugoniot_rel'].value:.3e}")
+    print(f"  curve tangency defect:              {geo['tangency_max'].value:.3e}")
     print(f"  determinism margin slopes (+/-):    "
-          f"{geo['margin_behind_slope']['fitted']:.4f} / "
-          f"{geo['margin_ahead_slope']['fitted']:.4f}")
+          f"{geo['margin_behind_slope'].value:.4f} / "
+          f"{geo['margin_ahead_slope'].value:.4f}")
     print(f"  singular-boundary lead ratio:       "
-          f"{geo['singular_lead_ratio']['fitted']:.4f}  (one third)\n")
+          f"{geo['singular_lead_ratio'].value:.4f}  (one third)\n")
 
     fit = blowup_fits(sol.fields)
     print("blow-up signature along the last interior row:")
-    print(f"  time offset exponent:  {fit['time_exponent']['fitted']:.4f}  (2 = sqrt regularity)")
-    print(f"  alpha offset exponent: {fit['alpha_exponent']['fitted']:.4f}\n")
+    print(f"  time offset exponent:  {fit['time_exponent'].value:.4f}  (2 = sqrt regularity)")
+    print(f"  alpha offset exponent: {fit['alpha_exponent'].value:.4f}\n")
 
     print("shock curve samples:")
     print(f"{'v':>9} {'y':>12} {'V':>10} {'alpha+':>11} {'beta+':>12} {'delta_hat':>11}")

@@ -29,6 +29,7 @@ from .free_boundary import (
     CornerExpansion,
     ShockCurve,
     ShockSolution,
+    SubCheck,
     blowup_fits,
     corner_expansion,
     curve_asymptotics,
@@ -91,6 +92,7 @@ __all__ = [
     "ShockSolution",
     "ShockCurve",
     "CornerExpansion",
+    "SubCheck",
     "corner_expansion",
     "curve_asymptotics",
     "geometry_checks",

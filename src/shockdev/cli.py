@@ -182,7 +182,7 @@ def _print_eps_table(rows, stdout) -> None:
         if sol is None:
             print(f"{eps:>10.6g} {'failed':>12}", file=stdout)
             continue
-        m = [max(h[:3]) for h in sol.outer_history]
+        m = [max(h) for h in sol.outer_history]
         outer = m[1] / m[0] if len(m) > 1 and m[0] > 0 else float("nan")
         ch = sol.fields.changes
         inner = ch[1] / ch[0] if len(ch) > 1 and ch[0] > 0 else float("nan")

@@ -5,7 +5,8 @@ A configuration file uses flat ``key = value`` entries grouped in sections
 (files ending in ``.json``, or whose first non-blank character is ``{``).
 Every key has a default, so an empty file — or no file — yields the
 canonical desk-scale run.  After the file layer, environment variables of
-the form ``SHOCKDEV_<SECTION>_<KEY>`` override individual entries.
+the form ``SHOCKDEV_<SECTION>_<KEY>`` override individual entries; one
+that names a known section but no key of it is rejected.
 
 Sections and keys::
 
@@ -131,31 +132,11 @@ class SolverConfig:
         }
 
 
-# map (section, key) -> dataclass field name
+# map (section, key) -> dataclass field name: the key, prefixed in [eos]
 _FIELD_OF = {
-    ("eos", "kind"): "eos_kind",
-    ("eos", "coefficient"): "eos_coefficient",
-    ("cusp", "alpha0"): "alpha0",
-    ("cusp", "beta0"): "beta0",
-    ("cusp", "kappa"): "kappa",
-    ("cusp", "lam"): "lam",
-    ("cusp", "r0"): "r0",
-    ("cusp", "dbeta_dt0"): "dbeta_dt0",
-    ("cusp", "alpha_ddot0"): "alpha_ddot0",
-    ("cusp", "xi"): "xi",
-    ("solver", "eps"): "eps",
-    ("solver", "n"): "n",
-    ("solver", "tol_inner"): "tol_inner",
-    ("solver", "tol_outer"): "tol_outer",
-    ("solver", "max_outer"): "max_outer",
-    ("solver", "max_sweeps"): "max_sweeps",
-    ("solver", "max_retries"): "max_retries",
-    ("solver", "v_floor"): "v_floor",
-    ("solver", "trust_index"): "trust_index",
-    ("output", "grid_csv"): "grid_csv",
-    ("output", "shock_csv"): "shock_csv",
-    ("output", "report_json"): "report_json",
-    ("checks", "seed"): "seed",
+    (section, key): f"eos_{key}" if section == "eos" else key
+    for section, keys in _SCHEMA.items()
+    for key in keys
 }
 
 
@@ -240,10 +221,13 @@ def _read_file_layer(path: Path, errors: list[str]) -> dict:
 def _env_layer(env, errors: list[str]) -> dict:
     layer: dict[tuple[str, str], object] = {}
     for section, keys in _SCHEMA.items():
-        for key in keys:
-            name = f"SHOCKDEV_{section.upper()}_{key.upper()}"
-            if name in env:
+        prefix = f"SHOCKDEV_{section.upper()}_"
+        for name in sorted(n for n in env if n.startswith(prefix)):
+            key = name[len(prefix) :].lower()
+            if key in keys and name == prefix + key.upper():
                 layer[(section, key)] = env[name]
+            else:
+                errors.append(f"unknown key [{section}] in environment variable {name}")
     return layer
 
 

@@ -71,6 +71,7 @@ __all__ = [
     "ShockCurve",
     "ShockSolution",
     "SolverContext",
+    "SubCheck",
     "corner_expansion",
     "solve_identification",
     "jump_update",
@@ -524,21 +525,15 @@ def outer_iterate(bf: BoundaryFunctions, ctx: SolverContext):
 
 
 def boundary_difference(a: BoundaryFunctions, b: BoundaryFunctions):
-    """Differences between successive boundary iterates.
+    """Sup-norm differences between successive boundary iterates.
 
-    Returns (sup |dy|, sup |d beta_hat_plus|, sup |dV_hat|, sup of the
-    centered-difference derivative of d beta_hat_plus).  The first three
-    sup norms are the stopping metric; the derivative mirrors the slope
-    norm of the underlying contraction argument but rides on per-node
-    root-solve jitter divided by the spacing, which floors it around
-    1e-9 in double precision, so it is recorded for diagnostics only.
+    Returns (sup |dy|, sup |d beta_hat_plus|, sup |dV_hat|); their maximum
+    is the outer stopping metric.
     """
     dy = float(np.max(np.abs(a.y - b.y)))
-    dbhp = a.beta_hat_plus - b.beta_hat_plus
-    db = float(np.max(np.abs(dbhp)))
+    db = float(np.max(np.abs(a.beta_hat_plus - b.beta_hat_plus)))
     dvh = float(np.max(np.abs(a.V_hat - b.V_hat)))
-    dslope = float(np.max(np.abs(np.gradient(dbhp, a.v, edge_order=2))))
-    return dy, db, dvh, dslope
+    return dy, db, dvh
 
 
 def _pack(bf: BoundaryFunctions) -> np.ndarray:
@@ -623,16 +618,16 @@ def _attempt(
             bf_next, fg, curve = outer_iterate(bf, ctx)
         metric = boundary_difference(bf_next, bf)
         history.append(metric)
-        worst = max(metric[:3])
+        worst = max(metric)
         if worst < tol_outer:
             return bf_next, fg, curve, history, ctx
-        if len(history) >= 3 and worst > 100.0 * (max(history[0][:3]) + 1e-300):
+        if len(history) >= 3 and worst > 100.0 * (max(history[0]) + 1e-300):
             raise NonConvergence(
                 "outer iteration is diverging; the domain size is too large",
-                [max(h[:3]) for h in history],
+                [max(h) for h in history],
                 diverging=True,
             )
-        if len(history) >= 2 and worst > max(history[-2][:3]):
+        if len(history) >= 2 and worst > max(history[-2]):
             window.clear()
         window.append((_pack(bf), _pack(bf_next)))
         del window[: -_ANDERSON_DEPTH - 1]
@@ -642,8 +637,8 @@ def _attempt(
             bf, plain = bf_next, None
     raise NonConvergence(
         f"outer iteration failed to reach {tol_outer:g} in {max_outer} steps",
-        [max(h[:3]) for h in history],
-        diverging=max(history[-1][:3]) > max(history[0][:3]),
+        [max(h) for h in history],
+        diverging=max(history[-1]) > max(history[0]),
     )
 
 
@@ -728,16 +723,29 @@ def run_shock_development(
     )
 
 
-def _fit_limit(v, samples, target, tol, *, rel=True):
-    fitted = fitting.extrapolate_to_zero(v, samples, degree=2, drop=0)
-    entry = {"fitted": fitted, "target": target, "tol": tol}
-    if rel:
-        entry["rel_err"] = abs(fitted - target) / abs(target)
-        entry["pass"] = bool(entry["rel_err"] <= tol)
-    else:
-        entry["abs_err"] = abs(fitted - target)
-        entry["pass"] = bool(entry["abs_err"] <= tol)
-    return entry
+@dataclass(frozen=True)
+class SubCheck:
+    """One sub-limit of a diagnostic check, judged by a single margin rule.
+
+    ``margin`` is the error over its tolerance, |value - target| / scale / tol
+    with scale = |target| for a relative limit and 1 for an absolute one, and
+    ``passed`` is ``margin <= 1``.  A zero tolerance asks for an exact match:
+    the margin is then 0 without error and inf otherwise.  ``tolerance`` is
+    the absolute one, tol * scale.
+    """
+
+    value: float
+    target: float
+    tolerance: float
+    margin: float
+    passed: bool
+
+    @classmethod
+    def of(cls, value, target, tol, *, scale=1.0) -> "SubCheck":
+        value, target, tol, scale = map(float, (value, target, tol, scale))
+        err = abs(value - target) / scale
+        margin = err / tol if tol > 0 else (0.0 if err == 0.0 else math.inf)
+        return cls(value, target, tol * scale, margin, bool(margin <= 1.0))
 
 
 def curve_asymptotics(
@@ -746,7 +754,7 @@ def curve_asymptotics(
     """Fitted corner limits of the hatted curve data against analytic targets.
 
     Fits use the trusted part of the curve only (raw hatted samples above
-    the corner fill).
+    the corner fill).  Returns {name: SubCheck}.
     """
     kt = curve.trust_index
     v = curve.v[kt:]
@@ -756,30 +764,40 @@ def curve_asymptotics(
     g0 = cubic_coefficient(eos, base)
     dalpha = (curve.alpha_plus - curve.alpha_minus)[kt:]
     dbeta = (curve.beta_plus - curve.beta_minus)[kt:]
+    f_target = lam / (6 * kap**2)
+    g_target = lam * cusp.c_plus0 / (6 * kap**2)
     ahat_target = lam * cusp.a_tilde0 / (6 * kap**2)
-    ahat_rel = ahat_target != 0.0
+    bhat_target = corner_beta_hat(cusp)
+    slope_target = 2.0 * cusp.alpha_dot0
+
+    def fit(samples, target, tol, scale=1.0):
+        fitted = fitting.extrapolate_to_zero(v, samples, degree=2, drop=0)
+        return SubCheck.of(fitted, target, tol, scale=scale)
+
     return {
-        "f_hat0": _fit_limit(v, curve.f_hat[kt:], lam / (6 * kap**2), 0.05),
-        "g_hat0": _fit_limit(v, curve.g_hat[kt:], lam * cusp.c_plus0 / (6 * kap**2), 0.05),
-        "y0": _fit_limit(v, curve.y[kt:], -1.0, 0.02, rel=False),
-        "alpha_hat_plus0": _fit_limit(
-            v,
-            curve.alpha_hat_plus[kt:],
-            ahat_target,
-            0.10 if ahat_rel else 0.02 * abs(cusp.alpha_dot0),
-            rel=ahat_rel,
+        "f_hat0": fit(curve.f_hat[kt:], f_target, 0.05, abs(f_target)),
+        "g_hat0": fit(curve.g_hat[kt:], g_target, 0.05, abs(g_target)),
+        "y0": fit(curve.y[kt:], -1.0, 0.02),
+        "alpha_hat_plus0": (
+            fit(curve.alpha_hat_plus[kt:], ahat_target, 0.10, abs(ahat_target))
+            if ahat_target != 0.0
+            else fit(curve.alpha_hat_plus[kt:], 0.0, 0.02 * abs(cusp.alpha_dot0))
         ),
-        "beta_hat_plus0": _fit_limit(v, curve.beta_hat_plus[kt:], corner_beta_hat(cusp), 0.10),
-        "delta_hat0": _fit_limit(v, curve.delta_hat[kt:], 0.0, 10.0 * delta, rel=False),
-        "jump_cubic_ratio": _fit_limit(v, dbeta / dalpha**3, g0, 0.10),
-        "jump_alpha_slope": _fit_limit(v, dalpha / v, 2.0 * cusp.alpha_dot0, 0.05),
+        "beta_hat_plus0": fit(curve.beta_hat_plus[kt:], bhat_target, 0.10, abs(bhat_target)),
+        "delta_hat0": fit(curve.delta_hat[kt:], 0.0, 10.0 * delta),
+        "jump_cubic_ratio": fit(dbeta / dalpha**3, g0, 0.10, abs(g0)),
+        "jump_alpha_slope": fit(dalpha / v, slope_target, 0.05, abs(slope_target)),
     }
 
 
 def geometry_checks(
     curve: ShockCurve, fg: FieldGrid, model: StateAheadModel, eos: eos_mod.BarotropicEos
 ) -> dict:
-    """Pointwise shock-geometry invariants of a converged curve."""
+    """Pointwise shock-geometry invariants of a converged curve.
+
+    Returns {name: SubCheck}; the two sign conditions count their violating
+    nodes against an exact target of 0.
+    """
     cusp = model.cusp
     v = curve.v
     kt = curve.trust_index
@@ -807,47 +825,24 @@ def geometry_checks(
     slope_behind = fitting.extrapolate_to_zero(
         v[kt:], margin_behind[kt:] / v[kt:], degree=2, drop=0
     )
+    non_positive = np.count_nonzero(~((margin_ahead[1:] > 0.0) & (margin_behind[1:] > 0.0)))
 
     # the shock stays in the past of the singular boundary of the ahead chart
     t_star = np.asarray(singular_boundary(model, v * curve.y), dtype=float)
-    past = bool(np.all(curve.f[1:] < t_star[1:]))
+    not_past = np.count_nonzero(~(curve.f[1:] < t_star[1:]))
     lead_ratio = fitting.extrapolate_to_zero(
         v[kt:], curve.f[kt:] / t_star[kt:], degree=2, drop=0
     )
 
     kap = cusp.kappa
     return {
-        "rankine_hugoniot_rel": {"value": rh, "tol": 1e-10, "pass": bool(rh < 1e-10)},
-        "tangency_max": {
-            "value": tangency,
-            "bound": 5.0 * delta**2,
-            "pass": bool(tangency < 5.0 * delta**2),
-        },
-        "margin_ahead_slope": {
-            "fitted": slope_ahead,
-            "target": kap,
-            "tol": 0.15,
-            "rel_err": abs(slope_ahead - kap) / kap,
-            "pass": bool(abs(slope_ahead - kap) <= 0.15 * kap),
-        },
-        "margin_behind_slope": {
-            "fitted": slope_behind,
-            "target": kap,
-            "tol": 0.15,
-            "rel_err": abs(slope_behind - kap) / kap,
-            "pass": bool(abs(slope_behind - kap) <= 0.15 * kap),
-        },
-        "positive_margins": {
-            "pass": bool(np.all(margin_ahead[1:] > 0.0) and np.all(margin_behind[1:] > 0.0))
-        },
-        "past_singular_boundary": {"value": past, "pass": past},
-        "singular_lead_ratio": {
-            "fitted": lead_ratio,
-            "target": 1.0 / 3.0,
-            "tol": 0.10,
-            "rel_err": abs(lead_ratio - 1.0 / 3.0) * 3.0,
-            "pass": bool(abs(lead_ratio - 1.0 / 3.0) <= 0.10 / 3.0),
-        },
+        "rankine_hugoniot_rel": SubCheck.of(rh, 0.0, 1e-10),
+        "tangency_max": SubCheck.of(tangency, 0.0, 5.0 * delta**2),
+        "margin_ahead_slope": SubCheck.of(slope_ahead, kap, 0.15, scale=abs(kap)),
+        "margin_behind_slope": SubCheck.of(slope_behind, kap, 0.15, scale=abs(kap)),
+        "positive_margins": SubCheck.of(non_positive, 0.0, 0.0),
+        "past_singular_boundary": SubCheck.of(not_past, 0.0, 0.0),
+        "singular_lead_ratio": SubCheck.of(lead_ratio, 1.0 / 3.0, 0.10, scale=1.0 / 3.0),
     }
 
 
@@ -856,7 +851,8 @@ def blowup_fits(fg: FieldGrid, row: int | None = None) -> dict:
 
     Along a fixed-u grid row, the time and outgoing-invariant offsets from
     the data edge grow quadratically in v (no linear term), which is the
-    discrete face of smoothness in sqrt(t - t_edge).
+    discrete face of smoothness in sqrt(t - t_edge).  Returns
+    {name: SubCheck} for the last row (``row`` = n) unless one is given.
     """
     n = fg.grid.n
     if row is None:
@@ -868,26 +864,10 @@ def blowup_fits(fg: FieldGrid, row: int | None = None) -> dict:
     exp_a, _ = fitting.power_law_fit(v, a_off)
     basis = np.stack([v, v**2, v**3], axis=1)
     coef_a, *_ = np.linalg.lstsq(basis, a_off, rcond=None)
-    linear_ok = abs(coef_a[0]) <= 1e-3 * abs(coef_a[1]) * fg.grid.eps
     return {
-        "time_exponent": {
-            "fitted": float(exp_t),
-            "target": 2.0,
-            "tol": 0.05,
-            "pass": bool(abs(exp_t - 2.0) <= 0.05),
-        },
-        "alpha_exponent": {
-            "fitted": float(exp_a),
-            "target": 2.0,
-            "tol": 0.10,
-            "pass": bool(abs(exp_a - 2.0) <= 0.10),
-        },
-        "alpha_linear_coeff": {
-            "value": float(coef_a[0]),
-            "bound": float(1e-3 * abs(coef_a[1]) * fg.grid.eps),
-            "pass": bool(linear_ok),
-        },
-        "row": int(row),
+        "time_exponent": SubCheck.of(exp_t, 2.0, 0.05),
+        "alpha_exponent": SubCheck.of(exp_a, 2.0, 0.10),
+        "alpha_linear_coeff": SubCheck.of(coef_a[0], 0.0, 1e-3 * abs(coef_a[1]) * fg.grid.eps),
     }
 
 

@@ -7,11 +7,15 @@ descriptive source hint, a scalar target, the measured value, the
 tolerance, a pass flag, and a detail block with the underlying numbers;
 plus the solver's convergence histories.
 
-Two aggregation conventions keep heterogeneous criteria comparable:
+Every sub-limit is a :class:`~shockdev.free_boundary.SubCheck` record,
+judged by one rule: its margin is the error over its own tolerance,
+|value - target| / scale / tol (scale = |target| for a relative limit, 1
+for an absolute one), and it passes when the margin is at most 1.  Two
+aggregation conventions keep heterogeneous criteria comparable:
 
 * checks that bundle several sub-limits report ``measured`` as the worst
-  normalized margin (error divided by its own tolerance), with target 0
-  and tolerance 1;
+  margin of their records, with target 0 and tolerance 1, and pass when
+  every record passes;
 * checks with a single natural scalar report it directly.
 
 The pointwise property checks (no PDE solve) are also exposed separately
@@ -22,7 +26,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -31,7 +35,7 @@ from . import fitting
 from .config import SolverConfig, build_problem
 from .errors import ShockDevError
 from .fixed_bvp import BoundaryFunctions
-from .free_boundary import ShockSolution, blowup_fits, run_shock_development
+from .free_boundary import ShockSolution, SubCheck, blowup_fits, run_shock_development
 from .jump import JumpPair, coincidence_structure, cubic_coefficient, jump_scale, solve_jump_beta
 from .state import RiemannPair, char_speeds, stress, stress_derivatives, velocity
 from .state_ahead import initial_data, singular_boundary, synthesize_model
@@ -114,22 +118,6 @@ def compute_bundle(cfg: SolverConfig):
 # Check plumbing.
 # ---------------------------------------------------------------------------
 
-def _entry_ratio(entry: dict) -> float:
-    """Normalized margin of a diagnostics entry: error / its own tolerance."""
-    if "rel_err" in entry and "tol" in entry:
-        return entry["rel_err"] / entry["tol"]
-    if "abs_err" in entry and "tol" in entry:
-        return entry["abs_err"] / entry["tol"]
-    if "value" in entry and "tol" in entry:
-        return abs(entry["value"]) / entry["tol"]
-    if "value" in entry and "bound" in entry:
-        bound = entry["bound"]
-        return abs(entry["value"]) / bound if bound > 0 else math.inf
-    if "fitted" in entry and "tol" in entry:
-        return abs(entry["fitted"] - entry.get("target", 0.0)) / entry["tol"]
-    return 0.0 if entry.get("pass", False) else 2.0
-
-
 def _check(name, description, source, target, tolerance, fn) -> dict:
     entry = {
         "name": name,
@@ -155,6 +143,12 @@ def _need(bundle_slot, errors, tag):
     if bundle_slot is None:
         raise ShockDevError(errors.get(tag, f"required solve {tag!r} unavailable"))
     return bundle_slot
+
+
+def _worst(records) -> tuple[float, bool]:
+    """Measured value and verdict of a bundled check: worst margin, all passed."""
+    records = list(records)
+    return max(r.margin for r in records), all(r.passed for r in records)
 
 
 # ---------------------------------------------------------------------------
@@ -340,17 +334,17 @@ def _check_ahead_structure(eos, cusp, model):
         ts = np.asarray(singular_boundary(model, w), dtype=float)
         sing = fitting.quadratic_extrapolate(w, ts / w**2)
         sing_target = lam / (2.0 * kap**2)
-        sing_rel = abs(sing - sing_target) / sing_target
 
         data = initial_data(model, eos, 0.5 * model.box_w, 32)
         edge_target = lam / (6.0 * kap * (cusp.c_plus0 - cusp.c_minus0))
         edge = fitting.extrapolate_to_zero(data.u[8:], data.h_hat[8:], degree=2, drop=0)
-        edge_rel = abs(edge - edge_target) / abs(edge_target)
-        worst = max(sing_rel / 1e-6, edge_rel / 1e-3)
-        return worst, worst <= 1.0, {
-            "singular_boundary_quadratic": {"fitted": sing, "target": sing_target},
-            "incoming_edge_cubic": {"fitted": edge, "target": edge_target},
+        entries = {
+            "singular_boundary_quadratic": SubCheck.of(
+                sing, sing_target, 1e-6, scale=abs(sing_target)
+            ),
+            "incoming_edge_cubic": SubCheck.of(edge, edge_target, 1e-3, scale=abs(edge_target)),
         }
+        return (*_worst(entries.values()), entries)
 
     return _check(
         "ahead_model_structure",
@@ -368,7 +362,7 @@ def _check_ahead_structure(eos, cusp, model):
 # ---------------------------------------------------------------------------
 
 def _history_metric(sol):
-    return [max(h[:3]) for h in sol.outer_history]
+    return [max(h) for h in sol.outer_history]
 
 
 def _inner_first_ratio(sol):
@@ -402,14 +396,15 @@ def _check_inner_asymptotics(cusp, bundle):
         samples = (dfdv[kt:]) / curve.v[kt:]
         fitted = fitting.extrapolate_to_zero(curve.v[kt:], samples, degree=2, drop=0)
         rel = abs(fitted - slope_target) / slope_target
+        fit = SubCheck.of(fitted, slope_target, 0.02, scale=abs(slope_target))
         ok = (
-            rel <= 0.02
+            fit.passed
             and math.isfinite(c1)
             and math.isfinite(c2)
             and c2 <= 1.5 * c1
         )
         return rel, ok, {
-            "df_dv_over_v": {"fitted": fitted, "target": slope_target},
+            "df_dv_over_v": fit,
             "mixed_bound_constant": {"base": c1, "doubled_n": c2},
         }
 
@@ -424,78 +419,57 @@ def _check_inner_asymptotics(cusp, bundle):
     )
 
 
-def _aggregate_entries(entries: dict) -> tuple[float, bool]:
-    worst = max(_entry_ratio(e) for e in entries.values())
-    ok = all(e.get("pass", False) for e in entries.values())
-    return worst, ok
+def _diagnostics_check(bundle, section, keys, name, description, source):
+    """A check bundling sub-checks from the base solve's diagnostics."""
+
+    def body():
+        diag = _need(bundle.base, bundle.errors, "base").diagnostics[section]
+        entries = {k: diag[k] for k in keys}
+        return (*_worst(entries.values()), entries)
+
+    return _check(name, description, source, 0.0, 1.0, body)
 
 
 def _check_corner_limits(bundle):
-    def body():
-        base = _need(bundle.base, bundle.errors, "base")
-        lim = base.diagnostics["limits"]
-        keys = ("f_hat0", "g_hat0", "y0", "alpha_hat_plus0", "beta_hat_plus0")
-        entries = {k: lim[k] for k in keys}
-        worst, ok = _aggregate_entries(entries)
-        return worst, ok, entries
-
-    return _check(
+    return _diagnostics_check(
+        bundle,
+        "limits",
+        ("f_hat0", "g_hat0", "y0", "alpha_hat_plus0", "beta_hat_plus0"),
         "outer_corner_limits",
         "hatted shock-curve quantities reach their analytic corner limits",
         "corner limits of the hatted time, radius offset, identification "
         "slope, and both behind-state invariants",
-        0.0,
-        1.0,
-        body,
     )
 
 
 def _check_geometry(bundle):
-    def body():
-        base = _need(bundle.base, bundle.errors, "base")
-        geo = base.diagnostics["geometry"]
-        keys = (
+    return _diagnostics_check(
+        bundle,
+        "geometry",
+        (
             "past_singular_boundary",
             "singular_lead_ratio",
             "margin_ahead_slope",
             "margin_behind_slope",
             "positive_margins",
-        )
-        entries = {k: geo[k] for k in keys}
-        worst, ok = _aggregate_entries(entries)
-        return worst, ok, entries
-
-    return _check(
+        ),
         "shock_geometry",
         "shock stays inside the ahead chart with one-third lead ratio; "
         "determinism margins positive with unit-curvature slopes",
         "position of the shock relative to the singular boundary and the "
         "characteristic-speed margins on both sides",
-        0.0,
-        1.0,
-        body,
     )
 
 
 def _check_jump_residuals(bundle):
-    def body():
-        base = _need(bundle.base, bundle.errors, "base")
-        geo = base.diagnostics["geometry"]
-        entries = {
-            "rankine_hugoniot_rel": geo["rankine_hugoniot_rel"],
-            "tangency_max": geo["tangency_max"],
-        }
-        worst, ok = _aggregate_entries(entries)
-        return worst, ok, entries
-
-    return _check(
+    return _diagnostics_check(
+        bundle,
+        "geometry",
+        ("rankine_hugoniot_rel", "tangency_max"),
         "jump_residuals_on_shock",
         "jump polynomial balances at every node; curve slope matches the "
         "front speed",
         "pointwise jump-condition residual and curve tangency along the shock",
-        0.0,
-        1.0,
-        body,
     )
 
 
@@ -606,20 +580,8 @@ def _check_blowup(bundle):
         base = _need(bundle.base, bundle.errors, "base")
         n = base.fields.grid.n
         rows = sorted({max(n // 4, 2), n // 2, (3 * n) // 4})
-        worst = 0.0
-        per_row = {}
-        ok = True
-        for row in rows:
-            fit = blowup_fits(base.fields, row)
-            per_row[str(row)] = fit
-            ok = ok and fit["time_exponent"]["pass"] and fit["alpha_exponent"]["pass"]
-            ok = ok and fit["alpha_linear_coeff"]["pass"]
-            worst = max(
-                worst,
-                abs(fit["time_exponent"]["fitted"] - 2.0),
-                abs(fit["alpha_exponent"]["fitted"] - 2.0),
-            )
-        return worst, ok, {"rows": per_row}
+        fits = {str(row): blowup_fits(base.fields, row) for row in rows}
+        return (*_worst(e for fit in fits.values() for e in fit.values()), {"rows": fits})
 
     return _check(
         "blowup_signature",
@@ -627,7 +589,7 @@ def _check_blowup(bundle):
         "along interior characteristics (square-root regularity)",
         "power-law exponents of edge offsets along three interior rows",
         0.0,
-        0.1,
+        1.0,
         body,
     )
 
@@ -686,7 +648,7 @@ def full_report(cfg: SolverConfig, bundle: SolutionBundle | None = None) -> dict
         histories["inner_changes_final"] = list(bundle.base.fields.changes)
     passed = sum(1 for c in checks if c["pass"])
     return {
-        "schema": "shockdev-report/1",
+        "schema": "shockdev-report/2",
         "config": cfg.as_sections(),
         "solver": _solver_summary(cfg, bundle),
         "checks": checks,
@@ -711,7 +673,7 @@ def verify_report(cfg: SolverConfig) -> dict:
     ]
     passed = sum(1 for c in checks if c["pass"])
     return {
-        "schema": "shockdev-verify/1",
+        "schema": "shockdev-verify/2",
         "config": cfg.as_sections(),
         "checks": checks,
         "counts": {"total": len(checks), "passed": passed},
@@ -721,6 +683,8 @@ def verify_report(cfg: SolverConfig) -> dict:
 
 def _pyify(obj):
     """Make a report JSON-serializable and deterministic."""
+    if isinstance(obj, SubCheck):
+        return _pyify(asdict(obj))
     if isinstance(obj, dict):
         return {str(k): _pyify(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):

@@ -74,10 +74,6 @@ class CuspData:
         alpha_ddot0: second w-derivative of the outgoing invariant at the
             cusp (free shape data, defaults to 0).
         xi: fourth w-derivative of the radius times kappa (free shape data).
-        l: w-slope of the incoming characteristic speed along the incoming
-            characteristic.  Recorded for reference only — the integrated
-            characteristic reflects the model fields themselves, so this
-            value never enters any computation.
 
     Derived (filled in by :meth:`from_physics`):
         c_plus0, c_minus0: characteristic speeds at the cusp state.
@@ -97,7 +93,6 @@ class CuspData:
     r0: float
     alpha_ddot0: float
     xi: float
-    l: float
     c_plus0: float
     c_minus0: float
     dcplus_dalpha0: float
@@ -117,7 +112,6 @@ class CuspData:
         r0: float = 1.0,
         alpha_ddot0: float = 0.0,
         xi: float = 0.0,
-        l: float = 0.0,
     ) -> "CuspData":
         """Build cusp data, deriving the constrained quantities from the EOS.
 
@@ -149,7 +143,6 @@ class CuspData:
             r0=float(r0),
             alpha_ddot0=float(alpha_ddot0),
             xi=float(xi),
-            l=float(l),
             c_plus0=float(c_plus0),
             c_minus0=float(c_minus0),
             dcplus_dalpha0=float(dcplus_dalpha0),
@@ -277,8 +270,10 @@ def load_model(path, eos: eos_mod.BarotropicEos) -> StateAheadModel:
         }
         for field, table in payload["coefficients"].items()
     }
+    # older dumps also carry "l", a cusp slope no computation used
+    cusp = {k: v for k, v in payload["cusp"].items() if k != "l"}
     return StateAheadModel(
-        cusp=CuspData(**payload["cusp"]),
+        cusp=CuspData(**cusp),
         eos=eos,
         degree=int(payload["degree"]),
         box_t=float(payload["box_t"]),

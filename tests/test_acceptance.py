@@ -65,8 +65,8 @@ def test_criterion_04_inner_solver_asymptotics(canon_report):
     assert math.isfinite(c1) and math.isfinite(c2)
     assert c2 <= 1.5 * c1
     fit = detail["df_dv_over_v"]
-    assert fit["target"] == pytest.approx(1.0 / 3.0, abs=1e-15)
-    assert abs(fit["fitted"] - fit["target"]) / fit["target"] <= 0.02
+    assert fit.target == pytest.approx(1.0 / 3.0, abs=1e-15)
+    assert abs(fit.value - fit.target) / fit.target <= 0.02
 
 
 def test_criterion_05_outer_corner_limits(canon_report, moving_sol):
@@ -79,46 +79,46 @@ def test_criterion_05_outer_corner_limits(canon_report, moving_sol):
     alpha_dot0 = 3.0
 
     fh = detail["f_hat0"]
-    assert abs(fh["fitted"] - 1.0 / 6.0) <= 0.05 / 6.0
+    assert abs(fh.value - 1.0 / 6.0) <= 0.05 / 6.0
     gh = detail["g_hat0"]
-    assert gh["target"] == pytest.approx(c_plus0 / 6.0, rel=1e-13)
-    assert abs(gh["fitted"] - gh["target"]) <= 0.05 * gh["target"]
+    assert gh.target == pytest.approx(c_plus0 / 6.0, rel=1e-13)
+    assert abs(gh.value - gh.target) <= 0.05 * gh.target
     y0 = detail["y0"]
-    assert abs(y0["fitted"] - (-1.0)) <= 0.02
+    assert abs(y0.value - (-1.0)) <= 0.02
     bh = detail["beta_hat_plus0"]
-    assert bh["target"] == pytest.approx(0.3 / 6.0, rel=1e-13)
-    assert abs(bh["fitted"] - bh["target"]) <= 0.10 * bh["target"]
+    assert bh.target == pytest.approx(0.3 / 6.0, rel=1e-13)
+    assert abs(bh.value - bh.target) <= 0.10 * bh.target
     ah = detail["alpha_hat_plus0"]
-    assert abs(ah["fitted"]) <= 0.02 * alpha_dot0
+    assert abs(ah.value) <= 0.02 * alpha_dot0
 
     moving = moving_sol.diagnostics["limits"]["alpha_hat_plus0"]
-    assert moving["target"] != 0.0
-    assert abs(moving["fitted"] - moving["target"]) <= 0.10 * abs(moving["target"])
+    assert moving.target != 0.0
+    assert abs(moving.value - moving.target) <= 0.10 * abs(moving.target)
 
 
 def test_criterion_06_shock_geometry(canon_report):
     """The shock stays past the singular boundary with lead ratio 1/3
     (10%); determinism margins are positive with slopes kappa (15%)."""
     detail = _check(canon_report, "shock_geometry")["detail"]
-    assert detail["past_singular_boundary"]["pass"]
+    assert detail["past_singular_boundary"].passed
     lead = detail["singular_lead_ratio"]
-    assert abs(lead["fitted"] - 1.0 / 3.0) <= 0.10 / 3.0
-    assert detail["positive_margins"]["pass"]
+    assert abs(lead.value - 1.0 / 3.0) <= 0.10 / 3.0
+    assert detail["positive_margins"].passed
     kappa = 1.0
     for side in ("margin_ahead_slope", "margin_behind_slope"):
         slope = detail[side]
-        assert abs(slope["fitted"] - kappa) <= 0.15 * kappa
+        assert abs(slope.value - kappa) <= 0.15 * kappa
 
 
 def test_criterion_07_jump_residuals_on_shock(canon_report):
     """Jump polynomial balances below 1e-10 of its scale at every node;
     tangency defect below 5 grid-steps squared."""
     detail = _check(canon_report, "jump_residuals_on_shock")["detail"]
-    assert detail["rankine_hugoniot_rel"]["value"] <= 1e-10
+    assert detail["rankine_hugoniot_rel"].value <= 1e-10
     tan = detail["tangency_max"]
     delta = 0.01 / 64
-    assert tan["bound"] == pytest.approx(5.0 * delta**2, rel=1e-13)
-    assert tan["value"] <= tan["bound"]
+    assert tan.tolerance == pytest.approx(5.0 * delta**2, rel=1e-13)
+    assert tan.value <= tan.tolerance
 
 
 def test_criterion_08_grid_convergence(canon_report):
@@ -152,7 +152,7 @@ def test_criterion_10_blowup_signature(canon_report):
     detail = _check(canon_report, "blowup_signature")["detail"]
     assert len(detail["rows"]) == 3
     for row, fit in detail["rows"].items():
-        assert abs(fit["time_exponent"]["fitted"] - 2.0) <= 0.1, row
-        assert abs(fit["alpha_exponent"]["fitted"] - 2.0) <= 0.1, row
+        assert abs(fit["time_exponent"].value - 2.0) <= 0.1, row
+        assert abs(fit["alpha_exponent"].value - 2.0) <= 0.1, row
         lin = fit["alpha_linear_coeff"]
-        assert abs(lin["value"]) <= lin["bound"], row
+        assert abs(lin.value) <= lin.tolerance, row

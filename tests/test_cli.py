@@ -47,6 +47,12 @@ class TestConfigErrors:
         cfg.write_text("[solver]\ngrid = 8\n")
         assert run_cli(["sweep", "--config", str(cfg), "--n", "8"]) == 2
 
+    def test_env_typo_exits_2(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("SHOCKDEV_SOLVER_NN", "7")
+        assert run_cli(["run", "--out", str(tmp_path)]) == 2
+        assert "SHOCKDEV_SOLVER_NN" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
+
     def test_sweep_invalid_values(self, capsys):
         assert run_cli(["sweep", "--n", "1"]) == 2
         assert run_cli(["sweep", "--eps", "-0.5"]) == 2

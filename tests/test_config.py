@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import configparser
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -141,6 +144,20 @@ class TestEnvOverrides:
         cfg = load_config(None, env={"SHOCKDEV_SOLVERN": "8", "PATH": "/bin"})
         assert cfg.n == 64
 
+    @pytest.mark.parametrize("name", ["SHOCKDEV_SOLVER_NN", "SHOCKDEV_SOLVER_T_MAX_ITER"])
+    def test_unknown_key_in_known_section_rejected(self, name):
+        with pytest.raises(ConfigError, match=rf"\[solver\] in environment variable {name}"):
+            load_config(None, env={name: "7"})
+
+    def test_env_typos_listed_with_file_errors(self, tmp_path):
+        path = tmp_path / "run.ini"
+        path.write_text("[solver]\ngrid = 8\n")
+        with pytest.raises(ConfigError) as exc:
+            load_config(path, env={"SHOCKDEV_SOLVER_NN": "7", "SHOCKDEV_CUSP_KAPA": "2"})
+        msg = str(exc.value)
+        assert "unknown key [solver] grid" in msg
+        assert "SHOCKDEV_SOLVER_NN" in msg and "SHOCKDEV_CUSP_KAPA" in msg
+
     def test_bad_env_value(self):
         with pytest.raises(ConfigError, match=r"\[solver\] eps"):
             load_config(None, env={"SHOCKDEV_SOLVER_EPS": "wide"})
@@ -218,3 +235,17 @@ class TestBuildProblem:
         eos, cusp, model = build_problem(load_config(path, env={}))
         assert "poly2" in eos.label
         assert cusp.c_plus0 > 0
+
+
+def test_readme_ini_block_lists_every_key(tmp_path):
+    """The README's sample config names every schema key at its default."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"```ini\n(.*?)```", readme, re.S).group(1)
+    path = tmp_path / "readme.ini"
+    path.write_text(block)
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    parser.read_string(block)
+    listed = {(s, k) for s in parser.sections() for k in parser[s]}
+    schema = SolverConfig.canonical().as_sections()
+    assert listed == {(s, k) for s, keys in schema.items() for k in keys}
+    assert load_config(path, env={}) == SolverConfig.canonical()

@@ -154,7 +154,7 @@ class TestOuterIteration:
         metrics = []
         for _ in range(steps):
             bf_next, _, _ = FBD.outer_iterate(bf, ctx)
-            metrics.append(max(FBD.boundary_difference(bf_next, bf)[:3]))
+            metrics.append(max(FBD.boundary_difference(bf_next, bf)))
             bf = bf_next
         return metrics
 
@@ -174,7 +174,7 @@ class TestOuterIteration:
         ctx = FBD.SolverContext.build(rad, canon_model, canon_cusp, canon_sol.eps, canon_sol.n)
         bf_next, _, _ = FBD.outer_iterate(canon_sol.boundary, ctx)
         metric = FBD.boundary_difference(bf_next, canon_sol.boundary)
-        assert max(metric[:3]) < 10.0 * TOL_OUTER
+        assert max(metric) < 10.0 * TOL_OUTER
 
 
 def picard_outer(eos, model, cusp, eps, n, seed_fn=BoundaryFunctions.seed):
@@ -189,7 +189,7 @@ def picard_outer(eos, model, cusp, eps, n, seed_fn=BoundaryFunctions.seed):
         metric = FBD.boundary_difference(bf_next, bf)
         history.append(metric)
         bf = bf_next
-        if max(metric[:3]) < TOL_OUTER:
+        if max(metric) < TOL_OUTER:
             return bf, history
     raise NonConvergence("plain outer iteration did not converge")
 
@@ -273,7 +273,7 @@ class TestAndersonAcceleration:
         sol = FBD.run_shock_development(
             rad, canon_model, canon_cusp, eps=EPS, n=2, collect_diagnostics=False
         )
-        m = [max(h[:3]) for h in sol.outer_history]
+        m = [max(h) for h in sol.outer_history]
         assert m[1] < m[0] < m[2] and m[3] < m[2]
         # x_2 is mixed; after the growth at x_2 the next point is G(x_2) ...
         assert calls[2][0] is not calls[1][1]
@@ -366,6 +366,14 @@ class TestJumpUpdate:
         assert sol.eps == EPS / 2
 
 
+def _rel_err(check):
+    return abs(check.value - check.target) / abs(check.target)
+
+
+def _abs_err(check):
+    return abs(check.value - check.target)
+
+
 class TestConvergedCanonicalRun:
     def test_budget(self, canon_sol):
         assert canon_sol.retries == 0
@@ -374,7 +382,7 @@ class TestConvergedCanonicalRun:
         assert canon_sol.diagnostics["attempted_eps"] == [EPS]
 
     def test_history_contracts_to_tolerance(self, canon_sol):
-        m = [max(h[:3]) for h in canon_sol.outer_history]
+        m = [max(h) for h in canon_sol.outer_history]
         assert m[-1] < TOL_OUTER
         assert m[-1] < 1e-6 * m[0]
         for a, b in zip(m[1:], m[2:]):
@@ -382,31 +390,31 @@ class TestConvergedCanonicalRun:
 
     def test_limit_fits(self, canon_sol):
         lim = canon_sol.diagnostics["limits"]
-        assert all(entry["pass"] for entry in lim.values()), lim
-        assert lim["f_hat0"]["rel_err"] < 2e-3
-        assert lim["g_hat0"]["rel_err"] < 2e-3
-        assert lim["y0"]["abs_err"] < 5e-3
-        assert lim["beta_hat_plus0"]["rel_err"] < 5e-3
-        assert lim["alpha_hat_plus0"]["abs_err"] < 1e-4
-        assert lim["jump_cubic_ratio"]["rel_err"] < 1e-4
-        assert lim["jump_cubic_ratio"]["target"] == pytest.approx(-1.0 / 144.0)
-        assert lim["jump_alpha_slope"]["rel_err"] < 5e-3
-        assert lim["jump_alpha_slope"]["target"] == pytest.approx(6.0)
+        assert all(entry.passed for entry in lim.values()), lim
+        assert _rel_err(lim["f_hat0"]) < 2e-3
+        assert _rel_err(lim["g_hat0"]) < 2e-3
+        assert _abs_err(lim["y0"]) < 5e-3
+        assert _rel_err(lim["beta_hat_plus0"]) < 5e-3
+        assert _abs_err(lim["alpha_hat_plus0"]) < 1e-4
+        assert _rel_err(lim["jump_cubic_ratio"]) < 1e-4
+        assert lim["jump_cubic_ratio"].target == pytest.approx(-1.0 / 144.0)
+        assert _rel_err(lim["jump_alpha_slope"]) < 5e-3
+        assert lim["jump_alpha_slope"].target == pytest.approx(6.0)
 
     def test_geometry(self, canon_sol):
         geo = canon_sol.diagnostics["geometry"]
-        assert all(entry["pass"] for entry in geo.values()), geo
-        assert geo["rankine_hugoniot_rel"]["value"] < 1e-12
-        assert geo["margin_ahead_slope"]["rel_err"] < 0.02
-        assert geo["margin_behind_slope"]["rel_err"] < 0.02
-        assert geo["singular_lead_ratio"]["rel_err"] < 0.02
+        assert all(entry.passed for entry in geo.values()), geo
+        assert geo["rankine_hugoniot_rel"].value < 1e-12
+        assert _rel_err(geo["margin_ahead_slope"]) < 0.02
+        assert _rel_err(geo["margin_behind_slope"]) < 0.02
+        assert _rel_err(geo["singular_lead_ratio"]) < 0.02
 
     def test_blowup_signature(self, canon_sol):
         blow = canon_sol.diagnostics["blowup"]
-        assert blow["time_exponent"]["pass"]
-        assert blow["alpha_exponent"]["pass"]
-        assert blow["alpha_linear_coeff"]["pass"]
-        assert abs(blow["time_exponent"]["fitted"] - 2.0) < 0.02
+        assert blow["time_exponent"].passed
+        assert blow["alpha_exponent"].passed
+        assert blow["alpha_linear_coeff"].passed
+        assert abs(blow["time_exponent"].value - 2.0) < 0.02
 
     def test_residuals_small(self, canon_sol):
         res = canon_sol.diagnostics["residuals"]
@@ -471,8 +479,8 @@ class TestRefinementAndRobustness:
     def test_all_grids_converge(self, canon_sol_n32, canon_sol_n128):
         for sol in (canon_sol_n32, canon_sol_n128):
             assert sol.retries == 0
-            assert all(e["pass"] for e in sol.diagnostics["limits"].values())
-            assert all(e["pass"] for e in sol.diagnostics["geometry"].values())
+            assert all(e.passed for e in sol.diagnostics["limits"].values())
+            assert all(e.passed for e in sol.diagnostics["geometry"].values())
 
     def test_residual_order_across_grids(self, canon_sol_n32, canon_sol, canon_sol_n128):
         r = [s.diagnostics["residuals"]["max"] for s in (canon_sol_n32, canon_sol, canon_sol_n128)]
@@ -481,13 +489,13 @@ class TestRefinementAndRobustness:
 
     def test_half_domain(self, half_eps_sol):
         assert half_eps_sol.retries == 0
-        assert all(e["pass"] for e in half_eps_sol.diagnostics["limits"].values())
+        assert all(e.passed for e in half_eps_sol.diagnostics["limits"].values())
         assert half_eps_sol.curve.y[-1] == pytest.approx(-1.005194, abs=5e-4)
 
     def test_outer_displacement_ratio_scales_with_domain(self, canon_sol, half_eps_sol):
         def first_ratio(sol):
             h = sol.outer_history
-            return max(h[1][:3]) / max(h[0][:3])
+            return max(h[1]) / max(h[0])
 
         r_full = first_ratio(canon_sol)
         r_half = first_ratio(half_eps_sol)
@@ -513,11 +521,11 @@ class TestRefinementAndRobustness:
     def test_moving_background_limits(self, moving_sol):
         assert moving_sol.retries == 0
         lim = moving_sol.diagnostics["limits"]
-        assert all(e["pass"] for e in lim.values()), lim
+        assert all(e.passed for e in lim.values()), lim
         entry = lim["alpha_hat_plus0"]
-        assert entry["target"] != 0.0
-        assert entry["rel_err"] < 0.01
-        assert all(e["pass"] for e in moving_sol.diagnostics["geometry"].values())
+        assert entry.target != 0.0
+        assert _rel_err(entry) < 0.01
+        assert all(e.passed for e in moving_sol.diagnostics["geometry"].values())
 
     def test_retry_exhaustion_reports_attempts(self, rad, canon_model, canon_cusp):
         with pytest.raises(NonConvergence) as exc:

@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 
 from shockdev.config import SolverConfig
+from shockdev.free_boundary import SubCheck, blowup_fits
 from shockdev.report import (
     SolutionBundle,
-    _entry_ratio,
     _pyify,
     format_check_lines,
     full_report,
@@ -65,7 +65,7 @@ class TestVerifyReport:
         assert not failed and rep["all_pass"]
 
     def test_schema_and_counts(self, rep):
-        assert rep["schema"] == "shockdev-verify/1"
+        assert rep["schema"] == "shockdev-verify/2"
         assert rep["counts"] == {"total": 6, "passed": 6}
         assert rep["config"] == SolverConfig.canonical().as_sections()
 
@@ -130,7 +130,10 @@ class TestFullReport:
         text = path.read_text()
         assert text.endswith("\n")
         parsed = json.loads(text)
+        assert parsed["schema"] == "shockdev-report/2"
         assert parsed["all_pass"] is True
+        limit = parsed["checks"][4]["detail"]["y0"]
+        assert set(limit) == {"value", "target", "tolerance", "margin", "passed"}
         assert [c["name"] for c in parsed["checks"]] == FULL_CHECKS
         write_report(canon_report, tmp_path / "again.json")
         assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
@@ -188,11 +191,63 @@ class TestSerialization:
         assert out["2"] == "int key"
         json.dumps(out)
 
-    def test_entry_ratio_shapes(self):
-        assert _entry_ratio({"rel_err": 0.05, "tol": 0.1}) == pytest.approx(0.5)
-        assert _entry_ratio({"abs_err": 0.02, "tol": 0.1}) == pytest.approx(0.2)
-        assert _entry_ratio({"value": 0.03, "tol": 0.1}) == pytest.approx(0.3)
-        assert _entry_ratio({"value": 0.5, "bound": 2.0}) == pytest.approx(0.25)
-        assert _entry_ratio({"fitted": 1.9, "target": 2.0, "tol": 0.2}) == pytest.approx(0.5)
-        assert _entry_ratio({"pass": True}) == 0.0
-        assert _entry_ratio({"pass": False}) == 2.0
+
+# (value, target, tol, scale) -> (margin, passed): the shapes a sub-limit
+# takes (relative, absolute, bare value against a tolerance or a bound, a
+# fitted exponent, exact conditions that hold or fail) and a NaN value
+SUBCHECK_CASES = [
+    (2.1, 2.0, 0.1, 2.0, 0.5, True),
+    (1.02, 1.0, 0.1, 1.0, 0.2, True),
+    (0.03, 0.0, 0.1, 1.0, 0.3, True),
+    (0.5, 0.0, 2.0, 1.0, 0.25, True),
+    (1.9, 2.0, 0.2, 1.0, 0.5, True),
+    (0.0, 0.0, 0.0, 1.0, 0.0, True),
+    (3.0, 0.0, 0.0, 1.0, math.inf, False),
+    (1.3, 1.0, 0.1, 1.0, 3.0, False),
+    (math.nan, 0.0, 1.0, 1.0, math.nan, False),
+]
+
+
+class TestSubCheck:
+    @pytest.mark.parametrize("value, target, tol, scale, margin, passed", SUBCHECK_CASES)
+    def test_margin_rule(self, value, target, tol, scale, margin, passed):
+        rec = SubCheck.of(value, target, tol, scale=scale)
+        assert rec.margin == pytest.approx(margin, nan_ok=True)
+        assert rec.passed is passed
+        assert rec.passed == (rec.margin <= 1.0)
+        assert rec.tolerance == tol * scale
+
+    def test_diagnostics_are_records(self, canon_sol):
+        groups = [
+            canon_sol.diagnostics["limits"],
+            canon_sol.diagnostics["geometry"],
+            blowup_fits(canon_sol.fields),
+            blowup_fits(canon_sol.fields, 16),
+        ]
+        for group in groups:
+            for name, rec in group.items():
+                assert isinstance(rec, SubCheck), name
+                assert isinstance(rec.passed, bool) and rec.passed == (rec.margin <= 1.0), name
+
+    def test_zero_tolerance_keeps_the_rule(self, canon_sol):
+        fit = blowup_fits(canon_sol.fields)
+        coeff = fit["alpha_linear_coeff"]
+        for rec in (
+            SubCheck.of(coeff.value, 0.0, 0.0),
+            SubCheck.of(0.0, 0.0, 0.0),
+            canon_sol.diagnostics["geometry"]["positive_margins"],
+        ):
+            assert rec.passed == (rec.margin <= 1.0)
+            assert rec.passed == (abs(rec.value - rec.target) <= rec.tolerance)
+
+    def test_bundled_measured_is_worst_margin(self, canon_report, rep):
+        by_name = {c["name"]: c for c in canon_report["checks"] + rep["checks"]}
+        for name in ("outer_corner_limits", "shock_geometry", "jump_residuals_on_shock",
+                     "ahead_model_structure"):
+            c = by_name[name]
+            assert c["measured"] == max(e.margin for e in c["detail"].values()), name
+            assert (c["target"], c["tolerance"]) == (0.0, 1.0)
+        blow = by_name["blowup_signature"]
+        margins = [e.margin for fit in blow["detail"]["rows"].values() for e in fit.values()]
+        assert blow["measured"] == max(margins)
+        assert (blow["target"], blow["tolerance"]) == (0.0, 1.0)

@@ -8,6 +8,7 @@ singular boundary, and least-squares expansion fits for the corner behavior.
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -293,6 +294,15 @@ class TestModelSerialization:
             assert loaded.eval(field, pts_t, pts_w) == pytest.approx(
                 model.eval(field, pts_t, pts_w), abs=0
             )
+
+    def test_dump_has_no_l_and_older_dump_with_l_loads(self, model, rad, tmp_path):
+        path = tmp_path / "model.json"
+        model.dump(path)
+        payload = json.loads(path.read_text())
+        assert "l" not in payload["cusp"]
+        payload["cusp"]["l"] = 0.25
+        path.write_text(json.dumps(payload))
+        assert SA.load_model(path, rad).cusp == model.cusp
 
     def test_label_mismatch(self, model, p2, tmp_path):
         path = tmp_path / "model.json"
