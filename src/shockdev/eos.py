@@ -15,9 +15,9 @@ else the solver needs is derived from it:
 * nonlinearity coefficient   mu = d eta / d rho_tilde + 1 - eta^2
 
 The two reference constants (rho_ref, h_ref) fix the free integration
-constants of sigma and rho_tilde. Built-in laws (radiation, quadratic
-pressure, tabulated) carry closed forms where they exist; otherwise the
-generic adaptive-quadrature/bracketing code paths are used.
+constants of sigma and rho_tilde. The radiation and quadratic laws carry
+closed forms; any other law (tabulated, or without closed forms) is read off
+one chart (``_ensure_chart``), for scalar and array input alike.
 """
 
 from __future__ import annotations
@@ -27,11 +27,9 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.interpolate import PchipInterpolator
-from scipy.optimize import brentq
 
 from .errors import OutOfRange
+from .fitting import safeguarded_newton_lanes
 
 __all__ = [
     "BarotropicEos",
@@ -55,8 +53,10 @@ __all__ = [
     "eos_identity_residual",
 ]
 
-_QUAD_KW = dict(epsabs=1e-12, epsrel=1e-12, limit=200)
 _CHART_NODES = 4097
+# Gauss-Legendre rule for each chart segment (4 and 8 points agree to
+# rounding on the tested laws)
+_GL_X, _GL_W = np.polynomial.legendre.leggauss(8)
 
 
 @dataclass
@@ -71,9 +71,9 @@ class BarotropicEos:
         rho_ref: reference density where the enthalpy potential vanishes.
         h_ref: specific enthalpy assigned at rho_ref.
 
-    The optional ``*_cf`` callables are closed forms; any left as None falls
-    back to adaptive quadrature / bracketed inversion (cached on a fine
-    monotone-cubic chart for array evaluation).
+    The optional ``*_cf`` callables are closed forms; any left as None is
+    read off the chart (see the module docstring), built on first use and
+    cached on the instance.
     """
 
     label: str
@@ -116,24 +116,73 @@ class BarotropicEos:
         return (self.rho_ref + p_ref) / self.h_ref
 
 
-def _as_float_or_array(x):
+def _check_in(eos: BarotropicEos, x, lo, hi, name: str):
     a = np.asarray(x, dtype=float)
-    return a, a.ndim == 0
+    if not a.size:
+        return a
+    amin, amax = (a.min(), a.max()) if a.ndim else (a, a)
+    # NaN fails both comparisons and +-inf fails one, so this also rejects
+    # non-finite input
+    if not (lo <= amin and amax <= hi):
+        raise OutOfRange(
+            f"{eos.label}: {name} in [{float(amin)}, {float(amax)}] outside "
+            f"admissible [{lo}, {hi}]"
+        )
+    return a
 
 
 def _check_rho(eos: BarotropicEos, rho):
-    a = np.asarray(rho, dtype=float)
-    if not a.size:
-        return a
-    lo, hi = (a.min(), a.max()) if a.ndim else (a, a)
-    # NaN fails both comparisons and +-inf fails one, so this also rejects
-    # non-finite densities
-    if not (eos.rho_min <= lo and hi <= eos.rho_max):
-        raise OutOfRange(
-            f"{eos.label}: density in [{float(lo)}, {float(hi)}] outside admissible "
-            f"[{eos.rho_min}, {eos.rho_max}]"
-        )
-    return a
+    return _check_in(eos, rho, eos.rho_min, eos.rho_max, "density")
+
+
+def _hermite(x, y, dydx):
+    """Cubic Hermite interpolant through (x, y) with node slopes dydx.
+
+    Returns a function q -> (value, slope); beyond the end nodes the end
+    cubics extend. The per-interval coefficients are those of SciPy's
+    CubicHermiteSpline.
+    """
+    dx = np.diff(x)
+    m = np.diff(y) / dx
+    t = (dydx[:-1] + dydx[1:] - 2 * m) / dx
+    c3, c2, c1, c0 = t / dx, (m - dydx[:-1]) / dx - t, dydx[:-1], y[:-1]
+    last = len(dx) - 1
+
+    def at(q):
+        q = np.asarray(q, dtype=float)
+        i = np.clip(np.searchsorted(x, q, side="right") - 1, 0, last)
+        s = q - x[i]
+        value = ((c3[i] * s + c2[i]) * s + c1[i]) * s + c0[i]
+        slope = (3.0 * c3[i] * s + 2.0 * c2[i]) * s + c1[i]
+        return value, slope
+
+    return at
+
+
+def _pchip_slopes(x, y):
+    """Node slopes of the monotone cubic (Fritsch & Butland, SIAM J. Sci.
+    Stat. Comput. 5, 1984), with SciPy PchipInterpolator's arithmetic:
+    weighted harmonic means inside, a shape-preserving three-point estimate
+    at the ends. Needs at least 3 nodes."""
+    h = np.diff(x)
+    m = np.diff(y) / h
+    w1, w2 = 2 * h[1:] + h[:-1], h[1:] + 2 * h[:-1]
+    flat = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0) | (m[:-1] == 0)
+    d = np.zeros_like(y)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d[1:-1] = np.where(flat, 0.0, 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)))
+
+    def end(h0, h1, m0, m1):
+        e = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+        if np.sign(e) != np.sign(m0):
+            return 0.0
+        if np.sign(m0) != np.sign(m1) and abs(e) > 3.0 * abs(m0):
+            return 3.0 * m0
+        return e
+
+    d[0] = end(h[0], h[1], m[0], m[1])
+    d[-1] = end(h[-1], h[-2], m[-1], m[-2])
+    return d
 
 
 # ----------------------------------------------------------------------
@@ -164,64 +213,42 @@ def pressure(eos: BarotropicEos, rho):
     return p if p.ndim else float(p)
 
 
-def _sigma_exponent_scalar(eos: BarotropicEos, rho: float) -> float:
-    val, _ = quad(
-        lambda r: 1.0 / (r + eos.pressure_fn(r)), eos.rho_ref, rho, **_QUAD_KW
-    )
-    return val
-
-
-def _potential_scalar(eos: BarotropicEos, rho: float) -> float:
-    val, _ = quad(
-        lambda r: math.sqrt(eos.dp_drho_fn(r)) / (r + eos.pressure_fn(r)),
-        eos.rho_ref,
-        rho,
-        **_QUAD_KW,
-    )
-    return val
-
-
 def _ensure_chart(eos: BarotropicEos):
-    """Dense monotone chart for the generic (no closed form) code paths.
+    """Chart of the laws without closed forms, built once per instance.
 
-    The two core integrals are accumulated over log-spaced segments with
-    adaptive quadrature per segment, then interpolated monotonically. Used
-    only when the instance lacks closed forms and receives array input.
+    Nodes are log-spaced over the admissible range plus rho_ref. The core
+    integrals int drho/(rho+p) and int eta drho/(rho+p) are summed over all
+    segments at once by the Gauss-Legendre rule; sigma, rho_tilde and the
+    inverses rho(h), rho(rho_tilde) interpolate the node values with the
+    exact slopes dsigma/drho = sigma/(rho+p), drho_tilde/drho = eta/(rho+p)
+    and dh/drho = eta^2/sigma (reciprocals for the inverses).
     """
     if eos._chart:
         return eos._chart
     nodes = np.geomspace(eos.rho_min, eos.rho_max, _CHART_NODES)
     # place rho_ref exactly on the chart so the constants are exact there
-    k = int(np.searchsorted(nodes, eos.rho_ref))
     nodes = np.unique(np.concatenate([nodes, [eos.rho_ref]]))
-    seg_sigma = np.zeros(len(nodes))
-    seg_pot = np.zeros(len(nodes))
-    for i in range(1, len(nodes)):
-        seg_sigma[i], _ = quad(
-            lambda r: 1.0 / (r + eos.pressure_fn(r)),
-            nodes[i - 1], nodes[i], epsabs=1e-14, epsrel=1e-12,
-        )
-        seg_pot[i], _ = quad(
-            lambda r: math.sqrt(eos.dp_drho_fn(r)) / (r + eos.pressure_fn(r)),
-            nodes[i - 1], nodes[i], epsabs=1e-14, epsrel=1e-12,
-        )
-    cum_sigma = np.cumsum(seg_sigma)
-    cum_pot = np.cumsum(seg_pot)
+    half = 0.5 * np.diff(nodes)[:, None]
+    r = 0.5 * (nodes[1:] + nodes[:-1])[:, None] + half * _GL_X
+    w = half * _GL_W / (r + np.asarray(eos.pressure_fn(r), dtype=float))
+    eta_r = np.sqrt(np.asarray(eos.dp_drho_fn(r), dtype=float))
+    cum_sigma = np.concatenate([[0.0], np.cumsum(w.sum(axis=1))])
+    cum_pot = np.concatenate([[0.0], np.cumsum((w * eta_r).sum(axis=1))])
     k = int(np.searchsorted(nodes, eos.rho_ref))
     cum_sigma -= cum_sigma[k]
     cum_pot -= cum_pot[k]
     sig = eos.sigma_ref * np.exp(cum_sigma)
-    p = np.asarray(eos.pressure_fn(nodes), dtype=float)
-    h = (nodes + p) / sig
+    e = nodes + np.asarray(eos.pressure_fn(nodes), dtype=float)
+    eta2 = np.asarray(eos.dp_drho_fn(nodes), dtype=float)
+    eta = np.sqrt(eta2)
+    h = e / sig
     eos._chart = {
-        "rho": nodes,
-        "sigma": PchipInterpolator(nodes, sig),
-        "potential": PchipInterpolator(nodes, cum_pot),
-        "rho_of_potential": PchipInterpolator(cum_pot, nodes),
-        "h": PchipInterpolator(nodes, h),
-        "rho_of_h": PchipInterpolator(h, nodes),
+        "sigma": _hermite(nodes, sig, sig / e),
+        "potential": _hermite(nodes, cum_pot, eta / e),
+        "rho_of_potential": _hermite(cum_pot, nodes, e / eta),
+        "rho_of_enthalpy": _hermite(h, nodes, sig / eta2),
         "potential_range": (cum_pot[0], cum_pot[-1]),
-        "h_range": (h[0], h[-1]),
+        "enthalpy_range": (h[0], h[-1]),
     }
     return eos._chart
 
@@ -231,12 +258,8 @@ def sigma(eos: BarotropicEos, rho):
     a = _check_rho(eos, rho)
     if eos.sigma_cf is not None:
         out = np.asarray(eos.sigma_cf(a), dtype=float)
-    elif a.ndim == 0:
-        out = np.asarray(
-            eos.sigma_ref * math.exp(_sigma_exponent_scalar(eos, float(a)))
-        )
     else:
-        out = np.asarray(_ensure_chart(eos)["sigma"](a), dtype=float)
+        out = np.asarray(_ensure_chart(eos)["sigma"](a)[0])
     return out if out.ndim else float(out)
 
 
@@ -251,31 +274,21 @@ def enthalpy(eos: BarotropicEos, rho):
     return out if out.ndim else float(out)
 
 
+def _inverse(eos: BarotropicEos, x, closed, name: str):
+    """Density at x = h or rho_tilde: closed form, else the chart inverse."""
+    a = np.asarray(x, dtype=float)
+    if closed is not None:
+        out = _check_rho(eos, closed(a))
+    else:
+        chart = _ensure_chart(eos)
+        _check_in(eos, a, *chart[f"{name}_range"], name)
+        out = np.asarray(chart[f"rho_of_{name}"](a)[0])
+    return out if out.ndim else float(out)
+
+
 def rho_of_enthalpy(eos: BarotropicEos, h):
     """Inverse of enthalpy(rho); h is strictly increasing in rho."""
-    a, scalar = _as_float_or_array(h)
-    if eos.rho_of_enthalpy_cf is not None:
-        out = np.asarray(eos.rho_of_enthalpy_cf(a), dtype=float)
-        _check_rho(eos, out)
-        return out if out.ndim else float(out)
-    if scalar:
-        hv = float(a)
-        h_lo = enthalpy(eos, eos.rho_min)
-        h_hi = enthalpy(eos, eos.rho_max)
-        if not (h_lo <= hv <= h_hi):
-            raise OutOfRange(
-                f"{eos.label}: enthalpy {hv} outside [{h_lo}, {h_hi}]"
-            )
-        root = brentq(
-            lambda r: enthalpy(eos, r) - hv,
-            eos.rho_min, eos.rho_max, xtol=1e-15, rtol=8.9e-16,
-        )
-        return float(root)
-    chart = _ensure_chart(eos)
-    lo, hi = chart["h_range"]
-    if np.any(a < lo) or np.any(a > hi):
-        raise OutOfRange(f"{eos.label}: enthalpy outside [{lo}, {hi}]")
-    return np.asarray(chart["rho_of_h"](a), dtype=float)
+    return _inverse(eos, h, eos.rho_of_enthalpy_cf, "enthalpy")
 
 
 def potential_of_rho(eos: BarotropicEos, rho):
@@ -283,10 +296,8 @@ def potential_of_rho(eos: BarotropicEos, rho):
     a = _check_rho(eos, rho)
     if eos.potential_of_rho_cf is not None:
         out = np.asarray(eos.potential_of_rho_cf(a), dtype=float)
-    elif a.ndim == 0:
-        out = np.asarray(_potential_scalar(eos, float(a)))
     else:
-        out = np.asarray(_ensure_chart(eos)["potential"](a), dtype=float)
+        out = np.asarray(_ensure_chart(eos)["potential"](a)[0])
     return out if out.ndim else float(out)
 
 
@@ -301,29 +312,7 @@ def riemann_potential(eos: BarotropicEos, h):
 
 def rho_of_potential(eos: BarotropicEos, rho_tilde):
     """Density at a given enthalpy potential (inverse of potential_of_rho)."""
-    a, scalar = _as_float_or_array(rho_tilde)
-    if eos.rho_of_potential_cf is not None:
-        out = np.asarray(eos.rho_of_potential_cf(a), dtype=float)
-        _check_rho(eos, out)
-        return out if out.ndim else float(out)
-    if scalar:
-        pv = float(a)
-        lo = potential_of_rho(eos, eos.rho_min)
-        hi = potential_of_rho(eos, eos.rho_max)
-        if not (lo <= pv <= hi):
-            raise OutOfRange(
-                f"{eos.label}: potential {pv} outside [{lo}, {hi}]"
-            )
-        root = brentq(
-            lambda r: potential_of_rho(eos, r) - pv,
-            eos.rho_min, eos.rho_max, xtol=1e-15, rtol=8.9e-16,
-        )
-        return float(root)
-    chart = _ensure_chart(eos)
-    lo, hi = chart["potential_range"]
-    if np.any(a < lo) or np.any(a > hi):
-        raise OutOfRange(f"{eos.label}: potential outside [{lo}, {hi}]")
-    return np.asarray(chart["rho_of_potential"](a), dtype=float)
+    return _inverse(eos, rho_tilde, eos.rho_of_potential_cf, "potential")
 
 
 def enthalpy_of_potential(eos: BarotropicEos, rho_tilde):
@@ -343,7 +332,7 @@ def eta_of_potential(eos: BarotropicEos, rho_tilde):
 
 def big_g(eos: BarotropicEos, H):
     """Wave-speed weight G = sigma/sqrt(H) at squared enthalpy H = h^2."""
-    a, _ = _as_float_or_array(H)
+    a = np.asarray(H, dtype=float)
     if np.any(a <= 0):
         raise OutOfRange(f"{eos.label}: H must be positive")
     h = np.sqrt(a)
@@ -373,7 +362,7 @@ def mu_coefficient(eos: BarotropicEos, rho_tilde):
     Positive mu is what makes compression steepen into a shock; the solver
     requires it at the cusp state.
     """
-    a, _ = _as_float_or_array(rho_tilde)
+    a = np.asarray(rho_tilde, dtype=float)
     eta2 = np.square(np.asarray(eta_of_potential(eos, a), dtype=float))
     if eos.deta_dpotential_cf is not None:
         slope = np.asarray(eos.deta_dpotential_cf(a), dtype=float)
@@ -404,15 +393,17 @@ def eos_identity_residual(eos: BarotropicEos, rho, step_rel: float = 1e-3):
     _check_rho(eos, rho0)
     p0 = pressure(eos, rho0)
     dp = step_rel * p0
+    # invert p(rho) at p0 - dp, p0, p0 + dp, then v = 1/sigma
+    pv = np.array([p0 - dp, p0, p0 + dp])
 
-    def v_of_p(pv: float) -> float:
-        r = brentq(
-            lambda r_: eos.pressure_fn(r_) - pv,
-            eos.rho_min, eos.rho_max, xtol=1e-15, rtol=8.9e-16,
+    def fdf(r):
+        return (
+            np.asarray(eos.pressure_fn(r), dtype=float) - pv,
+            np.asarray(eos.dp_drho_fn(r), dtype=float),
         )
-        return 1.0 / sigma(eos, r)
 
-    vm, v0, vp = v_of_p(p0 - dp), v_of_p(p0), v_of_p(p0 + dp)
+    r = safeguarded_newton_lanes(fdf, rho0, eos.rho_min, eos.rho_max, 1e-14 * pv)
+    vm, v0, vp = (1.0 / np.asarray(sigma(eos, r))).tolist()
     dv_dp = (vp - vm) / (2 * dp)
     d2v_dp2 = (vp - 2 * v0 + vm) / dp**2
     h0 = enthalpy(eos, rho0)
@@ -444,9 +435,7 @@ def radiation(
     return BarotropicEos(
         label="radiation",
         pressure_fn=lambda r: r / 3.0,
-        dp_drho_fn=lambda r: np.full_like(np.asarray(r, dtype=float), 1.0 / 3.0)
-        if np.ndim(r)
-        else 1.0 / 3.0,
+        dp_drho_fn=lambda r: np.full_like(np.asarray(r, dtype=float), 1.0 / 3.0),
         rho_min=rho_min,
         rho_max=rho_max,
         rho_ref=rho_ref,
@@ -458,9 +447,7 @@ def radiation(
         * np.log(np.asarray(r, dtype=float) / rho_ref),
         rho_of_potential_cf=lambda pt: rho_ref
         * np.exp(4.0 * np.asarray(pt, dtype=float) / sqrt3),
-        deta_dpotential_cf=lambda pt: np.zeros_like(np.asarray(pt, dtype=float))
-        if np.ndim(pt)
-        else 0.0,
+        deta_dpotential_cf=lambda pt: np.zeros_like(np.asarray(pt, dtype=float)),
     )
 
 
@@ -508,12 +495,8 @@ def poly2(
 
     return BarotropicEos(
         label="poly2",
-        pressure_fn=lambda r: k * np.square(np.asarray(r, dtype=float))
-        if np.ndim(r)
-        else k * r * r,
-        dp_drho_fn=lambda r: 2.0 * k * np.asarray(r, dtype=float)
-        if np.ndim(r)
-        else 2.0 * k * r,
+        pressure_fn=lambda r: k * np.square(np.asarray(r, dtype=float)),
+        dp_drho_fn=lambda r: 2.0 * k * np.asarray(r, dtype=float),
         rho_min=rho_min,
         rho_max=rho_max,
         rho_ref=rho_ref,
@@ -556,22 +539,21 @@ def from_table(
     if data.ndim != 2 or data.shape[1] != 2 or data.shape[0] < 4:
         raise OutOfRange(f"{label}: need an (N >= 4, 2) table of (rho, p)")
     rho, p = data[:, 0], data[:, 1]
-    if np.any(np.diff(rho) <= 0):
+    if not np.all(np.diff(rho) > 0):
         raise OutOfRange(f"{label}: table densities must be strictly increasing")
-    if np.any(p <= 0):
+    if not np.all(p > 0):
         raise OutOfRange(f"{label}: table pressures must be positive")
-    interp = PchipInterpolator(rho, p)
-    dinterp = interp.derivative()
+    interp = _hermite(rho, p, _pchip_slopes(rho, p))
     mid = 0.5 * (rho[:-1] + rho[1:])
-    slopes = dinterp(np.concatenate([rho, mid]))
+    slopes = interp(np.concatenate([rho, mid]))[1]
     if np.any(slopes <= 0) or np.any(slopes >= 1):
         raise OutOfRange(f"{label}: table dp/drho must lie in (0, 1)")
     if rho_ref is None:
         rho_ref = float(rho[len(rho) // 2])
     return BarotropicEos(
         label=label,
-        pressure_fn=interp,
-        dp_drho_fn=dinterp,
+        pressure_fn=lambda r: interp(r)[0],
+        dp_drho_fn=lambda r: interp(r)[1],
         rho_min=float(rho[0]),
         rho_max=float(rho[-1]),
         rho_ref=float(rho_ref),

@@ -27,7 +27,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from . import eos as eos_mod
 from .errors import NonConvergence, SingularGamma
@@ -191,12 +190,19 @@ def gamma_inverse(
     return out
 
 
+# Cumulative trapezoid rules from 0 along v (the last axis) and along u (axis
+# 0), term for term SciPy's cumulative_trapezoid(X, dx=delta, initial=0).
+
 def _ct_v(X: np.ndarray, delta: float) -> np.ndarray:
-    return cumulative_trapezoid(X, dx=delta, axis=1, initial=0.0)
+    out = np.zeros_like(X)
+    np.cumsum(delta * (X[..., 1:] + X[..., :-1]) / 2.0, axis=-1, out=out[..., 1:])
+    return out
 
 
 def _ct_u(X: np.ndarray, delta: float) -> np.ndarray:
-    return cumulative_trapezoid(X, dx=delta, axis=0, initial=0.0)
+    out = np.zeros_like(X)
+    np.cumsum(delta * (X[1:] + X[:-1]) / 2.0, axis=0, out=out[1:])
+    return out
 
 
 def _from_diag(CT: np.ndarray) -> np.ndarray:
@@ -450,7 +456,7 @@ def solve_fixed_bvp(
         nu = np.where(mask, dv_grid(cm, grid) / spread, 0.0)
         ginv = gamma_inverse(bf, np.diagonal(alpha).copy(), eos, v_floor=v_floor)
         t, P, Q = solve_linear_t(mu, nu, ginv, init.h, init.dh_du, grid)
-        s_edge = cumulative_trapezoid((cm * P)[:, 0], dx=d, initial=0.0)
+        s_edge = _ct_v((cm * P)[:, 0], d)
         s = s_edge[:, None] + _ct_v(np.where(mask, cp * Q, 0.0), d)
         return t, P, Q, bf.cusp.r0 + s, s
 

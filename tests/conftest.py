@@ -18,8 +18,8 @@ def rad():
 def rad_generic():
     """Radiation pressure law with every closed form stripped, so the
 
-    adaptive-quadrature / bracketed-inversion fallbacks are exercised and can
-    be compared against the closed forms of ``rad``.
+    chart (Gauss-Legendre integrals, Hermite interpolants and inverses) is
+    exercised and can be compared against the closed forms of ``rad``.
     """
     return eos_mod.BarotropicEos(
         label="radiation-generic",

@@ -1,9 +1,11 @@
-"""Thermodynamic chain: closed forms, generic fallbacks, and identities.
+"""Thermodynamic chain: closed forms, the generic chart, and identities.
 
 Oracles: the radiation and quadratic laws have independently derived closed
-chains (frozen literals below); the generic quadrature path is checked
-against the closed forms; differential identities are checked by symmetric
-differencing.
+chains (frozen literals below); the generic chart is checked against the
+closed forms and against SciPy's adaptive ``quad``, its monotone cubic
+against ``PchipInterpolator``, and the pressure inversion of the identity
+residual against ``brentq``; differential identities are checked by
+symmetric differencing.
 """
 
 from __future__ import annotations
@@ -12,6 +14,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
+from scipy.interpolate import PchipInterpolator
+from scipy.optimize import brentq
 
 from shockdev import eos as E
 from shockdev.errors import OutOfRange
@@ -133,7 +138,7 @@ class TestPotentialChain:
         assert E.potential_of_rho(p2, 2.0) == pytest.approx(P2_RT_2, rel=1e-14)
 
     def test_generic_quadrature_matches_closed_form(self, rad, rad_generic):
-        # same pressure law, one instance integrates adaptively
+        # same pressure law, one instance reads the chart
         for rho in (0.2, 0.9, 1.0, 1.7, 6.3):
             assert E.sigma(rad_generic, rho) == pytest.approx(
                 E.sigma(rad, rho), rel=1e-10
@@ -269,6 +274,27 @@ class TestStiffnessIdentities:
                 lhs, rhs = E.eos_identity_residual(eos, rho)
                 assert lhs == pytest.approx(rhs, rel=1e-4)
 
+    def test_pressure_inversion_matches_brentq(self, rad, p2, monkeypatch):
+        roots = []
+        newton = E.safeguarded_newton_lanes
+
+        def recording(*args, **kw):
+            roots.append(newton(*args, **kw))
+            return roots[-1]
+
+        monkeypatch.setattr(E, "safeguarded_newton_lanes", recording)
+        for eos, rho in ((rad, 0.7), (rad, 1.7), (p2, 0.7), (p2, 3.0), (_nonlinear_table(), 2.0)):
+            roots.clear()
+            E.eos_identity_residual(eos, rho)
+            assert len(roots) == 1
+            p0 = E.pressure(eos, rho)
+            for r, pv in zip(roots[0], (p0 - 1e-3 * p0, p0, p0 + 1e-3 * p0)):
+                oracle = brentq(
+                    lambda x: float(eos.pressure_fn(x)) - pv,
+                    eos.rho_min, eos.rho_max, xtol=1e-15, rtol=8.9e-16,
+                )
+                assert r == pytest.approx(oracle, rel=2e-15, abs=0.0)
+
 
 class TestTabulated:
     def _table(self, rad):
@@ -308,3 +334,188 @@ class TestTabulated:
         tab = E.from_table(self._table(rad), rho_ref=1.0)
         with pytest.raises(OutOfRange):
             E.sound_speed_sq(tab, 10.0)
+
+
+def _stripped(eos):
+    """The same pressure law with every closed form removed."""
+    return E.BarotropicEos(
+        label=f"{eos.label}-generic",
+        pressure_fn=eos.pressure_fn,
+        dp_drho_fn=eos.dp_drho_fn,
+        rho_min=eos.rho_min,
+        rho_max=eos.rho_max,
+        rho_ref=eos.rho_ref,
+        h_ref=eos.h_ref,
+    )
+
+
+def _nonlinear_table():
+    rho = np.geomspace(0.05, 4.5, 400)
+    return E.from_table(np.column_stack([rho, 0.1 * rho**2 + 0.05 * rho]), rho_ref=1.0)
+
+
+def _quad_chart(eos, rho):
+    """sigma and rho_tilde at the sorted densities ``rho`` (rho_ref among
+    them) by adaptive quad between consecutive densities."""
+
+    def f_sigma(r):
+        return 1.0 / (r + float(eos.pressure_fn(r)))
+
+    def f_pot(r):
+        return math.sqrt(float(eos.dp_drho_fn(r))) * f_sigma(r)
+
+    pieces = [
+        [quad(f, a, b, epsabs=1e-15, epsrel=1e-13)[0] for a, b in zip(rho[:-1], rho[1:])]
+        for f in (f_sigma, f_pot)
+    ]
+    cum = np.concatenate([np.zeros((2, 1)), np.cumsum(pieces, axis=1)], axis=1)
+    cum -= cum[:, [int(np.searchsorted(rho, eos.rho_ref))]]
+    return eos.sigma_ref * np.exp(cum[0]), cum[1]
+
+
+@pytest.fixture(scope="module")
+def generic_laws(rad_generic, p2):
+    """Generic laws with the densities their quad oracle steps over: the
+    table's oracle steps node to node, where its pressure is one cubic."""
+    table = _nonlinear_table()
+    return {
+        "rad_generic": (rad_generic, np.geomspace(rad_generic.rho_min, rad_generic.rho_max, 33)),
+        "poly2_generic": (_stripped(p2), np.geomspace(p2.rho_min, p2.rho_max, 33)),
+        "table": (table, np.geomspace(0.05, 4.5, 400)),
+    }
+
+
+class TestChart:
+    """One route, the chart, for 0-d and array input of every law without
+    closed forms."""
+
+    def test_build_calls_each_function_at_most_twice_or_thrice(self):
+        calls = {"p": 0, "dp": 0}
+
+        def p(r):
+            calls["p"] += 1
+            return np.asarray(r, dtype=float) / 3.0
+
+        def dp(r):
+            calls["dp"] += 1
+            return np.full_like(np.asarray(r, dtype=float), 1.0 / 3.0)
+
+        eos = E.BarotropicEos("counted", p, dp, rho_min=0.05, rho_max=20.0)
+        calls.update(p=0, dp=0)
+        E._ensure_chart(eos)
+        assert calls["p"] <= 3 and calls["dp"] <= 2, calls
+        calls.update(p=0, dp=0)
+        E.sigma(eos, np.geomspace(0.1, 10.0, 9))
+        assert calls == {"p": 0, "dp": 0}
+
+    @pytest.mark.parametrize("name", ["rad_generic", "poly2_generic", "table"])
+    def test_matches_quad_oracle(self, generic_laws, name):
+        eos, rho = generic_laws[name]
+        rho = np.unique(np.append(rho, eos.rho_ref))
+        sig, pot = _quad_chart(eos, rho)
+        assert np.max(np.abs(E.sigma(eos, rho) / sig - 1.0)) < 1e-10
+        assert np.max(np.abs(E.potential_of_rho(eos, rho) - pot)) < 1e-10
+
+    @pytest.mark.parametrize("name", ["rad_generic", "poly2_generic", "table"])
+    def test_inverses_round_trip(self, generic_laws, name):
+        eos, _ = generic_laws[name]
+        rho = np.geomspace(eos.rho_min, eos.rho_max, 1001)
+        h = E.enthalpy(eos, rho)
+        pot = E.potential_of_rho(eos, rho)
+        # the table's pressure is only C1 at its nodes, so the chart of the
+        # table (and its inverses) is accurate to about 1e-9 there
+        assert np.max(np.abs(E.rho_of_enthalpy(eos, h) - rho)) < 1e-9
+        assert np.max(np.abs(E.rho_of_potential(eos, pot) - rho)) < 1e-9
+
+    def test_inverses_match_closed_forms(self, rad, p2, rad_generic):
+        # interior densities: at the ends the closed forms may lie a rounding
+        # error outside the chart's range. Near rho = 0 the quadratic law's h
+        # is flat in rho, so rho(h) is held to an absolute bound there.
+        for closed, generic in ((rad, rad_generic), (p2, _stripped(p2))):
+            rho = np.geomspace(generic.rho_min, generic.rho_max, 257)[1:-1]
+            bound = 1e-10 * np.maximum(rho, 1.0)
+            h = E.enthalpy(closed, rho)
+            pot = E.potential_of_rho(closed, rho)
+            assert np.all(np.abs(E.rho_of_enthalpy(generic, h) - rho) < bound)
+            assert np.all(np.abs(E.rho_of_potential(generic, pot) - rho) < bound)
+
+    @pytest.mark.parametrize("name", ["rad_generic", "poly2_generic", "table"])
+    def test_scalar_calls_equal_array_elements(self, generic_laws, name):
+        eos, _ = generic_laws[name]
+        rho = np.geomspace(eos.rho_min, eos.rho_max, 23)
+        h = E.enthalpy(eos, rho)
+        pot = E.potential_of_rho(eos, rho)
+        for fn, x in (
+            (E.sigma, rho),
+            (E.enthalpy, rho),
+            (E.rho_of_enthalpy, h),
+            (E.potential_of_rho, rho),
+            (E.rho_of_potential, pot),
+        ):
+            arr = fn(eos, x)
+            scalar = np.array([fn(eos, float(v)) for v in x])
+            assert np.array_equal(arr, scalar), fn.__name__
+
+    def test_chart_is_built_once(self, rad_generic):
+        chart = E._ensure_chart(rad_generic)
+        E.rho_of_potential(rad_generic, 0.1)
+        assert E._ensure_chart(rad_generic) is chart
+
+
+class TestMonotoneCubic:
+    """The NumPy PCHIP (Fritsch & Butland slopes, cubic Hermite) against
+    SciPy's PchipInterpolator."""
+
+    def test_value_and_slope_match_scipy(self, rng):
+        x = np.sort(rng.uniform(0.0, 10.0, 50))
+        y = rng.normal(size=50)
+        y[10:13] = 0.3  # a flat run: zero slopes by the harmonic-mean rule
+        at = E._hermite(x, y, E._pchip_slopes(x, y))
+        ref = PchipInterpolator(x, y)
+        q = np.concatenate([x, np.linspace(x[0], x[-1], 4001)])
+        value, slope = at(q)
+        for got, want in ((value, ref(q)), (slope, ref.derivative()(q))):
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+    def test_table_eos_uses_it(self):
+        rho = np.geomspace(0.05, 4.5, 400)
+        p = 0.1 * rho**2 + 0.05 * rho
+        tab = E.from_table(np.column_stack([rho, p]))
+        ref = PchipInterpolator(rho, p)
+        q = np.concatenate([rho, np.geomspace(0.05, 4.5, 997)])
+        np.testing.assert_allclose(E.pressure(tab, q), ref(q), rtol=1e-14, atol=0)
+        np.testing.assert_allclose(
+            E.sound_speed_sq(tab, q), ref.derivative()(q), rtol=1e-14, atol=0
+        )
+
+
+@pytest.mark.parametrize("law", ["rad", "rad_generic"])
+class TestInversionRange:
+    """rho(h) and rho(rho_tilde) reject NaN, +-inf and out-of-range input,
+    0-d and array, on the closed-form and on the chart route."""
+
+    BAD = [math.nan, math.inf, -math.inf, 100.0, -100.0]
+
+    @pytest.fixture
+    def eos(self, law, request):
+        return request.getfixturevalue(law)
+
+    @pytest.mark.parametrize("bad", BAD, ids=["nan", "plus_inf", "minus_inf", "above", "below"])
+    def test_enthalpy_inverse_rejects(self, eos, bad):
+        with pytest.raises(OutOfRange):
+            E.rho_of_enthalpy(eos, bad)
+        with pytest.raises(OutOfRange):
+            E.rho_of_enthalpy(eos, np.array([eos.h_ref, bad]))
+
+    @pytest.mark.parametrize("bad", BAD, ids=["nan", "plus_inf", "minus_inf", "above", "below"])
+    def test_potential_inverse_rejects(self, eos, bad):
+        with pytest.raises(OutOfRange):
+            E.rho_of_potential(eos, bad)
+        with pytest.raises(OutOfRange):
+            E.rho_of_potential(eos, np.array([0.1, bad]))
+
+    def test_in_range_and_empty_accepted(self, eos):
+        assert E.rho_of_enthalpy(eos, eos.h_ref) == pytest.approx(eos.rho_ref, rel=1e-12)
+        assert E.rho_of_potential(eos, np.array([0.0]))[0] == pytest.approx(eos.rho_ref, rel=1e-12)
+        assert E.rho_of_enthalpy(eos, np.array([])).shape == (0,)
+        assert E.rho_of_potential(eos, np.array([])).shape == (0,)

@@ -223,6 +223,23 @@ class TestGridDerivatives:
         assert np.allclose(FB.dv_grid(X, g)[g.mask], (2.0 * g.V - 3.0 * g.U)[g.mask], atol=1e-12)
 
 
+class TestCumulativeTrapezoid:
+    """The NumPy rules are bit-identical to the SciPy oracle."""
+
+    @pytest.mark.parametrize("n", [2, 3, 65, 257])
+    def test_grid_axes_match_scipy(self, n, rng):
+        X = rng.normal(size=(n, n))
+        d = 0.5 / (n - 1)
+        assert np.array_equal(FB._ct_v(X, d), cumulative_trapezoid(X, dx=d, axis=1, initial=0.0))
+        assert np.array_equal(FB._ct_u(X, d), cumulative_trapezoid(X, dx=d, axis=0, initial=0.0))
+
+    @pytest.mark.parametrize("n", [2, 3, 65, 257])
+    def test_one_dimensional_matches_scipy(self, n, rng):
+        x = rng.normal(size=n)
+        d = 0.01 / (n - 1)
+        assert np.array_equal(FB._ct_v(x, d), cumulative_trapezoid(x, dx=d, initial=0.0))
+
+
 def manufactured_case(n, eps=0.5):
     """Exact solution of the linear pair with corner-compatible data.
 

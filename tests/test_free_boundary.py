@@ -535,3 +535,25 @@ class TestRefinementAndRobustness:
             )
         assert "0.005" in str(exc.value)
         assert exc.value.history
+
+
+class TestTabulatedEos:
+    def test_tabulated_radiation_matches_closed_form(self, canon_sol_n32, tmp_path):
+        """400 nodes of p = rho/3 on [0.05, 20], read through the chart,
+        give the closed-form radiation curve: every shock.csv column within
+        1e-9 at n = 32."""
+        from shockdev.eos import from_table
+
+        rho = np.geomspace(0.05, 20.0, 400)
+        tab = from_table(np.column_stack([rho, rho / 3.0]), rho_ref=1.0)
+        cusp = SA.CuspData.from_physics(tab, kappa=1.0, lam=1.0, dbeta_dt0=0.3)
+        model = SA.synthesize_model(cusp, tab, eps=EPS)
+        sol = FBD.run_shock_development(tab, model, cusp, eps=EPS, n=32)
+        assert sol.retries == 0
+        tables = []
+        for name, s in (("table", sol), ("closed", canon_sol_n32)):
+            path = tmp_path / f"{name}.csv"
+            FBD.write_shock_csv(s.curve, path)
+            tables.append(np.loadtxt(path, delimiter=",", skiprows=1))
+        assert tables[0].shape == tables[1].shape
+        assert np.max(np.abs(tables[0] - tables[1])) < 1e-9
