@@ -21,7 +21,7 @@ import math
 import sys
 from pathlib import Path
 
-from .config import SolverConfig, build_problem, load_config
+from .config import build_problem, load_config
 from .errors import ConfigError, ShockDevError
 from .fixed_bvp import write_grid_csv
 from .free_boundary import run_shock_development, write_shock_csv
@@ -68,10 +68,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load(path: str | None) -> SolverConfig:
-    return load_config(path)
-
-
 def _print_summary(report: dict, stream) -> None:
     for line in format_check_lines(report):
         print(line, file=stream)
@@ -82,7 +78,7 @@ def _print_summary(report: dict, stream) -> None:
 
 def cmd_run(args, stdout, stderr) -> int:
     try:
-        cfg = _load(args.config)
+        cfg = load_config(args.config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=stderr)
         return EXIT_CONFIG
@@ -112,7 +108,7 @@ def cmd_run(args, stdout, stderr) -> int:
 
 def cmd_verify(args, stdout, stderr) -> int:
     try:
-        cfg = _load(args.config)
+        cfg = load_config(args.config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=stderr)
         return EXIT_CONFIG
@@ -195,7 +191,7 @@ def _print_eps_table(rows, stdout) -> None:
 
 def cmd_sweep(args, stdout, stderr) -> int:
     try:
-        cfg = _load(args.config)
+        cfg = load_config(args.config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=stderr)
         return EXIT_CONFIG

@@ -90,6 +90,7 @@ class BarotropicEos:
     rho_of_potential_cf: Callable | None = None
     deta_dpotential_cf: Callable | None = None
     _chart: dict = field(default_factory=dict, repr=False)
+    _cf_range: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         if not (0 < self.rho_min < self.rho_ref < self.rho_max):
@@ -274,11 +275,21 @@ def enthalpy(eos: BarotropicEos, rho):
     return out if out.ndim else float(out)
 
 
-def _inverse(eos: BarotropicEos, x, closed, name: str):
-    """Density at x = h or rho_tilde: closed form, else the chart inverse."""
+def _inverse(eos: BarotropicEos, x, closed, forward, name: str):
+    """Density at x = h or rho_tilde: closed form, else the chart inverse.
+
+    Either way x is first checked against the image of [rho_min, rho_max]
+    under the increasing forward map, so a closed form is never evaluated
+    outside its range (where it can wrap around or overflow).  The
+    closed-form image is computed once per instance.
+    """
     a = np.asarray(x, dtype=float)
     if closed is not None:
-        out = _check_rho(eos, closed(a))
+        if name not in eos._cf_range:
+            ends = forward(eos, np.array([eos.rho_min, eos.rho_max]))
+            eos._cf_range[name] = tuple(ends.tolist())
+        _check_in(eos, a, *eos._cf_range[name], name)
+        out = np.asarray(closed(a), dtype=float)
     else:
         chart = _ensure_chart(eos)
         _check_in(eos, a, *chart[f"{name}_range"], name)
@@ -288,7 +299,7 @@ def _inverse(eos: BarotropicEos, x, closed, name: str):
 
 def rho_of_enthalpy(eos: BarotropicEos, h):
     """Inverse of enthalpy(rho); h is strictly increasing in rho."""
-    return _inverse(eos, h, eos.rho_of_enthalpy_cf, "enthalpy")
+    return _inverse(eos, h, eos.rho_of_enthalpy_cf, enthalpy, "enthalpy")
 
 
 def potential_of_rho(eos: BarotropicEos, rho):
@@ -312,7 +323,7 @@ def riemann_potential(eos: BarotropicEos, h):
 
 def rho_of_potential(eos: BarotropicEos, rho_tilde):
     """Density at a given enthalpy potential (inverse of potential_of_rho)."""
-    return _inverse(eos, rho_tilde, eos.rho_of_potential_cf, "potential")
+    return _inverse(eos, rho_tilde, eos.rho_of_potential_cf, potential_of_rho, "potential")
 
 
 def enthalpy_of_potential(eos: BarotropicEos, rho_tilde):
@@ -349,10 +360,10 @@ def sigma_tilde(eos: BarotropicEos, h):
     return out if out.ndim else float(out)
 
 
-def sigma_tilde_slope(eos: BarotropicEos, h, step_rel: float = 1e-4):
-    """d Sigma_tilde / dh by symmetric differencing (used in identities)."""
+def sigma_tilde_slope(eos: BarotropicEos, h):
+    """d Sigma_tilde / dh by symmetric differencing at relative step 1e-4."""
     hv = float(h)
-    d = step_rel * hv
+    d = 1e-4 * hv
     return (sigma_tilde(eos, hv + d) - sigma_tilde(eos, hv - d)) / (2.0 * d)
 
 
@@ -378,7 +389,7 @@ def mu_coefficient(eos: BarotropicEos, rho_tilde):
     return out if out.ndim else float(out)
 
 
-def eos_identity_residual(eos: BarotropicEos, rho, step_rel: float = 1e-3):
+def eos_identity_residual(eos: BarotropicEos, rho):
     """Both sides of the thermodynamic consistency identity.
 
     With v = 1/sigma viewed as a function of pressure along the barotrope,
@@ -387,12 +398,13 @@ def eos_identity_residual(eos: BarotropicEos, rho, step_rel: float = 1e-3):
         3 v dv/dp + h d2v/dp2  ==  -(v^3 h^2 / eta^4) dSigma_tilde/dh.
 
     Returns:
-        (lhs, rhs) evaluated with symmetric differencing in p and h.
+        (lhs, rhs) evaluated with symmetric differencing in p (relative
+        step 1e-3) and h (relative step 1e-4).
     """
     rho0 = float(rho)
     _check_rho(eos, rho0)
     p0 = pressure(eos, rho0)
-    dp = step_rel * p0
+    dp = 1e-3 * p0
     # invert p(rho) at p0 - dp, p0, p0 + dp, then v = 1/sigma
     pv = np.array([p0 - dp, p0, p0 + dp])
 

@@ -1,8 +1,9 @@
 """Shared numerical utilities: high-order differencing, sequence
 
-extrapolation, small-parameter fits, and safeguarded root solves, scalar
-and lane-wise.  These are deliberately plain so they can double as
-independent oracles in the test suite.
+extrapolation, small-parameter fits, and the one safeguarded Newton solve
+(lane-wise over independent 1-D problems) used by every root solve in the
+package.  The fits and stencils are deliberately plain so they can double
+as independent oracles in the test suite.
 """
 
 from __future__ import annotations
@@ -21,8 +22,6 @@ __all__ = [
     "power_law_fit",
     "extrapolate_to_zero",
     "quadratic_extrapolate",
-    "bisection_root",
-    "safeguarded_newton",
     "safeguarded_newton_lanes",
 ]
 
@@ -83,11 +82,16 @@ def richardson(coarse: float, fine: float, order: int, ratio: float = 2.0) -> fl
     return (w * fine - coarse) / (w - 1.0)
 
 
-def power_law_fit(x, y, drop: int = 3, decade: bool = True):
+# nodes nearest zero that the fits skip by default: relative
+# discretization noise is worst there
+_FIT_DROP = 3
+
+
+def power_law_fit(x, y):
     """Fit |y| ~ C x^p on a log-log least-squares line.
 
-    Uses the smallest available decade of x, excluding the ``drop`` nodes
-    nearest zero (where relative discretization noise is worst).
+    Uses the smallest available decade of x, excluding the ``_FIT_DROP``
+    nodes nearest zero.
 
     Returns:
         (exponent, prefactor).
@@ -98,23 +102,21 @@ def power_law_fit(x, y, drop: int = 3, decade: bool = True):
     x, y = x[order], y[order]
     keep = (x > 0) & (y > 0)
     x, y = x[keep], y[keep]
-    if drop and len(x) > drop + 3:
-        x, y = x[drop:], y[drop:]
-    if decade:
-        sel = x <= 10.0 * x[0]
-        if np.count_nonzero(sel) >= 4:
-            x, y = x[sel], y[sel]
+    if len(x) > _FIT_DROP + 3:
+        x, y = x[_FIT_DROP:], y[_FIT_DROP:]
+    sel = x <= 10.0 * x[0]
+    if np.count_nonzero(sel) >= 4:
+        x, y = x[sel], y[sel]
     if len(x) < 2:
         raise ValueError("power_law_fit needs at least 2 usable points")
     slope, intercept = np.polyfit(np.log(x), np.log(y), 1)
     return float(slope), float(math.exp(intercept))
 
 
-def extrapolate_to_zero(x, y, degree: int = 2, drop: int = 3, span: float | None = None):
+def extrapolate_to_zero(x, y, degree: int = 2, drop: int = _FIT_DROP):
     """Least-squares polynomial extrapolation of y(x) to x = 0.
 
-    Excludes the ``drop`` nodes nearest zero; optionally restricts to
-    x <= span.
+    Excludes the ``drop`` nodes nearest zero.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -122,10 +124,6 @@ def extrapolate_to_zero(x, y, degree: int = 2, drop: int = 3, span: float | None
     x, y = x[order], y[order]
     if drop and len(x) > drop + degree + 2:
         x, y = x[drop:], y[drop:]
-    if span is not None:
-        sel = x <= span
-        if np.count_nonzero(sel) >= degree + 2:
-            x, y = x[sel], y[sel]
     coeffs = np.polynomial.polynomial.polyfit(x, y, degree)
     return float(coeffs[0])
 
@@ -139,114 +137,6 @@ def quadratic_extrapolate(x, y) -> float:
     return float(y1 * l1 + y2 * l2 + y3 * l3)
 
 
-def bisection_root(
-    f: Callable,
-    lo: float,
-    hi: float,
-    xtol: float = 1e-14,
-    max_iter: int = 200,
-) -> float:
-    """Plain bisection; the Newton-free oracle used for cross-checking.
-
-    Raises:
-        NoRoot: if [lo, hi] does not bracket a sign change.
-    """
-    fa, fb = f(lo), f(hi)
-    if fa == 0.0:
-        return lo
-    if fb == 0.0:
-        return hi
-    if fa * fb > 0:
-        raise NoRoot(f"no sign change on [{lo}, {hi}]")
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        fm = f(mid)
-        if fm == 0.0 or (hi - lo) < xtol:
-            return mid
-        if fa * fm < 0:
-            hi, fb = mid, fm
-        else:
-            lo, fa = mid, fm
-    return 0.5 * (lo + hi)
-
-
-def safeguarded_newton(
-    f: Callable,
-    df: Callable,
-    x0: float,
-    lo: float,
-    hi: float,
-    f_tol: float,
-    max_iter: int = 60,
-    polish: int = 6,
-) -> float:
-    """Newton iteration confined to [lo, hi] with bisection fallback.
-
-    The interval need not bracket a sign change; a bracket is adopted as
-    soon as the evaluations expose one. After meeting ``f_tol`` the iterate
-    is polished with further Newton steps until |f| stops decreasing, so the
-    returned root is a machine-precision fixed point (callers difference
-    downstream quantities against 1/v^2-amplified scales and cannot afford
-    tolerance-band jitter).
-
-    Raises:
-        NoRoot: Newton made no progress and no sign change exists in range.
-        NonConvergence: iteration budget exhausted.
-    """
-
-    def _polish(x, fx):
-        for _ in range(polish):
-            d = df(x)
-            if d == 0.0 or not math.isfinite(d):
-                break
-            xn = x - fx / d
-            if xn == x or not math.isfinite(xn):
-                break
-            fn = f(xn)
-            if abs(fn) >= abs(fx):
-                break
-            x, fx = xn, fn
-        return x
-
-    blo, bhi = float(lo), float(hi)
-    flo, fhi = f(blo), f(bhi)
-    if abs(flo) < f_tol:
-        return _polish(blo, flo)
-    if abs(fhi) < f_tol:
-        return _polish(bhi, fhi)
-    bracketed = flo * fhi < 0
-
-    x = min(max(float(x0), blo), bhi)
-    fx = f(x)
-    for _ in range(max_iter):
-        if abs(fx) < f_tol:
-            return _polish(x, fx)
-        # tighten any bracket we have using the latest evaluation
-        if bracketed:
-            if flo * fx <= 0:
-                bhi, fhi = x, fx
-            else:
-                blo, flo = x, fx
-        d = df(x)
-        xn = x - fx / d if d != 0 and math.isfinite(d) else math.nan
-        inside = math.isfinite(xn) and blo < xn < bhi
-        if not inside:
-            if not bracketed:
-                raise NoRoot(
-                    f"newton left [{lo}, {hi}] without a sign change to fall back on"
-                )
-            xn = 0.5 * (blo + bhi)
-        x = xn
-        fx = f(x)
-        if not bracketed and flo * fx < 0:
-            bracketed, bhi, fhi = True, x, fx
-        elif not bracketed and fhi * fx < 0:
-            bracketed, blo, flo = True, x, fx
-    raise NonConvergence(
-        f"newton/bisection did not reach |f| < {f_tol} in {max_iter} iterations"
-    )
-
-
 def safeguarded_newton_lanes(
     fdf: Callable,
     x0,
@@ -256,13 +146,28 @@ def safeguarded_newton_lanes(
     max_iter: int = 60,
     polish: int = 6,
 ) -> np.ndarray:
-    """Lane-wise :func:`safeguarded_newton` over independent 1-D problems.
+    """Newton iteration confined to a range with bisection fallback, lane-wise.
 
     Lane k solves f_k(x_k) = 0 on [lo[k], hi[k]] from x0[k] to |f_k| <
-    f_tol[k] and takes exactly the steps the scalar routine takes on that
-    lane alone: end-point acceptance, bracket adoption and tightening,
-    bisection when Newton leaves the bracket, then the polish.  Lanes that
-    finish early are frozen by masks while the others continue.
+    f_tol[k]; all lanes share each ``fdf`` evaluation.  Per lane:
+
+      1. an end point with |f| < f_tol is accepted at once;
+      2. the range is a bracket if f changes sign across it; otherwise a
+         bracket is adopted as soon as an iterate exposes a sign change
+         against either end;
+      3. each step tightens the bracket (if any) to the latest iterate and
+         takes the Newton step when it lands strictly inside the bracket
+         (the range, while there is none), else bisects the bracket; a
+         Newton step out of range with no bracket to fall back on is an
+         error;
+      4. once |f| < f_tol, further Newton steps polish the iterate while |f|
+         keeps decreasing (at most ``polish`` of them), so the root is a
+         machine-precision fixed point rather than a point of the tolerance
+         band (callers difference downstream quantities against small
+         scales and cannot afford tolerance-band jitter).
+
+    Finished lanes are frozen by masks while the others continue, so each
+    lane takes exactly the steps it would take alone.
 
     Args:
         fdf: maps an array of iterates (one per lane) to the arrays

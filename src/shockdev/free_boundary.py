@@ -66,6 +66,10 @@ from .state_ahead import CuspData, StateAheadModel, initial_data, singular_bound
 # _ANDERSON_DEPTH + 1 iterates (depths 1/2/3/8 take 12/11/10/9 steps at n = 64)
 _ANDERSON_DEPTH = 3
 
+# step tolerance and iteration budget of the corner y1 fixed point
+_CORNER_TOL = 1e-8
+_CORNER_MAX_ITER = 60
+
 __all__ = [
     "CornerExpansion",
     "ShockCurve",
@@ -104,9 +108,10 @@ class CornerExpansion:
         speed coefficient, which the exact jump map determines from the
         corner state family.
 
-    The composition contracts with factor ~ kap/9, so the fixed point is
-    cheap and grid-free — it doubles as an independent oracle for the
-    discrete solver's corner behaviour.
+    The relations are linear in y1 except through W2, which depends on y1
+    only weakly, so the fixed point (:func:`corner_expansion`) is cheap and
+    grid-free — it doubles as an independent oracle for the discrete
+    solver's corner behaviour.
     """
 
     y1: float
@@ -123,8 +128,6 @@ def corner_expansion(
     eos: eos_mod.BarotropicEos,
     *,
     sample_fractions=(0.2, 0.1, 0.05),
-    tol: float = 1e-8,
-    max_iter: int = 60,
 ) -> CornerExpansion:
     """Solve the corner system for the shock curve's first-order structure.
 
@@ -132,8 +135,22 @@ def corner_expansion(
     are measured on the exact jump maps along the corner state family at
     three small parameter values (fractions of the model's w-box) and
     extrapolated to zero, so the result involves no field grid at all.
+
+    The three closure relations (see :class:`CornerExpansion`) are linear
+    in y1 apart from W2.  Writing V_hat0(y1) = W2(y1) - kap y1 / 2 and
+    solving the linear part exactly gives
+
+        y1 = -V_hat0(y1) / (5 kap) + 12 kap r_lin / (5 lam),
+
+    which is iterated from y1 = 0 until the step is below ``_CORNER_TOL``.
+    V_hat0 barely depends on y1, so the first step lands within ~1e-8 of
+    the fixed point and two or three samplings of the jump map settle it.
     The root-solve noise of the jump map, divided by the smallest sample
-    squared, bounds the attainable accuracy, hence the default tolerance.
+    squared, bounds the attainable accuracy, hence the tolerance.
+
+    Raises:
+        NonConvergence: the fixed point did not settle in
+            ``_CORNER_MAX_ITER`` steps.
     """
     cusp = model.cusp
     kap, lam = cusp.kappa, cusp.lam
@@ -142,14 +159,11 @@ def corner_expansion(
     bh0 = corner_beta_hat(cusp)
     vs = model.box_w * np.asarray(sample_fractions, dtype=float)
 
-    # radius coefficients entering the identification residual at linear
-    # order in v (combined order 2 i + j = 4), evaluated at y = -1
-    r_lin = 0.0
-    for (ti, wj), c in model.coeffs["r"].items():
-        if (ti, wj) in ((0, 0), (1, 0)) or c == 0.0:
-            continue
-        if 2 * ti + wj == 4:
-            r_lin += c * f2**ti * (-1.0) ** wj
+    # radius terms of the identification residual at linear order in v,
+    # evaluated at the corner (f_hat = f2, y = -1)
+    r_lin = sum(
+        c * f2**ti * (-1.0) ** wj for c, ti, wj, e in _radius_tail_terms(model) if e == 1
+    )
 
     def sample(y1: float):
         fhat1 = lam * y1 / (24.0 * kap**2)
@@ -159,26 +173,22 @@ def corner_expansion(
         a_plus = model.eval("alpha", 0.0, vs) + ahat0 * vs**2
         b_plus = solve_jump_beta(eos, a_plus, ahead)
         V = shock_speed(eos, JumpPair(ahead, RiemannPair(a_plus, b_plus)))
-        return (V - cusp.c_plus0) / vs**2, (b_plus - cusp.beta0) / vs**2
-
-    def advance(y1: float):
-        w2s, bhs = sample(y1)
-        w2 = fitting.quadratic_extrapolate(vs, w2s)
-        deltahat1 = lam * w2 / (12.0 * kap**2)
-        fhat1 = lam * y1 / (24.0 * kap**2)
-        y1_next = -(3.0 * kap / lam) * (deltahat1 + kap * fhat1 - r_lin)
-        return y1_next, w2, deltahat1, fhat1, bhs
+        w2 = fitting.quadratic_extrapolate(vs, (V - cusp.c_plus0) / vs**2)
+        return w2, (b_plus - cusp.beta0) / vs**2
 
     y1 = 0.0
-    for _ in range(max_iter):
-        y1_next, w2, deltahat1, fhat1, bhs = advance(y1)
-        done = abs(y1_next - y1) < tol
+    for _ in range(_CORNER_MAX_ITER):
+        w2, _ = sample(y1)
+        y1_next = -(w2 - 0.5 * kap * y1) / (5.0 * kap) + 12.0 * kap * r_lin / (5.0 * lam)
+        done = abs(y1_next - y1) < _CORNER_TOL
         y1 = y1_next
         if done:
             break
     else:
         raise NonConvergence("corner expansion fixed point did not settle")
-    _, w2, deltahat1, fhat1, bhs = advance(y1)
+    w2, bhs = sample(y1)
+    fhat1 = lam * y1 / (24.0 * kap**2)
+    deltahat1 = lam * w2 / (12.0 * kap**2)
     b_slope = fitting.quadratic_extrapolate(vs, (bhs - bh0) / vs)
     return CornerExpansion(
         y1=y1,
@@ -329,14 +339,16 @@ def solve_identification(
     f_hat,
     delta_hat,
 ) -> np.ndarray:
-    """Solve the shock-point identification for y at each diagonal node.
+    """Solve the shock-point identification for y at every diagonal node.
 
     The residual is ``(g + r0 - r_ahead(f, v y)) / v^3`` written in the
     exactly factored hatted form (see ``_radius_tail_terms``), whose leading
     part at v = 0 is the cubic with roots 0 and +-1; the physical corner
-    root y = -1 is imposed exactly.  Nodes are solved in increasing v, each
-    seeding the next (continuation), by safeguarded Newton on the bracket
-    [guess - 0.5, guess + 0.5] with an analytic y-derivative.
+    root y = -1 is imposed exactly at node 0.  Nodes 1..n are the lanes of
+    one safeguarded Newton solve with an analytic y-derivative, the residual
+    and its slope evaluated as array expressions over the radius terms.
+    Every lane starts at the corner root on the bracket [-1.5, -0.5], which
+    excludes the cubic's other two roots.
 
     The raw unfactored residual is also evaluated at the largest node and
     compared against the factored one; the tolerance is 1e-9 at v = 0.01
@@ -350,45 +362,32 @@ def solve_identification(
     v = np.asarray(v, dtype=float)
     f_hat = np.asarray(f_hat, dtype=float)
     delta_hat = np.asarray(delta_hat, dtype=float)
-    f_tol = 1e-13 * cusp.lam / cusp.kappa
-    terms = _radius_tail_terms(model)
+    # per radius term: its lane coefficients c f_hat^i v^e and its y power
+    terms = [
+        (c * f_hat[1:] ** ti * v[1:] ** e, wj)
+        for c, ti, wj, e in _radius_tail_terms(model)
+    ]
 
-    def residual(vk: float, fh: float, dh: float, y: float) -> float:
-        acc = dh
-        for c, ti, wj, e in terms:
-            acc -= c * fh**ti * vk**e * y**wj
-        return acc
-
-    def residual_dy(vk: float, fh: float, y: float) -> float:
-        acc = 0.0
-        for c, ti, wj, e in terms:
+    def fdf(y):
+        res, slope = delta_hat[1:], np.zeros_like(y)
+        for a, wj in terms:
+            res = res - a * y**wj
             if wj:
-                acc -= c * fh**ti * vk**e * wj * y ** (wj - 1)
-        return acc
+                slope = slope - a * wj * y ** (wj - 1)
+        return res, slope
 
-    out = np.empty_like(v)
-    out[0] = -1.0
-    guess = -1.0
-    for k in range(1, len(v)):
-        vk, fh, dh = v[k], f_hat[k], delta_hat[k]
-        root = fitting.safeguarded_newton(
-            lambda y: residual(vk, fh, dh, y),
-            lambda y: residual_dy(vk, fh, y),
-            guess,
-            guess - 0.5,
-            guess + 0.5,
-            f_tol=f_tol,
-        )
-        out[k] = root
-        guess = root
+    y0 = np.full(len(v) - 1, -1.0)
+    roots = fitting.safeguarded_newton_lanes(
+        fdf, y0, y0 - 0.5, y0 + 0.5, f_tol=1e-13 * cusp.lam / cusp.kappa
+    )
+    out = np.concatenate([[-1.0], roots])
 
     if len(v) > 1:
-        k = len(v) - 1
-        vk, fh, yk = v[k], f_hat[k], out[k]
-        fk = vk**2 * fh
-        gk = vk**3 * delta_hat[k] + cusp.c_plus0 * fk
+        vk, yk = v[-1], out[-1]
+        fk = vk**2 * f_hat[-1]
+        gk = vk**3 * delta_hat[-1] + cusp.c_plus0 * fk
         raw = (gk + cusp.r0 - model.eval("r", fk, vk * yk)) / vk**3
-        fac = residual(vk, fh, delta_hat[k], yk)
+        fac = fdf(roots)[0][-1]
         tol = 1e-9 * max(1.0, cusp.r0) * (0.01 / vk) ** 3
         if abs(raw - fac) > tol:
             raise ShockDevError(

@@ -70,6 +70,13 @@ class JumpPair(NamedTuple):
     behind: RiemannPair
 
 
+# largest |alpha_plus - alpha_ahead| a behind-beta solve accepts, and its
+# Newton tolerance on |J| relative to (rho+p)^2
+_DALPHA_CAP = 0.5
+_J_TOL_REL = 1e-13
+# stencil step of the coincidence derivatives (Richardson-refined at half)
+_COINCIDENCE_STEP = 1e-2
+
 _GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(8)
 _GAUSS_S = 0.5 * (_GAUSS_X + 1.0)
 _GAUSS_W01 = 0.5 * _GAUSS_W
@@ -152,8 +159,6 @@ def solve_jump_beta(
     eos: eos_mod.BarotropicEos,
     alpha_plus,
     ahead: RiemannPair,
-    dalpha_cap: float = 0.5,
-    j_tol_rel: float = 1e-13,
     max_expand: int = 4,
 ):
     """Behind beta on the physical branch of J = 0 at a given behind alpha.
@@ -167,11 +172,11 @@ def solve_jump_beta(
     Per lane: lanes with zero jump in alpha return the ahead beta; the
     others seed with the cubic law, bracket around the seed with width
     8 |G0 dalpha^3| + 1e-14 (doubled up to ``max_expand`` times if needed),
-    and run safeguarded Newton to |J| < j_tol_rel * (rho+p)^2, then
+    and run safeguarded Newton to |J| < _J_TOL_REL * (rho+p)^2, then
     polish to a machine-precision root.
 
     Raises:
-        OutOfRange: some lane's |alpha_plus - ahead.alpha| exceeds dalpha_cap.
+        OutOfRange: some lane's |alpha_plus - ahead.alpha| exceeds _DALPHA_CAP.
         NoRoot: some lane has no sign change after all bracket expansions.
         NonConvergence: some lane exhausted the Newton iteration budget.
     """
@@ -179,11 +184,9 @@ def solve_jump_beta(
         *(np.asarray(x, dtype=float) for x in (alpha_plus, ahead.alpha, ahead.beta))
     )
     dalpha = a_plus - a_ahead
-    over = np.abs(dalpha) > dalpha_cap
+    over = np.abs(dalpha) > _DALPHA_CAP
     if over.any():
-        raise OutOfRange(
-            f"jump in alpha {dalpha[over][0]} exceeds the configured cap {dalpha_cap}"
-        )
+        raise OutOfRange(f"jump in alpha {dalpha[over][0]} exceeds the cap {_DALPHA_CAP}")
     out = np.array(b_ahead)
     lanes = np.flatnonzero(dalpha)
     if not lanes.size:
@@ -220,7 +223,7 @@ def solve_jump_beta(
         seed,
         seed - width,
         seed + width,
-        f_tol=j_tol_rel * jump_scale(eos, ahead),
+        f_tol=_J_TOL_REL * jump_scale(eos, ahead),
         polish=8,
     )
     return _lane_result(out)
@@ -304,18 +307,13 @@ def hugoniot_residual(eos: eos_mod.BarotropicEos, jp: JumpPair) -> float:
     )
 
 
-def coincidence_structure(
-    eos: eos_mod.BarotropicEos,
-    state: RiemannPair,
-    step: float = 1e-2,
-    refine: bool = True,
-) -> dict:
+def coincidence_structure(eos: eos_mod.BarotropicEos, state: RiemannPair) -> dict:
     """Derivative structure of J at a coincident pair, by 4th-order stencils.
 
     Returns:
         dict with the first four pure behind-alpha derivatives ("d1".."d4")
         and the mixed behind-(alpha, beta) second derivative ("mixed"),
-        Richardson-refined over steps (step, step/2) when ``refine``.
+        Richardson-refined over the steps ``_COINCIDENCE_STEP`` and half it.
     """
 
     def J_of(da: float, db: float = 0.0) -> float:
@@ -330,8 +328,6 @@ def coincidence_structure(
         out["mixed"] = fitting.mixed_second(J_of, 0.0, 0.0, h, h)
         return out
 
-    coarse = all_at(step)
-    if not refine:
-        return coarse
-    fine = all_at(step / 2)
+    coarse = all_at(_COINCIDENCE_STEP)
+    fine = all_at(_COINCIDENCE_STEP / 2)
     return {k: fitting.richardson(coarse[k], fine[k], order=4) for k in coarse}

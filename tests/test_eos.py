@@ -489,25 +489,29 @@ class TestMonotoneCubic:
         )
 
 
-@pytest.mark.parametrize("law", ["rad", "rad_generic"])
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("law", ["rad", "rad_generic", "p2"])
 class TestInversionRange:
     """rho(h) and rho(rho_tilde) reject NaN, +-inf and out-of-range input,
-    0-d and array, on the closed-form and on the chart route."""
+    0-d and array, on the closed-form and on the chart route, before any
+    closed form is evaluated (radiation's exp overflows at rho_tilde = 1e3,
+    a RuntimeWarning and so an error here)."""
 
-    BAD = [math.nan, math.inf, -math.inf, 100.0, -100.0]
+    BAD = [math.nan, math.inf, -math.inf, 100.0, -100.0, 1e3]
+    IDS = ["nan", "plus_inf", "minus_inf", "above", "below", "far_above"]
 
     @pytest.fixture
     def eos(self, law, request):
         return request.getfixturevalue(law)
 
-    @pytest.mark.parametrize("bad", BAD, ids=["nan", "plus_inf", "minus_inf", "above", "below"])
+    @pytest.mark.parametrize("bad", BAD, ids=IDS)
     def test_enthalpy_inverse_rejects(self, eos, bad):
         with pytest.raises(OutOfRange):
             E.rho_of_enthalpy(eos, bad)
         with pytest.raises(OutOfRange):
             E.rho_of_enthalpy(eos, np.array([eos.h_ref, bad]))
 
-    @pytest.mark.parametrize("bad", BAD, ids=["nan", "plus_inf", "minus_inf", "above", "below"])
+    @pytest.mark.parametrize("bad", BAD, ids=IDS)
     def test_potential_inverse_rejects(self, eos, bad):
         with pytest.raises(OutOfRange):
             E.rho_of_potential(eos, bad)
@@ -519,3 +523,29 @@ class TestInversionRange:
         assert E.rho_of_potential(eos, np.array([0.0]))[0] == pytest.approx(eos.rho_ref, rel=1e-12)
         assert E.rho_of_enthalpy(eos, np.array([])).shape == (0,)
         assert E.rho_of_potential(eos, np.array([])).shape == (0,)
+
+
+class TestClosedFormInversionRange:
+    """The closed-form inverses accept exactly the image of the density
+    range, so poly2's tan cannot wrap around to an in-range density."""
+
+    def test_poly2_potential_does_not_wrap(self, p2):
+        lo, hi = E.potential_of_rho(p2, np.array([p2.rho_min, p2.rho_max]))
+        assert (lo, hi) == pytest.approx((-0.865, 0.874), abs=1e-3)
+        bad = 2.0 * math.sqrt(2.0) * math.pi  # tan repeats: the formula gives rho_ref
+        with pytest.raises(OutOfRange, match="potential"):
+            E.rho_of_potential(p2, bad)
+        with pytest.raises(OutOfRange, match="potential"):
+            E.rho_of_potential(p2, np.array([0.0, bad]))
+        with pytest.raises(OutOfRange, match="potential"):
+            E.rho_of_potential(p2, hi + 1e-9)
+
+    @pytest.mark.parametrize("law", ["rad", "p2"])
+    def test_range_edges_and_interior_accepted(self, law, request):
+        eos = request.getfixturevalue(law)
+        ends = np.array([eos.rho_min, eos.rho_max])
+        pot = E.potential_of_rho(eos, ends)
+        h = E.enthalpy(eos, ends)
+        np.testing.assert_allclose(E.rho_of_potential(eos, pot), ends, rtol=1e-9)
+        np.testing.assert_allclose(E.rho_of_enthalpy(eos, h), ends, rtol=1e-9)
+        assert E.rho_of_potential(eos, 0.0) == pytest.approx(eos.rho_ref, rel=1e-14)

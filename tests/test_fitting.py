@@ -1,13 +1,18 @@
-"""Lane-wise safeguarded Newton against the scalar routine as reference.
+"""Lane-wise safeguarded Newton against a scalar routine as reference.
 
-The test function is a cubic built from + and * only, so both routines do
-the same floating-point operations on every lane and must agree exactly.
-Its lanes cover each branch of the safeguard: acceptance at an end point,
-a bracket held from the start, bisection when Newton leaves the bracket,
-and a bracket adopted from an iterate.
+The scalar routine below is the package's former one-problem Newton, kept
+here as the test oracle: it takes the same safeguard steps on one problem
+that the lane-wise routine must take on each lane.  The test function is a
+cubic built from + and * only, so both routines do the same floating-point
+operations on every lane and must agree exactly.  Its lanes cover each
+branch of the safeguard: acceptance at an end point, a bracket held from
+the start, bisection when Newton leaves the bracket, and a bracket adopted
+from an iterate.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 import pytest
@@ -36,9 +41,84 @@ LANES = [
 ]
 
 
+def safeguarded_newton(
+    f,
+    df,
+    x0: float,
+    lo: float,
+    hi: float,
+    f_tol: float,
+    max_iter: int = 60,
+    polish: int = 6,
+) -> float:
+    """Scalar oracle: Newton confined to [lo, hi] with bisection fallback.
+
+    The interval need not bracket a sign change; a bracket is adopted as
+    soon as the evaluations expose one.  After meeting ``f_tol`` the
+    iterate is polished with further Newton steps until |f| stops
+    decreasing.
+
+    Raises:
+        NoRoot: Newton made no progress and no sign change exists in range.
+        NonConvergence: iteration budget exhausted.
+    """
+
+    def _polish(x, fx):
+        for _ in range(polish):
+            d = df(x)
+            if d == 0.0 or not math.isfinite(d):
+                break
+            xn = x - fx / d
+            if xn == x or not math.isfinite(xn):
+                break
+            fn = f(xn)
+            if abs(fn) >= abs(fx):
+                break
+            x, fx = xn, fn
+        return x
+
+    blo, bhi = float(lo), float(hi)
+    flo, fhi = f(blo), f(bhi)
+    if abs(flo) < f_tol:
+        return _polish(blo, flo)
+    if abs(fhi) < f_tol:
+        return _polish(bhi, fhi)
+    bracketed = flo * fhi < 0
+
+    x = min(max(float(x0), blo), bhi)
+    fx = f(x)
+    for _ in range(max_iter):
+        if abs(fx) < f_tol:
+            return _polish(x, fx)
+        # tighten any bracket we have using the latest evaluation
+        if bracketed:
+            if flo * fx <= 0:
+                bhi, fhi = x, fx
+            else:
+                blo, flo = x, fx
+        d = df(x)
+        xn = x - fx / d if d != 0 and math.isfinite(d) else math.nan
+        inside = math.isfinite(xn) and blo < xn < bhi
+        if not inside:
+            if not bracketed:
+                raise NoRoot(
+                    f"newton left [{lo}, {hi}] without a sign change to fall back on"
+                )
+            xn = 0.5 * (blo + bhi)
+        x = xn
+        fx = f(x)
+        if not bracketed and flo * fx < 0:
+            bracketed, bhi, fhi = True, x, fx
+        elif not bracketed and fhi * fx < 0:
+            bracketed, blo, flo = True, x, fx
+    raise NonConvergence(
+        f"newton/bisection did not reach |f| < {f_tol} in {max_iter} iterations"
+    )
+
+
 def scalar_roots(lanes, **kw):
     return [
-        fitting.safeguarded_newton(
+        safeguarded_newton(
             lambda x, s=s: f(x, s), lambda x, s=s: df(x, s), x0, lo, hi, **kw
         )
         for s, lo, hi, x0 in lanes

@@ -10,7 +10,7 @@ import shockdev.free_boundary as FBD
 import shockdev.state_ahead as SA
 from shockdev.errors import NonConvergence, ShockDevError, SingularGamma
 from shockdev.fixed_bvp import BoundaryFunctions, corner_beta_hat
-from shockdev.jump import JumpPair, jump_J, jump_scale, shock_speed
+from shockdev.jump import JumpPair, jump_J, jump_scale, shock_speed, solve_jump_beta
 from shockdev.state import RiemannPair
 
 EPS = 0.01
@@ -77,6 +77,30 @@ class TestCornerExpansion:
         assert c.y1 != pytest.approx(self.FROZEN["y1"], abs=1e-3)
         assert c.V_hat0 == pytest.approx(c.W2 - 0.5 * cusp.kappa * c.y1, abs=1e-12)
 
+    @pytest.mark.parametrize(
+        "eos_name, physics",
+        [("rad", {}), ("p2", {}), ("rad", {"alpha0": 0.4})],
+        ids=["radiation", "poly2", "alpha0_0.4"],
+    )
+    def test_fixed_point_in_few_jump_samplings(self, request, eos_name, physics, monkeypatch):
+        # with the linear part of the closure solved exactly, the first step
+        # from y1 = 0 lands within ~1e-8 of the fixed point: at most three
+        # iterations plus the final sampling
+        eos = request.getfixturevalue(eos_name)
+        cusp = SA.CuspData.from_physics(eos, kappa=1.0, lam=1.0, dbeta_dt0=0.3, **physics)
+        model = SA.synthesize_model(cusp, eos, eps=EPS)
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return solve_jump_beta(*args, **kwargs)
+
+        monkeypatch.setattr(FBD, "solve_jump_beta", counting)
+        c = FBD.corner_expansion(model, eos)
+        assert 2 <= len(calls) <= 4
+        # the closure holds at the returned y1 (no radius terms enter here)
+        assert c.y1 == pytest.approx(-c.V_hat0 / (5.0 * cusp.kappa), abs=2e-8)
+
 
 def _delta_hat_for(model, v, f_hat, y):
     """Hatted radius tail evaluated exactly on a manufactured (f_hat, y)."""
@@ -88,7 +112,72 @@ def _delta_hat_for(model, v, f_hat, y):
     return dh
 
 
+def continuation_identification(model, v, f_hat, delta_hat):
+    """The per-node identification loop, the oracle for the lane solve.
+
+    Nodes are solved in increasing v, each seeding the next, by safeguarded
+    Newton on [guess - 0.5, guess + 0.5] with the factored residual summed
+    term by term in scalars.  Each node is a one-lane call, which takes the
+    steps of a scalar solve (tests/test_fitting.py).
+    """
+    cusp = model.cusp
+    terms = FBD._radius_tail_terms(model)
+
+    def fdf(k, y):
+        y = float(y[0])
+        res, slope = delta_hat[k], 0.0
+        for c, ti, wj, e in terms:
+            res -= c * f_hat[k] ** ti * v[k] ** e * y**wj
+            if wj:
+                slope -= c * f_hat[k] ** ti * v[k] ** e * wj * y ** (wj - 1)
+        return np.array([res]), np.array([slope])
+
+    out = [-1.0]
+    for k in range(1, len(v)):
+        guess = out[-1]
+        root = fitting.safeguarded_newton_lanes(
+            lambda y, k=k: fdf(k, y),
+            [guess],
+            [guess - 0.5],
+            [guess + 0.5],
+            f_tol=1e-13 * cusp.lam / cusp.kappa,
+        )
+        out.append(float(root[0]))
+    return np.array(out)
+
+
 class TestIdentification:
+    @pytest.mark.parametrize("n", [16, 64, 256])
+    @pytest.mark.parametrize(
+        "overrides", [None, {"r": {(2, 0): 0.3}}, {"r": {(1, 2): -0.2}}], ids=["none", "r20", "r12"]
+    )
+    def test_lane_solve_matches_continuation(self, rad, canon_cusp, n, overrides):
+        model = SA.synthesize_model(canon_cusp, rad, eps=EPS, overrides=overrides)
+        v = np.linspace(0.0, EPS, n + 1)
+        f_hat = 1.0 / 6.0 - 0.0143 * v
+        y_true = -1.0 + 0.37 * v - 5.0 * v**2
+        dh = _delta_hat_for(model, v, f_hat, y_true) + 0.02 * v / EPS
+        y = FBD.solve_identification(model, v, f_hat, dh)
+        oracle = continuation_identification(model, v, f_hat, dh)
+        assert y[0] == -1.0
+        assert np.max(np.abs(y - oracle)) <= 1e-15
+        assert np.max(np.abs(y - y_true)) > 1e-6  # the shifted data moved the roots
+
+    def test_one_lane_newton_call(self, canon_model, monkeypatch):
+        calls = []
+        lanes = fitting.safeguarded_newton_lanes
+
+        def counting(fdf, x0, *args, **kwargs):
+            calls.append(np.size(x0))
+            return lanes(fdf, x0, *args, **kwargs)
+
+        monkeypatch.setattr(fitting, "safeguarded_newton_lanes", counting)
+        v = np.linspace(0.0, EPS, 65)
+        f_hat = np.full_like(v, 1.0 / 6.0)
+        dh = _delta_hat_for(canon_model, v, f_hat, -1.0 + 0.3 * v)
+        FBD.solve_identification(canon_model, v, f_hat, dh)
+        assert calls == [64]
+
     def test_corner_node_exact(self, canon_model):
         v = np.array([0.0, 0.5 * EPS, EPS])
         fh = np.full(3, 1.0 / 6.0)

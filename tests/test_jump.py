@@ -125,9 +125,40 @@ def bisection_beta(eos, ahead, da):
     def f(b):
         return J.jump_J(eos, J.JumpPair(ahead, RiemannPair(ahead.alpha + da, b)))
 
-    return fitting.bisection_root(
+    return bisection_root(
         f, ahead.beta + g0 * da**3 - w, ahead.beta + g0 * da**3 + w, xtol=1e-16
     )
+
+
+def bisection_root(
+    f,
+    lo: float,
+    hi: float,
+    xtol: float = 1e-14,
+    max_iter: int = 200,
+) -> float:
+    """Plain bisection, the Newton-free oracle.
+
+    Raises:
+        NoRoot: if [lo, hi] does not bracket a sign change.
+    """
+    fa, fb = f(lo), f(hi)
+    if fa == 0.0:
+        return lo
+    if fb == 0.0:
+        return hi
+    if fa * fb > 0:
+        raise NoRoot(f"no sign change on [{lo}, {hi}]")
+    for _ in range(max_iter):
+        mid = 0.5 * (lo + hi)
+        fm = f(mid)
+        if fm == 0.0 or (hi - lo) < xtol:
+            return mid
+        if fa * fm < 0:
+            hi, fb = mid, fm
+        else:
+            lo, fa = mid, fm
+    return 0.5 * (lo + hi)
 
 
 class TestLanes:
