@@ -254,24 +254,31 @@ def _ensure_chart(eos: BarotropicEos):
     return eos._chart
 
 
+# The ``_*_at`` helpers evaluate at a density array that has already passed
+# ``_check_rho``, so a caller holding one checked density pays for one check.
+
+def _sigma_at(eos: BarotropicEos, a: np.ndarray) -> np.ndarray:
+    if eos.sigma_cf is not None:
+        return np.asarray(eos.sigma_cf(a), dtype=float)
+    return np.asarray(_ensure_chart(eos)["sigma"](a)[0])
+
+
+def _enthalpy_at(eos: BarotropicEos, a: np.ndarray) -> np.ndarray:
+    if eos.enthalpy_cf is not None:
+        return np.asarray(eos.enthalpy_cf(a), dtype=float)
+    p = np.asarray(eos.pressure_fn(a), dtype=float)
+    return (a + p) / _sigma_at(eos, a)
+
+
 def sigma(eos: BarotropicEos, rho):
     """Flow potential sigma(rho), the integrating factor of d(rho)/(rho+p)."""
-    a = _check_rho(eos, rho)
-    if eos.sigma_cf is not None:
-        out = np.asarray(eos.sigma_cf(a), dtype=float)
-    else:
-        out = np.asarray(_ensure_chart(eos)["sigma"](a)[0])
+    out = _sigma_at(eos, _check_rho(eos, rho))
     return out if out.ndim else float(out)
 
 
 def enthalpy(eos: BarotropicEos, rho):
     """Specific enthalpy h = (rho + p)/sigma."""
-    a = _check_rho(eos, rho)
-    if eos.enthalpy_cf is not None:
-        out = np.asarray(eos.enthalpy_cf(a), dtype=float)
-    else:
-        p = np.asarray(eos.pressure_fn(a), dtype=float)
-        out = (a + p) / np.asarray(sigma(eos, a), dtype=float)
+    out = _enthalpy_at(eos, _check_rho(eos, rho))
     return out if out.ndim else float(out)
 
 
@@ -281,7 +288,9 @@ def _inverse(eos: BarotropicEos, x, closed, forward, name: str):
     Either way x is first checked against the image of [rho_min, rho_max]
     under the increasing forward map, so a closed form is never evaluated
     outside its range (where it can wrap around or overflow).  The
-    closed-form image is computed once per instance.
+    closed-form image is computed once per instance.  An inverse taken at an
+    end of that image can land one rounding outside [rho_min, rho_max], so
+    the density is clipped back into it.
     """
     a = np.asarray(x, dtype=float)
     if closed is not None:
@@ -294,6 +303,7 @@ def _inverse(eos: BarotropicEos, x, closed, forward, name: str):
         chart = _ensure_chart(eos)
         _check_in(eos, a, *chart[f"{name}_range"], name)
         out = np.asarray(chart[f"rho_of_{name}"](a)[0])
+    out = np.clip(out, eos.rho_min, eos.rho_max)
     return out if out.ndim else float(out)
 
 
@@ -374,7 +384,13 @@ def mu_coefficient(eos: BarotropicEos, rho_tilde):
     requires it at the cusp state.
     """
     a = np.asarray(rho_tilde, dtype=float)
-    eta2 = np.square(np.asarray(eta_of_potential(eos, a), dtype=float))
+    out = _mu_at(eos, a, np.asarray(eta_of_potential(eos, a), dtype=float))
+    return out if out.ndim else float(out)
+
+
+def _mu_at(eos: BarotropicEos, a: np.ndarray, eta: np.ndarray) -> np.ndarray:
+    """mu at potentials a whose sound speed eta is already known."""
+    eta2 = np.square(eta)
     if eos.deta_dpotential_cf is not None:
         slope = np.asarray(eos.deta_dpotential_cf(a), dtype=float)
     else:
@@ -385,8 +401,7 @@ def mu_coefficient(eos: BarotropicEos, rho_tilde):
         ep1 = np.asarray(eta_of_potential(eos, a + d), dtype=float)
         ep2 = np.asarray(eta_of_potential(eos, a + 2 * d), dtype=float)
         slope = (em2 - 8 * em1 + 8 * ep1 - ep2) / (12 * d)
-    out = slope + 1.0 - eta2
-    return out if out.ndim else float(out)
+    return slope + 1.0 - eta2
 
 
 def eos_identity_residual(eos: BarotropicEos, rho):

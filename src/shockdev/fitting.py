@@ -102,13 +102,13 @@ def power_law_fit(x, y):
     x, y = x[order], y[order]
     keep = (x > 0) & (y > 0)
     x, y = x[keep], y[keep]
+    if len(x) < 2:
+        raise ValueError("power_law_fit needs at least 2 usable points")
     if len(x) > _FIT_DROP + 3:
         x, y = x[_FIT_DROP:], y[_FIT_DROP:]
     sel = x <= 10.0 * x[0]
     if np.count_nonzero(sel) >= 4:
         x, y = x[sel], y[sel]
-    if len(x) < 2:
-        raise ValueError("power_law_fit needs at least 2 usable points")
     slope, intercept = np.polyfit(np.log(x), np.log(y), 1)
     return float(slope), float(math.exp(intercept))
 
@@ -145,6 +145,7 @@ def safeguarded_newton_lanes(
     f_tol,
     max_iter: int = 60,
     polish: int = 6,
+    f_ends=None,
 ) -> np.ndarray:
     """Newton iteration confined to a range with bisection fallback, lane-wise.
 
@@ -173,6 +174,8 @@ def safeguarded_newton_lanes(
         fdf: maps an array of iterates (one per lane) to the arrays
             (f, df/dx) at those iterates, lane by lane.
         x0, lo, hi, f_tol: per-lane arrays (or scalars broadcast to lanes).
+        f_ends: the values (f(lo), f(hi)) when the caller already has them;
+            by default both ends are evaluated here.
 
     Raises:
         NoRoot: Newton left the range of some lane with no sign change there.
@@ -182,8 +185,10 @@ def safeguarded_newton_lanes(
         np.array(a, dtype=float) for a in np.broadcast_arrays(x0, lo, hi, f_tol)
     )
     blo, bhi = lo, hi
-    flo, _ = fdf(blo)
-    fhi, _ = fdf(bhi)
+    if f_ends is None:
+        flo, fhi = fdf(blo)[0], fdf(bhi)[0]
+    else:
+        flo, fhi = f_ends
     take_lo = np.abs(flo) < f_tol
     take_hi = ~take_lo & (np.abs(fhi) < f_tol)
     done = take_lo | take_hi

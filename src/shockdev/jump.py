@@ -41,10 +41,12 @@ from .state import (
     RiemannPair,
     StressComponents,
     StressDerivatives,
+    _lane_result,
     char_speeds,
     point_data,
     stress,
     stress_derivatives,
+    wave_state,
 )
 
 __all__ = [
@@ -80,11 +82,6 @@ _COINCIDENCE_STEP = 1e-2
 _GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(8)
 _GAUSS_S = 0.5 * (_GAUSS_X + 1.0)
 _GAUSS_W01 = 0.5 * _GAUSS_W
-
-
-def _lane_result(x):
-    """A Python float for a single-lane (0-d) result, the lane array otherwise."""
-    return float(x) if np.ndim(x) == 0 else x
 
 
 def _jump_and_behind_slopes(eos: eos_mod.BarotropicEos, jp: JumpPair):
@@ -144,15 +141,14 @@ def jump_J(eos: eos_mod.BarotropicEos, jp: JumpPair):
 
 def jump_scale(eos: eos_mod.BarotropicEos, state: RiemannPair):
     """Natural size of J: (rho + p)^2 at the given state(s), per lane."""
-    d = point_data(eos, state)
-    return (d.G * d.h**2) ** 2
+    w = wave_state(eos, state)
+    return _lane_result((w.rho + w.pressure(eos)) ** 2)
 
 
 def cubic_coefficient(eos: eos_mod.BarotropicEos, state: RiemannPair):
     """Leading coefficient G0 = -mu^2/(192 eta^2) of the cubic jump law, per lane."""
-    d = point_data(eos, state)
-    mu = eos_mod.mu_coefficient(eos, d.rho_tilde)
-    return -(mu**2) / (192.0 * d.eta2)
+    w = wave_state(eos, state)
+    return _lane_result(-(w.mu(eos) ** 2) / (192.0 * w.eta2))
 
 
 def solve_jump_beta(
@@ -207,8 +203,9 @@ def solve_jump_beta(
 
     pending = np.ones(lanes.size, dtype=bool)
     for _ in range(max_expand + 1):
-        f_lo, _ = fdf(seed - width)
-        f_hi, _ = fdf(seed + width)
+        lo, hi = seed - width, seed + width
+        f_lo, _ = fdf(lo)
+        f_hi, _ = fdf(hi)
         pending &= ~(f_lo * f_hi <= 0)
         if not pending.any():
             break
@@ -221,10 +218,11 @@ def solve_jump_beta(
     out.flat[lanes] = fitting.safeguarded_newton_lanes(
         fdf,
         seed,
-        seed - width,
-        seed + width,
+        lo,
+        hi,
         f_tol=_J_TOL_REL * jump_scale(eos, ahead),
         polish=8,
+        f_ends=(f_lo, f_hi),
     )
     return _lane_result(out)
 

@@ -27,10 +27,12 @@ __all__ = [
     "RiemannPair",
     "FluidState",
     "PointData",
+    "WaveState",
     "StressComponents",
     "StressDerivatives",
     "riemann_from_state",
     "state_from_riemann",
+    "wave_state",
     "point_data",
     "char_speeds",
     "char_speed_derivatives",
@@ -127,25 +129,95 @@ def state_from_riemann(eos: eos_mod.BarotropicEos, pair: RiemannPair) -> FluidSt
     return FluidState(float(psi_t), float(psi_r))
 
 
-def point_data(eos: eos_mod.BarotropicEos, pair: RiemannPair) -> PointData:
-    """Evaluate the full state bundle at a Riemann pair."""
+def _lane_result(x):
+    """A Python float for a single-lane (0-d) result, the lane array otherwise."""
+    return float(x) if np.ndim(x) == 0 else x
+
+
+class WaveState(NamedTuple):
+    """The state at Riemann pairs after one density inversion.
+
+    ``wave_state`` builds it from (alpha, beta): one inversion of the
+    enthalpy potential, one density range check and one sound-speed check,
+    whatever the methods read afterwards.  Fields are arrays of the pair's
+    shape (scalars for a scalar pair); the methods give Python floats for a
+    scalar pair.
+    """
+
+    rho_tilde: np.ndarray
+    rho: np.ndarray
+    v: np.ndarray
+    eta: np.ndarray
+    eta2: np.ndarray
+
+    def speeds(self):
+        """(c_plus, c_minus) = ((v + eta)/(1 + v eta), (v - eta)/(1 - v eta))."""
+        v, eta = self.v, self.eta
+        ve = v * eta
+        return _lane_result((v + eta) / (1.0 + ve)), _lane_result((v - eta) / (1.0 - ve))
+
+    def mu(self, eos: eos_mod.BarotropicEos) -> np.ndarray:
+        """Nonlinearity coefficient mu = d eta/d rho_tilde + 1 - eta^2."""
+        return eos_mod._mu_at(eos, self.rho_tilde, self.eta)
+
+    def speed_derivatives(self, eos: eos_mod.BarotropicEos) -> dict:
+        """See :func:`char_speed_derivatives`."""
+        mu = self.mu(eos)
+        s = mu - (1.0 - self.eta2)
+        one_m_v2 = 1.0 - self.v**2
+        ve = self.v * self.eta
+        plus_den = 2.0 * (1.0 + ve) ** 2
+        minus_den = 2.0 * (1.0 - ve) ** 2
+        return {
+            "pa": _lane_result(one_m_v2 * mu / plus_den),
+            "pb": _lane_result(one_m_v2 * (s - (1.0 - self.eta2)) / plus_den),
+            "ma": _lane_result(one_m_v2 * ((1.0 - self.eta2) - s) / minus_den),
+            "mb": _lane_result(-one_m_v2 * mu / minus_den),
+        }
+
+    def sources(self, r):
+        """See :func:`source_terms`."""
+        r_a = np.asarray(r, dtype=float)
+        if np.any(r_a <= 0):
+            raise OutOfRange("source terms need r > 0")
+        ve = self.v * self.eta
+        common = -2.0 * ve / r_a
+        return _lane_result(common / (1.0 + ve)), _lane_result(common / (1.0 - ve))
+
+    def pressure(self, eos: eos_mod.BarotropicEos) -> np.ndarray:
+        """Pressure at the (already checked) density."""
+        return np.asarray(eos.pressure_fn(self.rho), dtype=float)
+
+
+def wave_state(eos: eos_mod.BarotropicEos, pair: RiemannPair) -> WaveState:
+    """Invert the enthalpy potential at Riemann pairs into a :class:`WaveState`.
+
+    Raises:
+        OutOfRange: the potential (alpha + beta)/2 or the density leaves the
+            admissible range, or eta^2 leaves (0, 1).
+    """
     alpha = np.asarray(pair.alpha, dtype=float)
     beta = np.asarray(pair.beta, dtype=float)
     rho_tilde = 0.5 * (alpha + beta)
-    zeta = 0.5 * (beta - alpha)
-    rt_arg = rho_tilde if rho_tilde.ndim else float(rho_tilde)
-    rho = eos_mod.rho_of_potential(eos, rt_arg)
-    rho_a = np.asarray(rho, dtype=float)
-    h = np.asarray(eos_mod.enthalpy(eos, rho), dtype=float)
-    sig = np.asarray(eos_mod.sigma(eos, rho), dtype=float)
+    rho = np.asarray(eos_mod.rho_of_potential(eos, rho_tilde), dtype=float)
     eta2 = np.asarray(eos_mod.sound_speed_sq(eos, rho), dtype=float)
-    eta = np.sqrt(eta2)
-    v = -np.tanh(zeta)
-    G = sig / h
-    p = np.asarray(eos_mod.pressure(eos, rho), dtype=float)
-    E = (rho_a + p) / (1.0 - v**2)
-    out = PointData(rho_tilde, zeta, v, eta, eta2, h, sig, G, p, E)
-    if np.ndim(rho_tilde):
+    return WaveState(rho_tilde, rho, velocity(eos, pair), np.sqrt(eta2), eta2)
+
+
+def point_data(eos: eos_mod.BarotropicEos, pair: RiemannPair) -> PointData:
+    """Evaluate the full state bundle at a Riemann pair.
+
+    One :func:`wave_state` evaluation plus h, sigma, G, p and E at its
+    density; the solvers' hot paths read only the wave state.
+    """
+    w = wave_state(eos, pair)
+    zeta = 0.5 * (np.asarray(pair.beta, dtype=float) - np.asarray(pair.alpha, dtype=float))
+    h = eos_mod._enthalpy_at(eos, w.rho)
+    sig = eos_mod._sigma_at(eos, w.rho)
+    p = w.pressure(eos)
+    E = (w.rho + p) / (1.0 - w.v**2)
+    out = PointData(w.rho_tilde, zeta, w.v, w.eta, w.eta2, h, sig, sig / h, p, E)
+    if np.ndim(w.rho_tilde):
         return out
     return PointData(*(float(x) for x in out))
 
@@ -161,15 +233,12 @@ def velocity(eos: eos_mod.BarotropicEos, pair: RiemannPair):
 def char_speeds(eos: eos_mod.BarotropicEos, pair: RiemannPair):
     """Characteristic speeds c_pm = (v +- eta)/(1 +- v eta).
 
+    Reads only v and eta of one :func:`wave_state` evaluation.
+
     Returns:
         (c_plus, c_minus), each strictly inside (-1, 1).
     """
-    d = point_data(eos, pair)
-    c_plus = (d.v + d.eta) / (1.0 + d.v * d.eta)
-    c_minus = (d.v - d.eta) / (1.0 - d.v * d.eta)
-    if np.ndim(c_plus):
-        return c_plus, c_minus
-    return float(c_plus), float(c_minus)
+    return wave_state(eos, pair).speeds()
 
 
 def char_speed_derivatives(eos: eos_mod.BarotropicEos, pair: RiemannPair):
@@ -185,21 +254,7 @@ def char_speed_derivatives(eos: eos_mod.BarotropicEos, pair: RiemannPair):
     Returns:
         dict with keys "pa", "pb", "ma", "mb".
     """
-    d = point_data(eos, pair)
-    mu = np.asarray(eos_mod.mu_coefficient(eos, d.rho_tilde), dtype=float)
-    s = mu - (1.0 - d.eta2)
-    one_m_v2 = 1.0 - np.asarray(d.v) ** 2
-    plus_den = 2.0 * (1.0 + np.asarray(d.v) * d.eta) ** 2
-    minus_den = 2.0 * (1.0 - np.asarray(d.v) * d.eta) ** 2
-    out = {
-        "pa": one_m_v2 * mu / plus_den,
-        "pb": one_m_v2 * (s - (1.0 - d.eta2)) / plus_den,
-        "ma": one_m_v2 * ((1.0 - d.eta2) - s) / minus_den,
-        "mb": -one_m_v2 * mu / minus_den,
-    }
-    if np.ndim(out["pa"]) == 0:
-        out = {k: float(v) for k, v in out.items()}
-    return out
+    return wave_state(eos, pair).speed_derivatives(eos)
 
 
 def source_terms(eos: eos_mod.BarotropicEos, pair: RiemannPair, r):
@@ -211,16 +266,7 @@ def source_terms(eos: eos_mod.BarotropicEos, pair: RiemannPair, r):
     Returns:
         (A, B).
     """
-    d = point_data(eos, pair)
-    r_a = np.asarray(r, dtype=float)
-    if np.any(r_a <= 0):
-        raise OutOfRange("source terms need r > 0")
-    common = -2.0 * np.asarray(d.v) * d.eta / r_a
-    A = common / (1.0 + np.asarray(d.v) * d.eta)
-    B = common / (1.0 - np.asarray(d.v) * d.eta)
-    if np.ndim(A):
-        return A, B
-    return float(A), float(B)
+    return wave_state(eos, pair).sources(r)
 
 
 def source_terms_wavefield_form(eos: eos_mod.BarotropicEos, pair: RiemannPair, r):
@@ -254,16 +300,12 @@ def stress(eos: eos_mod.BarotropicEos, pair: RiemannPair) -> StressComponents:
     With E = (rho + p)/(1 - v^2):
         T^tt = E - p,   T^tr = E v,   T^rr = E v^2 + p.
     """
-    d = point_data(eos, pair)
-    E = np.asarray(d.energy_flux_weight, dtype=float)
-    v = np.asarray(d.v, dtype=float)
-    p = np.asarray(d.p, dtype=float)
-    tt = E - p
-    tr = E * v
-    rr = E * v**2 + p
-    if np.ndim(tt):
-        return StressComponents(tt, tr, rr)
-    return StressComponents(float(tt), float(tr), float(rr))
+    w = wave_state(eos, pair)
+    p = w.pressure(eos)
+    E = (w.rho + p) / (1.0 - w.v**2)
+    return StressComponents(
+        _lane_result(E - p), _lane_result(E * w.v), _lane_result(E * w.v**2 + p)
+    )
 
 
 def stress_derivatives(eos: eos_mod.BarotropicEos, pair: RiemannPair) -> StressDerivatives:
@@ -274,33 +316,24 @@ def stress_derivatives(eos: eos_mod.BarotropicEos, pair: RiemannPair) -> StressD
         dT^tr/dalpha = w (v + eta)(1+v eta) dT^tr/dbeta = w (v - eta)(1-v eta)
         dT^rr/dalpha = w (v + eta)^2       dT^rr/dbeta = w (v - eta)^2
 
-    These encode d T^tr = c_pm d T^tt along each family.
+    These encode d T^tr = c_pm d T^tt along each family.  E is computed
+    from rho and p alone.
     """
-    d = point_data(eos, pair)
-    E = np.asarray(d.energy_flux_weight, dtype=float)
-    v = np.asarray(d.v, dtype=float)
-    eta = np.asarray(d.eta, dtype=float)
-    w = E / (2.0 * eta)
-    out = StressDerivatives(
-        tt_alpha=w * (1.0 + v * eta) ** 2,
-        tr_alpha=w * (v + eta) * (1.0 + v * eta),
-        rr_alpha=w * (v + eta) ** 2,
-        tt_beta=w * (1.0 - v * eta) ** 2,
-        tr_beta=w * (v - eta) * (1.0 - v * eta),
-        rr_beta=w * (v - eta) ** 2,
+    ws = wave_state(eos, pair)
+    v, eta = ws.v, ws.eta
+    w = (ws.rho + ws.pressure(eos)) / (1.0 - v**2) / (2.0 * eta)
+    return StressDerivatives(
+        tt_alpha=_lane_result(w * (1.0 + v * eta) ** 2),
+        tr_alpha=_lane_result(w * (v + eta) * (1.0 + v * eta)),
+        rr_alpha=_lane_result(w * (v + eta) ** 2),
+        tt_beta=_lane_result(w * (1.0 - v * eta) ** 2),
+        tr_beta=_lane_result(w * (v - eta) * (1.0 - v * eta)),
+        rr_beta=_lane_result(w * (v - eta) ** 2),
     )
-    if np.ndim(out.tt_alpha) == 0:
-        return StressDerivatives(*(float(x) for x in out))
-    return out
 
 
 def pressure_derivative(eos: eos_mod.BarotropicEos, pair: RiemannPair):
     """dp/dalpha = dp/dbeta = E eta (1 - v^2)/2 at a Riemann pair."""
-    d = point_data(eos, pair)
-    out = (
-        np.asarray(d.energy_flux_weight, dtype=float)
-        * np.asarray(d.eta, dtype=float)
-        * (1.0 - np.asarray(d.v, dtype=float) ** 2)
-        / 2.0
-    )
-    return out if np.ndim(out) else float(out)
+    w = wave_state(eos, pair)
+    E = (w.rho + w.pressure(eos)) / (1.0 - w.v**2)
+    return _lane_result(E * w.eta * (1.0 - w.v**2) / 2.0)

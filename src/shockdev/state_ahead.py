@@ -31,7 +31,7 @@ import numpy as np
 
 from . import eos as eos_mod
 from .errors import InconsistentCusp, LeftBox, NonConvergence, OutOfBox
-from .state import RiemannPair, char_speed_derivatives, char_speeds, source_terms
+from .state import RiemannPair, wave_state
 
 __all__ = [
     "CuspData",
@@ -123,9 +123,9 @@ class CuspData:
         for name, val in (("kappa", kappa), ("lam", lam), ("r0", r0)):
             if not (math.isfinite(val) and val > 0):
                 raise InconsistentCusp(f"{name} must be finite and positive, got {val}")
-        state0 = RiemannPair(float(alpha0), float(beta0))
-        c_plus0, c_minus0 = char_speeds(eos, state0)
-        dcplus_dalpha0 = char_speed_derivatives(eos, state0)["pa"]
+        state0 = wave_state(eos, RiemannPair(float(alpha0), float(beta0)))
+        c_plus0, c_minus0 = state0.speeds()
+        dcplus_dalpha0 = state0.speed_derivatives(eos)["pa"]
         if abs(dcplus_dalpha0) < _SLOPE_FLOOR:
             raise InconsistentCusp(
                 "outgoing speed is insensitive to the outgoing invariant at the "
@@ -133,7 +133,7 @@ class CuspData:
                 "reproduces the refocusing rate"
             )
         alpha_dot0 = kappa / dcplus_dalpha0
-        a_tilde0, _ = source_terms(eos, state0, r0)
+        a_tilde0, _ = state0.sources(r0)
         return cls(
             kappa=float(kappa),
             lam=float(lam),
@@ -426,9 +426,10 @@ def incoming_characteristic(
                 f"incoming characteristic left the validity box at (t, w) = ({tv[k]:g}, {wv[k]:g})"
             )
         pair = RiemannPair(model.eval("alpha", tv, wv), model.eval("beta", tv, wv))
-        cp, cm = char_speeds(eos, pair)
+        state = wave_state(eos, pair)
+        cp, cm = state.speeds()
         f = -model.eval("r", tv, wv, dw=1) / (cp - cm)
-        d = char_speed_derivatives(eos, pair)
+        d = state.speed_derivatives(eos)
         dgap_dt = (d["pa"] - d["ma"]) * model.eval("alpha", tv, wv, dt=1) + (
             d["pb"] - d["mb"]
         ) * model.eval("beta", tv, wv, dt=1)

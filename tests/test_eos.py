@@ -518,6 +518,22 @@ class TestInversionRange:
         with pytest.raises(OutOfRange):
             E.rho_of_potential(eos, np.array([0.1, bad]))
 
+    @pytest.mark.parametrize("inverse, forward", [
+        (E.rho_of_enthalpy, E.enthalpy),
+        (E.rho_of_potential, E.potential_of_rho),
+    ], ids=["enthalpy", "potential"])
+    def test_range_ends_invert_into_the_range(self, eos, inverse, forward):
+        # an inverse at an end of its admissible input can land one rounding
+        # outside [rho_min, rho_max]; the density is clipped back, so the
+        # next density check accepts it
+        ends = np.array([eos.rho_min, eos.rho_max])
+        x = forward(eos, ends)
+        for got in (inverse(eos, x), [inverse(eos, float(v)) for v in x]):
+            got = np.asarray(got)
+            assert eos.rho_min <= got.min() and got.max() <= eos.rho_max
+            np.testing.assert_allclose(got, ends, rtol=1e-9)
+            E.sound_speed_sq(eos, got)
+
     def test_in_range_and_empty_accepted(self, eos):
         assert E.rho_of_enthalpy(eos, eos.h_ref) == pytest.approx(eos.rho_ref, rel=1e-12)
         assert E.rho_of_potential(eos, np.array([0.0]))[0] == pytest.approx(eos.rho_ref, rel=1e-12)
@@ -549,3 +565,10 @@ class TestClosedFormInversionRange:
         np.testing.assert_allclose(E.rho_of_potential(eos, pot), ends, rtol=1e-9)
         np.testing.assert_allclose(E.rho_of_enthalpy(eos, h), ends, rtol=1e-9)
         assert E.rho_of_potential(eos, 0.0) == pytest.approx(eos.rho_ref, rel=1e-14)
+
+    def test_radiation_lower_end_is_exact(self, rad):
+        # the fourth power of h(1e-6) gave 9.999999999999997e-07 unclipped
+        h = E.enthalpy(rad, 1e-6)
+        assert E.rho_of_enthalpy(rad, h) == 1e-6
+        assert E.rho_of_enthalpy(rad, np.array([h]))[0] == 1e-6
+        assert E.sound_speed_sq(rad, E.rho_of_enthalpy(rad, h)) == 1.0 / 3.0

@@ -162,6 +162,41 @@ class TestSafeguardedNewtonLanes:
         with pytest.raises(NonConvergence):
             lane_roots(LANES, f_tol=1e-12, max_iter=2)
 
+    def test_given_end_values_are_not_evaluated_again(self):
+        s, lo, hi, x0 = (np.array(c) for c in zip(*LANES))
+        seen = []
+
+        def fdf(x):
+            seen.append(x.copy())
+            return f(x, s), df(x, s)
+
+        got = fitting.safeguarded_newton_lanes(
+            fdf, x0, lo, hi, f_tol=1e-12, f_ends=(f(lo, s), f(hi, s))
+        )
+        assert got.tolist() == scalar_roots(LANES, f_tol=1e-12)
+        assert not any(np.array_equal(x, lo) or np.array_equal(x, hi) for x in seen)
+        calls = len(seen)
+        seen.clear()
+        fitting.safeguarded_newton_lanes(fdf, x0, lo, hi, f_tol=1e-12)
+        assert len(seen) == calls + 2
+
+
+class TestPowerLawFit:
+    def test_recovers_exponent_and_prefactor(self):
+        x = np.linspace(0.01, 0.1, 12)
+        p, c = fitting.power_law_fit(x, -2.5 * x**1.5)
+        assert p == pytest.approx(1.5, rel=1e-12)
+        assert c == pytest.approx(2.5, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "x, y",
+        [([0.0, 1.0], [0.0, 0.0]), ([], []), ([1.0], [2.0]), ([-1.0, 0.0, 2.0], [1.0, 1.0, 0.0])],
+        ids=["flat_row", "empty", "one_point", "none_positive"],
+    )
+    def test_too_few_usable_points_is_a_value_error(self, x, y):
+        with pytest.raises(ValueError, match="at least 2 usable points"):
+            fitting.power_law_fit(x, y)
+
 
 def converges(roots, lanes, max_iter):
     try:

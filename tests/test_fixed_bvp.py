@@ -7,6 +7,7 @@ import pytest
 from scipy.integrate import cumulative_trapezoid
 from scipy.interpolate import CubicSpline
 
+import shockdev.eos as E
 import shockdev.fitting as fitting
 import shockdev.fixed_bvp as FB
 import shockdev.state_ahead as SA
@@ -317,6 +318,81 @@ def picard_linear_t(mu_grid, nu_grid, gamma_inv_diag, h, dh_du, grid, tol=1e-12,
     return t, P, Q
 
 
+def row_loop_linear_t(mu_grid, nu_grid, gamma_inv_diag, h, dh_du, grid):
+    """Reference: the direct march with every row product formed in the loop.
+
+    The package's former time solve, kept as the oracle of the precomputed
+    march: the same trapezoid system, diagonal closure and floating-point
+    operations, with about 22 NumPy calls per row, the products formed in
+    the loop and the diagonal node closed in NumPy scalars.
+    """
+    n = grid.n
+    d = grid.delta
+    half = 0.5 * d
+    mask = grid.mask
+    h = np.asarray(h, dtype=float)
+    dh = np.asarray(dh_du, dtype=float)
+    ginv = np.asarray(gamma_inv_diag, dtype=float)
+    mu = np.where(mask, mu_grid, 0.0)
+    nu = np.where(mask, nu_grid, 0.0)
+    K = cumulative_trapezoid(-nu, dx=d, axis=1, initial=0.0)
+    CT = cumulative_trapezoid(mu, dx=d, axis=0, initial=0.0)
+    L = CT - np.diagonal(CT)[None, :]
+    emK = np.exp(-K)
+    emL = np.exp(-L)
+    F = np.exp(K) * mu
+    halfG = half * np.exp(L) * nu
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+        gam = emL * halfG * emK
+        c = half * F * gam
+        W = 1.0 / (1.0 + c)
+        prod = np.cumprod(np.hstack([np.ones((n + 1, 1)), (1.0 - c[:, :-1]) * W[:, 1:]]), axis=1)
+        W *= half / prod
+        P = np.zeros_like(F)
+        Q = np.zeros_like(F)
+        P[0, 0] = dh[0]
+        S = np.zeros(n + 1)
+        for i in range(1, n + 1):
+            S[:i] += halfG[i - 1, :i] * P[i - 1, :i]
+            q = emL[i, :i] * S[:i] + gam[i, :i] * dh[i]
+            Fq = F[i, :i] * q
+            R = np.zeros(i)
+            R[1:] = prod[i, 1:i] * np.cumsum((Fq[:-1] + Fq[1:]) * W[i, 1:i])
+            P[i, :i] = emK[i, :i] * (dh[i] - R)
+            Q[i, :i] = q - gam[i, :i] * R
+            S[:i] += halfG[i, :i] * P[i, :i]
+            b = emK[i, i] * (dh[i] - R[-1] - half * F[i, i - 1] * Q[i, i - 1])
+            if b != 0.0:
+                P[i, i] = b / (1.0 + emK[i, i] * half * F[i, i] * ginv[i])
+                Q[i, i] = ginv[i] * P[i, i]
+            S[i] = Q[i, i]
+    if not (np.isfinite(P[mask]).all() and np.isfinite(Q[mask]).all()):
+        raise NonConvergence("time solve produced non-finite values", diverging=True)
+    t = h[:, None] + cumulative_trapezoid(Q, dx=d, axis=1, initial=0.0)
+    return t, P, Q
+
+
+def assert_matches_row_loop(args):
+    # bit for bit: the precomputed march does the loop's arithmetic
+    got = FB.solve_linear_t(*args)
+    want = row_loop_linear_t(*args)
+    for x, y in zip(got, want):
+        assert np.array_equal(x, y)
+    mask = args[-1].mask
+    assert not np.any(got[1][~mask]) and not np.any(got[2][~mask])
+
+
+def zero_denominator_case(n=16):
+    """Coefficients whose diagonal closure 1 + e^{-K} half F gamma_inv is
+    exactly 0 at node 7: nu = 0 (so K = 0), mu = 1 and delta a power of 2."""
+    g = FB.TriGrid(1.0, n)
+    mu = np.ones((n + 1, n + 1))
+    nu = np.zeros((n + 1, n + 1))
+    ginv = np.full(n + 1, 0.5)
+    ginv[7] = -1.0 / (0.5 * g.delta)
+    return mu, nu, ginv, g.nodes**2, 1.0 + g.nodes, g
+
+
 def frozen_curve_args(rad, cusp, model, n):
     """Arguments of every time solve of a canonical frozen-curve inner solve."""
     grid = FB.TriGrid(EPS, n)
@@ -375,6 +451,62 @@ class TestSolveLinearT:
         assert len(calls) >= 2
         for args in (calls[0], calls[-1]):
             assert_matches_picard(args)
+
+    @pytest.mark.parametrize("n", [16, 64, 256])
+    def test_matches_row_loop_manufactured(self, n):
+        g, mu, nu, ginv, h, dh, *_ = manufactured_case(n)
+        assert_matches_row_loop((mu, nu, ginv, h, dh, g))
+
+    @pytest.mark.parametrize("n", [16, 64, 256])
+    def test_matches_row_loop_frozen_curve(self, rad, cusp, model, n):
+        calls = frozen_curve_args(rad, cusp, model, n)
+        for args in (calls[0], calls[-1]):
+            assert_matches_row_loop(args)
+
+    def test_special_nodes_match_row_loop(self):
+        # gamma_inv = +inf with b != 0: both raise; with b = 0 (all data
+        # zero): both close the node to 0
+        g, mu, nu, ginv, h, dh, *_ = manufactured_case(16)
+        ginv = ginv.copy()
+        ginv[6] = math.inf
+        for solve in (FB.solve_linear_t, row_loop_linear_t):
+            with pytest.raises(NonConvergence) as exc:
+                solve(mu, nu, ginv, h, dh, g)
+            assert exc.value.diverging
+        zeros = np.zeros(17)
+        assert_matches_row_loop((mu, nu, np.full(17, math.inf), zeros, zeros, g))
+
+    def test_zero_denominator_raises_non_convergence(self):
+        args = zero_denominator_case()
+        assert 1.0 + 0.5 * args[-1].delta * args[2][7] == 0.0
+        for solve in (FB.solve_linear_t, row_loop_linear_t):
+            with pytest.raises(NonConvergence) as exc:
+                solve(*args)
+            assert exc.value.diverging
+        # one node short of it, the closure is finite and both agree
+        mu, nu, ginv, h, dh, g = args
+        ginv = ginv.copy()
+        ginv[7] = 0.5
+        assert_matches_row_loop((mu, nu, ginv, h, dh, g))
+
+    def test_values_beyond_the_diagonal_are_discarded(self):
+        # c = half F gam = 1 exactly at node (7, 7) makes the recurrence
+        # weight W[7, 8] infinite; the row loop never reads it, and the
+        # full-row march must discard what it produces beyond the diagonal
+        n = 16
+        g = FB.TriGrid(1.0, n)
+        mu = np.zeros((n + 1, n + 1))
+        nu = np.zeros((n + 1, n + 1))
+        mu[7, 7] = nu[7, 7] = 32.0
+        nu[7, 6] = -32.0  # K(7, 7) = 0
+        assert_matches_row_loop((mu, nu, np.full(n + 1, 0.5), g.nodes**2, 1.0 + g.nodes, g))
+
+    def test_inputs_are_not_modified(self):
+        g, mu, nu, ginv, h, dh, *_ = manufactured_case(16)
+        before = [np.copy(x) for x in (mu, nu, ginv, h, dh)]
+        FB.solve_linear_t(mu, nu, ginv, h, dh, g)
+        for x, y in zip(before, (mu, nu, ginv, h, dh)):
+            assert np.array_equal(x, y)
 
     def test_manufactured_second_order(self):
         errs = {}
@@ -513,6 +645,25 @@ class TestSolveFixedBvp:
         assert np.all(fg.dt_du[g.mask] == 0.0)
         assert np.all(fg.dt_dv[g.mask] == 0.0)
         assert fg.sweeps <= 2
+
+    def test_three_grid_state_evaluations_per_two_sweeps(self, rad, cusp, model, monkeypatch):
+        # each sweep evaluates the grid state once, for the speeds of its
+        # time solve and for its source terms; the closing assemble once more
+        n = 32
+        grid = FB.TriGrid(EPS, n)
+        init = SA.initial_data(model, rad, EPS, n)
+        bf = FB.BoundaryFunctions.seed(cusp, grid.nodes)
+        shapes = []
+        invert = E.rho_of_potential
+
+        def counting(eos, x):
+            shapes.append(np.shape(x))
+            return invert(eos, x)
+
+        monkeypatch.setattr(E, "rho_of_potential", counting)
+        fg = FB.solve_fixed_bvp(bf, init, rad, grid)
+        assert fg.sweeps == 2
+        assert shapes.count((n + 1, n + 1)) == 3
 
     def test_converges_fast(self, base_run):
         fg, _, _ = base_run

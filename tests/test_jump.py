@@ -202,6 +202,34 @@ class TestLanes:
         np.testing.assert_allclose(got, oracle, rtol=0.0, atol=1e-12)
         assert got[0] == ahead.beta[0]
 
+    @pytest.mark.parametrize("eos_name", ["rad", "p2"])
+    def test_bracket_ends_are_evaluated_once(self, eos_name, request, rng, monkeypatch):
+        # the bracket search hands its end values to the Newton solve, which
+        # would otherwise evaluate J at both ends again
+        eos = request.getfixturevalue(eos_name)
+        ahead, da = self.batch(rng)
+        calls = []
+        counted = J.stress_derivatives
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return counted(*args, **kwargs)
+
+        monkeypatch.setattr(J, "stress_derivatives", counting)
+        got = J.solve_jump_beta(eos, ahead.alpha + da, ahead)
+        with_ends = len(calls)
+
+        newton = fitting.safeguarded_newton_lanes
+
+        def without_ends(*args, f_ends=None, **kwargs):
+            return newton(*args, **kwargs)
+
+        monkeypatch.setattr(J.fitting, "safeguarded_newton_lanes", without_ends)
+        calls.clear()
+        want = J.solve_jump_beta(eos, ahead.alpha + da, ahead)
+        assert len(calls) == with_ends + 2
+        assert np.array_equal(got, want)
+
     def test_one_lane_over_cap_rejects_the_batch(self, rad, rng):
         ahead, da = self.batch(rng)
         da[5] = 0.6

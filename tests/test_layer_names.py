@@ -9,9 +9,11 @@ from __future__ import annotations
 
 import inspect
 
+import numpy as np
 import pytest
 
 from shockdev import cli, fixed_bvp, free_boundary, jump, report, state_ahead
+from shockdev.state import RiemannPair
 from shockdev.state_ahead import CuspData, synthesize_model
 
 WRAPPED = {
@@ -84,3 +86,21 @@ def test_solve_linear_t_is_called_through_the_module(rad, monkeypatch):
     bf = fixed_bvp.BoundaryFunctions.seed(cusp, grid.nodes)
     fg = fixed_bvp.solve_fixed_bvp(bf, init, rad, grid)
     assert len(calls) == fg.sweeps + 1
+
+
+def test_stress_derivatives_is_called_through_the_jump_module(rad, monkeypatch):
+    # the tracer's state.stress_derivatives.calls counts the jump layer's
+    # calls by replacing jump.stress_derivatives; the behind-beta solve must
+    # reach it through that attribute
+    direct = jump.stress_derivatives
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return direct(*args, **kwargs)
+
+    monkeypatch.setattr(jump, "stress_derivatives", counting)
+    ahead = RiemannPair(np.zeros(3), np.zeros(3))
+    jump.solve_jump_beta(rad, np.array([1e-2, 2e-2, -1e-2]), ahead)
+    # two bracket ends, the start and at least one Newton step
+    assert len(calls) >= 4

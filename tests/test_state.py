@@ -14,6 +14,7 @@ import pytest
 
 from shockdev import eos as E
 from shockdev import state as S
+from shockdev.errors import OutOfRange
 
 
 def random_pairs(rng, n, rt_range=(-0.45, 0.55), zeta_range=(-1.0, 1.0)):
@@ -214,3 +215,158 @@ class TestStress:
             )
             assert dp == pytest.approx(fd_pa, rel=1e-6)
             assert dp == pytest.approx(fd_pb, rel=1e-6)
+
+
+# ---------------------------------------------------------------------------
+# Oracle: the point-data path the wave state replaced.  Every quantity comes
+# from the full bundle, itself built from the public eos functions, each of
+# which checks the density again.
+# ---------------------------------------------------------------------------
+
+def bundle_point_data(eos, pair):
+    alpha = np.asarray(pair.alpha, dtype=float)
+    beta = np.asarray(pair.beta, dtype=float)
+    rho_tilde = 0.5 * (alpha + beta)
+    zeta = 0.5 * (beta - alpha)
+    rho = E.rho_of_potential(eos, rho_tilde if rho_tilde.ndim else float(rho_tilde))
+    rho_a = np.asarray(rho, dtype=float)
+    h = np.asarray(E.enthalpy(eos, rho), dtype=float)
+    sig = np.asarray(E.sigma(eos, rho), dtype=float)
+    eta2 = np.asarray(E.sound_speed_sq(eos, rho), dtype=float)
+    eta = np.sqrt(eta2)
+    v = -np.tanh(zeta)
+    p = np.asarray(E.pressure(eos, rho), dtype=float)
+    E_w = (rho_a + p) / (1.0 - v**2)
+    out = S.PointData(rho_tilde, zeta, v, eta, eta2, h, sig, sig / h, p, E_w)
+    return out if np.ndim(rho_tilde) else S.PointData(*(float(x) for x in out))
+
+
+def bundle_quantities(eos, pair, r):
+    """(name, value) of every state function, through the bundle."""
+    d = bundle_point_data(eos, pair)
+    v, eta, eta2 = (np.asarray(x) for x in (d.v, d.eta, d.eta2))
+    mu = np.asarray(E.mu_coefficient(eos, d.rho_tilde), dtype=float)
+    s = mu - (1.0 - eta2)
+    one_m_v2 = 1.0 - v**2
+    plus_den = 2.0 * (1.0 + v * eta) ** 2
+    minus_den = 2.0 * (1.0 - v * eta) ** 2
+    common = -2.0 * v * eta / np.asarray(r, dtype=float)
+    Ew, p = np.asarray(d.energy_flux_weight), np.asarray(d.p)
+    w = Ew / (2.0 * eta)
+    return {
+        "c_plus": (v + eta) / (1.0 + v * eta),
+        "c_minus": (v - eta) / (1.0 - v * eta),
+        "pa": one_m_v2 * mu / plus_den,
+        "pb": one_m_v2 * (s - (1.0 - eta2)) / plus_den,
+        "ma": one_m_v2 * ((1.0 - eta2) - s) / minus_den,
+        "mb": -one_m_v2 * mu / minus_den,
+        "A": common / (1.0 + v * eta),
+        "B": common / (1.0 - v * eta),
+        "tt": Ew - p,
+        "tr": Ew * v,
+        "rr": Ew * v**2 + p,
+        "tt_alpha": w * (1.0 + v * eta) ** 2,
+        "tr_alpha": w * (v + eta) * (1.0 + v * eta),
+        "rr_alpha": w * (v + eta) ** 2,
+        "tt_beta": w * (1.0 - v * eta) ** 2,
+        "tr_beta": w * (v - eta) * (1.0 - v * eta),
+        "rr_beta": w * (v - eta) ** 2,
+        "dp": Ew * eta * (1.0 - v**2) / 2.0,
+        **{f"point_data.{k}": x for k, x in d._asdict().items()},
+    }
+
+
+def wave_quantities(eos, pair, r):
+    cp, cm = S.char_speeds(eos, pair)
+    A, B = S.source_terms(eos, pair, r)
+    st = S.stress(eos, pair)
+    return {
+        "c_plus": cp,
+        "c_minus": cm,
+        **S.char_speed_derivatives(eos, pair),
+        "A": A,
+        "B": B,
+        "tt": st.tt,
+        "tr": st.tr,
+        "rr": st.rr,
+        **S.stress_derivatives(eos, pair)._asdict(),
+        "dp": S.pressure_derivative(eos, pair),
+        **{f"point_data.{k}": x for k, x in S.point_data(eos, pair)._asdict().items()},
+    }
+
+
+@pytest.fixture(scope="module")
+def table():
+    """Nonlinear tabulated law p = 0.1 rho^2 + 0.05 rho (chart route)."""
+    rho = np.geomspace(0.05, 4.5, 400)
+    return E.from_table(np.column_stack([rho, 0.1 * rho**2 + 0.05 * rho]), rho_ref=1.0)
+
+
+LAWS = ["rad", "p2", "rad_generic", "table"]
+
+
+class TestWaveStateMatchesBundle:
+    """The lean state functions equal the bundle path bit for bit."""
+
+    @pytest.mark.parametrize("law", LAWS)
+    def test_lanes_bit_for_bit(self, law, request, rng):
+        eos = request.getfixturevalue(law)
+        pairs = random_pairs(rng, 64, rt_range=(-0.3, 0.3), zeta_range=(-0.8, 0.8))
+        pair = S.RiemannPair(
+            np.array([p.alpha for p in pairs]).reshape(8, 8),
+            np.array([p.beta for p in pairs]).reshape(8, 8),
+        )
+        r = rng.uniform(0.5, 2.0, size=(8, 8))
+        want = bundle_quantities(eos, pair, r)
+        got = wave_quantities(eos, pair, r)
+        assert got.keys() == want.keys()
+        for name in want:
+            assert np.shape(got[name]) == (8, 8), name
+            assert np.array_equal(got[name], want[name]), name
+
+    @pytest.mark.parametrize("law", LAWS)
+    def test_scalar_pairs_give_floats(self, law, request, rng):
+        eos = request.getfixturevalue(law)
+        for pair in random_pairs(rng, 4, rt_range=(-0.3, 0.3), zeta_range=(-0.8, 0.8)):
+            want = bundle_quantities(eos, pair, 1.3)
+            got = wave_quantities(eos, pair, 1.3)
+            for name in want:
+                assert type(got[name]) is float, name
+                assert got[name] == float(want[name]), name
+
+    @pytest.mark.parametrize(
+        "fn",
+        [
+            lambda eos, pair: S.char_speeds(eos, pair),
+            lambda eos, pair: S.char_speed_derivatives(eos, pair),
+            lambda eos, pair: S.source_terms(eos, pair, 1.0),
+            lambda eos, pair: S.stress(eos, pair),
+            lambda eos, pair: S.stress_derivatives(eos, pair),
+            lambda eos, pair: S.pressure_derivative(eos, pair),
+            lambda eos, pair: S.point_data(eos, pair),
+        ],
+        ids=["char_speeds", "char_speed_derivatives", "source_terms", "stress",
+             "stress_derivatives", "pressure_derivative", "point_data"],
+    )
+    def test_one_inversion_and_one_density_check(self, rad, fn, monkeypatch):
+        counts = {"rho_of_potential": 0, "_check_rho": 0}
+        for name in counts:
+            wrapped = getattr(E, name)
+
+            def counting(*args, _name=name, _fn=wrapped, **kwargs):
+                counts[_name] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(E, name, counting)
+        fn(rad, S.RiemannPair(np.array([0.1, -0.2]), np.array([0.05, 0.3])))
+        assert counts == {"rho_of_potential": 1, "_check_rho": 1}
+
+    def test_every_check_is_still_made(self, rad):
+        with pytest.raises(OutOfRange, match="potential"):
+            S.char_speeds(rad, S.RiemannPair(np.array([0.0, 40.0]), np.array([0.0, 40.0])))
+        with pytest.raises(OutOfRange, match="r > 0"):
+            S.source_terms(rad, S.RiemannPair(0.1, 0.2), np.array([1.0, 0.0]))
+        stiff = E.radiation()
+        stiff.dp_drho_fn = lambda r: np.full_like(np.asarray(r, dtype=float), 1.5)
+        with pytest.raises(OutOfRange, match="dp/drho"):
+            S.char_speeds(stiff, S.RiemannPair(0.1, 0.2))
