@@ -14,7 +14,6 @@ from shockdev.fixed_bvp import (
     BoundaryFunctions,
     TriGrid,
     characteristic_residuals,
-    corner_beta_hat,
     solve_fixed_bvp,
 )
 from shockdev.state_ahead import initial_data, synthesize_model
@@ -35,7 +34,7 @@ def main():
     model = synthesize_model(cusp, eos, eps=eps)
 
     print(f"seed boundary: hatted incoming invariant starts at "
-          f"{corner_beta_hat(cusp):.6f} (lam dbeta_dt0 / 6 kappa^2)")
+          f"{cusp.beta_hat0:.6f} (lam dbeta_dt0 / 6 kappa^2)")
 
     bf, init, fg = solve_at(eos, cusp, model, eps, 32)
     print(f"\ninner iteration on a {fg.grid.n}x{fg.grid.n} triangle:")

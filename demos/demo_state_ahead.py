@@ -41,7 +41,7 @@ def main():
     # Initial data along the data edge: the incoming invariant departs
     # from its cusp value cubically; its hatted version has a finite limit.
     data = initial_data(model, eos, eps, 32)
-    target = cusp.lam / (6 * cusp.kappa * (cusp.c_plus0 - cusp.c_minus0))
+    target = cusp.h_hat0
     fitted = fitting.extrapolate_to_zero(data.u[8:], data.h_hat[8:], degree=2, drop=0)
     print("\ninitial data along the edge (u = edge coordinate):")
     print(f"{'u':>10} {'h':>13} {'h_hat = h/u^3':>14} {'alpha_i':>12}")

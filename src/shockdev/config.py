@@ -6,16 +6,21 @@ A configuration file uses flat ``key = value`` entries grouped in sections
 Every key has a default, so an empty file — or no file — yields the
 canonical desk-scale run.  After the file layer, environment variables of
 the form ``SHOCKDEV_<SECTION>_<KEY>`` override individual entries; one
-that names a known section but no key of it is rejected.
+that names a known section but no key of it is rejected, and so is a
+blank or null value for any key.
 
 Sections and keys::
 
     [eos]     kind (radiation | poly2), coefficient (poly2 stiffness)
     [cusp]    alpha0, beta0, kappa, lam, r0, dbeta_dt0, alpha_ddot0, xi
-    [solver]  eps, n, tol_inner, tol_outer, max_outer, max_sweeps,
-              max_retries, v_floor (blank = auto), trust_index (blank = auto)
+    [solver]  eps, n, tol_outer, max_outer, max_retries
     [output]  grid_csv, shock_csv, report_json
     [checks]  seed (RNG seed for the sampled property checks)
+
+The inner solver's numerics have no keys: the corner value of the
+reflection ratio and the trust index of the hatted curve follow from the
+corner asymptotics, and the field sweep stops at its rounding floor well
+inside its fixed tolerance and budget.
 
 Validation failures raise :class:`~shockdev.errors.ConfigError` carrying
 every violation, so the command line can report them all at once.
@@ -40,8 +45,7 @@ __all__ = ["SolverConfig", "load_config", "build_problem"]
 
 _MACH_EPS = float(np.finfo(float).eps)
 
-# schema: section -> key -> (python type, default); Optional floats/ints use
-# a blank string / null as "not set"
+# schema: section -> key -> (python type, default)
 _SCHEMA: dict[str, dict[str, tuple[type, object]]] = {
     "eos": {
         "kind": (str, "radiation"),
@@ -60,13 +64,9 @@ _SCHEMA: dict[str, dict[str, tuple[type, object]]] = {
     "solver": {
         "eps": (float, 0.01),
         "n": (int, 64),
-        "tol_inner": (float, 1e-12),
         "tol_outer": (float, 1e-10),
         "max_outer": (int, 60),
-        "max_sweeps": (int, 60),
         "max_retries": (int, 3),
-        "v_floor": (float, None),
-        "trust_index": (int, None),
     },
     "output": {
         "grid_csv": (str, "grid.csv"),
@@ -95,13 +95,9 @@ class SolverConfig:
     xi: float = 0.0
     eps: float = 0.01
     n: int = 64
-    tol_inner: float = 1e-12
     tol_outer: float = 1e-10
     max_outer: int = 60
-    max_sweeps: int = 60
     max_retries: int = 3
-    v_floor: float | None = None
-    trust_index: int | None = None
     grid_csv: str = "grid.csv"
     shock_csv: str = "shock.csv"
     report_json: str = "report.json"
@@ -122,13 +118,9 @@ class SolverConfig:
     def solver_options(self) -> dict:
         """Keyword arguments for ``run_shock_development`` besides eps and n."""
         return {
-            "tol_inner": self.tol_inner,
             "tol_outer": self.tol_outer,
             "max_outer": self.max_outer,
-            "max_sweeps": self.max_sweeps,
             "max_retries": self.max_retries,
-            "v_floor": self.v_floor,
-            "trust_index": self.trust_index,
         }
 
 
@@ -141,17 +133,15 @@ _FIELD_OF = {
 
 
 def _coerce(section: str, key: str, raw, errors: list[str]):
-    """Convert a raw file/env value to the schema type (None passes through)."""
-    typ, default = _SCHEMA[section][key]
+    """Convert a raw file/env value to the schema type; None on an error."""
+    typ, _ = _SCHEMA[section][key]
     if raw is None:
-        if default is not None:
-            errors.append(f"[{section}] {key}: null value")
+        errors.append(f"[{section}] {key}: null value")
         return None
     if isinstance(raw, str):
         text = raw.strip()
         if text == "":
-            if default is not None:
-                errors.append(f"[{section}] {key}: empty value")
+            errors.append(f"[{section}] {key}: empty value")
             return None
         try:
             if typ is float:
@@ -166,8 +156,6 @@ def _coerce(section: str, key: str, raw, errors: list[str]):
     if typ is float and isinstance(raw, (int, float)) and not isinstance(raw, bool):
         return float(raw)
     if typ is int and isinstance(raw, int) and not isinstance(raw, bool):
-        return raw
-    if typ is str and isinstance(raw, str):
         return raw
     errors.append(f"[{section}] {key}: expected {typ.__name__}, got {type(raw).__name__}")
     return None
@@ -252,23 +240,15 @@ def _validate(values: dict, errors: list[str]) -> None:
     n = get("solver", "n")
     if n < 2:
         errors.append(f"[solver] n: must be at least 2, got {n}")
-    for key in ("tol_inner", "tol_outer"):
-        tol = get("solver", key)
-        if not (math.isfinite(tol) and tol > _MACH_EPS):
-            errors.append(
-                f"[solver] {key}: must exceed machine epsilon ({_MACH_EPS:.2e}), got {tol}"
-            )
-    for key in ("max_outer", "max_sweeps"):
-        if get("solver", key) < 1:
-            errors.append(f"[solver] {key}: must be at least 1")
+    tol = get("solver", "tol_outer")
+    if not (math.isfinite(tol) and tol > _MACH_EPS):
+        errors.append(
+            f"[solver] tol_outer: must exceed machine epsilon ({_MACH_EPS:.2e}), got {tol}"
+        )
+    if get("solver", "max_outer") < 1:
+        errors.append("[solver] max_outer: must be at least 1")
     if get("solver", "max_retries") < 0:
         errors.append("[solver] max_retries: must be non-negative")
-    v_floor = get("solver", "v_floor")
-    if v_floor is not None and not (math.isfinite(v_floor) and v_floor >= 0):
-        errors.append(f"[solver] v_floor: must be non-negative, got {v_floor}")
-    trust = get("solver", "trust_index")
-    if trust is not None and trust < 1:
-        errors.append(f"[solver] trust_index: must be at least 1, got {trust}")
     if get("checks", "seed") < 0:
         errors.append("[checks] seed: must be non-negative")
     for key in ("grid_csv", "shock_csv", "report_json"):
@@ -305,8 +285,6 @@ def load_config(path=None, env=None) -> SolverConfig:
             value = _coerce(section, key, raw, errors)
             if value is not None:
                 values[(section, key)] = value
-            elif _SCHEMA[section][key][1] is None:
-                values[(section, key)] = None
     if not errors:
         _validate(values, errors)
     if errors:

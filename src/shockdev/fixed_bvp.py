@@ -37,7 +37,6 @@ __all__ = [
     "TriGrid",
     "BoundaryFunctions",
     "FieldGrid",
-    "corner_beta_hat",
     "gamma_inverse",
     "solve_linear_t",
     "solve_fixed_bvp",
@@ -46,6 +45,11 @@ __all__ = [
     "dv_grid",
     "write_grid_csv",
 ]
+
+# sweep-change tolerance and sweep budget of the field iteration; every
+# canonical solve stops at the rounding floor after 2 sweeps, well inside both
+_TOL_INNER = 1e-12
+_MAX_SWEEPS = 60
 
 
 class TriGrid:
@@ -76,11 +80,6 @@ class TriGrid:
         return f"TriGrid(eps={self.eps}, n={self.n})"
 
 
-def corner_beta_hat(cusp: CuspData) -> float:
-    """Corner value of the hatted incoming invariant on the shock diagonal."""
-    return cusp.lam / (6.0 * cusp.kappa**2) * cusp.dbeta_dt0
-
-
 @dataclass
 class BoundaryFunctions:
     """Shock-side boundary data in hatted form, sampled on the diagonal nodes.
@@ -107,7 +106,7 @@ class BoundaryFunctions:
         if len(sizes) != 1 or self.v.ndim != 1:
             raise ValueError("boundary samples must be 1-D arrays of equal length")
         self.y[0] = -1.0
-        self.beta_hat_plus[0] = corner_beta_hat(self.cusp)
+        self.beta_hat_plus[0] = self.cusp.beta_hat0
 
     @classmethod
     def seed(cls, cusp: CuspData, v_nodes) -> "BoundaryFunctions":
@@ -117,7 +116,7 @@ class BoundaryFunctions:
             cusp=cusp,
             v=v,
             y=np.full_like(v, -1.0),
-            beta_hat_plus=np.full_like(v, corner_beta_hat(cusp)),
+            beta_hat_plus=np.full_like(v, cusp.beta_hat0),
             V_hat=np.zeros_like(v),
         )
 
@@ -142,51 +141,39 @@ class BoundaryFunctions:
 
 
 def gamma_inverse(
-    bf: BoundaryFunctions,
-    alpha_on_diag,
-    eos: eos_mod.BarotropicEos,
-    v_floor: float | None = None,
+    bf: BoundaryFunctions, alpha_on_diag, eos: eos_mod.BarotropicEos
 ) -> np.ndarray:
     """Reflection ratio (V - c_bar_minus)/(c_bar_plus - V) on the diagonal.
 
     The behind speeds c_bar_pm are evaluated at (alpha(v,v), beta_plus(v)).
-    The ratio blows up like 1/v at the corner; below ``v_floor`` (default:
-    half the node spacing, so only the corner node on a uniform grid) the
-    value is the leading expansion, which is +inf exactly at v = 0.  The
-    consumer multiplies by the diagonal u-derivative, which vanishes there,
-    and replaces the product by its limit 0.
+    The ratio blows up like 1/v at the corner, so it is +inf exactly at
+    v = 0 and num/den at every v > 0.  The consumer multiplies by the
+    diagonal u-derivative, which vanishes at the corner, and replaces the
+    product by its limit 0.
 
     Raises:
         SingularGamma: the shock is not subsonic relative to the state
-            behind (c_bar_plus - V < 0) at some node v >= v_floor.  An
-            exactly sonic node (denominator 0) returns +inf instead, so the
+            behind (c_bar_plus - V < 0) at some node v > 0.  An exactly
+            sonic node (denominator 0) returns +inf instead, so the
             degenerate constant solution stays solvable.
     """
     v = bf.v
-    if v_floor is None:
-        v_floor = 0.5 * (v[1] - v[0]) if len(v) > 1 else 0.0
     alpha_diag = np.asarray(alpha_on_diag, dtype=float)
     V = bf.speed()
     cp, cm = char_speeds(eos, RiemannPair(alpha_diag, bf.beta_plus()))
     num = V - cm
     den = cp - V
-    regular = v >= v_floor
-    bad = regular & (den < 0)
+    corner = v == 0.0
+    bad = ~corner & (den < 0)
     if np.any(bad):
         j = int(np.argmax(bad))
         raise SingularGamma(
             f"shock speed exceeds the behind outgoing speed at v = {v[j]:.6g} "
             f"(margin {den[j]:.3e})"
         )
-    out = np.empty_like(v)
     with np.errstate(divide="ignore"):
-        out[regular] = num[regular] / den[regular]
-        sub = ~regular
-        # leading corner expansion: (c+0 - c-0) / ((kappa/2)(1 - y) v)
-        c = bf.cusp
-        out[sub] = (c.c_plus0 - c.c_minus0) / (
-            0.5 * c.kappa * (1.0 - bf.y[sub]) * v[sub]
-        )
+        out = num / den
+    out[corner] = math.inf
     return out
 
 
@@ -493,17 +480,13 @@ def solve_fixed_bvp(
     init: InitialData,
     eos: eos_mod.BarotropicEos,
     grid: TriGrid,
-    *,
-    tol_inner: float = 1e-12,
-    max_sweeps: int = 60,
-    v_floor: float | None = None,
 ) -> FieldGrid:
     """Solve the characteristic system for fixed boundary functions.
 
     Iterates (alpha, beta) -> coefficients -> direct linear t solve -> r ->
     updated (alpha, beta) from the transport integrals, starting from the
     transported boundary data (alpha constant along v, beta constant along
-    u).  Once the sup-norm change in (alpha, beta) is below ``tol_inner``
+    u).  Once the sup-norm change in (alpha, beta) is below ``_TOL_INNER``
     and at least two sweeps have run, stops when the error the last sweep
     leaves under the observed contraction, change * min(1, change/prev),
     is within 2 ulp of max(|alpha|, |beta|) on the triangle; it also stops
@@ -512,7 +495,8 @@ def solve_fixed_bvp(
     ``changes[1] / changes[0]`` is defined.
 
     Raises:
-        NonConvergence: budget exhausted, the sweep changes grow by 100x
+        NonConvergence: ``_MAX_SWEEPS`` sweeps ran without the change
+            falling below ``_TOL_INNER``, the sweep changes grow by 100x
             (the domain size is too large for contraction), or the time
             solve met non-finite values.
         SingularGamma, OutOfRange: propagated from the coefficients.
@@ -536,7 +520,7 @@ def solve_fixed_bvp(
         nu = dv_grid(cm, grid)
         nu /= spread
         del spread
-        ginv = gamma_inverse(bf, np.diagonal(alpha).copy(), eos, v_floor=v_floor)
+        ginv = gamma_inverse(bf, np.diagonal(alpha).copy(), eos)
         t, P, Q = solve_linear_t(mu, nu, ginv, init.h, init.dh_du, grid)
         s_edge = _ct_v((cm * P)[:, 0], d)
         s = _ct_v(np.where(mask, cp * Q, 0.0), d)
@@ -546,7 +530,7 @@ def solve_fixed_bvp(
     history: list[float] = []
     met = False
     prev = math.inf
-    for _ in range(max_sweeps):
+    for _ in range(_MAX_SWEEPS):
         # one state evaluation serves the speeds and the sources
         state = wave_state(eos, RiemannPair(alpha, beta))
         t, P, Q, r, s = assemble(alpha, state)
@@ -572,7 +556,7 @@ def solve_fixed_bvp(
             )
         if met and change >= prev:
             break
-        if change < tol_inner:
+        if change < _TOL_INNER:
             met = True
             if change == 0.0:
                 break
@@ -584,7 +568,7 @@ def solve_fixed_bvp(
     else:
         if not met:
             raise NonConvergence(
-                f"field iteration failed to reach {tol_inner:g} in {max_sweeps} sweeps",
+                f"field iteration failed to reach {_TOL_INNER:g} in {_MAX_SWEEPS} sweeps",
                 history,
                 diverging=history[-1] > history[0],
             )

@@ -55,7 +55,6 @@ from .fixed_bvp import (
     FieldGrid,
     TriGrid,
     characteristic_residuals,
-    corner_beta_hat,
     solve_fixed_bvp,
 )
 from .jump import JumpPair, cubic_coefficient, jump_J, jump_scale, shock_speed, solve_jump_beta
@@ -154,9 +153,7 @@ def corner_expansion(
     """
     cusp = model.cusp
     kap, lam = cusp.kappa, cusp.lam
-    f2 = lam / (6.0 * kap**2)
-    ahat0 = lam * cusp.a_tilde0 / (6.0 * kap**2)
-    bh0 = corner_beta_hat(cusp)
+    f2 = cusp.f_hat0
     vs = model.box_w * np.asarray(sample_fractions, dtype=float)
 
     # radius terms of the identification residual at linear order in v,
@@ -170,7 +167,7 @@ def corner_expansion(
         f = f2 * vs**2 + fhat1 * vs**3
         z = vs * (-1.0 + y1 * vs)
         ahead = RiemannPair(model.eval("alpha", f, z), model.eval("beta", f, z))
-        a_plus = model.eval("alpha", 0.0, vs) + ahat0 * vs**2
+        a_plus = model.eval("alpha", 0.0, vs) + cusp.alpha_hat0 * vs**2
         b_plus = solve_jump_beta(eos, a_plus, ahead)
         V = shock_speed(eos, JumpPair(ahead, RiemannPair(a_plus, b_plus)))
         w2 = fitting.quadratic_extrapolate(vs, (V - cusp.c_plus0) / vs**2)
@@ -189,7 +186,7 @@ def corner_expansion(
     w2, bhs = sample(y1)
     fhat1 = lam * y1 / (24.0 * kap**2)
     deltahat1 = lam * w2 / (12.0 * kap**2)
-    b_slope = fitting.quadratic_extrapolate(vs, (bhs - bh0) / vs)
+    b_slope = fitting.quadratic_extrapolate(vs, (bhs - cusp.beta_hat0) / vs)
     return CornerExpansion(
         y1=y1,
         fhat1=fhat1,
@@ -236,7 +233,6 @@ class ShockSolution:
 
     eps: float
     n: int
-    requested_eps: float
     retries: int
     cusp: CuspData
     fields: FieldGrid
@@ -253,10 +249,11 @@ class SolverContext:
 
     ``trust_index`` bounds the corner fill of the state-based hatted
     quantities (delta_hat, beta_hat_plus) whose raw noise is the
-    grid-independent 1/k^2 quadrature law.  ``speed_trust_index`` bounds
-    the fill of the hatted speed, whose raw extraction additionally
-    divides ~ulp-level speed rounding by v^2, so its trusted region must
-    satisfy v^2 > ulp/tolerance regardless of the grid.
+    grid-independent 1/k^2 quadrature law; it is max(4, n // 8), capped at
+    n // 2.  ``speed_trust_index`` bounds the fill of the hatted speed,
+    whose raw extraction additionally divides ~ulp-level speed rounding by
+    v^2, so its trusted region must satisfy v^2 > ulp/tol_outer regardless
+    of the grid.
     """
 
     eos: eos_mod.BarotropicEos
@@ -267,9 +264,6 @@ class SolverContext:
     corner: CornerExpansion
     trust_index: int
     speed_trust_index: int
-    tol_inner: float = 1e-12
-    max_sweeps: int = 60
-    v_floor: float | None = None
 
     @classmethod
     def build(
@@ -279,16 +273,12 @@ class SolverContext:
         cusp: CuspData,
         eps: float,
         n: int,
-        trust_index: int | None = None,
         tol_outer: float = 1e-10,
-        **options,
     ) -> "SolverContext":
         grid = TriGrid(eps, n)
         init = initial_data(model, eos, eps, n)
         corner = corner_expansion(model, eos)
-        if trust_index is None:
-            trust_index = max(4, grid.n // 8)
-        trust_index = int(min(trust_index, max(grid.n // 2, 1)))
+        trust_index = min(max(4, grid.n // 8), max(grid.n // 2, 1))
         # hatted-speed rounding floor: ~3 ulp of the speed scale over v^2
         # must stay below a third of the convergence tolerance
         j_v = 3.0 * np.finfo(float).eps * max(1.0, abs(cusp.c_plus0))
@@ -304,7 +294,6 @@ class SolverContext:
             corner=corner,
             trust_index=trust_index,
             speed_trust_index=kt_speed,
-            **options,
         )
 
 
@@ -446,15 +435,7 @@ def outer_iterate(bf: BoundaryFunctions, ctx: SolverContext):
     """
     cusp = ctx.cusp
     corner = ctx.corner
-    fg = solve_fixed_bvp(
-        bf,
-        ctx.init,
-        ctx.eos,
-        ctx.grid,
-        tol_inner=ctx.tol_inner,
-        max_sweeps=ctx.max_sweeps,
-        v_floor=ctx.v_floor,
-    )
+    fg = solve_fixed_bvp(bf, ctx.init, ctx.eos, ctx.grid)
     v = ctx.grid.nodes
     kt = ctx.trust_index
     anchor = min(2 * kt, ctx.grid.n)
@@ -463,10 +444,10 @@ def outer_iterate(bf: BoundaryFunctions, ctx: SolverContext):
     alpha_plus = fg.diagonal("alpha")
 
     f_hat = np.empty_like(v)
-    f_hat[0] = cusp.lam / (6.0 * cusp.kappa**2)
+    f_hat[0] = cusp.f_hat0
     f_hat[1:] = f[1:] / v[1:] ** 2
     g_hat = np.empty_like(v)
-    g_hat[0] = cusp.lam * cusp.c_plus0 / (6.0 * cusp.kappa**2)
+    g_hat[0] = cusp.g_hat0
     g_hat[1:] = g[1:] / v[1:] ** 2
 
     delta_hat = np.empty_like(v)
@@ -481,13 +462,13 @@ def outer_iterate(bf: BoundaryFunctions, ctx: SolverContext):
     beta_plus, V, alpha_minus, beta_minus = jump_update(fg, ctx.model, ctx.eos, z)
 
     alpha_hat_plus = np.empty_like(v)
-    alpha_hat_plus[0] = cusp.lam * cusp.a_tilde0 / (6.0 * cusp.kappa**2)
+    alpha_hat_plus[0] = cusp.alpha_hat0
     alpha_hat_plus[1:] = (alpha_plus[1:] - ctx.init.alpha_i[1:]) / v[1:] ** 2
 
     beta_hat_plus = np.empty_like(v)
     beta_hat_plus[1:] = (beta_plus[1:] - cusp.beta0) / v[1:] ** 2
     beta_hat_plus = _corner_fill(
-        v, beta_hat_plus, kt, anchor, corner_beta_hat(cusp), corner.beta_hat_slope
+        v, beta_hat_plus, kt, anchor, cusp.beta_hat0, corner.beta_hat_slope
     )
 
     kt_v = ctx.speed_trust_index
@@ -572,10 +553,6 @@ def _attempt(
     *,
     tol_outer: float,
     max_outer: int,
-    tol_inner: float,
-    max_sweeps: int,
-    v_floor: float | None,
-    trust_index: int | None,
     seed_fn,
 ):
     """One outer solve on a fixed domain, Anderson-accelerated.
@@ -590,18 +567,7 @@ def _attempt(
     window cleared; a failure at a plain iterate propagates to the
     halved-domain driver.
     """
-    ctx = SolverContext.build(
-        eos,
-        model,
-        cusp,
-        eps,
-        n,
-        trust_index=trust_index,
-        tol_outer=tol_outer,
-        tol_inner=tol_inner,
-        max_sweeps=max_sweeps,
-        v_floor=v_floor,
-    )
+    ctx = SolverContext.build(eos, model, cusp, eps, n, tol_outer=tol_outer)
     bf = seed_fn(cusp, ctx.grid.nodes)
     history = []
     window = []  # Anderson window: packed (x_k, G(x_k)), oldest first
@@ -650,11 +616,7 @@ def run_shock_development(
     n: int,
     tol_outer: float = 1e-10,
     max_outer: int = 60,
-    tol_inner: float = 1e-12,
-    max_sweeps: int = 60,
-    v_floor: float | None = None,
     max_retries: int = 3,
-    trust_index: int | None = None,
     seed_fn=None,
     collect_diagnostics: bool = True,
 ) -> ShockSolution:
@@ -676,18 +638,8 @@ def run_shock_development(
         attempted.append(attempt_eps)
         try:
             bf, fg, curve, history, ctx = _attempt(
-                eos,
-                model,
-                cusp,
-                attempt_eps,
-                n,
-                tol_outer=tol_outer,
-                max_outer=max_outer,
-                tol_inner=tol_inner,
-                max_sweeps=max_sweeps,
-                v_floor=v_floor,
-                trust_index=trust_index,
-                seed_fn=seed_fn,
+                eos, model, cusp, attempt_eps, n,
+                tol_outer=tol_outer, max_outer=max_outer, seed_fn=seed_fn,
             )
         except (NonConvergence, SingularGamma) as exc:
             last_exc = exc
@@ -696,7 +648,6 @@ def run_shock_development(
         solution = ShockSolution(
             eps=attempt_eps,
             n=n,
-            requested_eps=float(eps),
             retries=retry,
             cusp=cusp,
             fields=fg,
@@ -758,15 +709,10 @@ def curve_asymptotics(
     kt = curve.trust_index
     v = curve.v[kt:]
     delta = curve.v[1] - curve.v[0]
-    lam, kap = cusp.lam, cusp.kappa
     base = RiemannPair(cusp.alpha0, cusp.beta0)
     g0 = cubic_coefficient(eos, base)
     dalpha = (curve.alpha_plus - curve.alpha_minus)[kt:]
     dbeta = (curve.beta_plus - curve.beta_minus)[kt:]
-    f_target = lam / (6 * kap**2)
-    g_target = lam * cusp.c_plus0 / (6 * kap**2)
-    ahat_target = lam * cusp.a_tilde0 / (6 * kap**2)
-    bhat_target = corner_beta_hat(cusp)
     slope_target = 2.0 * cusp.alpha_dot0
 
     def fit(samples, target, tol, scale=1.0):
@@ -774,15 +720,17 @@ def curve_asymptotics(
         return SubCheck.of(fitted, target, tol, scale=scale)
 
     return {
-        "f_hat0": fit(curve.f_hat[kt:], f_target, 0.05, abs(f_target)),
-        "g_hat0": fit(curve.g_hat[kt:], g_target, 0.05, abs(g_target)),
+        "f_hat0": fit(curve.f_hat[kt:], cusp.f_hat0, 0.05, abs(cusp.f_hat0)),
+        "g_hat0": fit(curve.g_hat[kt:], cusp.g_hat0, 0.05, abs(cusp.g_hat0)),
         "y0": fit(curve.y[kt:], -1.0, 0.02),
         "alpha_hat_plus0": (
-            fit(curve.alpha_hat_plus[kt:], ahat_target, 0.10, abs(ahat_target))
-            if ahat_target != 0.0
+            fit(curve.alpha_hat_plus[kt:], cusp.alpha_hat0, 0.10, abs(cusp.alpha_hat0))
+            if cusp.alpha_hat0 != 0.0
             else fit(curve.alpha_hat_plus[kt:], 0.0, 0.02 * abs(cusp.alpha_dot0))
         ),
-        "beta_hat_plus0": fit(curve.beta_hat_plus[kt:], bhat_target, 0.10, abs(bhat_target)),
+        "beta_hat_plus0": fit(
+            curve.beta_hat_plus[kt:], cusp.beta_hat0, 0.10, abs(cusp.beta_hat0)
+        ),
         "delta_hat0": fit(curve.delta_hat[kt:], 0.0, 10.0 * delta),
         "jump_cubic_ratio": fit(dbeta / dalpha**3, g0, 0.10, abs(g0)),
         "jump_alpha_slope": fit(dalpha / v, slope_target, 0.05, abs(slope_target)),

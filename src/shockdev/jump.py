@@ -76,6 +76,8 @@ class JumpPair(NamedTuple):
 # Newton tolerance on |J| relative to (rho+p)^2
 _DALPHA_CAP = 0.5
 _J_TOL_REL = 1e-13
+# doublings of the bracket around the cubic seed before a lane has no root
+_MAX_EXPAND = 4
 # stencil step of the coincidence derivatives (Richardson-refined at half)
 _COINCIDENCE_STEP = 1e-2
 
@@ -155,7 +157,6 @@ def solve_jump_beta(
     eos: eos_mod.BarotropicEos,
     alpha_plus,
     ahead: RiemannPair,
-    max_expand: int = 4,
 ):
     """Behind beta on the physical branch of J = 0 at a given behind alpha.
 
@@ -167,7 +168,7 @@ def solve_jump_beta(
 
     Per lane: lanes with zero jump in alpha return the ahead beta; the
     others seed with the cubic law, bracket around the seed with width
-    8 |G0 dalpha^3| + 1e-14 (doubled up to ``max_expand`` times if needed),
+    8 |G0 dalpha^3| + 1e-14 (doubled up to ``_MAX_EXPAND`` times if needed),
     and run safeguarded Newton to |J| < _J_TOL_REL * (rho+p)^2, then
     polish to a machine-precision root.
 
@@ -202,7 +203,7 @@ def solve_jump_beta(
         return J, dJ
 
     pending = np.ones(lanes.size, dtype=bool)
-    for _ in range(max_expand + 1):
+    for _ in range(_MAX_EXPAND + 1):
         lo, hi = seed - width, seed + width
         f_lo, _ = fdf(lo)
         f_hi, _ = fdf(hi)
@@ -212,7 +213,7 @@ def solve_jump_beta(
         width = np.where(pending, 2.0 * width, width)
     else:
         raise NoRoot(
-            f"no sign change of J around the cubic seed after {max_expand} expansions "
+            f"no sign change of J around the cubic seed after {_MAX_EXPAND} expansions "
             f"in {int(np.count_nonzero(pending))} of {pending.size} lanes"
         )
     out.flat[lanes] = fitting.safeguarded_newton_lanes(

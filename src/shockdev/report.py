@@ -336,7 +336,7 @@ def _check_ahead_structure(eos, cusp, model):
         sing_target = lam / (2.0 * kap**2)
 
         data = initial_data(model, eos, 0.5 * model.box_w, 32)
-        edge_target = lam / (6.0 * kap * (cusp.c_plus0 - cusp.c_minus0))
+        edge_target = cusp.h_hat0
         edge = fitting.extrapolate_to_zero(data.u[8:], data.h_hat[8:], degree=2, drop=0)
         entries = {
             "singular_boundary_quadratic": SubCheck.of(

@@ -150,6 +150,33 @@ class CuspData:
             a_tilde0=float(a_tilde0),
         )
 
+    # Analytic corner limits of the hatted curve and data-edge quantities.
+
+    @property
+    def f_hat0(self) -> float:
+        """Corner value of the hatted shock time f / v^2."""
+        return self.lam / (6.0 * self.kappa**2)
+
+    @property
+    def g_hat0(self) -> float:
+        """Corner value of the hatted shock radius offset g / v^2."""
+        return self.lam * self.c_plus0 / (6.0 * self.kappa**2)
+
+    @property
+    def alpha_hat0(self) -> float:
+        """Corner value of the hatted behind outgoing invariant on the shock."""
+        return self.lam * self.a_tilde0 / (6.0 * self.kappa**2)
+
+    @property
+    def beta_hat0(self) -> float:
+        """Corner value of the hatted behind incoming invariant on the shock."""
+        return self.lam / (6.0 * self.kappa**2) * self.dbeta_dt0
+
+    @property
+    def h_hat0(self) -> float:
+        """Cubic coefficient h / u^3 of the incoming characteristic at the cusp."""
+        return self.lam / (6.0 * self.kappa * (self.c_plus0 - self.c_minus0))
+
 
 def _constrained_slots(cusp: CuspData) -> dict[str, dict[tuple[int, int], float]]:
     """Coefficient slots fixed by the cusp structure; keys are (t-power, w-power)."""
@@ -435,13 +462,11 @@ def incoming_characteristic(
         ) * model.eval("beta", tv, wv, dt=1)
         return f, -(model.eval("r", tv, wv, dt=1, dw=1) + f * dgap_dt) / (cp - cm)
 
-    cusp = model.cusp
-    cubic = cusp.lam / (6.0 * cusp.kappa * (cusp.c_plus0 - cusp.c_minus0))
     step_ref = float(np.max(np.diff(w)))
     w_series = min(4.0 * step_ref, u_max / 8.0)
     start = int(np.count_nonzero(w <= w_series)) - 1
     sub = np.diff(w[start:]) / 4.0
-    t = cubic * w**3
+    t = model.cusp.h_hat0 * w**3
     history = []
     for _ in range(_MARCH_PASSES):
         # Phi_i(t_i) and dPhi_i/dt_i for every interval i >= start
@@ -506,7 +531,7 @@ def initial_data(
     cusp = model.cusp
     alpha_i = np.asarray(model.eval("alpha", h, u), dtype=float)
     h_hat = np.empty_like(h)
-    h_hat[0] = cusp.lam / (6.0 * cusp.kappa * (cusp.c_plus0 - cusp.c_minus0))
+    h_hat[0] = cusp.h_hat0
     h_hat[1:] = h[1:] / u[1:] ** 3
     alpha_i_hat = np.empty_like(h)
     alpha_i_hat[0] = cusp.alpha_ddot0 / 2.0

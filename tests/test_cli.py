@@ -47,6 +47,15 @@ class TestConfigErrors:
         cfg.write_text("[solver]\ngrid = 8\n")
         assert run_cli(["sweep", "--config", str(cfg), "--n", "8"]) == 2
 
+    def test_removed_solver_key_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "old.ini"
+        cfg.write_text("[solver]\nv_floor =\ntrust_index = 6\n")
+        assert run_cli(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "unknown key [solver] v_floor" in err
+        assert "unknown key [solver] trust_index" in err
+        assert not (tmp_path / "report.json").exists()
+
     def test_env_typo_exits_2(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("SHOCKDEV_SOLVER_NN", "7")
         assert run_cli(["run", "--out", str(tmp_path)]) == 2

@@ -9,8 +9,12 @@ from pathlib import Path
 
 import pytest
 
-from shockdev.config import SolverConfig, build_problem, load_config
+from shockdev.config import _SCHEMA, SolverConfig, build_problem, load_config
 from shockdev.errors import ConfigError
+
+# solver numerics that are fixed rules of the solver, not configuration
+REMOVED_SOLVER_KEYS = ("tol_inner", "max_sweeps", "v_floor", "trust_index")
+ALL_KEYS = [(s, k) for s, keys in _SCHEMA.items() for k in keys]
 
 
 class TestDefaults:
@@ -23,8 +27,6 @@ class TestDefaults:
         assert cfg.eos_kind == "radiation"
         assert cfg.eps == 0.01
         assert cfg.n == 64
-        assert cfg.v_floor is None
-        assert cfg.trust_index is None
         assert cfg.report_json == "report.json"
 
     def test_empty_file_gives_canonical(self, tmp_path):
@@ -40,10 +42,13 @@ class TestDefaults:
 
     def test_solver_options_keys(self):
         opts = SolverConfig.canonical().solver_options()
-        assert set(opts) == {
-            "tol_inner", "tol_outer", "max_outer", "max_sweeps",
-            "max_retries", "v_floor", "trust_index",
-        }
+        assert set(opts) == {"tol_outer", "max_outer", "max_retries"}
+
+    def test_schema_has_no_unset_defaults(self):
+        assert set(_SCHEMA["solver"]) == {"eps", "n", "tol_outer", "max_outer", "max_retries"}
+        assert all(default is not None for _, default in (
+            entry for keys in _SCHEMA.values() for entry in keys.values()
+        ))
 
 
 class TestSectionedText:
@@ -71,24 +76,17 @@ class TestSectionedText:
         cfg = load_config(path, env={})
         assert (cfg.n, cfg.eps) == (32, 0.02)
 
-    def test_blank_optional_means_auto(self, tmp_path):
-        path = tmp_path / "run.ini"
-        path.write_text("[solver]\nv_floor =\ntrust_index =\n")
-        cfg = load_config(path, env={})
-        assert cfg.v_floor is None
-        assert cfg.trust_index is None
-
-    def test_optional_value_set(self, tmp_path):
-        path = tmp_path / "run.ini"
-        path.write_text("[solver]\nv_floor = 1e-5\ntrust_index = 6\n")
-        cfg = load_config(path, env={})
-        assert cfg.v_floor == 1e-5
-        assert cfg.trust_index == 6
-
     def test_blank_required_rejected(self, tmp_path):
         path = tmp_path / "run.ini"
         path.write_text("[solver]\neps =\n")
         with pytest.raises(ConfigError, match=r"\[solver\] eps"):
+            load_config(path, env={})
+
+    @pytest.mark.parametrize("section, key", ALL_KEYS)
+    def test_blank_value_rejected_for_every_key(self, tmp_path, section, key):
+        path = tmp_path / "run.ini"
+        path.write_text(f"[{section}]\n{key} =\n")
+        with pytest.raises(ConfigError, match=rf"\[{section}\] {key}: empty value"):
             load_config(path, env={})
 
 
@@ -97,11 +95,18 @@ class TestJson:
         path = tmp_path / "run.json"
         path.write_text(json.dumps({
             "eos": {"kind": "poly2", "coefficient": 0.2},
-            "solver": {"eps": 0.02, "n": 16, "v_floor": None},
+            "solver": {"eps": 0.02, "n": 16},
         }))
         cfg = load_config(path, env={})
         assert (cfg.eos_kind, cfg.eos_coefficient) == ("poly2", 0.2)
-        assert (cfg.eps, cfg.n, cfg.v_floor) == (0.02, 16, None)
+        assert (cfg.eps, cfg.n) == (0.02, 16)
+
+    @pytest.mark.parametrize("section, key", ALL_KEYS)
+    def test_null_value_rejected_for_every_key(self, tmp_path, section, key):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({section: {key: None}}))
+        with pytest.raises(ConfigError, match=rf"\[{section}\] {key}: null value"):
+            load_config(path, env={})
 
     def test_json_detected_without_suffix(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -158,6 +163,12 @@ class TestEnvOverrides:
         assert "unknown key [solver] grid" in msg
         assert "SHOCKDEV_SOLVER_NN" in msg and "SHOCKDEV_CUSP_KAPA" in msg
 
+    @pytest.mark.parametrize("section, key", ALL_KEYS)
+    def test_blank_env_value_rejected(self, section, key):
+        name = f"SHOCKDEV_{section.upper()}_{key.upper()}"
+        with pytest.raises(ConfigError, match=rf"\[{section}\] {key}: empty value"):
+            load_config(None, env={name: ""})
+
     def test_bad_env_value(self):
         with pytest.raises(ConfigError, match=r"\[solver\] eps"):
             load_config(None, env={"SHOCKDEV_SOLVER_EPS": "wide"})
@@ -191,6 +202,23 @@ class TestValidation:
         with pytest.raises(ConfigError, match=r"unknown key \[solver\] t_max_iter"):
             load_config(path, env={})
         assert "t_max_iter" not in SolverConfig.canonical().as_sections()["solver"]
+
+    @pytest.mark.parametrize("key", REMOVED_SOLVER_KEYS)
+    def test_removed_solver_numerics_are_unknown(self, tmp_path, key):
+        # fixed rules of the solver: every layer rejects them as unknown keys
+        ini = tmp_path / "run.ini"
+        ini.write_text(f"[solver]\n{key} = 1\n")
+        js = tmp_path / "run.json"
+        js.write_text(json.dumps({"solver": {key: 1}}))
+        for path in (ini, js):
+            with pytest.raises(ConfigError, match=rf"unknown key \[solver\] {key}"):
+                load_config(path, env={})
+        name = f"SHOCKDEV_SOLVER_{key.upper()}"
+        env_msg = rf"unknown key \[solver\] in environment variable {name}"
+        with pytest.raises(ConfigError, match=env_msg):
+            load_config(None, env={name: "1"})
+        assert key not in SolverConfig.canonical().as_sections()["solver"]
+        assert not hasattr(SolverConfig.canonical(), key)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read config file"):

@@ -92,7 +92,7 @@ class TestBoundaryFunctions:
             V_hat=np.zeros(5),
         )
         assert bf.y[0] == -1.0
-        assert bf.beta_hat_plus[0] == pytest.approx(FB.corner_beta_hat(cusp))
+        assert bf.beta_hat_plus[0] == pytest.approx(cusp.beta_hat0)
         assert np.all(bf.y[1:] == -0.9)
         assert np.all(bf.beta_hat_plus[1:] == 99.0)
 
@@ -155,15 +155,18 @@ class TestGammaInverse:
         ginv = FB.gamma_inverse(bf, alpha_diag, rad)
         assert np.all(np.isinf(ginv))
 
-    def test_sub_floor_expansion(self, rad, cusp):
-        g = FB.TriGrid(EPS, 64)
+    @pytest.mark.parametrize("n", [2, 16, 64])
+    def test_infinite_only_at_the_corner(self, rad, cusp, n):
+        g = FB.TriGrid(EPS, n)
         bf = FB.BoundaryFunctions.seed(cusp, g.nodes)
         alpha_diag = cusp.alpha0 + cusp.alpha_dot0 * g.nodes
-        direct = FB.gamma_inverse(bf, alpha_diag, rad)
-        lifted = FB.gamma_inverse(bf, alpha_diag, rad, v_floor=3.5 * g.delta)
-        for j in (1, 2, 3):
-            assert lifted[j] == pytest.approx(direct[j], rel=0.05)
-        assert np.array_equal(lifted[4:], direct[4:])
+        ginv = FB.gamma_inverse(bf, alpha_diag, rad)
+        assert ginv[0] == math.inf
+        assert np.all(np.isfinite(ginv[1:])) and np.all(ginv[1:] > 0)
+        # node 1 against the leading corner expansion (c+0 - c-0)/((kappa/2)(1 - y) v)
+        v1, y1 = g.nodes[1], bf.y[1]
+        lead = (cusp.c_plus0 - cusp.c_minus0) / (0.5 * cusp.kappa * (1.0 - y1) * v1)
+        assert ginv[1] == pytest.approx(lead, rel=0.05)
 
 
 def second_order_line(vals, d):
@@ -675,13 +678,14 @@ class TestSolveFixedBvp:
         fg, _, _ = base_run
         assert fg.sweeps == 2
 
-    def test_two_sweeps_even_under_a_loose_tolerance(self, rad, cusp, model):
-        # the first change is already below tol_inner here; a second sweep
-        # still runs, so the first contraction ratio is defined
+    def test_two_sweeps_even_under_a_loose_tolerance(self, rad, cusp, model, monkeypatch):
+        # the first change is already below the sweep tolerance here; a
+        # second sweep still runs, so the first contraction ratio is defined
         g = FB.TriGrid(EPS, 16)
         init = SA.initial_data(model, rad, EPS, 16)
         bf = FB.BoundaryFunctions.seed(cusp, g.nodes)
-        fg = FB.solve_fixed_bvp(bf, init, rad, g, tol_inner=1e-3)
+        monkeypatch.setattr(FB, "_TOL_INNER", 1e-3)
+        fg = FB.solve_fixed_bvp(bf, init, rad, g)
         assert fg.changes[0] < 1e-3
         assert fg.sweeps == 2
         assert 0.0 < fg.contraction_ratios[0] < 1.0
@@ -789,13 +793,15 @@ class TestSolveFixedBvp:
         with pytest.raises(SingularGamma):
             FB.solve_fixed_bvp(bf, init, rad, g)
 
-    def test_budget_exhaustion(self, rad, cusp, model):
+    def test_budget_exhaustion(self, rad, cusp, model, monkeypatch):
         n = 16
         g = FB.TriGrid(EPS, n)
         init = SA.initial_data(model, rad, EPS, n)
         bf = FB.BoundaryFunctions.seed(cusp, g.nodes)
-        with pytest.raises(NonConvergence) as exc:
-            FB.solve_fixed_bvp(bf, init, rad, g, max_sweeps=1, tol_inner=1e-30)
+        monkeypatch.setattr(FB, "_MAX_SWEEPS", 1)
+        monkeypatch.setattr(FB, "_TOL_INNER", 1e-30)
+        with pytest.raises(NonConvergence, match="in 1 sweeps") as exc:
+            FB.solve_fixed_bvp(bf, init, rad, g)
         assert len(exc.value.history) == 1
 
     def test_node_mismatch_rejected(self, rad, cusp, model):
@@ -824,7 +830,7 @@ class TestReparametrization:
             cusp=cusp,
             v=nodes,
             y=-1.0 - bump,
-            beta_hat_plus=FB.corner_beta_hat(cusp) * (1 + bump) ** 2,
+            beta_hat_plus=cusp.beta_hat0 * (1 + bump) ** 2,
             V_hat=0.5 * cusp.kappa * c * (eps - nodes) / eps**2,
         )
         curve = SA.incoming_characteristic(model, rad, w_nodes=phi)
@@ -850,7 +856,7 @@ class TestReparametrization:
             cusp=cusp,
             v=nodes32,
             y=-1.0 - bump32,
-            beta_hat_plus=FB.corner_beta_hat(cusp) * (1 + bump32) ** 2,
+            beta_hat_plus=cusp.beta_hat0 * (1 + bump32) ** 2,
             V_hat=0.5 * cusp.kappa * c * (eps - nodes32) / eps**2,
         )
         curve32 = SA.incoming_characteristic(model, rad, w_nodes=phi32)

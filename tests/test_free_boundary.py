@@ -9,7 +9,7 @@ import shockdev.fitting as fitting
 import shockdev.free_boundary as FBD
 import shockdev.state_ahead as SA
 from shockdev.errors import NonConvergence, ShockDevError, SingularGamma
-from shockdev.fixed_bvp import BoundaryFunctions, corner_beta_hat
+from shockdev.fixed_bvp import BoundaryFunctions
 from shockdev.jump import JumpPair, jump_J, jump_scale, shock_speed, solve_jump_beta
 from shockdev.state import RiemannPair
 
@@ -258,6 +258,13 @@ class TestOuterIteration:
         m_full = self._iterate(rad, canon_model, canon_cusp, EPS, 32, 2)
         m_half = self._iterate(rad, model_h, canon_cusp, EPS / 2, 32, 2)
         assert m_half[1] / m_half[0] < m_full[1] / m_full[0]
+
+    @pytest.mark.parametrize("n, kt", [(2, 1), (8, 4), (64, 8), (256, 32)])
+    def test_trust_index_rule(self, rad, canon_model, canon_cusp, n, kt):
+        # max(4, n // 8), capped at n // 2
+        ctx = FBD.SolverContext.build(rad, canon_model, canon_cusp, EPS, n)
+        assert ctx.trust_index == kt
+        assert kt <= ctx.speed_trust_index <= max(n // 2, 1)
 
     def test_idempotence_at_fixed_point(self, rad, canon_model, canon_cusp, canon_sol):
         ctx = FBD.SolverContext.build(rad, canon_model, canon_cusp, canon_sol.eps, canon_sol.n)

@@ -194,8 +194,9 @@ class TestLanes:
             "cubic_coefficient",
             lambda e, s: cubic(e, s) * np.where(s.alpha == marked, -0.1, 1.0),
         )
-        with pytest.raises(NoRoot):
-            J.solve_jump_beta(eos, ahead.alpha + da, ahead, max_expand=0)
+        with monkeypatch.context() as m, pytest.raises(NoRoot):
+            m.setattr(J, "_MAX_EXPAND", 0)
+            J.solve_jump_beta(eos, ahead.alpha + da, ahead)
 
         got = J.solve_jump_beta(eos, ahead.alpha + da, ahead)
         assert got.shape == (self.N,)

@@ -8,6 +8,7 @@ singular boundary, and least-squares expansion fits for the corner behavior.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 
@@ -51,6 +52,22 @@ class TestCuspData:
         eta = 1.0 / math.sqrt(3.0)
         assert c.a_tilde0 == pytest.approx(-2 * v0 * eta / (1 + v0 * eta), rel=1e-12)
         assert c.alpha_dot0 == pytest.approx(c.kappa / c.dcplus_dalpha0, rel=1e-14)
+
+    def test_corner_limits(self, rad, cusp):
+        assert cusp.f_hat0 == pytest.approx(1.0 / 6.0, rel=1e-15)
+        assert cusp.g_hat0 == pytest.approx(1.0 / (6.0 * math.sqrt(3.0)), rel=1e-15)
+        assert cusp.alpha_hat0 == 0.0
+        assert cusp.beta_hat0 == pytest.approx(0.3 / 6.0, rel=1e-15)
+        assert cusp.h_hat0 == pytest.approx(CUBIC_TARGET, rel=1e-14)
+        # off the unit scales and at a moving state, each limit is its
+        # closed form to the last bit
+        c = SA.CuspData.from_physics(rad, kappa=0.9, lam=0.7, alpha0=0.4, dbeta_dt0=0.3)
+        kap, lam = c.kappa, c.lam
+        assert c.f_hat0 == lam / (6.0 * kap**2)
+        assert c.g_hat0 == lam * c.c_plus0 / (6.0 * kap**2)
+        assert c.alpha_hat0 == lam * c.a_tilde0 / (6.0 * kap**2) != 0.0
+        assert c.beta_hat0 == lam / (6.0 * kap**2) * c.dbeta_dt0
+        assert c.h_hat0 == lam / (6.0 * kap * (c.c_plus0 - c.c_minus0))
 
     @pytest.mark.parametrize("bad", [dict(kappa=-1.0), dict(kappa=0.0), dict(lam=-0.5), dict(r0=0.0)])
     def test_rejects_nonpositive_shape_data(self, rad, bad):
@@ -300,6 +317,9 @@ class TestModelSerialization:
         model.dump(path)
         payload = json.loads(path.read_text())
         assert "l" not in payload["cusp"]
+        # the derived corner limits are properties, not stored fields
+        assert set(payload["cusp"]) == set(dataclasses.asdict(model.cusp))
+        assert "f_hat0" not in payload["cusp"]
         payload["cusp"]["l"] = 0.25
         path.write_text(json.dumps(payload))
         assert SA.load_model(path, rad).cusp == model.cusp
