@@ -91,6 +91,11 @@ class BarotropicEos:
     deta_dpotential_cf: Callable | None = None
     _chart: dict = field(default_factory=dict, repr=False)
     _cf_range: dict = field(default_factory=dict, repr=False)
+    # densities where the pressure is only C1 (a table's knots), which the
+    # chart takes as nodes; set by from_table
+    _knots: np.ndarray = field(
+        default_factory=lambda: np.empty(0), init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         if not (0 < self.rho_min < self.rho_ref < self.rho_max):
@@ -217,7 +222,8 @@ def pressure(eos: BarotropicEos, rho):
 def _ensure_chart(eos: BarotropicEos):
     """Chart of the laws without closed forms, built once per instance.
 
-    Nodes are log-spaced over the admissible range plus rho_ref. The core
+    Nodes are log-spaced over the admissible range plus rho_ref and the
+    law's knots, so each segment lies where the pressure is smooth. The core
     integrals int drho/(rho+p) and int eta drho/(rho+p) are summed over all
     segments at once by the Gauss-Legendre rule; sigma, rho_tilde and the
     inverses rho(h), rho(rho_tilde) interpolate the node values with the
@@ -228,7 +234,7 @@ def _ensure_chart(eos: BarotropicEos):
         return eos._chart
     nodes = np.geomspace(eos.rho_min, eos.rho_max, _CHART_NODES)
     # place rho_ref exactly on the chart so the constants are exact there
-    nodes = np.unique(np.concatenate([nodes, [eos.rho_ref]]))
+    nodes = np.unique(np.concatenate([nodes, [eos.rho_ref], eos._knots]))
     half = 0.5 * np.diff(nodes)[:, None]
     r = 0.5 * (nodes[1:] + nodes[:-1])[:, None] + half * _GL_X
     w = half * _GL_W / (r + np.asarray(eos.pressure_fn(r), dtype=float))
@@ -577,7 +583,7 @@ def from_table(
         raise OutOfRange(f"{label}: table dp/drho must lie in (0, 1)")
     if rho_ref is None:
         rho_ref = float(rho[len(rho) // 2])
-    return BarotropicEos(
+    eos = BarotropicEos(
         label=label,
         pressure_fn=lambda r: interp(r)[0],
         dp_drho_fn=lambda r: interp(r)[1],
@@ -586,3 +592,5 @@ def from_table(
         rho_ref=float(rho_ref),
         h_ref=h_ref,
     )
+    eos._knots = rho.copy()
+    return eos

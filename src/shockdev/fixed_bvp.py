@@ -480,6 +480,8 @@ def solve_fixed_bvp(
     init: InitialData,
     eos: eos_mod.BarotropicEos,
     grid: TriGrid,
+    *,
+    warm=None,
 ) -> FieldGrid:
     """Solve the characteristic system for fixed boundary functions.
 
@@ -492,13 +494,21 @@ def solve_fixed_bvp(
     is within 2 ulp of max(|alpha|, |beta|) on the triangle; it also stops
     on a zero change or on the first sweep that fails to improve.  Every
     solve with a nonzero first change thus makes at least two sweeps, so
-    ``changes[1] / changes[0]`` is defined.
+    ``changes[1] / changes[0]`` is defined.  The returned t, P, Q and r are
+    re-assembled from the final (alpha, beta).
+
+    With ``warm = (alpha, beta)``, the fields of a nearby solve, exactly
+    one sweep runs from them instead: one state evaluation, one time solve
+    and the transport update.  The result holds that sweep's t, P, Q and r
+    with the updated (alpha, beta), ``sweeps = 1`` and ``changes`` the one
+    sweep change; there is no re-assembly.  The outer iteration uses it
+    between its full inner solves.
 
     Raises:
         NonConvergence: ``_MAX_SWEEPS`` sweeps ran without the change
-            falling below ``_TOL_INNER``, the sweep changes grow by 100x
-            (the domain size is too large for contraction), or the time
-            solve met non-finite values.
+            falling below ``_TOL_INNER``, a sweep change is not finite or
+            grows by 100x over the first (the domain size is too large for
+            contraction), or the time solve met non-finite values.
         SingularGamma, OutOfRange: propagated from the coefficients.
     """
     _check_nodes("initial data", init.u, grid)
@@ -508,8 +518,6 @@ def solve_fixed_bvp(
     shape = (grid.n + 1, grid.n + 1)
     alpha_i = np.asarray(init.alpha_i, dtype=float)
     beta_p = bf.beta_plus()
-    alpha = np.broadcast_to(alpha_i[:, None], shape).copy()
-    beta = np.broadcast_to(beta_p[None, :], shape).copy()
 
     def assemble(alpha, state):
         cp, cm = state.speeds()
@@ -527,10 +535,15 @@ def solve_fixed_bvp(
         s += s_edge[:, None]
         return t, P, Q, bf.cusp.r0 + s, s
 
+    if warm is None:
+        alpha = np.broadcast_to(alpha_i[:, None], shape).copy()
+        beta = np.broadcast_to(beta_p[None, :], shape).copy()
+    else:
+        alpha, beta = warm
     history: list[float] = []
     met = False
     prev = math.inf
-    for _ in range(_MAX_SWEEPS):
+    for _ in range(_MAX_SWEEPS if warm is None else 1):
         # one state evaluation serves the speeds and the sources
         state = wave_state(eos, RiemannPair(alpha, beta))
         t, P, Q, r, s = assemble(alpha, state)
@@ -539,12 +552,13 @@ def solve_fixed_bvp(
         alpha_new += alpha_i[:, None]
         beta_new = _from_diag(_ct_u(np.where(mask, P * B, 0.0), d))
         beta_new += beta_p[None, :]
-        # t, P and Q stay bound until the next time solve has allocated its
-        # grids; released together with the rest, they let the allocator
-        # hand the heap top back to the system, and the next sweep faults
-        # those pages in again (3,300 rather than 6,200 minor page faults
-        # per n = 256 interior solve on Linux/glibc)
-        del state, r, s, A, B
+        if warm is None:
+            # t, P and Q stay bound until the next time solve has allocated
+            # its grids; released together with the rest, they let the
+            # allocator hand the heap top back to the system, and the next
+            # sweep faults those pages in again (3,300 rather than 6,200
+            # minor page faults per n = 256 interior solve on Linux/glibc)
+            del state, r, s, A, B
         change = max(_sup(alpha_new - alpha, mask), _sup(beta_new - beta, mask))
         alpha, beta = alpha_new, beta_new
         history.append(change)
@@ -554,6 +568,9 @@ def solve_fixed_bvp(
                 history,
                 diverging=True,
             )
+        if warm is not None:
+            # returns the warm sweep's own t, P, Q and r with the new fields
+            break
         if met and change >= prev:
             break
         if change < _TOL_INNER:
@@ -572,7 +589,8 @@ def solve_fixed_bvp(
                 history,
                 diverging=history[-1] > history[0],
             )
-    t, P, Q, r, s = assemble(alpha, wave_state(eos, RiemannPair(alpha, beta)))
+    if warm is None:
+        t, P, Q, r, s = assemble(alpha, wave_state(eos, RiemannPair(alpha, beta)))
     return FieldGrid(
         grid=grid,
         t=t,

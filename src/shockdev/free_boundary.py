@@ -26,6 +26,13 @@ ratio is the contraction witness, are those of plain iteration.  The window
 restarts whenever that residual grows, and a mixed iterate at which the
 step fails is replaced once by the plain one.
 
+Inexact inner solves.  The inner solve contracts by about 5e-8 per sweep
+on the canonical domain, so from step 2 on each step evaluates G with one
+inner sweep warm-started from the previous step's fields (Dembo,
+Eisenstat & Steihaug, SIAM J. Numer. Anal. 19, 1982), and the converged
+iterate is evaluated once more with the full inner solve; ``_attempt``
+states the rules.
+
 Corner stabilization.  Hatted quantities divide by v^2 or v^3, which
 amplifies quadrature error near the corner: the composite-trapezoid defect
 in (g - c_plus0 f) along the diagonal, divided by v^3, is O(1/k^2) at node
@@ -64,6 +71,11 @@ from .state_ahead import CuspData, StateAheadModel, initial_data, singular_bound
 # Anderson depth of the outer iteration: each mixed step uses the last
 # _ANDERSON_DEPTH + 1 iterates (depths 1/2/3/8 take 12/11/10/9 steps at n = 64)
 _ANDERSON_DEPTH = 3
+
+# largest inner contraction ratio changes[1]/changes[0], measured at outer
+# step 1, for which later outer steps take one warm sweep instead of a full
+# inner solve (the canonical ratio is about 5e-8)
+_WARM_MAX_Q = 1e-4
 
 # step tolerance and iteration budget of the corner y1 fixed point
 _CORNER_TOL = 1e-8
@@ -426,8 +438,12 @@ def _corner_fill(v, raw, kt, anchor, limit, slope):
     return out
 
 
-def outer_iterate(bf: BoundaryFunctions, ctx: SolverContext):
+def outer_iterate(bf: BoundaryFunctions, ctx: SolverContext, *, warm=None):
     """One outer step: fields -> identification -> jump -> new boundary data.
+
+    The fields come from the full inner solve, or, with ``warm = (alpha,
+    beta)`` of the previous step, from one sweep started at those fields
+    (see :func:`solve_fixed_bvp`).
 
     Returns:
         (next boundary functions, solved FieldGrid, ShockCurve sampled from
@@ -435,7 +451,7 @@ def outer_iterate(bf: BoundaryFunctions, ctx: SolverContext):
     """
     cusp = ctx.cusp
     corner = ctx.corner
-    fg = solve_fixed_bvp(bf, ctx.init, ctx.eos, ctx.grid)
+    fg = solve_fixed_bvp(bf, ctx.init, ctx.eos, ctx.grid, warm=warm)
     v = ctx.grid.nodes
     kt = ctx.trust_index
     anchor = min(2 * kt, ctx.grid.n)
@@ -544,6 +560,19 @@ def _anderson_mix(window: list) -> np.ndarray:
     return G[-1] - np.diff(G, axis=0).T @ gamma
 
 
+def _step(bf: BoundaryFunctions, ctx: SolverContext, warm):
+    """``outer_iterate`` with one warm sweep when ``warm`` is given; a warm
+    step that raises NonConvergence or SingularGamma is retried at the same
+    iterate with the full inner solve.  Returns (step result, whether the
+    warm sweep was used)."""
+    if warm is not None:
+        try:
+            return outer_iterate(bf, ctx, warm=warm), True
+        except (NonConvergence, SingularGamma):
+            pass
+    return outer_iterate(bf, ctx), False
+
+
 def _attempt(
     eos: eos_mod.BarotropicEos,
     model: StateAheadModel,
@@ -566,22 +595,45 @@ def _attempt(
     iterate, it is retried once from the plain iterate G(x_{k-1}) with the
     window cleared; a failure at a plain iterate propagates to the
     halved-domain driver.
+
+    Inexact inner solves.  Steps 0 and 1 run the full inner solve, so
+    ``outer_history[0:2]`` is that of the exact map, and step 1 measures
+    the inner ratio q = changes[1]/changes[0].  If q <= ``_WARM_MAX_Q``,
+    every later step evaluates G with one inner sweep warm-started from the
+    previous step's (alpha, beta); a warm step that fails is retried at the
+    same iterate with the full inner solve before the rule above applies.
+    Once a warm step's residual is below ``tol_outer``, the same iterate is
+    evaluated again with the full inner solve, and that evaluation is the
+    step's history entry and the returned result, so the returned fields
+    are always fully converged.  If that residual misses ``tol_outer``,
+    the iteration goes on with full steps only.
     """
     ctx = SolverContext.build(eos, model, cusp, eps, n, tol_outer=tol_outer)
     bf = seed_fn(cusp, ctx.grid.nodes)
     history = []
     window = []  # Anderson window: packed (x_k, G(x_k)), oldest first
     plain = None  # G(x_{k-1}) while bf is a mixed iterate
-    for _ in range(max_outer):
+    warm_ok = False  # set at step 1 from the measured inner ratio
+    fg = None
+    for k in range(max_outer):
+        warm_start = (fg.alpha, fg.beta) if warm_ok else None
         try:
-            bf_next, fg, curve = outer_iterate(bf, ctx)
+            (bf_next, fg, curve), warm = _step(bf, ctx, warm_start)
         except (NonConvergence, SingularGamma):
             if plain is None:
                 raise
             bf, plain = plain, None
             window.clear()
-            bf_next, fg, curve = outer_iterate(bf, ctx)
+            (bf_next, fg, curve), warm = outer_iterate(bf, ctx), False
+        if k == 1:
+            q = fg.contraction_ratios[:1]
+            warm_ok = bool(q) and q[0] <= _WARM_MAX_Q
         metric = boundary_difference(bf_next, bf)
+        if warm and max(metric) < tol_outer:
+            # polish: the converged iterate again with the full inner solve
+            bf_next, fg, curve = outer_iterate(bf, ctx)
+            metric = boundary_difference(bf_next, bf)
+            warm_ok = False  # should the polish miss, only full steps follow
         history.append(metric)
         worst = max(metric)
         if worst < tol_outer:

@@ -813,6 +813,61 @@ class TestSolveFixedBvp:
             FB.solve_fixed_bvp(bf, init, rad, g)
 
 
+class TestWarmSweep:
+    """One sweep from given fields, the outer iteration's inexact inner step."""
+
+    def test_one_sweep_and_one_time_solve(self, base_run, rad, monkeypatch):
+        fg, bf, init = base_run
+        solve_t = FB.solve_linear_t
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return solve_t(*args, **kwargs)
+
+        monkeypatch.setattr(FB, "solve_linear_t", counting)
+        warm = FB.solve_fixed_bvp(bf, init, rad, fg.grid, warm=(fg.alpha, fg.beta))
+        assert len(calls) == 1
+        assert warm.sweeps == 1
+        assert len(warm.changes) == 1
+
+    def test_sweep_from_converged_fields(self, base_run, rad):
+        # t, P, Q and r come from the given fields: from the converged ones
+        # they are the cold solve's closing re-assembly, bit for bit, and
+        # (alpha, beta) move by rounding only
+        fg, bf, init = base_run
+        warm = FB.solve_fixed_bvp(bf, init, rad, fg.grid, warm=(fg.alpha, fg.beta))
+        for name in ("t", "r", "r_off", "dt_du", "dt_dv"):
+            assert np.array_equal(getattr(warm, name), getattr(fg, name)), name
+        m = fg.grid.mask
+        floor = 4.0 * np.spacing(max(np.max(np.abs(fg.alpha[m])), np.max(np.abs(fg.beta[m]))))
+        assert warm.changes[0] <= floor
+        for name in ("alpha", "beta"):
+            assert np.max(np.abs(getattr(warm, name) - getattr(fg, name))[m]) <= floor
+
+    def test_sweep_from_a_nearby_solution(self, rad, cusp, model):
+        # started at the fields of a perturbed boundary, one sweep closes
+        # the gap in (alpha, beta) to the cold solve by orders of magnitude
+        # (4.8e-6 here; t, taken from the start fields, lags by that sweep)
+        n = 32
+        grid = FB.TriGrid(EPS, n)
+        init = SA.initial_data(model, rad, EPS, n)
+        bf = FB.BoundaryFunctions.seed(cusp, grid.nodes)
+        near = FB.solve_fixed_bvp(
+            bf.replace(beta_hat_plus=bf.beta_hat_plus + 1.0), init, rad, grid
+        )
+        cold = FB.solve_fixed_bvp(bf, init, rad, grid)
+        warm = FB.solve_fixed_bvp(bf, init, rad, grid, warm=(near.alpha, near.beta))
+        m = grid.mask
+
+        def gap(a, b):
+            return max(np.max(np.abs(a.alpha - b.alpha)[m]), np.max(np.abs(a.beta - b.beta)[m]))
+
+        start = gap(near, cold)
+        assert start > 1e-5
+        assert gap(warm, cold) <= 1e-4 * start
+
+
 class TestReparametrization:
     def test_shock_curve_invariant(self, rad, cusp, model, base_run, half_run):
         """A smooth change of the diagonal parameter must not move the curve."""

@@ -1,11 +1,13 @@
 """Tests for the free-boundary outer iteration and its corner calculus."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import shockdev.fitting as fitting
+import shockdev.fixed_bvp as FB
 import shockdev.free_boundary as FBD
 import shockdev.state_ahead as SA
 from shockdev.errors import NonConvergence, ShockDevError, SingularGamma
@@ -294,25 +296,32 @@ def _displaced_seed(cusp, v):
     return BoundaryFunctions.seed(cusp, v).replace(y=-1.0 + 0.1 * v)
 
 
+# fields of a step with no inner solve: no inner ratio is measured, so
+# every outer step stays a full one
+_NO_INNER_SOLVE = SimpleNamespace(contraction_ratios=[])
+
+
 def _linear_outer_map(calls, kick_at=None):
     """An affine contraction in R^3 standing in for ``outer_iterate``.
 
     Every node k >= 1 maps (y, beta_hat_plus, V_hat) by the same 3 x 3
     matrix; V_hat[0] stays 0, so the iterates live in R^3.  ``calls``
     records (input, output) of each call; the call numbered ``kick_at``
-    returns a displaced value, so its residual grows.
+    returns a displaced value, so its residual grows.  The map has no
+    inner solve, so its steps are never warm.
     """
     A = np.array([[0.5, 0.2, -0.1], [0.0, -0.4, 0.3], [0.1, 0.1, 0.6]])
     b = np.array([0.3, -0.2, 0.5])
 
-    def step(bf, ctx):
+    def step(bf, ctx, *, warm=None):
+        assert warm is None
         g = A @ np.stack([bf.y, bf.beta_hat_plus, bf.V_hat]) + b[:, None]
         g[2, 0] = 0.0
         if len(calls) == kick_at:
             g[:, 1:] += 1.0
         bf_next = bf.replace(y=g[0], beta_hat_plus=g[1], V_hat=g[2])
         calls.append((bf, bf_next))
-        return bf_next, None, None
+        return bf_next, _NO_INNER_SOLVE, None
 
     return step, np.linalg.solve(np.eye(3) - A, b)
 
@@ -379,15 +388,19 @@ class TestAndersonAcceleration:
         got = np.stack([sol.boundary.y, sol.boundary.beta_hat_plus, sol.boundary.V_hat])
         assert np.max(np.abs(got[:, 1:] - fixed[:, None])) < TOL_OUTER
 
-    def _fail_at(self, monkeypatch, failing_calls):
+    def _fail_at(self, monkeypatch, failing_calls, warm=False):
+        # without warm steps, so that the mixed/plain retry rule is all
+        # that acts on a failure
+        if not warm:
+            monkeypatch.setattr(FBD, "_WARM_MAX_Q", 0.0)
         step = FBD.outer_iterate
         calls = []
 
-        def flaky(bf, ctx):
+        def flaky(bf, ctx, **kwargs):
             calls.append(bf)
             if len(calls) in failing_calls:
                 raise SingularGamma("shock speed exceeds the behind outgoing speed")
-            return step(bf, ctx)
+            return step(bf, ctx, **kwargs)
 
         monkeypatch.setattr(FBD, "outer_iterate", flaky)
         return calls
@@ -419,6 +432,142 @@ class TestAndersonAcceleration:
         )
         assert sol.retries == 1
         assert sol.eps == EPS / 2
+
+
+    def test_failed_warm_step_retries_full_then_plain(
+        self, rad, canon_model, canon_cusp, monkeypatch
+    ):
+        # call 3 is the first warm step, at the first mixed iterate; it is
+        # retried at that iterate with the full inner solve (call 4), and
+        # when that fails too, from the plain iterate (call 5)
+        calls = self._fail_at(monkeypatch, {3, 4}, warm=True)
+        sol = FBD.run_shock_development(
+            rad, canon_model, canon_cusp, eps=EPS, n=16, collect_diagnostics=False
+        )
+        assert sol.retries == 0
+        assert calls[3] is calls[2]
+        assert calls[4] is not calls[2]
+        ref, _ = picard_outer(rad, canon_model, canon_cusp, EPS, 16)
+        for name in ("y", "beta_hat_plus", "V_hat"):
+            d = np.max(np.abs(getattr(sol.boundary, name) - getattr(ref, name)))
+            assert d < 5.0 * TOL_OUTER, name
+
+
+def _traced_solve(monkeypatch, eos, model, cusp, n=64, solve_fixed=None):
+    """run_shock_development recording, per ``outer_iterate`` call, whether
+    it was warm and how many time solves it made.  ``solve_fixed`` replaces
+    the inner solve.  Returns (solution, [[warm, time solves], ...])."""
+    steps = []
+    step, solve_t = FBD.outer_iterate, FB.solve_linear_t
+
+    def counted_t(*args, **kwargs):
+        steps[-1][1] += 1
+        return solve_t(*args, **kwargs)
+
+    def counted_step(bf, ctx, **kwargs):
+        steps.append([kwargs.get("warm") is not None, 0])
+        return step(bf, ctx, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(FB, "solve_linear_t", counted_t)
+        m.setattr(FBD, "outer_iterate", counted_step)
+        if solve_fixed is not None:
+            m.setattr(FBD, "solve_fixed_bvp", solve_fixed)
+        sol = FBD.run_shock_development(
+            eos, model, cusp, eps=EPS, n=n, collect_diagnostics=False
+        )
+    return sol, steps
+
+
+def _all_full(monkeypatch, eos, model, cusp, n=64):
+    with monkeypatch.context() as m:
+        m.setattr(FBD, "_WARM_MAX_Q", 0.0)
+        return _traced_solve(monkeypatch, eos, model, cusp, n)
+
+
+_CURVE_COLUMNS = (
+    "f", "g", "V", "y", "alpha_plus", "beta_plus", "f_hat", "g_hat", "delta_hat", "V_hat"
+)
+
+
+class TestWarmSteps:
+    """From outer step 2 on, one warm inner sweep per step; the converged
+    iterate is evaluated again with the full inner solve."""
+
+    def test_canonical_time_solves(self, rad, canon_model, canon_cusp, monkeypatch):
+        sol, steps = _traced_solve(monkeypatch, rad, canon_model, canon_cusp)
+        assert len(sol.outer_history) == 10
+        # 30 with a full inner solve at every step
+        assert sum(c for _, c in steps) <= 18
+        # steps 0 and 1 are full, the rest warm, then the full polish
+        assert [w for w, _ in steps] == [False] * 2 + [True] * 8 + [False]
+        assert all(c == (1 if w else 3) for w, c in steps)
+        assert sol.fields.sweeps >= 2
+
+    def test_matches_all_full_steps(self, rad, canon_model, canon_cusp, monkeypatch):
+        full, steps = _all_full(monkeypatch, rad, canon_model, canon_cusp)
+        assert not any(w for w, _ in steps)
+        assert all(c == 3 for _, c in steps)
+        assert len(steps) == len(full.outer_history)
+        sol, _ = _traced_solve(monkeypatch, rad, canon_model, canon_cusp)
+        assert sol.outer_history[:2] == full.outer_history[:2]
+        for name in ("y", "beta_hat_plus", "V_hat"):
+            d = np.max(np.abs(getattr(sol.boundary, name) - getattr(full.boundary, name)))
+            assert d < 5.0 * TOL_OUTER, name
+        for name in _CURVE_COLUMNS:
+            d = np.max(np.abs(getattr(sol.curve, name) - getattr(full.curve, name)))
+            assert d < 1e-10, name
+        # the returned fields are those of a full inner solve
+        assert sol.fields.sweeps == full.fields.sweeps
+
+    def test_failed_warm_call_retried_full(self, rad, canon_model, canon_cusp, monkeypatch):
+        solve = FBD.solve_fixed_bvp
+
+        def no_warm(*args, warm=None):
+            if warm is not None:
+                raise NonConvergence("warm sweep refused")
+            return solve(*args)
+
+        full, _ = _all_full(monkeypatch, rad, canon_model, canon_cusp)
+        sol, steps = _traced_solve(
+            monkeypatch, rad, canon_model, canon_cusp, solve_fixed=no_warm
+        )
+        # every warm call fails before its time solve and is made again in full
+        assert [c for w, c in steps if w] == [0] * (len(steps) - len(full.outer_history))
+        assert sol.outer_history == full.outer_history
+        for name in ("y", "beta_hat_plus", "V_hat"):
+            assert np.array_equal(getattr(sol.boundary, name), getattr(full.boundary, name))
+        for name in _CURVE_COLUMNS:
+            assert np.array_equal(getattr(sol.curve, name), getattr(full.curve, name)), name
+        assert np.array_equal(sol.fields.t, full.fields.t)
+
+    def test_polish_miss_continues_with_full_steps(
+        self, rad, canon_model, canon_cusp, monkeypatch
+    ):
+        # the first full call after a warm one is the polish; displacing its
+        # result makes it miss the tolerance, and only full steps follow
+        step = FBD.outer_iterate
+        kinds = []
+
+        def missing_polish(bf, ctx, **kwargs):
+            bf_next, fg, curve = step(bf, ctx, **kwargs)
+            warm = kwargs.get("warm") is not None
+            if not warm and True in kinds and False not in kinds[kinds.index(True):]:
+                bf_next = bf_next.replace(V_hat=bf_next.V_hat + 1e-6)
+            kinds.append(warm)
+            return bf_next, fg, curve
+
+        monkeypatch.setattr(FBD, "outer_iterate", missing_polish)
+        sol = FBD.run_shock_development(
+            rad, canon_model, canon_cusp, eps=EPS, n=16, collect_diagnostics=False
+        )
+        polish = kinds.index(False, kinds.index(True))
+        assert not any(kinds[polish:])
+        assert len(kinds) > polish + 1
+        assert max(sol.outer_history[-1]) < TOL_OUTER
+        # the missed polish is the history entry of its step
+        assert len(kinds) == len(sol.outer_history) + 1
+        assert max(sol.outer_history[polish - 1]) > TOL_OUTER
 
 
 class TestJumpUpdate:
