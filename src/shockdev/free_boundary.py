@@ -29,8 +29,10 @@ step fails is replaced once by the plain one.
 Inexact inner solves.  The inner solve contracts by about 5e-8 per sweep
 on the canonical domain, so from step 2 on each step evaluates G with one
 inner sweep warm-started from the previous step's fields (Dembo,
-Eisenstat & Steihaug, SIAM J. Numer. Anal. 19, 1982), and the converged
-iterate is evaluated once more with the full inner solve; ``_attempt``
+Eisenstat & Steihaug, SIAM J. Numer. Anal. 19, 1982), and its jump nodes
+with one Newton step on J from the previous step's roots, which have moved
+by at most the outer residual; the converged iterate is evaluated once
+more with the full inner solve and the cold jump solve.  ``_attempt``
 states the rules.
 
 Corner stabilization.  Hatted quantities divide by v^2 or v^3, which
@@ -64,7 +66,15 @@ from .fixed_bvp import (
     characteristic_residuals,
     solve_fixed_bvp,
 )
-from .jump import JumpPair, cubic_coefficient, jump_J, jump_scale, shock_speed, solve_jump_beta
+from .jump import (
+    JumpPair,
+    cubic_coefficient,
+    jump_J,
+    jump_newton_step,
+    jump_scale,
+    shock_speed,
+    solve_jump_beta,
+)
 from .state import RiemannPair, char_speeds
 from .state_ahead import CuspData, StateAheadModel, initial_data, singular_boundary
 
@@ -398,13 +408,19 @@ def solve_identification(
     return out
 
 
-def jump_update(fg: FieldGrid, model: StateAheadModel, eos: eos_mod.BarotropicEos, z):
+def jump_update(
+    fg: FieldGrid, model: StateAheadModel, eos: eos_mod.BarotropicEos, z, *, beta_prev=None
+):
     """Behind invariant and front speed at each identified shock point.
 
     The ahead state is the pre-shock model evaluated at (f(v), z(v)); the
     behind alpha comes from the solved fields.  The corner node is the
     coincidence limit (beta_plus = beta0, V = corner outgoing speed); all
     other nodes are the lanes of one jump solve and one speed evaluation.
+    With ``beta_prev``, the previous step's behind invariants, the nodes
+    instead take one Newton step on J from those roots
+    (:func:`jump_newton_step`); where that step gives no result, the cold
+    solve runs as without it.
 
     Returns:
         (beta_plus, V, alpha_minus, beta_minus) arrays.
@@ -416,8 +432,14 @@ def jump_update(fg: FieldGrid, model: StateAheadModel, eos: eos_mod.BarotropicEo
     alpha_minus = np.asarray(model.eval("alpha", f, z), dtype=float)
     beta_minus = np.asarray(model.eval("beta", f, z), dtype=float)
     ahead = RiemannPair(alpha_minus[1:], beta_minus[1:])
-    bp = solve_jump_beta(eos, alpha_plus[1:], ahead)
-    V = shock_speed(eos, JumpPair(ahead, RiemannPair(alpha_plus[1:], bp)))
+    warm = None
+    if beta_prev is not None:
+        warm = jump_newton_step(eos, alpha_plus[1:], ahead, beta_prev[1:])
+    if warm is None:
+        bp = solve_jump_beta(eos, alpha_plus[1:], ahead)
+        V = shock_speed(eos, JumpPair(ahead, RiemannPair(alpha_plus[1:], bp)))
+    else:
+        bp, V = warm
     beta_plus = np.concatenate([[cusp.beta0], bp])
     V = np.concatenate([[cusp.c_plus0], V])
     return beta_plus, V, alpha_minus, beta_minus
@@ -441,9 +463,11 @@ def _corner_fill(v, raw, kt, anchor, limit, slope):
 def outer_iterate(bf: BoundaryFunctions, ctx: SolverContext, *, warm=None):
     """One outer step: fields -> identification -> jump -> new boundary data.
 
-    The fields come from the full inner solve, or, with ``warm = (alpha,
-    beta)`` of the previous step, from one sweep started at those fields
-    (see :func:`solve_fixed_bvp`).
+    Cold (``warm`` None), the fields come from the full inner solve and the
+    jump nodes from the cold root solve.  With ``warm = (fields, curve)`` of
+    the previous step, the fields come from one sweep started at its
+    (alpha, beta) (see :func:`solve_fixed_bvp`) and the jump nodes from one
+    Newton step from its beta_plus (see :func:`jump_update`).
 
     Returns:
         (next boundary functions, solved FieldGrid, ShockCurve sampled from
@@ -451,7 +475,11 @@ def outer_iterate(bf: BoundaryFunctions, ctx: SolverContext, *, warm=None):
     """
     cusp = ctx.cusp
     corner = ctx.corner
-    fg = solve_fixed_bvp(bf, ctx.init, ctx.eos, ctx.grid, warm=warm)
+    sweep_from = beta_prev = None
+    if warm is not None:
+        fg_prev, curve_prev = warm
+        sweep_from, beta_prev = (fg_prev.alpha, fg_prev.beta), curve_prev.beta_plus
+    fg = solve_fixed_bvp(bf, ctx.init, ctx.eos, ctx.grid, warm=sweep_from)
     v = ctx.grid.nodes
     kt = ctx.trust_index
     anchor = min(2 * kt, ctx.grid.n)
@@ -475,7 +503,9 @@ def outer_iterate(bf: BoundaryFunctions, ctx: SolverContext, *, warm=None):
 
     y = solve_identification(ctx.model, v, f_hat, delta_hat)
     z = v * y
-    beta_plus, V, alpha_minus, beta_minus = jump_update(fg, ctx.model, ctx.eos, z)
+    beta_plus, V, alpha_minus, beta_minus = jump_update(
+        fg, ctx.model, ctx.eos, z, beta_prev=beta_prev
+    )
 
     alpha_hat_plus = np.empty_like(v)
     alpha_hat_plus[0] = cusp.alpha_hat0
@@ -561,10 +591,10 @@ def _anderson_mix(window: list) -> np.ndarray:
 
 
 def _step(bf: BoundaryFunctions, ctx: SolverContext, warm):
-    """``outer_iterate`` with one warm sweep when ``warm`` is given; a warm
-    step that raises NonConvergence or SingularGamma is retried at the same
-    iterate with the full inner solve.  Returns (step result, whether the
-    warm sweep was used)."""
+    """``outer_iterate``, warm from the previous (fields, curve) when
+    ``warm`` is given; a warm step that raises NonConvergence or
+    SingularGamma is retried at the same iterate as a full step.  Returns
+    (step result, whether the warm step was used)."""
     if warm is not None:
         try:
             return outer_iterate(bf, ctx, warm=warm), True
@@ -596,17 +626,20 @@ def _attempt(
     window cleared; a failure at a plain iterate propagates to the
     halved-domain driver.
 
-    Inexact inner solves.  Steps 0 and 1 run the full inner solve, so
-    ``outer_history[0:2]`` is that of the exact map, and step 1 measures
-    the inner ratio q = changes[1]/changes[0].  If q <= ``_WARM_MAX_Q``,
-    every later step evaluates G with one inner sweep warm-started from the
-    previous step's (alpha, beta); a warm step that fails is retried at the
-    same iterate with the full inner solve before the rule above applies.
-    Once a warm step's residual is below ``tol_outer``, the same iterate is
-    evaluated again with the full inner solve, and that evaluation is the
-    step's history entry and the returned result, so the returned fields
-    are always fully converged.  If that residual misses ``tol_outer``,
-    the iteration goes on with full steps only.
+    Inexact inner solves.  Steps 0 and 1 run the full inner solve and the
+    cold jump solve, so ``outer_history[0:2]`` is that of the exact map,
+    and step 1 measures the inner ratio q = changes[1]/changes[0].  If
+    q <= ``_WARM_MAX_Q``, every later step is warm: it evaluates G with one
+    inner sweep started from the previous step's (alpha, beta) and one
+    Newton step per jump node from its beta_plus (with the cold jump solve
+    wherever :func:`jump_update` falls back); a warm step that fails is
+    retried at the same iterate with a full step, the full inner solve and
+    the cold jump solve, before the rule above applies.  Once a warm step's
+    residual is below ``tol_outer``, the same iterate is evaluated again
+    with a full step, and that evaluation is the step's history entry and
+    the returned result, so the returned fields are fully converged and the
+    returned curve is an exact jump root.  If that residual misses
+    ``tol_outer``, the iteration goes on with full steps only.
     """
     ctx = SolverContext.build(eos, model, cusp, eps, n, tol_outer=tol_outer)
     bf = seed_fn(cusp, ctx.grid.nodes)
@@ -614,9 +647,9 @@ def _attempt(
     window = []  # Anderson window: packed (x_k, G(x_k)), oldest first
     plain = None  # G(x_{k-1}) while bf is a mixed iterate
     warm_ok = False  # set at step 1 from the measured inner ratio
-    fg = None
+    fg = curve = None
     for k in range(max_outer):
-        warm_start = (fg.alpha, fg.beta) if warm_ok else None
+        warm_start = (fg, curve) if warm_ok else None
         try:
             (bf_next, fg, curve), warm = _step(bf, ctx, warm_start)
         except (NonConvergence, SingularGamma):

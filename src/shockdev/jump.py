@@ -56,6 +56,7 @@ __all__ = [
     "jump_scale",
     "cubic_coefficient",
     "solve_jump_beta",
+    "jump_newton_step",
     "shock_speed",
     "jump_balance_residuals",
     "determinism_margin",
@@ -153,6 +154,15 @@ def cubic_coefficient(eos: eos_mod.BarotropicEos, state: RiemannPair):
     return _lane_result(-(w.mu(eos) ** 2) / (192.0 * w.eta2))
 
 
+def _capped_dalpha(a_plus: np.ndarray, a_ahead: np.ndarray) -> np.ndarray:
+    """Jumps in alpha per lane; OutOfRange if some lane exceeds _DALPHA_CAP."""
+    dalpha = a_plus - a_ahead
+    over = np.abs(dalpha) > _DALPHA_CAP
+    if over.any():
+        raise OutOfRange(f"jump in alpha {dalpha[over][0]} exceeds the cap {_DALPHA_CAP}")
+    return dalpha
+
+
 def solve_jump_beta(
     eos: eos_mod.BarotropicEos,
     alpha_plus,
@@ -180,10 +190,7 @@ def solve_jump_beta(
     a_plus, a_ahead, b_ahead = np.broadcast_arrays(
         *(np.asarray(x, dtype=float) for x in (alpha_plus, ahead.alpha, ahead.beta))
     )
-    dalpha = a_plus - a_ahead
-    over = np.abs(dalpha) > _DALPHA_CAP
-    if over.any():
-        raise OutOfRange(f"jump in alpha {dalpha[over][0]} exceeds the cap {_DALPHA_CAP}")
+    dalpha = _capped_dalpha(a_plus, a_ahead)
     out = np.array(b_ahead)
     lanes = np.flatnonzero(dalpha)
     if not lanes.size:
@@ -226,6 +233,53 @@ def solve_jump_beta(
         f_ends=(f_lo, f_hi),
     )
     return _lane_result(out)
+
+
+def jump_newton_step(
+    eos: eos_mod.BarotropicEos,
+    alpha_plus,
+    ahead: RiemannPair,
+    beta_prev,
+):
+    """One Newton step on J from a previous behind beta, with the front speed.
+
+    For a root that has moved little since ``beta_prev`` (the root of the
+    previous outer step, say), one evaluation of the stress jumps and their
+    behind slopes at (ahead, (alpha_plus, beta_prev)) gives both
+
+        beta_plus = beta_prev - J / dJ/dbeta,
+        V = [T^tr]/[T^tt] + dV/dbeta (beta_plus - beta_prev),
+
+    whose errors against :func:`solve_jump_beta` and :func:`shock_speed`
+    are quadratic in the distance of ``beta_prev`` from the root.  The
+    arguments are lanes as in :func:`solve_jump_beta`.
+
+    Returns:
+        (beta_plus, V), or None when some lane has a zero jump in alpha,
+        coincident states, a non-finite step or a step longer than
+        |beta_prev - ahead.beta|; the caller then solves cold.
+
+    Raises:
+        OutOfRange: some lane's |alpha_plus - ahead.alpha| exceeds _DALPHA_CAP.
+    """
+    a_plus, a_ahead, b_ahead, b_prev = np.broadcast_arrays(
+        *(np.asarray(x, dtype=float) for x in (alpha_plus, *ahead, beta_prev))
+    )
+    dalpha = _capped_dalpha(a_plus, a_ahead)
+    if not dalpha.all():
+        return None
+    ahead = RiemannPair(a_ahead, b_ahead)
+    dT, d = _jump_and_behind_slopes(eos, JumpPair(ahead, RiemannPair(a_plus, b_prev)))
+    if np.any(_coincident(eos, dT, ahead)):
+        return None
+    J = dT.tt * dT.rr - dT.tr**2
+    dJ = d.tt_beta * dT.rr + dT.tt * d.rr_beta - 2.0 * dT.tr * d.tr_beta
+    with np.errstate(divide="ignore", invalid="ignore"):
+        step = -J / dJ
+    if not np.all(np.abs(step) <= np.abs(b_prev - b_ahead)):
+        return None
+    dV = (d.tr_beta * dT.tt - dT.tr * d.tt_beta) / dT.tt**2
+    return _lane_result(b_prev + step), _lane_result(dT.tr / dT.tt + dV * step)
 
 
 def shock_speed(eos: eos_mod.BarotropicEos, jp: JumpPair):
@@ -309,24 +363,30 @@ def hugoniot_residual(eos: eos_mod.BarotropicEos, jp: JumpPair) -> float:
 def coincidence_structure(eos: eos_mod.BarotropicEos, state: RiemannPair) -> dict:
     """Derivative structure of J at a coincident pair, by 4th-order stencils.
 
+    The stencils of ``fitting.derivative`` and ``fitting.mixed_second`` are
+    run twice: once to collect their behind-state offsets, which are then
+    the lanes of one ``jump_J`` call, and once to sum the looked-up values.
+
     Returns:
         dict with the first four pure behind-alpha derivatives ("d1".."d4")
         and the mixed behind-(alpha, beta) second derivative ("mixed"),
         Richardson-refined over the steps ``_COINCIDENCE_STEP`` and half it.
     """
 
-    def J_of(da: float, db: float = 0.0) -> float:
-        behind = RiemannPair(state.alpha + da, state.beta + db)
-        return jump_J(eos, JumpPair(state, behind))
-
-    def all_at(h: float) -> dict:
+    def all_at(h: float, J_of) -> dict:
         out = {
-            f"d{k}": fitting.derivative(lambda a: J_of(a), 0.0, order=k, step=h)
+            f"d{k}": fitting.derivative(lambda a: J_of(a, 0.0), 0.0, order=k, step=h)
             for k in (1, 2, 3, 4)
         }
         out["mixed"] = fitting.mixed_second(J_of, 0.0, 0.0, h, h)
         return out
 
-    coarse = all_at(_COINCIDENCE_STEP)
-    fine = all_at(_COINCIDENCE_STEP / 2)
+    steps = (_COINCIDENCE_STEP, _COINCIDENCE_STEP / 2)
+    points: dict = {}  # (d alpha, d beta) offsets, in first-use order
+    for h in steps:
+        all_at(h, lambda da, db: points.setdefault((da, db), 0.0))
+    offsets = np.array(list(points))
+    behind = RiemannPair(state.alpha + offsets[:, 0], state.beta + offsets[:, 1])
+    values = dict(zip(points, np.asarray(jump_J(eos, JumpPair(state, behind))).tolist()))
+    coarse, fine = (all_at(h, lambda da, db: values[da, db]) for h in steps)
     return {k: fitting.richardson(coarse[k], fine[k], order=4) for k in coarse}

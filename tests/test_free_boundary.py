@@ -491,8 +491,9 @@ _CURVE_COLUMNS = (
 
 
 class TestWarmSteps:
-    """From outer step 2 on, one warm inner sweep per step; the converged
-    iterate is evaluated again with the full inner solve."""
+    """From outer step 2 on, one warm inner sweep and one Newton step per
+    jump node per step; the converged iterate is evaluated again with the
+    full inner solve and the cold jump solve."""
 
     def test_canonical_time_solves(self, rad, canon_model, canon_cusp, monkeypatch):
         sol, steps = _traced_solve(monkeypatch, rad, canon_model, canon_cusp)
@@ -540,6 +541,78 @@ class TestWarmSteps:
         for name in _CURVE_COLUMNS:
             assert np.array_equal(getattr(sol.curve, name), getattr(full.curve, name)), name
         assert np.array_equal(sol.fields.t, full.fields.t)
+
+    def test_cold_jump_solves(self, rad, canon_model, canon_cusp, monkeypatch):
+        # outside the corner expansion, only steps 0 and 1 and the polish
+        # solve the jump nodes cold; the 8 warm steps each take one Newton
+        # step from the previous roots
+        solve, corner, newton = FBD.solve_jump_beta, FBD.corner_expansion, FBD.jump_newton_step
+        cold, warm, in_corner = [], [], []
+
+        def counted(*args, **kwargs):
+            if not in_corner:
+                cold.append(1)
+            return solve(*args, **kwargs)
+
+        def flagged(*args, **kwargs):
+            in_corner.append(1)
+            try:
+                return corner(*args, **kwargs)
+            finally:
+                in_corner.pop()
+
+        def stepped(*args):
+            result = newton(*args)
+            warm.append(result is not None)
+            return result
+
+        monkeypatch.setattr(FBD, "solve_jump_beta", counted)
+        monkeypatch.setattr(FBD, "corner_expansion", flagged)
+        monkeypatch.setattr(FBD, "jump_newton_step", stepped)
+        sol = FBD.run_shock_development(
+            rad, canon_model, canon_cusp, eps=EPS, n=64, collect_diagnostics=False
+        )
+        assert len(sol.outer_history) == 10
+        assert len(cold) == 3
+        assert warm == [True] * 8
+
+    def test_returned_curve_is_a_cold_root(self, rad, canon_model, canon_cusp):
+        sol = FBD.run_shock_development(
+            rad, canon_model, canon_cusp, eps=EPS, n=64, collect_diagnostics=False
+        )
+        c = sol.curve
+        beta_plus, V, _, _ = FBD.jump_update(sol.fields, canon_model, rad, c.v * c.y)
+        assert np.array_equal(c.beta_plus, beta_plus)
+        assert np.array_equal(c.V, V)
+
+    def test_jump_fallback_matches_cold_jump_updates(
+        self, rad, canon_model, canon_cusp, monkeypatch
+    ):
+        update = FBD.jump_update
+        asked = []
+
+        def cold_update(fg, model, eos, z, *, beta_prev=None):
+            asked.append(beta_prev is not None)
+            return update(fg, model, eos, z)
+
+        def solve():
+            return FBD.run_shock_development(
+                rad, canon_model, canon_cusp, eps=EPS, n=64, collect_diagnostics=False
+            )
+
+        with monkeypatch.context() as m:
+            m.setattr(FBD, "jump_update", cold_update)
+            cold = solve()
+        assert asked.count(True) == 8
+        with monkeypatch.context() as m:
+            m.setattr(FBD, "jump_newton_step", lambda *args: None)
+            fallback = solve()
+        assert fallback.outer_history == cold.outer_history
+        for name in ("y", "beta_hat_plus", "V_hat"):
+            assert np.array_equal(getattr(fallback.boundary, name), getattr(cold.boundary, name))
+        for name in _CURVE_COLUMNS:
+            assert np.array_equal(getattr(fallback.curve, name), getattr(cold.curve, name)), name
+        assert np.array_equal(fallback.fields.t, cold.fields.t)
 
     def test_polish_miss_continues_with_full_steps(
         self, rad, canon_model, canon_cusp, monkeypatch

@@ -57,6 +57,36 @@ class TestCoincidenceStructure:
         mu = 2.0 / 3.0
         assert d["d4"] == pytest.approx(scale * mu**2 / (8 * pd_eta2), rel=1e-3)
 
+    @pytest.mark.parametrize("eos_name", ["rad", "p2"])
+    @pytest.mark.parametrize("state", [RiemannPair(0.0, 0.0), RiemannPair(0.25, -0.12)])
+    def test_lanes_match_scalar_stencils(self, eos_name, request, state):
+        # oracle: the same stencils over one scalar jump_J call per point
+        eos = request.getfixturevalue(eos_name)
+
+        def J_of(da, db=0.0):
+            behind = RiemannPair(state.alpha + da, state.beta + db)
+            return J.jump_J(eos, J.JumpPair(state, behind))
+
+        def all_at(h):
+            out = {
+                f"d{k}": fitting.derivative(J_of, 0.0, order=k, step=h) for k in (1, 2, 3, 4)
+            }
+            out["mixed"] = fitting.mixed_second(J_of, 0.0, 0.0, h, h)
+            return out
+
+        h = J._COINCIDENCE_STEP
+        coarse, fine = all_at(h), all_at(h / 2)
+        want = {k: fitting.richardson(coarse[k], fine[k], order=4) for k in coarse}
+        got = J.coincidence_structure(eos, state)
+        assert got.keys() == want.keys()
+        scale = J.jump_scale(eos, state)
+        for k in ("d1", "d2", "d3", "mixed"):
+            assert abs(got[k] - want[k]) <= 1e-12 * scale, k
+        # lane and scalar stress jumps differ by about 1 ulp (their
+        # Gauss sums run in another order); the d4 stencil divides that
+        # rounding of the O(h^2) products in J by h^4
+        assert abs(got["d4"] - want["d4"]) <= 64.0 * np.finfo(float).eps * scale / (h / 2) ** 2
+
     def test_quadratic_law_structure(self, p2):
         state = RiemannPair(0.1, 0.1)
         scale = J.jump_scale(p2, state)
@@ -250,6 +280,109 @@ class TestLanes:
         behind = RiemannPair(np.array([1e-2, 0.0, -1e-2]), np.zeros(3))
         with pytest.raises(DegenerateJump):
             J.shock_speed(rad, J.JumpPair(ahead, behind))
+
+
+class TestNewtonStep:
+    """One Newton step on J from a previous root, and its fallbacks."""
+
+    ULP = float(np.spacing(1.0))  # the invariants are O(1)
+
+    def batch(self, lo, hi, seed=7, n=24):
+        rng = np.random.default_rng(seed)
+        states = random_states(rng, n, rt_range=(-0.1, 0.25), zeta_range=(-0.4, 0.4))
+        ahead = RiemannPair(
+            np.array([s.alpha for s in states]), np.array([s.beta for s in states])
+        )
+        da = rng.uniform(lo, hi, size=n) * rng.choice([-1.0, 1.0], size=n)
+        return ahead, ahead.alpha + da
+
+    @pytest.mark.parametrize("eos_name", ["rad", "p2"])
+    def test_cold_root_is_a_fixed_point(self, eos_name, request):
+        eos = request.getfixturevalue(eos_name)
+        ahead, a_plus = self.batch(2e-2, 1e-1)
+        root = J.solve_jump_beta(eos, a_plus, ahead)
+        beta, V = J.jump_newton_step(eos, a_plus, ahead, root)
+        assert np.max(np.abs(beta - root)) <= 4.0 * self.ULP
+        cold_V = J.shock_speed(eos, J.JumpPair(ahead, RiemannPair(a_plus, root)))
+        assert np.max(np.abs(V - cold_V)) <= 1e-14
+
+    @pytest.mark.parametrize("eos_name", ["rad", "p2"])
+    def test_error_is_quadratic_in_the_move(self, eos_name, request):
+        # from the root at alpha_plus, a step at alpha_plus + delta: each
+        # decade of delta cuts the error against the cold solve by about
+        # 100 (first order would cut it by 10) down to the rounding floor
+        eos = request.getfixturevalue(eos_name)
+        ahead, a_plus = self.batch(1e-1, 4e-1)
+        root = J.solve_jump_beta(eos, a_plus, ahead)
+        errors = []
+        for delta in (1e-4, 1e-5, 1e-6):
+            a_new = a_plus + delta
+            cold = J.solve_jump_beta(eos, a_new, ahead)
+            cold_V = J.shock_speed(eos, J.JumpPair(ahead, RiemannPair(a_new, cold)))
+            beta, V = J.jump_newton_step(eos, a_new, ahead, root)
+            errors.append((np.max(np.abs(beta - cold)), np.max(np.abs(V - cold_V))))
+        floor = 8.0 * self.ULP
+        assert min(errors[0]) > 50.0 * floor
+        for (beta_coarse, V_coarse), (beta_fine, V_fine) in zip(errors, errors[1:]):
+            assert beta_fine <= 0.02 * beta_coarse + floor
+            assert V_fine <= 0.02 * V_coarse + floor
+
+    def test_scalar_call_returns_floats(self, rad):
+        ahead = RiemannPair(0.0, 0.0)
+        root = J.solve_jump_beta(rad, 1e-2, ahead)
+        beta, V = J.jump_newton_step(rad, 1e-2, ahead, root)
+        assert type(beta) is float and type(V) is float
+
+    def test_zero_alpha_jump_falls_back(self, rad):
+        ahead, a_plus = self.batch(2e-2, 1e-1)
+        root = J.solve_jump_beta(rad, a_plus, ahead)
+        a_plus[3] = ahead.alpha[3]
+        assert J.jump_newton_step(rad, a_plus, ahead, root) is None
+
+    def test_coincident_states_fall_back(self, rad):
+        # in the second lane V = [T^tr]/[T^tt] is 0/0, although the step
+        # itself is short
+        ahead = RiemannPair(np.array([0.1, 0.1]), np.array([-0.2, -0.2]))
+        a_plus = np.array([0.12, 0.1 + 1e-15])
+        beta_prev = np.array([J.solve_jump_beta(rad, 0.12, RiemannPair(0.1, -0.2)), -0.2 + 1e-15])
+        assert J.jump_newton_step(rad, a_plus, ahead, beta_prev) is None
+        first = RiemannPair(ahead.alpha[:1], ahead.beta[:1])
+        assert J.jump_newton_step(rad, a_plus[:1], first, beta_prev[:1]) is not None
+
+    @pytest.mark.parametrize("slope", [0.0, math.nan])
+    def test_non_finite_step_falls_back(self, rad, monkeypatch, slope):
+        # a zero beta slope of J makes the step infinite, a NaN one NaN
+        ahead, a_plus = self.batch(2e-2, 1e-1)
+        root = J.solve_jump_beta(rad, a_plus, ahead)
+        slopes = J._jump_and_behind_slopes
+
+        def flat(eos, jp):
+            dT, d = slopes(eos, jp)
+            bad = np.full_like(d.tt_beta, slope)
+            return dT, d._replace(tt_beta=bad, tr_beta=bad, rr_beta=bad)
+
+        monkeypatch.setattr(J, "_jump_and_behind_slopes", flat)
+        assert J.jump_newton_step(rad, a_plus + 1e-4, ahead, root) is None
+
+    def test_long_step_falls_back(self, rad):
+        # from the mirror image of the root about the ahead beta, the step
+        # is about twice |beta_prev - beta_ahead|
+        ahead, a_plus = self.batch(2e-2, 1e-1)
+        root = J.solve_jump_beta(rad, a_plus, ahead)
+        assert J.jump_newton_step(rad, a_plus, ahead, root) is not None
+        mirrored = root.copy()
+        mirrored[5] = 2.0 * ahead.beta[5] - root[5]
+        assert J.jump_newton_step(rad, a_plus, ahead, mirrored) is None
+
+    def test_over_cap_raises_as_the_cold_solve(self, rad):
+        ahead, a_plus = self.batch(2e-2, 1e-1)
+        root = J.solve_jump_beta(rad, a_plus, ahead)
+        a_plus[5] = ahead.alpha[5] + 0.6
+        with pytest.raises(OutOfRange) as cold:
+            J.solve_jump_beta(rad, a_plus, ahead)
+        with pytest.raises(OutOfRange) as warm:
+            J.jump_newton_step(rad, a_plus, ahead, root)
+        assert str(warm.value) == str(cold.value)
 
 
 class TestShockSpeed:
