@@ -180,7 +180,7 @@ def _print_eps_table(rows, stdout) -> None:
             continue
         m = [max(h) for h in sol.outer_history]
         outer = m[1] / m[0] if len(m) > 1 and m[0] > 0 else float("nan")
-        ch = sol.fields.changes
+        ch = sol.inner_changes
         inner = ch[1] / ch[0] if len(ch) > 1 and ch[0] > 0 else float("nan")
         print(
             f"{eps:>10.6g} {outer:>12.6f} {inner:>12.3e} "

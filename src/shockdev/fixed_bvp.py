@@ -210,6 +210,11 @@ def _sup(X: np.ndarray, mask: np.ndarray) -> float:
     return float(np.max(np.abs(X[mask])))
 
 
+def _rounding_floor(alpha: np.ndarray, beta: np.ndarray, mask: np.ndarray) -> float:
+    """2 ulp of max(|alpha|, |beta|) on the triangle."""
+    return 2.0 * np.spacing(max(_sup(alpha, mask), _sup(beta, mask)))
+
+
 def _extrapolate_entry(sources: list) -> float | None:
     """Extrapolate the next uniform sample from up to three predecessors."""
     if len(sources) >= 3:
@@ -463,6 +468,12 @@ class FieldGrid:
         return np.diagonal(getattr(self, name)).copy()
 
     @property
+    def rounding_floor(self) -> float:
+        """2 ulp of max(|alpha|, |beta|) on the triangle: the sweep change
+        that rounding alone leaves, the floor :func:`solve_fixed_bvp` stops on."""
+        return _rounding_floor(self.alpha, self.beta, self.grid.mask)
+
+    @property
     def contraction_ratios(self) -> list:
         cs = self.changes
         return [cs[k + 1] / cs[k] for k in range(len(cs) - 1) if cs[k] > 0.0]
@@ -502,7 +513,7 @@ def solve_fixed_bvp(
     and the transport update.  The result holds that sweep's t, P, Q and r
     with the updated (alpha, beta), ``sweeps = 1`` and ``changes`` the one
     sweep change; there is no re-assembly.  The outer iteration uses it
-    between its full inner solves.
+    between its full inner solves, and to polish its converged iterate.
 
     Raises:
         NonConvergence: ``_MAX_SWEEPS`` sweeps ran without the change
@@ -578,8 +589,7 @@ def solve_fixed_bvp(
             if change == 0.0:
                 break
             if len(history) >= 2:
-                floor = 2.0 * np.spacing(max(_sup(alpha, mask), _sup(beta, mask)))
-                if change * min(1.0, change / prev) <= floor:
+                if change * min(1.0, change / prev) <= _rounding_floor(alpha, beta, mask):
                     break
         prev = change
     else:

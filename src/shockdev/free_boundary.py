@@ -31,9 +31,11 @@ on the canonical domain, so from step 2 on each step evaluates G with one
 inner sweep warm-started from the previous step's fields (Dembo,
 Eisenstat & Steihaug, SIAM J. Numer. Anal. 19, 1982), and its jump nodes
 with one Newton step on J from the previous step's roots, which have moved
-by at most the outer residual; the converged iterate is evaluated once
-more with the full inner solve and the cold jump solve.  ``_attempt``
-states the rules.
+by at most the outer residual.  The converged iterate is evaluated once
+more with the cold jump solve and one sweep from its own fields, which
+sit at the inner fixed point to rounding, so the full inner solve runs
+there only if that sweep moves them by more.  ``_attempt`` states the
+rules.
 
 Corner stabilization.  Hatted quantities divide by v^2 or v^3, which
 amplifies quadrature error near the corner: the composite-trapezoid defect
@@ -262,6 +264,9 @@ class ShockSolution:
     boundary: BoundaryFunctions
     outer_history: list
     corner: CornerExpansion | None = None
+    # sweep changes of the last full inner solve: outer step 1 (whose ratio
+    # decides the warm steps), or a later full step or cold polish
+    inner_changes: list = field(default_factory=list)
     diagnostics: dict = field(default_factory=dict)
 
 
@@ -467,7 +472,8 @@ def outer_iterate(bf: BoundaryFunctions, ctx: SolverContext, *, warm=None):
     jump nodes from the cold root solve.  With ``warm = (fields, curve)`` of
     the previous step, the fields come from one sweep started at its
     (alpha, beta) (see :func:`solve_fixed_bvp`) and the jump nodes from one
-    Newton step from its beta_plus (see :func:`jump_update`).
+    Newton step from its beta_plus (see :func:`jump_update`); with
+    ``curve`` None, the jump nodes come from the cold root solve.
 
     Returns:
         (next boundary functions, solved FieldGrid, ShockCurve sampled from
@@ -478,7 +484,9 @@ def outer_iterate(bf: BoundaryFunctions, ctx: SolverContext, *, warm=None):
     sweep_from = beta_prev = None
     if warm is not None:
         fg_prev, curve_prev = warm
-        sweep_from, beta_prev = (fg_prev.alpha, fg_prev.beta), curve_prev.beta_plus
+        sweep_from = (fg_prev.alpha, fg_prev.beta)
+        if curve_prev is not None:
+            beta_prev = curve_prev.beta_plus
     fg = solve_fixed_bvp(bf, ctx.init, ctx.eos, ctx.grid, warm=sweep_from)
     v = ctx.grid.nodes
     kt = ctx.trust_index
@@ -603,6 +611,25 @@ def _step(bf: BoundaryFunctions, ctx: SolverContext, warm):
     return outer_iterate(bf, ctx), False
 
 
+def _polish(bf: BoundaryFunctions, ctx: SolverContext, fg: FieldGrid):
+    """G at a converged iterate ``bf`` once more, with the cold jump solve.
+
+    The fields come from one sweep started at ``fg``, the fields of the
+    warm step at ``bf`` itself.  That sweep is kept when its change is
+    within ``rounding_floor``, the floor the full inner solve stops on;
+    when it is larger, or the step raises NonConvergence or SingularGamma,
+    the full step runs instead.  Returns (step result, whether the warm
+    sweep was kept).
+    """
+    try:
+        bf_next, fg_next, curve = outer_iterate(bf, ctx, warm=(fg, None))
+        if fg_next.changes[0] <= fg_next.rounding_floor:
+            return (bf_next, fg_next, curve), True
+    except (NonConvergence, SingularGamma):
+        pass
+    return outer_iterate(bf, ctx), False
+
+
 def _attempt(
     eos: eos_mod.BarotropicEos,
     model: StateAheadModel,
@@ -635,11 +662,16 @@ def _attempt(
     wherever :func:`jump_update` falls back); a warm step that fails is
     retried at the same iterate with a full step, the full inner solve and
     the cold jump solve, before the rule above applies.  Once a warm step's
-    residual is below ``tol_outer``, the same iterate is evaluated again
-    with a full step, and that evaluation is the step's history entry and
-    the returned result, so the returned fields are fully converged and the
-    returned curve is an exact jump root.  If that residual misses
-    ``tol_outer``, the iteration goes on with full steps only.
+    residual is below ``tol_outer``, the same iterate is polished
+    (:func:`_polish`): one more sweep from that step's own fields, kept only
+    if it moves (alpha, beta) by rounding alone, else the full inner solve,
+    and the cold jump solve either way.  That evaluation is the step's
+    history entry and the returned result, so the returned fields are the
+    inner fixed point to rounding and the returned curve is an exact jump
+    root.  If that residual misses ``tol_outer``, the iteration goes on with
+    full steps only.  The sweep changes of the last full inner solve, step 1
+    unless a later step or the polish ran one, are returned with the result:
+    they hold the inner contraction ratio q.
     """
     ctx = SolverContext.build(eos, model, cusp, eps, n, tol_outer=tol_outer)
     bf = seed_fn(cusp, ctx.grid.nodes)
@@ -648,6 +680,7 @@ def _attempt(
     plain = None  # G(x_{k-1}) while bf is a mixed iterate
     warm_ok = False  # set at step 1 from the measured inner ratio
     fg = curve = None
+    inner_changes = []
     for k in range(max_outer):
         warm_start = (fg, curve) if warm_ok else None
         try:
@@ -663,14 +696,15 @@ def _attempt(
             warm_ok = bool(q) and q[0] <= _WARM_MAX_Q
         metric = boundary_difference(bf_next, bf)
         if warm and max(metric) < tol_outer:
-            # polish: the converged iterate again with the full inner solve
-            bf_next, fg, curve = outer_iterate(bf, ctx)
+            (bf_next, fg, curve), warm = _polish(bf, ctx, fg)
             metric = boundary_difference(bf_next, bf)
             warm_ok = False  # should the polish miss, only full steps follow
+        if not warm:
+            inner_changes = fg.changes
         history.append(metric)
         worst = max(metric)
         if worst < tol_outer:
-            return bf_next, fg, curve, history, ctx
+            return bf_next, fg, curve, history, inner_changes, ctx
         if len(history) >= 3 and worst > 100.0 * (max(history[0]) + 1e-300):
             raise NonConvergence(
                 "outer iteration is diverging; the domain size is too large",
@@ -722,7 +756,7 @@ def run_shock_development(
     for retry in range(max_retries + 1):
         attempted.append(attempt_eps)
         try:
-            bf, fg, curve, history, ctx = _attempt(
+            bf, fg, curve, history, inner_changes, ctx = _attempt(
                 eos, model, cusp, attempt_eps, n,
                 tol_outer=tol_outer, max_outer=max_outer, seed_fn=seed_fn,
             )
@@ -740,6 +774,7 @@ def run_shock_development(
             boundary=bf,
             outer_history=history,
             corner=ctx.corner,
+            inner_changes=inner_changes,
         )
         if collect_diagnostics:
             solution.diagnostics = {

@@ -366,7 +366,7 @@ def _history_metric(sol):
 
 
 def _inner_first_ratio(sol):
-    ch = sol.fields.changes
+    ch = sol.inner_changes
     if len(ch) < 2 or ch[0] <= 0.0:
         return 0.0
     return ch[1] / ch[0]
@@ -645,7 +645,7 @@ def full_report(cfg: SolverConfig, bundle: SolutionBundle | None = None) -> dict
     histories = {}
     if bundle.base is not None:
         histories["outer_metric"] = [list(h) for h in bundle.base.outer_history]
-        histories["inner_changes_final"] = list(bundle.base.fields.changes)
+        histories["inner_changes_final"] = list(bundle.base.inner_changes)
     passed = sum(1 for c in checks if c["pass"])
     return {
         "schema": "shockdev-report/2",

@@ -407,16 +407,21 @@ def incoming_characteristic(
     w <= min(4 * spacing, u_max / 8) are seeded by the exact cubic limit
     lam w^3 / (6 kappa (c_plus0 - c_minus0)) — the right-hand side is
     degenerate at the corner — and the rest follows classical 4th-order
-    Runge-Kutta with 4 substeps per node interval, t_{i+1} = Phi_i(t_i).
+    Runge-Kutta with 4 substeps per node interval.  Every substep endpoint
+    is a shooting node: with tau_j the time there, tau_{j+1} = phi_j(tau_j)
+    is one RK4 step, and the node values are every 4th tau.
 
-    That recurrence is solved for all intervals at once by Newton's method
-    on the whole trajectory, seeded by the cubic on every node.  Each pass
-    runs the 4 x 4 stages once on all intervals, carrying dPhi_i/dt_i
-    along, and the bidiagonal Newton system d_{i+1} = Phi_i' d_i + r_i
-    (d = 0 on the seeded nodes) is solved by one cumulative product/sum.
-    The march stops when max|d|, or the error it leaves under quadratic
-    convergence, max|d| times its ratio to the previous pass's max|d|, is
-    within 2 ulp of max|t|: 2 passes for the built-in laws at n = 1...4096.
+    That recurrence is solved for all substeps at once by Newton's method
+    on the whole trajectory (multiple shooting; Gander & Vandewalle, SIAM
+    J. Sci. Comput. 29, 2007), seeded by the cubic on every shooting node.
+    Each pass runs the 4 RK4 stages once on all 4 m substep lanes of the
+    m marched intervals, carrying dphi_j/dtau_j along, and the bidiagonal
+    Newton system d_{j+1} = phi_j' d_j + r_j (d = 0 on the last seeded
+    node) is solved by one cumulative product/sum.  The march stops when
+    max|d|, or the error it leaves under quadratic convergence, max|d|
+    times its ratio to the previous pass's max|d|, is within 2 ulp of
+    max|tau|: 2 passes, so 9 right-hand-side evaluations with the slope,
+    for the built-in laws at n = 1...4096.
 
     Args:
         u_max, n_points: uniform sampling of [0, u_max] with n_points
@@ -466,35 +471,41 @@ def incoming_characteristic(
     w_series = min(4.0 * step_ref, u_max / 8.0)
     start = int(np.count_nonzero(w <= w_series)) - 1
     sub = np.diff(w[start:]) / 4.0
-    t = model.cusp.h_hat0 * w**3
+    # substep lanes: the start points w_i, w_i + s_i, (w_i + s_i) + s_i, ...
+    # of every marched interval, in order
+    wl = [w[start:-1]]
+    for _ in range(3):
+        wl.append(wl[-1] + sub)
+    wl = np.stack(wl, axis=1).ravel()
+    sub = np.repeat(sub, 4)
+    # tau at every substep endpoint, the shooting nodes; w is every 4th
+    tau = model.cusp.h_hat0 * np.append(wl, w[-1]) ** 3
     history = []
     for _ in range(_MARCH_PASSES):
-        # Phi_i(t_i) and dPhi_i/dt_i for every interval i >= start
-        tv, wv, dphi = t[start:-1], w[start:-1], 1.0
-        for _ in range(4):
-            k1, d1 = rhs(wv, tv)
-            k2, d2 = rhs(wv + sub / 2.0, tv + sub * k1 / 2.0)
-            d2 = d2 * (1.0 + sub * d1 / 2.0)
-            k3, d3 = rhs(wv + sub / 2.0, tv + sub * k2 / 2.0)
-            d3 = d3 * (1.0 + sub * d2 / 2.0)
-            k4, d4 = rhs(wv + sub, tv + sub * k3)
-            d4 = d4 * (1.0 + sub * d3)
-            tv = tv + sub * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
-            dphi = dphi * (1.0 + sub * (d1 + 2.0 * d2 + 2.0 * d3 + d4) / 6.0)
-            wv = wv + sub
-        # d_{i+1} = dphi_i d_i + r_i from d_start = 0: d_{i+1} = G_i sum_{k <= i} r_k / G_k
-        # with G_i = dphi_start...dphi_i
+        # phi_j(tau_j) and dphi_j/dtau_j: one RK4 step on every substep lane
+        tv = tau[:-1]
+        k1, d1 = rhs(wl, tv)
+        k2, d2 = rhs(wl + sub / 2.0, tv + sub * k1 / 2.0)
+        d2 = d2 * (1.0 + sub * d1 / 2.0)
+        k3, d3 = rhs(wl + sub / 2.0, tv + sub * k2 / 2.0)
+        d3 = d3 * (1.0 + sub * d2 / 2.0)
+        k4, d4 = rhs(wl + sub, tv + sub * k3)
+        d4 = d4 * (1.0 + sub * d3)
+        phi = tv + sub * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
+        dphi = 1.0 + sub * (d1 + 2.0 * d2 + 2.0 * d3 + d4) / 6.0
+        # d_{j+1} = dphi_j d_j + r_j from d_0 = 0: d_{j+1} = G_j sum_{k <= j} r_k / G_k
+        # with G_j = dphi_0...dphi_j
         gain = np.cumprod(dphi)
-        delta = gain * np.cumsum((tv - t[start + 1:]) / gain)
-        t[start + 1:] += delta
-        # rounding alone moves t by 1-6 ulp per pass at n = 64...256, so
+        delta = gain * np.cumsum((phi - tau[1:]) / gain)
+        tau[1:] += delta
+        # rounding alone moves tau by 1-6 ulp per pass at n = 64...256, so
         # max|d| itself need not fall to 2 ulp; the passes converge
         # quadratically, so this update leaves about max|d| times the ratio
         # of max|d| to the previous pass's
         size = _abs_max(delta)
         left = size * min(1.0, size / history[-1]) if history else size
         history.append(size)
-        if left <= 2.0 * np.spacing(_abs_max(t)):
+        if left <= 2.0 * np.spacing(_abs_max(tau)):
             break
     else:
         raise NonConvergence(
@@ -502,6 +513,8 @@ def incoming_characteristic(
             history,
             diverging=history[-1] > history[0],
         )
+    t = model.cusp.h_hat0 * w**3
+    t[start:] = tau[::4]
     return CharacteristicData(w=w, t=t, slope=rhs(w, t)[0])
 
 

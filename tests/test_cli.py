@@ -93,6 +93,17 @@ class TestSweep:
         # refinement order column appears on the second row
         assert len(lines[2].split()) == 5
 
+    def test_eps_sweep_table(self, capsys):
+        assert run_cli(["sweep", "--eps", "0.01", "0.005"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].split() == ["eps", "outer_ratio", "inner_ratio", "y_end", "iters"]
+        assert len(lines) == 3
+        # the inner ratio is the one measured at outer step 1, whose full
+        # inner solve keeps two sweep changes; it shrinks with the domain
+        inner = [float(line.split()[2]) for line in lines[1:]]
+        assert all(np.isfinite(r) and 0.0 < r < 1.0 for r in inner)
+        assert inner[1] < inner[0]
+
 
 class TestRun:
     def test_canonical_run_all_pass(self, tmp_path, monkeypatch, capsys, canon_bundle):

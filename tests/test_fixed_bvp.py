@@ -614,12 +614,10 @@ def polished_fixed_bvp(bf, init, eos, grid, tol_inner=1e-12, max_sweeps=60):
     return fields, changes
 
 
-def assert_matches_polished(rad, cusp, model, n):
-    """The floor stop agrees with the polished reference; returns the solve."""
-    fg, bf, init = canonical_solve(rad, cusp, model, n)
-    ref, changes = polished_fixed_bvp(bf, init, rad, fg.grid)
+def assert_near_polished(fg, ref):
+    """Fields within 1e-14 of each reference field's scale, and alpha and
+    beta within the stop rule's own floor of the polished point."""
     m = fg.grid.mask
-    assert changes[: fg.sweeps] == fg.changes
     for name, R in ref.items():
         scale = np.max(np.abs(R[m]))
         assert np.max(np.abs(getattr(fg, name) - R)[m]) <= 1e-14 * scale, name
@@ -627,6 +625,14 @@ def assert_matches_polished(rad, cusp, model, n):
     floor = 2.0 * np.spacing(max(np.max(np.abs(ref["alpha"][m])), np.max(np.abs(ref["beta"][m]))))
     for name in ("alpha", "beta"):
         assert np.max(np.abs(getattr(fg, name) - ref[name])[m]) <= floor, name
+
+
+def assert_matches_polished(rad, cusp, model, n):
+    """The floor stop agrees with the polished reference; returns the solve."""
+    fg, bf, init = canonical_solve(rad, cusp, model, n)
+    ref, changes = polished_fixed_bvp(bf, init, rad, fg.grid)
+    assert changes[: fg.sweeps] == fg.changes
+    assert_near_polished(fg, ref)
     return fg
 
 

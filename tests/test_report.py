@@ -115,10 +115,12 @@ class TestFullReport:
         assert s["retries"] == 0
         assert s["outer_iterations"] >= 3
 
-    def test_histories(self, canon_report):
+    def test_histories(self, canon_report, canon_bundle):
         h = canon_report["histories"]
         assert len(h["outer_metric"]) == canon_report["solver"]["outer_iterations"]
-        assert len(h["inner_changes_final"]) >= 1
+        # the sweep changes of the last full inner solve, at outer step 1
+        assert h["inner_changes_final"] == canon_bundle.base.inner_changes
+        assert len(h["inner_changes_final"]) == 2
 
     def test_deterministic_given_bundle(self, canon_bundle, canon_report):
         again = full_report(SolverConfig.canonical(), bundle=canon_bundle)

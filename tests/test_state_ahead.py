@@ -494,6 +494,6 @@ class TestLaneMarch:
             SA.initial_data(canon_model, rad, 0.01, n)
             counts.append(len(calls))
         # one state evaluation per right-hand side, for the speeds and their
-        # derivatives together: 16 per Newton pass, at most 8 passes, one
-        # slope call
-        assert 0 < counts[0] == counts[1] <= 16 * 8 + 1
+        # derivatives together: 4 per Newton pass (one RK4 step on every
+        # substep lane), 2 passes, one slope call
+        assert counts == [4 * 2 + 1] * 2
