@@ -30,7 +30,7 @@ def main():
     metric = [max(h) for h in sol.outer_history]
     for k in (0, 1, 2, 3, len(metric) - 1):
         print(f"  iteration {k + 1:>2}: {metric[k]:.3e}")
-    print(f"  first contraction ratio: {metric[1] / metric[0]:.4f}\n")
+    print(f"  first contraction ratio: {sol.outer_ratio:.4f}\n")
 
     corner = sol.corner
     print("grid-free corner expansion vs fitted limits of the curve:")

@@ -178,12 +178,8 @@ def _print_eps_table(rows, stdout) -> None:
         if sol is None:
             print(f"{eps:>10.6g} {'failed':>12}", file=stdout)
             continue
-        m = [max(h) for h in sol.outer_history]
-        outer = m[1] / m[0] if len(m) > 1 and m[0] > 0 else float("nan")
-        ch = sol.inner_changes
-        inner = ch[1] / ch[0] if len(ch) > 1 and ch[0] > 0 else float("nan")
         print(
-            f"{eps:>10.6g} {outer:>12.6f} {inner:>12.3e} "
+            f"{eps:>10.6g} {sol.outer_ratio:>12.6f} {sol.inner_ratio:>12.3e} "
             f"{sol.curve.y[-1]:>14.8f} {len(sol.outer_history):>6}",
             file=stdout,
         )

@@ -1,7 +1,7 @@
-"""Shared numerical utilities: high-order differencing, sequence
+"""Shared numerical utilities: differencing, extrapolation, fits and a lane-wise Newton solve.
 
-extrapolation, small-parameter fits, and the one safeguarded Newton solve
-(lane-wise over independent 1-D problems) used by every root solve in the
+The differencing stencils are 4th order; the Newton solve runs over
+independent bracketed 1-D problems and serves every root solve in the
 package.  The fits and stencils are deliberately plain so they can double
 as independent oracles in the test suite.
 """
@@ -70,20 +70,20 @@ def mixed_second(
     return acc / (step_x * step_y)
 
 
-def richardson(coarse: float, fine: float, order: int, ratio: float = 2.0) -> float:
+def richardson(coarse: float, fine: float, order: int) -> float:
     """Eliminate the leading O(step^order) error from two estimates.
 
     Args:
         coarse: estimate at step h.
-        fine: estimate at step h/ratio.
+        fine: estimate at step h/2.
         order: order of the leading error term.
     """
-    w = ratio**order
+    w = 2.0**order
     return (w * fine - coarse) / (w - 1.0)
 
 
-# nodes nearest zero that the fits skip by default: relative
-# discretization noise is worst there
+# nodes nearest zero that power_law_fit skips: relative discretization
+# noise is worst there
 _FIT_DROP = 3
 
 
@@ -113,18 +113,11 @@ def power_law_fit(x, y):
     return float(slope), float(math.exp(intercept))
 
 
-def extrapolate_to_zero(x, y, degree: int = 2, drop: int = _FIT_DROP):
-    """Least-squares polynomial extrapolation of y(x) to x = 0.
-
-    Excludes the ``drop`` nodes nearest zero.
-    """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    order = np.argsort(x)
-    x, y = x[order], y[order]
-    if drop and len(x) > drop + degree + 2:
-        x, y = x[drop:], y[drop:]
-    coeffs = np.polynomial.polynomial.polyfit(x, y, degree)
+def extrapolate_to_zero(x, y) -> float:
+    """Value at x = 0 of the least-squares quadratic through all (x, y) samples."""
+    coeffs = np.polynomial.polynomial.polyfit(
+        np.asarray(x, dtype=float), np.asarray(y, dtype=float), 2
+    )
     return float(coeffs[0])
 
 
@@ -147,21 +140,17 @@ def safeguarded_newton_lanes(
     polish: int = 6,
     f_ends=None,
 ) -> np.ndarray:
-    """Newton iteration confined to a range with bisection fallback, lane-wise.
+    """Newton iteration inside a bracket with bisection fallback, lane-wise.
 
     Lane k solves f_k(x_k) = 0 on [lo[k], hi[k]] from x0[k] to |f_k| <
     f_tol[k]; all lanes share each ``fdf`` evaluation.  Per lane:
 
-      1. an end point with |f| < f_tol is accepted at once;
-      2. the range is a bracket if f changes sign across it; otherwise a
-         bracket is adopted as soon as an iterate exposes a sign change
-         against either end;
-      3. each step tightens the bracket (if any) to the latest iterate and
-         takes the Newton step when it lands strictly inside the bracket
-         (the range, while there is none), else bisects the bracket; a
-         Newton step out of range with no bracket to fall back on is an
-         error;
-      4. once |f| < f_tol, further Newton steps polish the iterate while |f|
+      1. an end point with |f| < f_tol is accepted at once; otherwise f
+         must change sign across the range, which is then the bracket;
+      2. each step tightens the bracket to the latest iterate and takes the
+         Newton step when it lands strictly inside the bracket, else
+         bisects it;
+      3. once |f| < f_tol, further Newton steps polish the iterate while |f|
          keeps decreasing (at most ``polish`` of them), so the root is a
          machine-precision fixed point rather than a point of the tolerance
          band (callers difference downstream quantities against small
@@ -178,7 +167,8 @@ def safeguarded_newton_lanes(
             by default both ends are evaluated here.
 
     Raises:
-        NoRoot: Newton left the range of some lane with no sign change there.
+        NoRoot: some lane has neither an end within f_tol nor a sign
+            change across its range (the first such lane is named).
         NonConvergence: some lane exhausted the iteration budget.
     """
     x0, lo, hi, f_tol = (
@@ -192,7 +182,14 @@ def safeguarded_newton_lanes(
     take_lo = np.abs(flo) < f_tol
     take_hi = ~take_lo & (np.abs(fhi) < f_tol)
     done = take_lo | take_hi
-    bracketed = flo * fhi < 0
+    unbracketed = ~done & ~(flo * fhi < 0)
+    if unbracketed.any():
+        k = int(np.flatnonzero(unbracketed)[0])
+        f_lo, f_hi = (np.broadcast_to(a, unbracketed.shape).flat[k] for a in (flo, fhi))
+        raise NoRoot(
+            f"no sign change across [{lo.flat[k]}, {hi.flat[k]}] in lane {k}: "
+            f"f = {f_lo:.3e}, {f_hi:.3e} at its ends"
+        )
     x = np.where(take_lo, blo, np.where(take_hi, bhi, np.clip(x0, blo, bhi)))
     fx, dx = fdf(x)
 
@@ -202,29 +199,15 @@ def safeguarded_newton_lanes(
             run = ~done
             if not run.any():
                 break
-            # tighten any bracket we have using the latest evaluation
-            tight = run & bracketed
+            # tighten the bracket using the latest evaluation
             left = flo * fx <= 0
-            bhi, fhi = np.where(tight & left, x, bhi), np.where(tight & left, fx, fhi)
-            blo, flo = np.where(tight & ~left, x, blo), np.where(tight & ~left, fx, flo)
+            bhi, fhi = np.where(run & left, x, bhi), np.where(run & left, fx, fhi)
+            blo, flo = np.where(run & ~left, x, blo), np.where(run & ~left, fx, flo)
             xn = np.where((dx != 0) & np.isfinite(dx), x - fx / dx, np.nan)
             inside = np.isfinite(xn) & (blo < xn) & (xn < bhi)
-            lost = run & ~inside & ~bracketed
-            if lost.any():
-                k = int(np.flatnonzero(lost)[0])
-                raise NoRoot(
-                    f"newton left [{lo.flat[k]}, {hi.flat[k]}] in lane {k} "
-                    "without a sign change to fall back on"
-                )
             x = np.where(run, np.where(inside, xn, 0.5 * (blo + bhi)), x)
             fn, dn = fdf(x)
             fx, dx = np.where(run, fn, fx), np.where(run, dn, dx)
-            open_ = run & ~bracketed
-            adopt_hi = open_ & (flo * fx < 0)
-            adopt_lo = open_ & ~adopt_hi & (fhi * fx < 0)
-            bhi, fhi = np.where(adopt_hi, x, bhi), np.where(adopt_hi, fx, fhi)
-            blo, flo = np.where(adopt_lo, x, blo), np.where(adopt_lo, fx, flo)
-            bracketed |= adopt_hi | adopt_lo
         else:
             if not done.all():
                 raise NonConvergence(

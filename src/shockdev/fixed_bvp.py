@@ -71,8 +71,6 @@ class TriGrid:
         self.n = int(n)
         self.delta = self.eps / self.n
         self.nodes = np.linspace(0.0, self.eps, self.n + 1)
-        self.U = np.broadcast_to(self.nodes[:, None], (self.n + 1, self.n + 1)).copy()
-        self.V = np.broadcast_to(self.nodes[None, :], (self.n + 1, self.n + 1)).copy()
         idx = np.arange(self.n + 1)
         self.mask = idx[None, :] <= idx[:, None]
 
@@ -128,9 +126,6 @@ class BoundaryFunctions:
             beta_hat_plus=self.beta_hat_plus if beta_hat_plus is None else beta_hat_plus,
             V_hat=self.V_hat if V_hat is None else V_hat,
         )
-
-    def z(self) -> np.ndarray:
-        return self.v * self.y
 
     def beta_plus(self) -> np.ndarray:
         return self.cusp.beta0 + self.v**2 * self.beta_hat_plus

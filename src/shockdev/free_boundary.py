@@ -269,6 +269,23 @@ class ShockSolution:
     inner_changes: list = field(default_factory=list)
     diagnostics: dict = field(default_factory=dict)
 
+    @property
+    def outer_ratio(self) -> float:
+        """First contraction ratio of the outer map, the ratio of the first
+        two ``outer_history`` maxima; nan when it is undefined."""
+        return _first_ratio([max(h) for h in self.outer_history[:2]])
+
+    @property
+    def inner_ratio(self) -> float:
+        """First contraction ratio of the inner sweep,
+        inner_changes[1] / inner_changes[0]; nan when it is undefined."""
+        return _first_ratio(self.inner_changes)
+
+
+def _first_ratio(seq) -> float:
+    """seq[1] / seq[0], or nan with fewer than two entries or seq[0] <= 0."""
+    return seq[1] / seq[0] if len(seq) > 1 and seq[0] > 0 else math.nan
+
 
 @dataclass
 class SolverContext:
@@ -507,7 +524,7 @@ def outer_iterate(bf: BoundaryFunctions, ctx: SolverContext, *, warm=None):
     delta_hat = _corner_fill(v, delta_hat, kt, anchor, 0.0, corner.deltahat1)
     # the reported corner value stays a genuine extrapolation from trusted
     # nodes (its smallness is a diagnostic, so it must not be imposed)
-    delta_hat[0] = fitting.extrapolate_to_zero(v[kt:], delta_hat[kt:], degree=2, drop=0)
+    delta_hat[0] = fitting.extrapolate_to_zero(v[kt:], delta_hat[kt:])
 
     y = solve_identification(ctx.model, v, f_hat, delta_hat)
     z = v * y
@@ -598,35 +615,25 @@ def _anderson_mix(window: list) -> np.ndarray:
     return G[-1] - np.diff(G, axis=0).T @ gamma
 
 
-def _step(bf: BoundaryFunctions, ctx: SolverContext, warm):
-    """``outer_iterate``, warm from the previous (fields, curve) when
-    ``warm`` is given; a warm step that raises NonConvergence or
-    SingularGamma is retried at the same iterate as a full step.  Returns
-    (step result, whether the warm step was used)."""
+def _step(bf: BoundaryFunctions, ctx: SolverContext, warm=None):
+    """G at ``bf`` by :func:`outer_iterate`, warm from ``warm`` when given.
+
+    ``warm`` is the previous step's (fields, curve), or (fields, None) for
+    the polish: the cold jump solve at a converged iterate, whose fields
+    are those of the warm step at ``bf`` itself.  The warm evaluation is
+    kept unless it raises NonConvergence or SingularGamma, or, for the
+    polish, its sweep moved the fields by more than ``rounding_floor``, the
+    floor the full inner solve stops on; otherwise the full step runs.
+    Returns (step result, whether the warm evaluation was kept).
+    """
     if warm is not None:
         try:
-            return outer_iterate(bf, ctx, warm=warm), True
+            step = outer_iterate(bf, ctx, warm=warm)
+            fg = step[1]
+            if warm[1] is not None or fg.changes[0] <= fg.rounding_floor:
+                return step, True
         except (NonConvergence, SingularGamma):
             pass
-    return outer_iterate(bf, ctx), False
-
-
-def _polish(bf: BoundaryFunctions, ctx: SolverContext, fg: FieldGrid):
-    """G at a converged iterate ``bf`` once more, with the cold jump solve.
-
-    The fields come from one sweep started at ``fg``, the fields of the
-    warm step at ``bf`` itself.  That sweep is kept when its change is
-    within ``rounding_floor``, the floor the full inner solve stops on;
-    when it is larger, or the step raises NonConvergence or SingularGamma,
-    the full step runs instead.  Returns (step result, whether the warm
-    sweep was kept).
-    """
-    try:
-        bf_next, fg_next, curve = outer_iterate(bf, ctx, warm=(fg, None))
-        if fg_next.changes[0] <= fg_next.rounding_floor:
-            return (bf_next, fg_next, curve), True
-    except (NonConvergence, SingularGamma):
-        pass
     return outer_iterate(bf, ctx), False
 
 
@@ -653,25 +660,27 @@ def _attempt(
     window cleared; a failure at a plain iterate propagates to the
     halved-domain driver.
 
-    Inexact inner solves.  Steps 0 and 1 run the full inner solve and the
-    cold jump solve, so ``outer_history[0:2]`` is that of the exact map,
-    and step 1 measures the inner ratio q = changes[1]/changes[0].  If
-    q <= ``_WARM_MAX_Q``, every later step is warm: it evaluates G with one
-    inner sweep started from the previous step's (alpha, beta) and one
-    Newton step per jump node from its beta_plus (with the cold jump solve
-    wherever :func:`jump_update` falls back); a warm step that fails is
-    retried at the same iterate with a full step, the full inner solve and
-    the cold jump solve, before the rule above applies.  Once a warm step's
-    residual is below ``tol_outer``, the same iterate is polished
-    (:func:`_polish`): one more sweep from that step's own fields, kept only
-    if it moves (alpha, beta) by rounding alone, else the full inner solve,
-    and the cold jump solve either way.  That evaluation is the step's
-    history entry and the returned result, so the returned fields are the
-    inner fixed point to rounding and the returned curve is an exact jump
-    root.  If that residual misses ``tol_outer``, the iteration goes on with
-    full steps only.  The sweep changes of the last full inner solve, step 1
-    unless a later step or the polish ran one, are returned with the result:
-    they hold the inner contraction ratio q.
+    Inexact inner solves (the one full statement of these rules).  Steps 0
+    and 1 run the full inner solve and the cold jump solve, so
+    ``outer_history[0:2]`` is that of the exact map, and step 1 measures
+    the inner ratio q = changes[1]/changes[0].  If q <= ``_WARM_MAX_Q``,
+    every later step is warm: it evaluates G with one inner sweep started
+    from the previous step's (alpha, beta) and one Newton step per jump
+    node from its beta_plus (with the cold jump solve wherever
+    :func:`jump_update` falls back); a warm step that fails is retried at
+    the same iterate with a full step, the full inner solve and the cold
+    jump solve, before the rule above applies.  Once a warm step's
+    residual is below ``tol_outer``, the same iterate is polished: one more
+    sweep from that step's own fields, kept only if it moves (alpha, beta)
+    by rounding alone, else the full inner solve, and the cold jump solve
+    either way.  The polish is the step's history entry and the returned
+    result, so the returned fields are the inner fixed point to rounding
+    and the returned curve is an exact jump root.  If that residual misses
+    ``tol_outer``, the iteration goes on with full steps only.  The sweep
+    changes of the last full inner solve, step 1 unless a later step or the
+    polish ran one, are returned with the result: they hold the inner
+    contraction ratio q.  :func:`_step` makes every evaluation, with its
+    fallback to the full step.
     """
     ctx = SolverContext.build(eos, model, cusp, eps, n, tol_outer=tol_outer)
     bf = seed_fn(cusp, ctx.grid.nodes)
@@ -690,13 +699,13 @@ def _attempt(
                 raise
             bf, plain = plain, None
             window.clear()
-            (bf_next, fg, curve), warm = outer_iterate(bf, ctx), False
+            (bf_next, fg, curve), warm = _step(bf, ctx)
         if k == 1:
             q = fg.contraction_ratios[:1]
             warm_ok = bool(q) and q[0] <= _WARM_MAX_Q
         metric = boundary_difference(bf_next, bf)
         if warm and max(metric) < tol_outer:
-            (bf_next, fg, curve), warm = _polish(bf, ctx, fg)
+            (bf_next, fg, curve), warm = _step(bf, ctx, (fg, None))
             metric = boundary_difference(bf_next, bf)
             warm_ok = False  # should the polish miss, only full steps follow
         if not warm:
@@ -836,7 +845,7 @@ def curve_asymptotics(
     slope_target = 2.0 * cusp.alpha_dot0
 
     def fit(samples, target, tol, scale=1.0):
-        fitted = fitting.extrapolate_to_zero(v, samples, degree=2, drop=0)
+        fitted = fitting.extrapolate_to_zero(v, samples)
         return SubCheck.of(fitted, target, tol, scale=scale)
 
     return {
@@ -887,19 +896,16 @@ def geometry_checks(
     margin_ahead = curve.V - cp_ahead
     margin_behind = cp_behind - curve.V
     slope_ahead = fitting.extrapolate_to_zero(
-        v[kt:], margin_ahead[kt:] / v[kt:], degree=2, drop=0
-    )
+        v[kt:], margin_ahead[kt:] / v[kt:])
     slope_behind = fitting.extrapolate_to_zero(
-        v[kt:], margin_behind[kt:] / v[kt:], degree=2, drop=0
-    )
+        v[kt:], margin_behind[kt:] / v[kt:])
     non_positive = np.count_nonzero(~((margin_ahead[1:] > 0.0) & (margin_behind[1:] > 0.0)))
 
     # the shock stays in the past of the singular boundary of the ahead chart
     t_star = np.asarray(singular_boundary(model, v * curve.y), dtype=float)
     not_past = np.count_nonzero(~(curve.f[1:] < t_star[1:]))
     lead_ratio = fitting.extrapolate_to_zero(
-        v[kt:], curve.f[kt:] / t_star[kt:], degree=2, drop=0
-    )
+        v[kt:], curve.f[kt:] / t_star[kt:])
 
     kap = cusp.kappa
     return {

@@ -312,10 +312,7 @@ def jump_balance_residuals(eos: eos_mod.BarotropicEos, jp: JumpPair):
 
 
 def entropy_q(eos: eos_mod.BarotropicEos, state: RiemannPair) -> float:
-    """Steepness functional q = (1/eta^2 - 1)/sigma^2 (decreases across
-
-    a physical front).
-    """
+    """Steepness functional q = (1/eta^2 - 1)/sigma^2, which decreases across a physical front."""
     d = point_data(eos, state)
     return (1.0 / d.eta2 - 1.0) / d.sigma**2
 

@@ -155,17 +155,17 @@ def _worst(records) -> tuple[float, bool]:
 # Pointwise property checks (no PDE solve).
 # ---------------------------------------------------------------------------
 
-def _sample_rhos(eos, rng, count=8):
+def _sample_rhos(eos, rng):
     lo = max(2.0 * eos.rho_min, 0.2)
     hi = min(0.5 * eos.rho_max, 5.0)
     if not lo < hi:
         lo, hi = 2.0 * eos.rho_min, 0.5 * eos.rho_max
-    return rng.uniform(lo, hi, size=count)
+    return rng.uniform(lo, hi, size=8)
 
 
-def _sample_states(rng, count, rt_range=(-0.2, 0.3), zeta_range=(-0.4, 0.4)):
-    rt = rng.uniform(*rt_range, size=count)
-    zeta = rng.uniform(*zeta_range, size=count)
+def _sample_states(rng, count):
+    rt = rng.uniform(-0.2, 0.3, size=count)
+    zeta = rng.uniform(-0.4, 0.4, size=count)
     return [RiemannPair(float(r - z), float(r + z)) for r, z in zip(rt, zeta)]
 
 
@@ -337,7 +337,7 @@ def _check_ahead_structure(eos, cusp, model):
 
         data = initial_data(model, eos, 0.5 * model.box_w, 32)
         edge_target = cusp.h_hat0
-        edge = fitting.extrapolate_to_zero(data.u[8:], data.h_hat[8:], degree=2, drop=0)
+        edge = fitting.extrapolate_to_zero(data.u[8:], data.h_hat[8:])
         entries = {
             "singular_boundary_quadratic": SubCheck.of(
                 sing, sing_target, 1e-6, scale=abs(sing_target)
@@ -361,17 +361,6 @@ def _check_ahead_structure(eos, cusp, model):
 # Solver-level checks (need the bundle).
 # ---------------------------------------------------------------------------
 
-def _history_metric(sol):
-    return [max(h) for h in sol.outer_history]
-
-
-def _inner_first_ratio(sol):
-    ch = sol.inner_changes
-    if len(ch) < 2 or ch[0] <= 0.0:
-        return 0.0
-    return ch[1] / ch[0]
-
-
 def _check_inner_asymptotics(cusp, bundle):
     def body():
         base = _need(bundle.base, bundle.errors, "base")
@@ -394,7 +383,7 @@ def _check_inner_asymptotics(cusp, bundle):
         kt = curve.trust_index
         dfdv = np.gradient(curve.f, curve.v, edge_order=2)
         samples = (dfdv[kt:]) / curve.v[kt:]
-        fitted = fitting.extrapolate_to_zero(curve.v[kt:], samples, degree=2, drop=0)
+        fitted = fitting.extrapolate_to_zero(curve.v[kt:], samples)
         rel = abs(fitted - slope_target) / slope_target
         fit = SubCheck.of(fitted, slope_target, 0.02, scale=abs(slope_target))
         ok = (
@@ -537,12 +526,8 @@ def _check_convergence_structure(cfg, bundle):
         base = _need(bundle.base, bundle.errors, "base")
         half = _need(bundle.half_eps, bundle.errors, "half_eps")
         pert = _need(bundle.perturbed, bundle.errors, "perturbed")
-        m_base = _history_metric(base)
-        m_half = _history_metric(half)
-        outer_base = m_base[1] / m_base[0]
-        outer_half = m_half[1] / m_half[0]
-        inner_base = _inner_first_ratio(base)
-        inner_half = _inner_first_ratio(half)
+        outer_base, outer_half = base.outer_ratio, half.outer_ratio
+        inner_base, inner_half = base.inner_ratio, half.inner_ratio
         uniq = 0.0
         for name in ("y", "beta_hat_plus", "V_hat"):
             uniq = max(

@@ -395,10 +395,8 @@ class CharacteristicData(NamedTuple):
 def incoming_characteristic(
     model: StateAheadModel,
     eos: eos_mod.BarotropicEos,
-    u_max: float | None = None,
-    n_points: int | None = None,
-    *,
-    w_nodes=None,
+    u_max: float,
+    n_points: int,
 ) -> CharacteristicData:
     """Integrate the incoming characteristic emanating from the cusp.
 
@@ -425,8 +423,7 @@ def incoming_characteristic(
 
     Args:
         u_max, n_points: uniform sampling of [0, u_max] with n_points
-            subdivisions; alternatively pass an explicit increasing
-            ``w_nodes`` array starting at 0.
+            subdivisions.
 
     Raises:
         LeftBox: the requested interval, or a Runge-Kutta stage of any pass,
@@ -435,15 +432,7 @@ def incoming_characteristic(
         NonConvergence: the Newton corrections have not settled after
             ``_MARCH_PASSES`` passes; ``history`` holds max|d| per pass.
     """
-    if w_nodes is not None:
-        w = np.asarray(w_nodes, dtype=float)
-        if w.ndim != 1 or len(w) < 2 or w[0] != 0.0 or np.any(np.diff(w) <= 0):
-            raise ValueError("w_nodes must be a 1-D increasing array starting at 0")
-        u_max = float(w[-1])
-    else:
-        if u_max is None or n_points is None:
-            raise ValueError("provide either (u_max, n_points) or w_nodes")
-        w = np.linspace(0.0, float(u_max), int(n_points) + 1)
+    w = np.linspace(0.0, float(u_max), int(n_points) + 1)
     if u_max > model.box_w:
         raise LeftBox(
             f"requested interval [0, {u_max:g}] exceeds the validity box |w| <= {model.box_w:g}"

@@ -5,9 +5,8 @@ here as the test oracle: it takes the same safeguard steps on one problem
 that the lane-wise routine must take on each lane.  The test function is a
 cubic built from + and * only, so both routines do the same floating-point
 operations on every lane and must agree exactly.  Its lanes cover each
-branch of the safeguard: acceptance at an end point, a bracket held from
-the start, bisection when Newton leaves the bracket, and a bracket adopted
-from an iterate.
+branch of the safeguard: acceptance at either end point, plain Newton
+inside the bracket, and bisection when Newton leaves it.
 """
 
 from __future__ import annotations
@@ -34,10 +33,9 @@ def df(x, s):
 # (shift, lo, hi, x0) per lane; the roots are s and s +- sqrt(6)
 LANES = [
     (0.0, 0.0, 2.0, 1.0),  # root at the lower end
+    (0.0, -2.0, 0.0, -1.0),  # root at the upper end
     (0.1, -1.0, 1.0, 0.5),  # bracketed, plain Newton
     (0.05, -2.0, 2.0, 1.7),  # bracketed, first Newton step leaves it: bisection
-    (0.2, -0.8, 3.2, -0.7),  # ends share a sign: bracket adopted from an iterate
-    (-0.3, -1.3, 2.7, 2.0),  # ends share a sign, converges without a bracket
 ]
 
 
@@ -51,15 +49,13 @@ def safeguarded_newton(
     max_iter: int = 60,
     polish: int = 6,
 ) -> float:
-    """Scalar oracle: Newton confined to [lo, hi] with bisection fallback.
+    """Scalar oracle: Newton inside the bracket [lo, hi] with bisection fallback.
 
-    The interval need not bracket a sign change; a bracket is adopted as
-    soon as the evaluations expose one.  After meeting ``f_tol`` the
-    iterate is polished with further Newton steps until |f| stops
-    decreasing.
+    After meeting ``f_tol`` the iterate is polished with further Newton
+    steps until |f| stops decreasing.
 
     Raises:
-        NoRoot: Newton made no progress and no sign change exists in range.
+        NoRoot: neither end is within ``f_tol`` and f does not change sign.
         NonConvergence: iteration budget exhausted.
     """
 
@@ -83,34 +79,25 @@ def safeguarded_newton(
         return _polish(blo, flo)
     if abs(fhi) < f_tol:
         return _polish(bhi, fhi)
-    bracketed = flo * fhi < 0
+    if not flo * fhi < 0:
+        raise NoRoot(f"no sign change across [{lo}, {hi}]")
 
     x = min(max(float(x0), blo), bhi)
     fx = f(x)
     for _ in range(max_iter):
         if abs(fx) < f_tol:
             return _polish(x, fx)
-        # tighten any bracket we have using the latest evaluation
-        if bracketed:
-            if flo * fx <= 0:
-                bhi, fhi = x, fx
-            else:
-                blo, flo = x, fx
+        # tighten the bracket using the latest evaluation
+        if flo * fx <= 0:
+            bhi, fhi = x, fx
+        else:
+            blo, flo = x, fx
         d = df(x)
         xn = x - fx / d if d != 0 and math.isfinite(d) else math.nan
-        inside = math.isfinite(xn) and blo < xn < bhi
-        if not inside:
-            if not bracketed:
-                raise NoRoot(
-                    f"newton left [{lo}, {hi}] without a sign change to fall back on"
-                )
+        if not (math.isfinite(xn) and blo < xn < bhi):
             xn = 0.5 * (blo + bhi)
         x = xn
         fx = f(x)
-        if not bracketed and flo * fx < 0:
-            bracketed, bhi, fhi = True, x, fx
-        elif not bracketed and fhi * fx < 0:
-            bracketed, blo, flo = True, x, fx
     raise NonConvergence(
         f"newton/bisection did not reach |f| < {f_tol} in {max_iter} iterations"
     )
@@ -138,16 +125,17 @@ class TestSafeguardedNewtonLanes:
         assert got.tolist() == scalar_roots(LANES, f_tol=1e-12)
 
     def test_single_lane(self):
-        got = lane_roots(LANES[2:3], f_tol=1e-12)
+        got = lane_roots(LANES[3:4], f_tol=1e-12)
         assert got.shape == (1,)
-        assert got[0] == scalar_roots(LANES[2:3], f_tol=1e-12)[0]
+        assert got[0] == scalar_roots(LANES[3:4], f_tol=1e-12)[0]
 
     def test_no_root_in_one_lane_raises(self):
-        # ends share a sign and the first Newton step leaves the range
-        lanes = LANES + [(0.0, -1.0, 3.0, 1.3)]
+        # ends share a sign, though the range holds the root 0.2: the lane
+        # is refused on entry and named
+        lanes = LANES[:2] + [(0.2, -0.8, 3.2, -0.7)] + LANES[2:]
         with pytest.raises(NoRoot):
-            scalar_roots(lanes[-1:], f_tol=1e-12)
-        with pytest.raises(NoRoot):
+            scalar_roots(lanes[2:3], f_tol=1e-12)
+        with pytest.raises(NoRoot, match=r"no sign change across \[-0\.8, 3\.2\] in lane 2:"):
             lane_roots(lanes, f_tol=1e-12)
 
     def test_same_iteration_count_per_lane(self):
@@ -179,6 +167,33 @@ class TestSafeguardedNewtonLanes:
         seen.clear()
         fitting.safeguarded_newton_lanes(fdf, x0, lo, hi, f_tol=1e-12)
         assert len(seen) == calls + 2
+
+
+class TestExtrapolation:
+    """Each fit is exact on data of the form it assumes."""
+
+    def test_extrapolate_to_zero_recovers_quadratic_constant(self):
+        x = np.linspace(0.1, 1.0, 10)
+        got = fitting.extrapolate_to_zero(x, 2.5 - 1.3 * x + 0.7 * x**2)
+        assert got == pytest.approx(2.5, rel=1e-13)
+
+    def test_extrapolate_to_zero_uses_every_sample(self):
+        # three samples leave no least-squares slack: the fit is the
+        # parabola through them, nearest node included
+        x, y = [0.01, 0.5, 1.0], [7.0, -2.0, 3.0]
+        want = fitting.quadratic_extrapolate(x, y)
+        assert fitting.extrapolate_to_zero(x, y) == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("order", [1, 2, 4])
+    def test_richardson_removes_order_p_term(self, order):
+        h, limit, c = 0.1, 1.5, 3.0
+        coarse, fine = limit + c * h**order, limit + c * (h / 2) ** order
+        assert fitting.richardson(coarse, fine, order) == pytest.approx(limit, rel=1e-14)
+
+    def test_quadratic_extrapolate_through_three_points(self):
+        x = np.array([0.1, 0.2, 0.4])
+        got = fitting.quadratic_extrapolate(x, -0.75 + 4.0 * x - 9.0 * x**2)
+        assert got == pytest.approx(-0.75, rel=1e-14)
 
 
 class TestPowerLawFit:

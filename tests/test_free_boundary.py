@@ -694,15 +694,20 @@ class TestWarmPolish:
     def test_fallback_matches_cold_polish(
         self, rad, canon_model, canon_cusp, monkeypatch, fault
     ):
-        step = FBD.outer_iterate
+        step, evaluate = FBD.outer_iterate, FBD._step
 
         def solve():
             return FBD.run_shock_development(
                 rad, canon_model, canon_cusp, eps=EPS, n=64, collect_diagnostics=False
             )
 
+        def cold_polish(bf, ctx, warm=None):
+            if warm is not None and warm[1] is None:
+                return step(bf, ctx), False
+            return evaluate(bf, ctx, warm)
+
         with monkeypatch.context() as m:
-            m.setattr(FBD, "_polish", lambda bf, ctx, fg: (step(bf, ctx), False))
+            m.setattr(FBD, "_step", cold_polish)
             cold = solve()
 
         def faulty(bf, ctx, *, warm=None):
@@ -895,22 +900,16 @@ class TestRefinementAndRobustness:
         assert half_eps_sol.curve.y[-1] == pytest.approx(-1.005194, abs=5e-4)
 
     def test_outer_displacement_ratio_scales_with_domain(self, canon_sol, half_eps_sol):
-        def first_ratio(sol):
-            h = sol.outer_history
-            return max(h[1]) / max(h[0])
-
-        r_full = first_ratio(canon_sol)
-        r_half = first_ratio(half_eps_sol)
-        assert r_full < 1.0
-        assert r_half < r_full
+        h = canon_sol.outer_history
+        assert canon_sol.outer_ratio == max(h[1]) / max(h[0])
+        assert canon_sol.outer_ratio < 1.0
+        assert half_eps_sol.outer_ratio < canon_sol.outer_ratio
 
     def test_inner_ratio_scales_with_domain(self, canon_sol, half_eps_sol):
-        def first_ratio(sol):
-            ch = sol.inner_changes
-            return ch[1] / ch[0]
-
-        assert first_ratio(canon_sol) < 1.0
-        assert first_ratio(half_eps_sol) < first_ratio(canon_sol)
+        ch = canon_sol.inner_changes
+        assert canon_sol.inner_ratio == ch[1] / ch[0]
+        assert canon_sol.inner_ratio < 1.0
+        assert half_eps_sol.inner_ratio < canon_sol.inner_ratio
 
     def test_uniqueness_witness(self, canon_sol, perturbed_sol):
         for name in ("y", "beta_hat_plus", "V_hat"):

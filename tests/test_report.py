@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 
@@ -12,6 +13,7 @@ from shockdev.config import SolverConfig
 from shockdev.free_boundary import SubCheck, blowup_fits
 from shockdev.report import (
     SolutionBundle,
+    _check_convergence_structure,
     _pyify,
     format_check_lines,
     full_report,
@@ -74,8 +76,6 @@ class TestVerifyReport:
         assert render_report(verify_report(cfg)) == render_report(verify_report(cfg))
 
     def test_seed_changes_samples_not_verdicts(self):
-        import dataclasses
-
         other = verify_report(dataclasses.replace(SolverConfig.canonical(), seed=1))
         assert other["all_pass"]
         assert render_report(other) != render_report(verify_report(SolverConfig.canonical()))
@@ -166,6 +166,19 @@ class TestFailureCapture:
         assert broken["solver"]["converged"] is False
         assert "NonConvergence" in broken["solver"]["error"]
         assert broken["histories"] == {}
+
+    def test_undefined_inner_ratio_fails_convergence_structure(self, canon_bundle):
+        # one sweep change gives no inner ratio, so the half-eps solve cannot
+        # witness faster inner contraction on the halved domain
+        half = canon_bundle.half_eps
+        bundle = dataclasses.replace(
+            canon_bundle,
+            half_eps=dataclasses.replace(half, inner_changes=half.inner_changes[:1]),
+        )
+        assert _check_convergence_structure(SolverConfig.canonical(), canon_bundle)["pass"]
+        check = _check_convergence_structure(SolverConfig.canonical(), bundle)
+        assert not check["pass"]
+        assert math.isnan(check["detail"]["inner_sweep_ratio"]["half_eps"])
 
     def test_still_serializable(self, broken):
         parsed = json.loads(render_report(broken))

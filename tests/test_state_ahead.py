@@ -245,12 +245,6 @@ class TestIncomingCharacteristic:
         )
         assert np.max(np.abs(sol.y[0] - curve.t)) < 1e-10
 
-    def test_explicit_nodes(self, model, rad):
-        nodes = np.linspace(0.0, 0.04, 33)
-        curve = SA.incoming_characteristic(model, rad, w_nodes=nodes)
-        uniform = SA.incoming_characteristic(model, rad, 0.04, 32)
-        assert curve.t == pytest.approx(uniform.t, abs=1e-15)
-
     def test_interval_outside_box(self, model, rad):
         with pytest.raises(LeftBox, match=r"requested interval \[0, 0.3\]"):
             SA.incoming_characteristic(model, rad, 0.3, 10)
@@ -381,7 +375,8 @@ def sequential_march(model, eos, u_max=None, n_points=None, *, w_nodes=None):
     """The RK4 march of the incoming characteristic, one interval after the
 
     other with Python-float right-hand sides (same nodes, series seed and
-    4 substeps per interval as ``incoming_characteristic``).
+    4 substeps per interval as ``incoming_characteristic``).  An explicit
+    increasing ``w_nodes`` array starting at 0 replaces the uniform nodes.
     """
     if w_nodes is not None:
         w = np.asarray(w_nodes, dtype=float)
@@ -438,14 +433,6 @@ class TestLaneMarch:
         m = SA.synthesize_model(c, eos, eps=0.01)
         assert_matches_march(
             SA.incoming_characteristic(m, eos, 0.01, n), sequential_march(m, eos, 0.01, n)
-        )
-
-    def test_non_uniform_nodes(self, model, rad):
-        s = np.linspace(0.0, 1.0, 81)
-        nodes = 0.05 * (s + 0.3 * s**2) / 1.3
-        assert_matches_march(
-            SA.incoming_characteristic(model, rad, w_nodes=nodes),
-            sequential_march(model, rad, w_nodes=nodes),
         )
 
     def test_overridden_model(self, rad, cusp):
