@@ -76,21 +76,11 @@ def _print_summary(report: dict, stream) -> None:
     print(f"{counts['passed']}/{counts['total']} passed - {verdict}", file=stream)
 
 
-def cmd_run(args, stdout, stderr) -> int:
-    try:
-        cfg = load_config(args.config)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=stderr)
-        return EXIT_CONFIG
-
+def cmd_run(args, cfg, stdout, stderr) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    try:
-        eos, cusp, model, bundle = compute_bundle(cfg)
-        report = full_report(cfg, bundle=bundle)
-    except ShockDevError as exc:
-        print(f"setup error: {exc}", file=stderr)
-        return EXIT_CONFIG
+    eos, cusp, model, bundle = compute_bundle(cfg)
+    report = full_report(cfg, bundle=bundle)
 
     write_report(report, out_dir / cfg.report_json)
     if bundle.base is not None:
@@ -106,17 +96,8 @@ def cmd_run(args, stdout, stderr) -> int:
     return EXIT_OK if report["all_pass"] else EXIT_FAILED
 
 
-def cmd_verify(args, stdout, stderr) -> int:
-    try:
-        cfg = load_config(args.config)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=stderr)
-        return EXIT_CONFIG
-    try:
-        report = verify_report(cfg)
-    except ShockDevError as exc:
-        print(f"setup error: {exc}", file=stderr)
-        return EXIT_CONFIG
+def cmd_verify(args, cfg, stdout, stderr) -> int:
+    report = verify_report(cfg)
     _print_summary(report, stdout)
     return EXIT_OK if report["all_pass"] else EXIT_FAILED
 
@@ -185,29 +166,16 @@ def _print_eps_table(rows, stdout) -> None:
         )
 
 
-def cmd_sweep(args, stdout, stderr) -> int:
-    try:
-        cfg = load_config(args.config)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=stderr)
-        return EXIT_CONFIG
-
+def cmd_sweep(args, cfg, stdout, stderr) -> int:
     ns, epses = args.n, args.eps
     if not ns and not epses:
         print("nothing to sweep", file=stdout)
         return EXIT_OK
     if ns is not None and any(n < 2 for n in ns):
-        print("config error: sweep grid sizes must be >= 2", file=stderr)
-        return EXIT_CONFIG
-    if epses is not None and any(not e > 0 for e in epses):
-        print("config error: sweep domain sizes must be positive", file=stderr)
-        return EXIT_CONFIG
-
-    try:
-        eos, cusp, model = build_problem(cfg)
-    except ShockDevError as exc:
-        print(f"setup error: {exc}", file=stderr)
-        return EXIT_CONFIG
+        raise ConfigError("sweep grid sizes must be >= 2")
+    if epses is not None and any(not (math.isfinite(e) and e > 0) for e in epses):
+        raise ConfigError("sweep domain sizes must be finite and positive")
+    eos, cusp, model = build_problem(cfg)
 
     rows = _sweep_rows(cfg, eos, cusp, model, ns, epses, stderr)
     if ns is not None:
@@ -224,7 +192,15 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
     handlers = {"run": cmd_run, "verify": cmd_verify, "sweep": cmd_sweep}
-    return handlers[args.command](args, sys.stdout, sys.stderr)
+    # a bad config, or a setup that fails before any solve, is exit 2
+    try:
+        cfg = load_config(args.config)
+        return handlers[args.command](args, cfg, sys.stdout, sys.stderr)
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+    except ShockDevError as exc:
+        print(f"setup error: {exc}", file=sys.stderr)
+    return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -32,7 +32,7 @@ import configparser
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -45,63 +45,40 @@ __all__ = ["SolverConfig", "load_config", "build_problem"]
 
 _MACH_EPS = float(np.finfo(float).eps)
 
-# schema: section -> key -> (python type, default)
-_SCHEMA: dict[str, dict[str, tuple[type, object]]] = {
-    "eos": {
-        "kind": (str, "radiation"),
-        "coefficient": (float, 0.1),
-    },
-    "cusp": {
-        "alpha0": (float, 0.0),
-        "beta0": (float, 0.0),
-        "kappa": (float, 1.0),
-        "lam": (float, 1.0),
-        "r0": (float, 1.0),
-        "dbeta_dt0": (float, 0.3),
-        "alpha_ddot0": (float, 0.0),
-        "xi": (float, 0.0),
-    },
-    "solver": {
-        "eps": (float, 0.01),
-        "n": (int, 64),
-        "tol_outer": (float, 1e-10),
-        "max_outer": (int, 60),
-        "max_retries": (int, 3),
-    },
-    "output": {
-        "grid_csv": (str, "grid.csv"),
-        "shock_csv": (str, "shock.csv"),
-        "report_json": (str, "report.json"),
-    },
-    "checks": {
-        "seed": (int, 20260815),
-    },
-}
+
+def _key(section: str, default):
+    """A config field whose key lives in ``section``."""
+    return field(default=default, metadata={"section": section})
 
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Validated run configuration (see the module docstring for the schema)."""
+    """Validated run configuration (see the module docstring for the schema).
 
-    eos_kind: str = "radiation"
-    eos_coefficient: float = 0.1
-    alpha0: float = 0.0
-    beta0: float = 0.0
-    kappa: float = 1.0
-    lam: float = 1.0
-    r0: float = 1.0
-    dbeta_dt0: float = 0.3
-    alpha_ddot0: float = 0.0
-    xi: float = 0.0
-    eps: float = 0.01
-    n: int = 64
-    tol_outer: float = 1e-10
-    max_outer: int = 60
-    max_retries: int = 3
-    grid_csv: str = "grid.csv"
-    shock_csv: str = "shock.csv"
-    report_json: str = "report.json"
-    seed: int = 20260815
+    The fields are the one declaration of every key, its type and its
+    default.  A key is its field name less the section prefix, which only
+    the [eos] fields carry.
+    """
+
+    eos_kind: str = _key("eos", "radiation")
+    eos_coefficient: float = _key("eos", 0.1)
+    alpha0: float = _key("cusp", 0.0)
+    beta0: float = _key("cusp", 0.0)
+    kappa: float = _key("cusp", 1.0)
+    lam: float = _key("cusp", 1.0)
+    r0: float = _key("cusp", 1.0)
+    dbeta_dt0: float = _key("cusp", 0.3)
+    alpha_ddot0: float = _key("cusp", 0.0)
+    xi: float = _key("cusp", 0.0)
+    eps: float = _key("solver", 0.01)
+    n: int = _key("solver", 64)
+    tol_outer: float = _key("solver", 1e-10)
+    max_outer: int = _key("solver", 60)
+    max_retries: int = _key("solver", 3)
+    grid_csv: str = _key("output", "grid.csv")
+    shock_csv: str = _key("output", "shock.csv")
+    report_json: str = _key("output", "report.json")
+    seed: int = _key("checks", 20260815)
 
     @classmethod
     def canonical(cls) -> "SolverConfig":
@@ -124,12 +101,21 @@ class SolverConfig:
         }
 
 
-# map (section, key) -> dataclass field name: the key, prefixed in [eos]
-_FIELD_OF = {
-    (section, key): f"eos_{key}" if section == "eos" else key
-    for section, keys in _SCHEMA.items()
-    for key in keys
-}
+def _schema():
+    """section -> key -> (python type, default), and (section, key) -> field
+    name, both read off the fields of :class:`SolverConfig`."""
+    types = {"str": str, "float": float, "int": int}  # the annotations, as text
+    schema: dict[str, dict[str, tuple[type, object]]] = {}
+    field_of: dict[tuple[str, str], str] = {}
+    for f in fields(SolverConfig):
+        section = f.metadata["section"]
+        key = f.name.removeprefix(section + "_")
+        schema.setdefault(section, {})[key] = (types[f.type], f.default)
+        field_of[section, key] = f.name
+    return schema, field_of
+
+
+_SCHEMA, _FIELD_OF = _schema()
 
 
 def _coerce(section: str, key: str, raw, errors: list[str]):

@@ -468,11 +468,6 @@ class FieldGrid:
         that rounding alone leaves, the floor :func:`solve_fixed_bvp` stops on."""
         return _rounding_floor(self.alpha, self.beta, self.grid.mask)
 
-    @property
-    def contraction_ratios(self) -> list:
-        cs = self.changes
-        return [cs[k + 1] / cs[k] for k in range(len(cs) - 1) if cs[k] > 0.0]
-
 
 def _check_nodes(name: str, got: np.ndarray, grid: TriGrid) -> None:
     if got.shape != grid.nodes.shape or not np.allclose(
@@ -621,8 +616,9 @@ def characteristic_residuals(
     Differencing acts on baseline-subtracted fields (t, r - r0,
     alpha - alpha_i(u), beta - beta_plus(v)) so the measured defect is the
     quadrature error, not float cancellation against the O(1) offsets.
-    Residual maxima are taken over nodes where the centered stencil fits
-    inside the triangle.
+    The derivatives are those of :func:`dv_grid` and :func:`du_grid`, and
+    residual maxima are taken over nodes where their centered stencil fits
+    inside the triangle, so no one-sided or corner entry is read.
 
     Returns:
         dict with per-equation maxima ("alpha", "beta", "radius_out",
@@ -630,7 +626,6 @@ def characteristic_residuals(
     """
     grid = fg.grid
     n = grid.n
-    d = grid.delta
     idx = np.arange(n + 1)
     I, J = idx[:, None], idx[None, :]
     # stencil validity: centered in v needs 1 <= j <= i - 1; centered in u
@@ -646,23 +641,13 @@ def characteristic_residuals(
     base_beta = fg.beta - bf.beta_plus()[None, :]
     base_r = fg.r_off
 
-    def center_v(X):
-        out = np.zeros_like(X)
-        out[:, 1:-1] = (X[:, 2:] - X[:, :-2]) / (2.0 * d)
-        return out
-
-    def center_u(X):
-        out = np.zeros_like(X)
-        out[1:-1, :] = (X[2:, :] - X[:-2, :]) / (2.0 * d)
-        return out
-
     res = {
-        "alpha": _sup(center_v(base_alpha) - fg.dt_dv * A, mask_v),
-        "beta": _sup(center_u(base_beta) - fg.dt_du * B, mask_u),
-        "radius_out": _sup(center_v(base_r) - cp * fg.dt_dv, mask_v),
-        "radius_in": _sup(center_u(base_r) - cm * fg.dt_du, mask_u),
-        "time_out": _sup(center_v(fg.t) - fg.dt_dv, mask_v),
-        "time_in": _sup(center_u(fg.t) - fg.dt_du, mask_u),
+        "alpha": _sup(dv_grid(base_alpha, grid) - fg.dt_dv * A, mask_v),
+        "beta": _sup(du_grid(base_beta, grid) - fg.dt_du * B, mask_u),
+        "radius_out": _sup(dv_grid(base_r, grid) - cp * fg.dt_dv, mask_v),
+        "radius_in": _sup(du_grid(base_r, grid) - cm * fg.dt_du, mask_u),
+        "time_out": _sup(dv_grid(fg.t, grid) - fg.dt_dv, mask_v),
+        "time_in": _sup(du_grid(fg.t, grid) - fg.dt_du, mask_u),
     }
     res["max"] = max(res.values())
     return res

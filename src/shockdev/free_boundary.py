@@ -701,8 +701,8 @@ def _attempt(
             window.clear()
             (bf_next, fg, curve), warm = _step(bf, ctx)
         if k == 1:
-            q = fg.contraction_ratios[:1]
-            warm_ok = bool(q) and q[0] <= _WARM_MAX_Q
+            # an undefined ratio is nan, which keeps the steps full
+            warm_ok = _first_ratio(fg.changes) <= _WARM_MAX_Q
         metric = boundary_difference(bf_next, bf)
         if warm and max(metric) < tol_outer:
             (bf_next, fg, curve), warm = _step(bf, ctx, (fg, None))
@@ -755,8 +755,12 @@ def run_shock_development(
     domain and retries, up to ``max_retries`` times.
 
     Raises:
+        ValueError: n < 2, before any work (the diagnostics difference
+            along the shock and need at least three nodes).
         NonConvergence: every attempted domain size failed.
     """
+    if not n >= 2:
+        raise ValueError(f"n must be at least 2, got {n}")
     if seed_fn is None:
         seed_fn = BoundaryFunctions.seed
     attempt_eps = float(eps)

@@ -43,7 +43,6 @@ from .state import (
     StressDerivatives,
     _lane_result,
     char_speeds,
-    point_data,
     stress,
     stress_derivatives,
     wave_state,
@@ -113,6 +112,13 @@ def _jump_and_behind_slopes(eos: eos_mod.BarotropicEos, jp: JumpPair):
         )
     )
     return dT, StressDerivatives(*(x[..., -1] for x in d))
+
+
+def _J_and_slope(dT: StressComponents, d: StressDerivatives):
+    """J and dJ/dbeta from the stress jumps and the behind-state slopes."""
+    J = dT.tt * dT.rr - dT.tr**2
+    dJ = d.tt_beta * dT.rr + dT.tt * d.rr_beta - 2.0 * dT.tr * d.tr_beta
+    return J, dJ
 
 
 def stress_jump(eos: eos_mod.BarotropicEos, jp: JumpPair) -> StressComponents:
@@ -204,10 +210,8 @@ def solve_jump_beta(
     width = 8.0 * np.abs(g0 * dalpha3) + 1e-14
 
     def fdf(b):
-        dT, d = _jump_and_behind_slopes(eos, JumpPair(ahead, RiemannPair(a_plus, b)))
-        J = dT.tt * dT.rr - dT.tr**2
-        dJ = d.tt_beta * dT.rr + dT.tt * d.rr_beta - 2.0 * dT.tr * d.tr_beta
-        return J, dJ
+        behind = RiemannPair(a_plus, b)
+        return _J_and_slope(*_jump_and_behind_slopes(eos, JumpPair(ahead, behind)))
 
     pending = np.ones(lanes.size, dtype=bool)
     for _ in range(_MAX_EXPAND + 1):
@@ -272,8 +276,7 @@ def jump_newton_step(
     dT, d = _jump_and_behind_slopes(eos, JumpPair(ahead, RiemannPair(a_plus, b_prev)))
     if np.any(_coincident(eos, dT, ahead)):
         return None
-    J = dT.tt * dT.rr - dT.tr**2
-    dJ = d.tt_beta * dT.rr + dT.tt * d.rr_beta - 2.0 * dT.tr * d.tr_beta
+    J, dJ = _J_and_slope(dT, d)
     with np.errstate(divide="ignore", invalid="ignore"):
         step = -J / dJ
     if not np.all(np.abs(step) <= np.abs(b_prev - b_ahead)):
@@ -313,8 +316,8 @@ def jump_balance_residuals(eos: eos_mod.BarotropicEos, jp: JumpPair):
 
 def entropy_q(eos: eos_mod.BarotropicEos, state: RiemannPair) -> float:
     """Steepness functional q = (1/eta^2 - 1)/sigma^2, which decreases across a physical front."""
-    d = point_data(eos, state)
-    return (1.0 / d.eta2 - 1.0) / d.sigma**2
+    w = wave_state(eos, state)
+    return (1.0 / _lane_result(w.eta2) - 1.0) / w.sigma(eos) ** 2
 
 
 def determinism_margin(eos: eos_mod.BarotropicEos, jp: JumpPair):
@@ -330,8 +333,8 @@ def determinism_margin(eos: eos_mod.BarotropicEos, jp: JumpPair):
     """
 
     def val(state):
-        d = point_data(eos, state)
-        return d.eta * d.sigma / np.sqrt(1.0 - d.eta2)
+        w = wave_state(eos, state)
+        return w.eta * w.sigma(eos) / np.sqrt(1.0 - w.eta2)
 
     dT = stress_jump(eos, jp)
     live = ~_coincident(eos, dT, jp.ahead)
@@ -348,13 +351,10 @@ def hugoniot_residual(eos: eos_mod.BarotropicEos, jp: JumpPair) -> float:
     J = 0 branch (the flow potential is not exactly conserved across a
     front; its production enters at third order).
     """
-    da = point_data(eos, jp.ahead)
-    db = point_data(eos, jp.behind)
-    return (
-        db.h**2
-        - da.h**2
-        - (db.p - da.p) * (db.h / db.sigma + da.h / da.sigma)
-    )
+    wa, wb = wave_state(eos, jp.ahead), wave_state(eos, jp.behind)
+    ha, hb = wa.enthalpy(eos), wb.enthalpy(eos)
+    pa, pb = _lane_result(wa.pressure(eos)), _lane_result(wb.pressure(eos))
+    return hb**2 - ha**2 - (pb - pa) * (hb / wb.sigma(eos) + ha / wa.sigma(eos))
 
 
 def coincidence_structure(eos: eos_mod.BarotropicEos, state: RiemannPair) -> dict:

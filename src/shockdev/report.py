@@ -602,6 +602,33 @@ def _solver_summary(cfg, bundle):
     return out
 
 
+def _pointwise_checks(cfg: SolverConfig, eos) -> tuple[list, np.random.Generator]:
+    """The three pointwise checks both reports open with, and the RNG they
+    leave for the checks that follow (so the draw order is fixed)."""
+    rng = np.random.default_rng(cfg.seed)
+    cusp_state = RiemannPair(cfg.alpha0, cfg.beta0)
+    checks = [
+        _check_eos_identities(eos, rng),
+        _check_jump_coincidence(eos, cusp_state, rng),
+        _check_jump_cubic(eos, cusp_state),
+    ]
+    return checks, rng
+
+
+def _document(schema: str, cfg: SolverConfig, checks: list, **sections) -> dict:
+    """A report document: its schema, the config echo, ``sections``, the
+    checks and their tally."""
+    passed = sum(1 for c in checks if c["pass"])
+    return {
+        "schema": schema,
+        "config": cfg.as_sections(),
+        **sections,
+        "checks": checks,
+        "counts": {"total": len(checks), "passed": passed},
+        "all_pass": passed == len(checks),
+    }
+
+
 def full_report(cfg: SolverConfig, bundle: SolutionBundle | None = None) -> dict:
     """Build the complete diagnostics report (one check per criterion).
 
@@ -613,12 +640,8 @@ def full_report(cfg: SolverConfig, bundle: SolutionBundle | None = None) -> dict
         eos, cusp, model, bundle = compute_bundle(cfg)
     else:
         eos, cusp, model = build_problem(cfg)
-    rng = np.random.default_rng(cfg.seed)
-    cusp_state = RiemannPair(cfg.alpha0, cfg.beta0)
-    checks = [
-        _check_eos_identities(eos, rng),
-        _check_jump_coincidence(eos, cusp_state, rng),
-        _check_jump_cubic(eos, cusp_state),
+    checks, _ = _pointwise_checks(cfg, eos)
+    checks += [
         _check_inner_asymptotics(cusp, bundle),
         _check_corner_limits(bundle),
         _check_geometry(bundle),
@@ -631,39 +654,25 @@ def full_report(cfg: SolverConfig, bundle: SolutionBundle | None = None) -> dict
     if bundle.base is not None:
         histories["outer_metric"] = [list(h) for h in bundle.base.outer_history]
         histories["inner_changes_final"] = list(bundle.base.inner_changes)
-    passed = sum(1 for c in checks if c["pass"])
-    return {
-        "schema": "shockdev-report/2",
-        "config": cfg.as_sections(),
-        "solver": _solver_summary(cfg, bundle),
-        "checks": checks,
-        "histories": histories,
-        "counts": {"total": len(checks), "passed": passed},
-        "all_pass": passed == len(checks),
-    }
+    return _document(
+        "shockdev-report/2",
+        cfg,
+        checks,
+        solver=_solver_summary(cfg, bundle),
+        histories=histories,
+    )
 
 
 def verify_report(cfg: SolverConfig) -> dict:
     """Pointwise/property checks only — no boundary-value solve."""
     eos, cusp, model = build_problem(cfg)
-    rng = np.random.default_rng(cfg.seed)
-    cusp_state = RiemannPair(cfg.alpha0, cfg.beta0)
-    checks = [
-        _check_eos_identities(eos, rng),
-        _check_jump_coincidence(eos, cusp_state, rng),
-        _check_jump_cubic(eos, cusp_state),
+    checks, rng = _pointwise_checks(cfg, eos)
+    checks += [
         _check_state_speeds(eos, rng),
         _check_state_stress(eos, rng),
         _check_ahead_structure(eos, cusp, model),
     ]
-    passed = sum(1 for c in checks if c["pass"])
-    return {
-        "schema": "shockdev-verify/2",
-        "config": cfg.as_sections(),
-        "checks": checks,
-        "counts": {"total": len(checks), "passed": passed},
-        "all_pass": passed == len(checks),
-    }
+    return _document("shockdev-verify/2", cfg, checks)
 
 
 def _pyify(obj):

@@ -26,14 +26,12 @@ from .errors import OutOfRange
 __all__ = [
     "RiemannPair",
     "FluidState",
-    "PointData",
     "WaveState",
     "StressComponents",
     "StressDerivatives",
     "riemann_from_state",
     "state_from_riemann",
     "wave_state",
-    "point_data",
     "char_speeds",
     "char_speed_derivatives",
     "source_terms",
@@ -57,21 +55,6 @@ class FluidState(NamedTuple):
 
     psi_t: float
     psi_r: float
-
-
-class PointData(NamedTuple):
-    """Everything the solvers need at one state."""
-
-    rho_tilde: float
-    zeta: float
-    v: float
-    eta: float
-    eta2: float
-    h: float
-    sigma: float
-    G: float
-    p: float
-    energy_flux_weight: float  # E = G psi_t^2 = (rho + p)/(1 - v^2)
 
 
 class StressComponents(NamedTuple):
@@ -188,6 +171,14 @@ class WaveState(NamedTuple):
         """Pressure at the (already checked) density."""
         return np.asarray(eos.pressure_fn(self.rho), dtype=float)
 
+    def enthalpy(self, eos: eos_mod.BarotropicEos):
+        """Specific enthalpy h = (rho + p)/sigma at the (already checked) density."""
+        return _lane_result(eos_mod._enthalpy_at(eos, self.rho))
+
+    def sigma(self, eos: eos_mod.BarotropicEos):
+        """Flow potential sigma at the (already checked) density."""
+        return _lane_result(eos_mod._sigma_at(eos, self.rho))
+
 
 def wave_state(eos: eos_mod.BarotropicEos, pair: RiemannPair) -> WaveState:
     """Invert the enthalpy potential at Riemann pairs into a :class:`WaveState`.
@@ -202,24 +193,6 @@ def wave_state(eos: eos_mod.BarotropicEos, pair: RiemannPair) -> WaveState:
     rho = np.asarray(eos_mod.rho_of_potential(eos, rho_tilde), dtype=float)
     eta2 = np.asarray(eos_mod.sound_speed_sq(eos, rho), dtype=float)
     return WaveState(rho_tilde, rho, velocity(eos, pair), np.sqrt(eta2), eta2)
-
-
-def point_data(eos: eos_mod.BarotropicEos, pair: RiemannPair) -> PointData:
-    """Evaluate the full state bundle at a Riemann pair.
-
-    One :func:`wave_state` evaluation plus h, sigma, G, p and E at its
-    density; the solvers' hot paths read only the wave state.
-    """
-    w = wave_state(eos, pair)
-    zeta = 0.5 * (np.asarray(pair.beta, dtype=float) - np.asarray(pair.alpha, dtype=float))
-    h = eos_mod._enthalpy_at(eos, w.rho)
-    sig = eos_mod._sigma_at(eos, w.rho)
-    p = w.pressure(eos)
-    E = (w.rho + p) / (1.0 - w.v**2)
-    out = PointData(w.rho_tilde, zeta, w.v, w.eta, w.eta2, h, sig, sig / h, p, E)
-    if np.ndim(w.rho_tilde):
-        return out
-    return PointData(*(float(x) for x in out))
 
 
 def velocity(eos: eos_mod.BarotropicEos, pair: RiemannPair):
@@ -278,17 +251,17 @@ def source_terms_wavefield_form(eos: eos_mod.BarotropicEos, pair: RiemannPair, r
         A = (2 psi_r / (r H_hat)) (psi_t/eta + psi_r)
         B = (2 psi_r / (r H_hat)) (psi_t/eta - psi_r)
     """
-    d = point_data(eos, pair)
+    w = wave_state(eos, pair)
     st = state_from_riemann(eos, pair)
     psi_t = np.asarray(st.psi_t, dtype=float)
     psi_r = np.asarray(st.psi_r, dtype=float)
-    H = np.asarray(d.h, dtype=float) ** 2
-    F = (1.0 / np.asarray(d.eta2) - 1.0) / H
+    H = np.square(w.enthalpy(eos))
+    F = (1.0 / w.eta2 - 1.0) / H
     H_hat = (1.0 + F * psi_t**2) * H
     r_a = np.asarray(r, dtype=float)
     pref = 2.0 * psi_r / (r_a * H_hat)
-    A = pref * (psi_t / np.asarray(d.eta) + psi_r)
-    B = pref * (psi_t / np.asarray(d.eta) - psi_r)
+    A = pref * (psi_t / w.eta + psi_r)
+    B = pref * (psi_t / w.eta - psi_r)
     if np.ndim(A):
         return A, B
     return float(A), float(B)

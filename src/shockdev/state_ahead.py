@@ -426,12 +426,18 @@ def incoming_characteristic(
             subdivisions.
 
     Raises:
+        ValueError: u_max is not finite and positive, or n_points is not an
+            integer >= 1.
         LeftBox: the requested interval, or a Runge-Kutta stage of any pass,
             leaves the model's validity box (the first such stage node is
             named).
         NonConvergence: the Newton corrections have not settled after
             ``_MARCH_PASSES`` passes; ``history`` holds max|d| per pass.
     """
+    if not (math.isfinite(u_max) and u_max > 0):
+        raise ValueError(f"u_max must be finite and positive, got {u_max}")
+    if not (n_points >= 1 and float(n_points).is_integer()):
+        raise ValueError(f"n_points must be an integer >= 1, got {n_points}")
     w = np.linspace(0.0, float(u_max), int(n_points) + 1)
     if u_max > model.box_w:
         raise LeftBox(

@@ -62,9 +62,25 @@ class TestConfigErrors:
         assert "SHOCKDEV_SOLVER_NN" in capsys.readouterr().err
         assert not (tmp_path / "report.json").exists()
 
+    @pytest.mark.parametrize("command", [["run"], ["verify"], ["sweep", "--n", "8"]])
+    def test_setup_error_exits_2(self, tmp_path, capsys, command):
+        # the cusp state lies outside the radiation law's admissible range
+        cfg = tmp_path / "far.ini"
+        cfg.write_text("[cusp]\nalpha0 = 40\n")
+        argv = [*command, "--config", str(cfg)]
+        if command == ["run"]:
+            argv += ["--out", str(tmp_path / "out")]
+        assert run_cli(argv) == 2
+        assert "setup error" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "report.json").exists()
+
     def test_sweep_invalid_values(self, capsys):
         assert run_cli(["sweep", "--n", "1"]) == 2
         assert run_cli(["sweep", "--eps", "-0.5"]) == 2
+        # an infinite domain once reached the grid and left a traceback
+        assert run_cli(["sweep", "--eps", "0.01", "inf"]) == 2
+        assert run_cli(["sweep", "--eps", "nan"]) == 2
+        assert "finite and positive" in capsys.readouterr().err
 
 
 class TestVerify:

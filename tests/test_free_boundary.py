@@ -300,7 +300,7 @@ def _displaced_seed(cusp, v):
 
 # fields of a step with no inner solve: no inner ratio is measured, so
 # every outer step stays a full one
-_NO_INNER_SOLVE = SimpleNamespace(contraction_ratios=[], changes=[])
+_NO_INNER_SOLVE = SimpleNamespace(changes=[])
 
 
 def _linear_outer_map(calls, kick_at=None):
@@ -936,6 +936,18 @@ class TestRefinementAndRobustness:
             )
         assert "0.005" in str(exc.value)
         assert exc.value.history
+
+    @pytest.mark.parametrize("n", [1, 0])
+    def test_too_few_nodes_rejected_before_any_work(self, rad, canon_model, canon_cusp,
+                                                    monkeypatch, n):
+        # the diagnostics need three nodes along the shock; without the
+        # entry check an n = 1 solve ran all its outer steps first
+        def no_setup(*args, **kwargs):
+            raise AssertionError("SolverContext.build ran")
+
+        monkeypatch.setattr(FBD.SolverContext, "build", no_setup)
+        with pytest.raises(ValueError, match=rf"n must be at least 2, got {n}"):
+            FBD.run_shock_development(rad, canon_model, canon_cusp, eps=EPS, n=n)
 
 
 class TestTabulatedEos:

@@ -144,22 +144,24 @@ class TestStress:
                 assert S.stress(eos, pair).tt > 0
 
     def test_wavefield_route_agrees(self, rad, rng):
-        # E = G psi_t^2 gives the same components
+        # E = G psi_t^2 with G = sigma/h gives the same components
         for pair in random_pairs(rng, 50):
-            d = S.point_data(rad, pair)
+            w = S.wave_state(rad, pair)
+            G, p, v = w.sigma(rad) / w.enthalpy(rad), float(w.pressure(rad)), float(w.v)
             st = S.state_from_riemann(rad, pair)
-            e_alt = d.G * st.psi_t**2
+            e_alt = G * st.psi_t**2
             t = S.stress(rad, pair)
-            assert t.tt == pytest.approx(e_alt - d.p, rel=1e-10)
-            assert t.tr == pytest.approx(e_alt * d.v, rel=1e-10, abs=1e-13)
-            assert t.rr == pytest.approx(e_alt * d.v**2 + d.p, rel=1e-10)
+            assert t.tt == pytest.approx(e_alt - p, rel=1e-10)
+            assert t.tr == pytest.approx(e_alt * v, rel=1e-10, abs=1e-13)
+            assert t.rr == pytest.approx(e_alt * v**2 + p, rel=1e-10)
 
     def test_product_weight_equals_energy_density(self, rad, rng):
-        # G H = rho + p at the state
+        # G H = rho + p at the state, with G = sigma/h and H = h^2
         for pair in random_pairs(rng, 20):
-            d = S.point_data(rad, pair)
-            rho = E.rho_of_potential(rad, d.rho_tilde)
-            assert d.G * d.h**2 == pytest.approx(rho + d.p, rel=1e-10)
+            w = S.wave_state(rad, pair)
+            h = w.enthalpy(rad)
+            rho = E.rho_of_potential(rad, float(w.rho_tilde))
+            assert w.sigma(rad) / h * h**2 == pytest.approx(rho + w.pressure(rad), rel=1e-10)
 
     def test_derivatives_match_differencing(self, rad, p2, rng):
         for eos in (rad, p2):
@@ -206,11 +208,11 @@ class TestStress:
 
             dp = S.pressure_derivative(rad, pair)
             fd_pa = central(
-                lambda a: S.point_data(rad, S.RiemannPair(a, pair.beta)).p,
+                lambda a: S.wave_state(rad, S.RiemannPair(a, pair.beta)).pressure(rad),
                 pair.alpha, h,
             )
             fd_pb = central(
-                lambda b: S.point_data(rad, S.RiemannPair(pair.alpha, b)).p,
+                lambda b: S.wave_state(rad, S.RiemannPair(pair.alpha, b)).pressure(rad),
                 pair.beta, h,
             )
             assert dp == pytest.approx(fd_pa, rel=1e-6)
@@ -218,40 +220,30 @@ class TestStress:
 
 
 # ---------------------------------------------------------------------------
-# Oracle: the point-data path the wave state replaced.  Every quantity comes
-# from the full bundle, itself built from the public eos functions, each of
-# which checks the density again.
+# Oracle: the full state bundle the wave state replaced.  Every quantity
+# comes from the public eos functions, each of which checks the density
+# again.
 # ---------------------------------------------------------------------------
 
-def bundle_point_data(eos, pair):
+def bundle_quantities(eos, pair, r):
+    """(name, value) of every state function, through the bundle."""
     alpha = np.asarray(pair.alpha, dtype=float)
     beta = np.asarray(pair.beta, dtype=float)
     rho_tilde = 0.5 * (alpha + beta)
-    zeta = 0.5 * (beta - alpha)
     rho = E.rho_of_potential(eos, rho_tilde if rho_tilde.ndim else float(rho_tilde))
-    rho_a = np.asarray(rho, dtype=float)
     h = np.asarray(E.enthalpy(eos, rho), dtype=float)
     sig = np.asarray(E.sigma(eos, rho), dtype=float)
     eta2 = np.asarray(E.sound_speed_sq(eos, rho), dtype=float)
     eta = np.sqrt(eta2)
-    v = -np.tanh(zeta)
+    v = -np.tanh(0.5 * (beta - alpha))
     p = np.asarray(E.pressure(eos, rho), dtype=float)
-    E_w = (rho_a + p) / (1.0 - v**2)
-    out = S.PointData(rho_tilde, zeta, v, eta, eta2, h, sig, sig / h, p, E_w)
-    return out if np.ndim(rho_tilde) else S.PointData(*(float(x) for x in out))
-
-
-def bundle_quantities(eos, pair, r):
-    """(name, value) of every state function, through the bundle."""
-    d = bundle_point_data(eos, pair)
-    v, eta, eta2 = (np.asarray(x) for x in (d.v, d.eta, d.eta2))
-    mu = np.asarray(E.mu_coefficient(eos, d.rho_tilde), dtype=float)
+    Ew = (np.asarray(rho, dtype=float) + p) / (1.0 - v**2)
+    mu = np.asarray(E.mu_coefficient(eos, rho_tilde), dtype=float)
     s = mu - (1.0 - eta2)
     one_m_v2 = 1.0 - v**2
     plus_den = 2.0 * (1.0 + v * eta) ** 2
     minus_den = 2.0 * (1.0 - v * eta) ** 2
     common = -2.0 * v * eta / np.asarray(r, dtype=float)
-    Ew, p = np.asarray(d.energy_flux_weight), np.asarray(d.p)
     w = Ew / (2.0 * eta)
     return {
         "c_plus": (v + eta) / (1.0 + v * eta),
@@ -272,11 +264,13 @@ def bundle_quantities(eos, pair, r):
         "tr_beta": w * (v - eta) * (1.0 - v * eta),
         "rr_beta": w * (v - eta) ** 2,
         "dp": Ew * eta * (1.0 - v**2) / 2.0,
-        **{f"point_data.{k}": x for k, x in d._asdict().items()},
+        "enthalpy": h,
+        "sigma": sig,
     }
 
 
 def wave_quantities(eos, pair, r):
+    ws = S.wave_state(eos, pair)
     cp, cm = S.char_speeds(eos, pair)
     A, B = S.source_terms(eos, pair, r)
     st = S.stress(eos, pair)
@@ -291,8 +285,14 @@ def wave_quantities(eos, pair, r):
         "rr": st.rr,
         **S.stress_derivatives(eos, pair)._asdict(),
         "dp": S.pressure_derivative(eos, pair),
-        **{f"point_data.{k}": x for k, x in S.point_data(eos, pair)._asdict().items()},
+        "enthalpy": ws.enthalpy(eos),
+        "sigma": ws.sigma(eos),
     }
+
+
+def enthalpy_and_sigma(eos, pair):
+    ws = S.wave_state(eos, pair)
+    return ws.enthalpy(eos), ws.sigma(eos)
 
 
 @pytest.fixture(scope="module")
@@ -343,10 +343,10 @@ class TestWaveStateMatchesBundle:
             lambda eos, pair: S.stress(eos, pair),
             lambda eos, pair: S.stress_derivatives(eos, pair),
             lambda eos, pair: S.pressure_derivative(eos, pair),
-            lambda eos, pair: S.point_data(eos, pair),
+            enthalpy_and_sigma,
         ],
         ids=["char_speeds", "char_speed_derivatives", "source_terms", "stress",
-             "stress_derivatives", "pressure_derivative", "point_data"],
+             "stress_derivatives", "pressure_derivative", "enthalpy_and_sigma"],
     )
     def test_one_inversion_and_one_density_check(self, rad, fn, monkeypatch):
         counts = {"rho_of_potential": 0, "_check_rho": 0}

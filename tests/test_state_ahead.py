@@ -206,6 +206,22 @@ class TestSingularBoundary:
 
 
 class TestIncomingCharacteristic:
+    @pytest.mark.parametrize(
+        "u_max, n_points, name",
+        [
+            (-0.01, 8, "u_max"),
+            (0.0, 8, "u_max"),
+            (math.nan, 8, "u_max"),
+            (math.inf, 8, "u_max"),
+            (0.05, 0, "n_points"),
+            (0.05, 2.5, "n_points"),
+            (0.05, math.nan, "n_points"),
+        ],
+    )
+    def test_bad_sampling_rejected(self, model, rad, u_max, n_points, name):
+        with pytest.raises(ValueError, match=name):
+            SA.incoming_characteristic(model, rad, u_max, n_points)
+
     def test_cubic_coefficient_fit(self, model, rad):
         curve = SA.incoming_characteristic(model, rad, 0.05, 200)
         basis = np.vstack([curve.w**3, curve.w**4, curve.w**5]).T
