@@ -79,8 +79,8 @@ def _print_summary(report: dict, stream) -> None:
 def cmd_run(args, cfg, stdout, stderr) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    eos, cusp, model, bundle = compute_bundle(cfg)
-    report = full_report(cfg, bundle=bundle)
+    bundle = compute_bundle(cfg)
+    report = full_report(cfg, bundle)
 
     write_report(report, out_dir / cfg.report_json)
     if bundle.base is not None:
@@ -103,17 +103,23 @@ def cmd_verify(args, cfg, stdout, stderr) -> int:
 
 
 def _sweep_rows(cfg, eos, cusp, model, ns, epses, stderr):
-    """Solve once per sweep value; yield (label, value, solution-or-None)."""
+    """Solve once per sweep value.
+
+    Returns (n, solution, residual max) rows for ``ns``, else (eps,
+    solution) rows; a failed row holds None.  Reading the residual max
+    computes the diagnostics, so it happens here, where a failing
+    diagnostic fails its row as a failed solve does.
+    """
     rows = []
     opts = cfg.solver_options()
     if ns is not None:
         for n in ns:
             try:
                 sol = run_shock_development(eos, model, cusp, eps=cfg.eps, n=n, **opts)
+                rows.append((n, sol, sol.diagnostics["residuals"]["max"]))
             except ShockDevError as exc:
                 print(f"n={n}: {type(exc).__name__}: {exc}", file=stderr)
-                sol = None
-            rows.append(("n", n, sol))
+                rows.append((n, None, None))
     else:
         for eps in epses:
             try:
@@ -124,7 +130,7 @@ def _sweep_rows(cfg, eos, cusp, model, ns, epses, stderr):
             except ShockDevError as exc:
                 print(f"eps={eps}: {type(exc).__name__}: {exc}", file=stderr)
                 sol = None
-            rows.append(("eps", eps, sol))
+            rows.append((eps, sol))
     return rows
 
 
@@ -132,12 +138,11 @@ def _print_n_table(rows, stdout) -> None:
     print(f"{'n':>6} {'residual_max':>14} {'y_end':>14} {'iters':>6} {'order':>7}",
           file=stdout)
     prev = None
-    for _, n, sol in rows:
+    for n, sol, res in rows:
         if sol is None:
             print(f"{n:>6} {'failed':>14}", file=stdout)
             prev = None
             continue
-        res = sol.diagnostics["residuals"]["max"]
         order = ""
         if prev is not None and res > 0 and prev[1] > 0 and n != prev[0]:
             order = f"{math.log(prev[1] / res) / math.log(n / prev[0]):7.3f}"
@@ -155,7 +160,7 @@ def _print_eps_table(rows, stdout) -> None:
         f"{'y_end':>14} {'iters':>6}",
         file=stdout,
     )
-    for _, eps, sol in rows:
+    for eps, sol in rows:
         if sol is None:
             print(f"{eps:>10.6g} {'failed':>12}", file=stdout)
             continue
@@ -182,7 +187,7 @@ def cmd_sweep(args, cfg, stdout, stderr) -> int:
         _print_n_table(rows, stdout)
     else:
         _print_eps_table(rows, stdout)
-    return EXIT_OK if all(sol is not None for _, _, sol in rows) else EXIT_FAILED
+    return EXIT_OK if all(row[1] is not None for row in rows) else EXIT_FAILED
 
 
 def main(argv=None) -> int:

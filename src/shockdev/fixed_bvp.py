@@ -172,8 +172,9 @@ def gamma_inverse(
     return out
 
 
-# Cumulative trapezoid rules from 0 along v (the last axis) and along u (axis
-# 0), term for term SciPy's cumulative_trapezoid(X, dx=delta, initial=0).
+# Cumulative trapezoid rule from 0 along v (the last axis), term for term
+# SciPy's cumulative_trapezoid(X, dx=delta, initial=0); along u (axis 0) it
+# is _ct_v(X.T, delta).T.
 
 def _ct_v(X: np.ndarray, delta: float) -> np.ndarray:
     out = np.empty_like(X)
@@ -182,16 +183,6 @@ def _ct_v(X: np.ndarray, delta: float) -> np.ndarray:
     body *= delta
     body /= 2.0
     np.cumsum(body, axis=-1, out=body)
-    return out
-
-
-def _ct_u(X: np.ndarray, delta: float) -> np.ndarray:
-    out = np.empty_like(X)
-    out[0] = 0.0
-    body = np.add(X[1:], X[:-1], out=out[1:])
-    body *= delta
-    body /= 2.0
-    np.cumsum(body, axis=0, out=body)
     return out
 
 
@@ -351,7 +342,7 @@ def _march_linear_t(mu_grid, nu_grid, gamma_inv_diag, dh_du, grid: TriGrid):
         np.negative(F, out=F)
         np.exp(F, out=F)
         F *= mu
-        halfG = _from_diag(_ct_u(mu, grid.delta))
+        halfG = _from_diag(_ct_v(mu.T, grid.delta).T)
         del mu
         emL = np.negative(halfG)
         np.exp(emL, out=emL)
@@ -551,7 +542,7 @@ def solve_fixed_bvp(
         A, B = state.sources(r)
         alpha_new = _ct_v(np.where(mask, Q * A, 0.0), d)
         alpha_new += alpha_i[:, None]
-        beta_new = _from_diag(_ct_u(np.where(mask, P * B, 0.0), d))
+        beta_new = _from_diag(_ct_v(np.where(mask, P * B, 0.0).T, d).T)
         beta_new += beta_p[None, :]
         if warm is None:
             # t, P and Q stay bound until the next time solve has allocated

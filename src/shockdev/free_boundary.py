@@ -53,6 +53,7 @@ in an exactly factored form that never subtracts O(r0) quantities.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -253,21 +254,42 @@ class ShockCurve:
 
 @dataclass
 class ShockSolution:
-    """Converged shock development: fields, curve, and diagnostics."""
+    """Converged shock development: fields, curve, and the context solved on.
+
+    ``diagnostics`` is computed from ``context`` on first read and cached,
+    so a solve that is never checked costs no checks.
+    """
 
     eps: float
     n: int
     retries: int
-    cusp: CuspData
     fields: FieldGrid
     curve: ShockCurve
     boundary: BoundaryFunctions
     outer_history: list
-    corner: CornerExpansion | None = None
+    context: SolverContext
     # sweep changes of the last full inner solve: outer step 1 (whose ratio
     # decides the warm steps), or a later full step or cold polish
     inner_changes: list = field(default_factory=list)
-    diagnostics: dict = field(default_factory=dict)
+    # domain sizes tried, the converged one last
+    attempted_eps: list = field(default_factory=list)
+
+    @property
+    def corner(self) -> CornerExpansion:
+        """The grid-free corner expansion of the context."""
+        return self.context.corner
+
+    @functools.cached_property
+    def diagnostics(self) -> dict:
+        """Corner limits, geometry, blow-up fits and characteristic
+        residuals of the converged solve, computed on first read."""
+        ctx = self.context
+        return {
+            "limits": curve_asymptotics(self.curve, ctx.cusp, ctx.eos),
+            "geometry": geometry_checks(self.curve, self.fields, ctx.model, ctx.eos),
+            "blowup": blowup_fits(self.fields),
+            "residuals": characteristic_residuals(self.fields, ctx.eos, ctx.init, self.boundary),
+        }
 
     @property
     def outer_ratio(self) -> float:
@@ -637,18 +659,8 @@ def _step(bf: BoundaryFunctions, ctx: SolverContext, warm=None):
     return outer_iterate(bf, ctx), False
 
 
-def _attempt(
-    eos: eos_mod.BarotropicEos,
-    model: StateAheadModel,
-    cusp: CuspData,
-    eps: float,
-    n: int,
-    *,
-    tol_outer: float,
-    max_outer: int,
-    seed_fn,
-):
-    """One outer solve on a fixed domain, Anderson-accelerated.
+def _attempt(ctx: SolverContext, *, tol_outer: float, max_outer: int, seed_fn) -> dict:
+    """One outer solve on the domain of ``ctx``, Anderson-accelerated.
 
     Step 0 is plain, x_1 = G(x_0); later steps mix the window of the last
     ``_ANDERSON_DEPTH + 1`` iterates (:func:`_anderson_mix`).  Each history
@@ -681,9 +693,12 @@ def _attempt(
     polish ran one, are returned with the result: they hold the inner
     contraction ratio q.  :func:`_step` makes every evaluation, with its
     fallback to the full step.
+
+    Returns:
+        the solve's ``boundary``, ``fields``, ``curve``, ``outer_history``
+        and ``inner_changes``, keyed by their :class:`ShockSolution` fields.
     """
-    ctx = SolverContext.build(eos, model, cusp, eps, n, tol_outer=tol_outer)
-    bf = seed_fn(cusp, ctx.grid.nodes)
+    bf = seed_fn(ctx.cusp, ctx.grid.nodes)
     history = []
     window = []  # Anderson window: packed (x_k, G(x_k)), oldest first
     plain = None  # G(x_{k-1}) while bf is a mixed iterate
@@ -713,7 +728,13 @@ def _attempt(
         history.append(metric)
         worst = max(metric)
         if worst < tol_outer:
-            return bf_next, fg, curve, history, inner_changes, ctx
+            return dict(
+                boundary=bf_next,
+                fields=fg,
+                curve=curve,
+                outer_history=history,
+                inner_changes=inner_changes,
+            )
         if len(history) >= 3 and worst > 100.0 * (max(history[0]) + 1e-300):
             raise NonConvergence(
                 "outer iteration is diverging; the domain size is too large",
@@ -746,21 +767,26 @@ def run_shock_development(
     max_outer: int = 60,
     max_retries: int = 3,
     seed_fn=None,
-    collect_diagnostics: bool = True,
 ) -> ShockSolution:
     """Construct the shock development on the largest workable domain <= eps.
 
     Runs the outer iteration from the flat seed (or ``seed_fn``); if it
     fails to contract (including a singular reflection ratio), halves the
-    domain and retries, up to ``max_retries`` times.
+    domain and retries, up to ``max_retries`` times.  The solution's
+    diagnostics are computed when first read.
 
     Raises:
-        ValueError: n < 2, before any work (the diagnostics difference
-            along the shock and need at least three nodes).
+        ValueError: before any work, if n < 2 (the diagnostics difference
+            along the shock and need at least three nodes), max_outer < 1,
+            max_retries < 0, or tol_outer is not finite and positive.
         NonConvergence: every attempted domain size failed.
     """
-    if not n >= 2:
-        raise ValueError(f"n must be at least 2, got {n}")
+    budgets = (("n", n, 2), ("max_outer", max_outer, 1), ("max_retries", max_retries, 0))
+    for name, value, low in budgets:
+        if not value >= low:
+            raise ValueError(f"{name} must be at least {low}, got {value}")
+    if not (math.isfinite(tol_outer) and tol_outer > 0):
+        raise ValueError(f"tol_outer must be finite and positive, got {tol_outer}")
     if seed_fn is None:
         seed_fn = BoundaryFunctions.seed
     attempt_eps = float(eps)
@@ -769,36 +795,15 @@ def run_shock_development(
     for retry in range(max_retries + 1):
         attempted.append(attempt_eps)
         try:
-            bf, fg, curve, history, inner_changes, ctx = _attempt(
-                eos, model, cusp, attempt_eps, n,
-                tol_outer=tol_outer, max_outer=max_outer, seed_fn=seed_fn,
-            )
+            ctx = SolverContext.build(eos, model, cusp, attempt_eps, n, tol_outer=tol_outer)
+            solved = _attempt(ctx, tol_outer=tol_outer, max_outer=max_outer, seed_fn=seed_fn)
         except (NonConvergence, SingularGamma) as exc:
             last_exc = exc
             attempt_eps *= 0.5
             continue
-        solution = ShockSolution(
-            eps=attempt_eps,
-            n=n,
-            retries=retry,
-            cusp=cusp,
-            fields=fg,
-            curve=curve,
-            boundary=bf,
-            outer_history=history,
-            corner=ctx.corner,
-            inner_changes=inner_changes,
+        return ShockSolution(
+            eps=attempt_eps, n=n, retries=retry, context=ctx, attempted_eps=attempted, **solved
         )
-        if collect_diagnostics:
-            solution.diagnostics = {
-                "limits": curve_asymptotics(curve, cusp, eos),
-                "geometry": geometry_checks(curve, fg, model, eos),
-                "blowup": blowup_fits(fg),
-                "residuals": characteristic_residuals(fg, eos, ctx.init, bf),
-                "outer_iterations": len(history),
-                "attempted_eps": attempted,
-            }
-        return solution
     raise NonConvergence(
         f"no convergent domain size in {attempted}",
         getattr(last_exc, "history", []),

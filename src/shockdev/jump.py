@@ -314,8 +314,9 @@ def jump_balance_residuals(eos: eos_mod.BarotropicEos, jp: JumpPair):
     return -dT.tt * V + dT.tr, -dT.tr * V + dT.rr
 
 
-def entropy_q(eos: eos_mod.BarotropicEos, state: RiemannPair) -> float:
-    """Steepness functional q = (1/eta^2 - 1)/sigma^2, which decreases across a physical front."""
+def entropy_q(eos: eos_mod.BarotropicEos, state: RiemannPair):
+    """Steepness functional q = (1/eta^2 - 1)/sigma^2, which decreases
+    across a physical front, per lane."""
     w = wave_state(eos, state)
     return (1.0 / _lane_result(w.eta2) - 1.0) / w.sigma(eos) ** 2
 
@@ -344,8 +345,8 @@ def determinism_margin(eos: eos_mod.BarotropicEos, jp: JumpPair):
     return _lane_result(np.where(live, m_ahead, 0.0)), _lane_result(np.where(live, m_behind, 0.0))
 
 
-def hugoniot_residual(eos: eos_mod.BarotropicEos, jp: JumpPair) -> float:
-    """Taub-adiabat mismatch h+^2 - h-^2 - (p+ - p-)(h+/sigma+ + h-/sigma-).
+def hugoniot_residual(eos: eos_mod.BarotropicEos, jp: JumpPair):
+    """Taub-adiabat mismatch h+^2 - h-^2 - (p+ - p-)(h+/sigma+ + h-/sigma-), per lane.
 
     Zero at coincidence and of cubic order in the jump strength along the
     J = 0 branch (the flow potential is not exactly conserved across a
@@ -353,7 +354,7 @@ def hugoniot_residual(eos: eos_mod.BarotropicEos, jp: JumpPair) -> float:
     """
     wa, wb = wave_state(eos, jp.ahead), wave_state(eos, jp.behind)
     ha, hb = wa.enthalpy(eos), wb.enthalpy(eos)
-    pa, pb = _lane_result(wa.pressure(eos)), _lane_result(wb.pressure(eos))
+    pa, pb = wa.pressure(eos), wb.pressure(eos)
     return hb**2 - ha**2 - (pb - pa) * (hb / wb.sigma(eos) + ha / wa.sigma(eos))
 
 

@@ -76,12 +76,11 @@ def _perturbed_seed(cusp, v):
     return bf.replace(y=-1.0 + 0.1 * v)
 
 
-def compute_bundle(cfg: SolverConfig):
+def compute_bundle(cfg: SolverConfig) -> SolutionBundle:
     """Run the five solves a full report needs.
 
-    Returns:
-        (eos, cusp, model, bundle); individual failures are recorded in
-        ``bundle.errors`` rather than raised.
+    Individual failures are recorded in ``bundle.errors`` rather than
+    raised.  The solves' diagnostics are left to the checks that read them.
     """
     eos, cusp, model = build_problem(cfg)
     opts = cfg.solver_options()
@@ -100,18 +99,11 @@ def compute_bundle(cfg: SolverConfig):
     bundle.half_n = attempt("half_n", model, eps=cfg.eps, n=max(cfg.n // 2, 2))
     bundle.double_n = attempt("double_n", model, eps=cfg.eps, n=2 * cfg.n)
     model_half = synthesize_model(cusp, eos, eps=cfg.eps / 2)
-    bundle.half_eps = attempt(
-        "half_eps", model_half, eps=cfg.eps / 2, n=cfg.n, collect_diagnostics=False
-    )
+    bundle.half_eps = attempt("half_eps", model_half, eps=cfg.eps / 2, n=cfg.n)
     bundle.perturbed = attempt(
-        "perturbed",
-        model,
-        eps=cfg.eps,
-        n=cfg.n,
-        seed_fn=_perturbed_seed,
-        collect_diagnostics=False,
+        "perturbed", model, eps=cfg.eps, n=cfg.n, seed_fn=_perturbed_seed
     )
-    return eos, cusp, model, bundle
+    return bundle
 
 
 # ---------------------------------------------------------------------------
@@ -629,17 +621,10 @@ def _document(schema: str, cfg: SolverConfig, checks: list, **sections) -> dict:
     }
 
 
-def full_report(cfg: SolverConfig, bundle: SolutionBundle | None = None) -> dict:
-    """Build the complete diagnostics report (one check per criterion).
-
-    Args:
-        cfg: validated configuration.
-        bundle: precomputed solutions; computed here when omitted.
-    """
-    if bundle is None:
-        eos, cusp, model, bundle = compute_bundle(cfg)
-    else:
-        eos, cusp, model = build_problem(cfg)
+def full_report(cfg: SolverConfig, bundle: SolutionBundle) -> dict:
+    """Build the complete diagnostics report (one check per criterion)
+    from the validated ``cfg`` and the solutions of :func:`compute_bundle`."""
+    eos, cusp, model = build_problem(cfg)
     checks, _ = _pointwise_checks(cfg, eos)
     checks += [
         _check_inner_asymptotics(cusp, bundle),

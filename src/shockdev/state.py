@@ -139,9 +139,9 @@ class WaveState(NamedTuple):
         ve = v * eta
         return _lane_result((v + eta) / (1.0 + ve)), _lane_result((v - eta) / (1.0 - ve))
 
-    def mu(self, eos: eos_mod.BarotropicEos) -> np.ndarray:
+    def mu(self, eos: eos_mod.BarotropicEos):
         """Nonlinearity coefficient mu = d eta/d rho_tilde + 1 - eta^2."""
-        return eos_mod._mu_at(eos, self.rho_tilde, self.eta)
+        return _lane_result(eos_mod._mu_at(eos, self.rho_tilde, self.eta))
 
     def speed_derivatives(self, eos: eos_mod.BarotropicEos) -> dict:
         """See :func:`char_speed_derivatives`."""
@@ -167,9 +167,9 @@ class WaveState(NamedTuple):
         common = -2.0 * ve / r_a
         return _lane_result(common / (1.0 + ve)), _lane_result(common / (1.0 - ve))
 
-    def pressure(self, eos: eos_mod.BarotropicEos) -> np.ndarray:
+    def pressure(self, eos: eos_mod.BarotropicEos):
         """Pressure at the (already checked) density."""
-        return np.asarray(eos.pressure_fn(self.rho), dtype=float)
+        return _lane_result(np.asarray(eos.pressure_fn(self.rho), dtype=float))
 
     def enthalpy(self, eos: eos_mod.BarotropicEos):
         """Specific enthalpy h = (rho + p)/sigma at the (already checked) density."""

@@ -117,7 +117,7 @@ def perturbed_sol(rad, canon_model, canon_cusp):
     def seed(cusp, v):
         return BoundaryFunctions.seed(cusp, v).replace(y=-1.0 + 0.1 * v)
 
-    return _solve(rad, canon_model, canon_cusp, seed_fn=seed, collect_diagnostics=False)
+    return _solve(rad, canon_model, canon_cusp, seed_fn=seed)
 
 
 @pytest.fixture(scope="session")

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 import shockdev.cli as cli
-from shockdev.config import build_problem
+import shockdev.free_boundary as FBD
+from shockdev.errors import ShockDevError
 
 
 def run_cli(argv):
@@ -109,6 +110,16 @@ class TestSweep:
         # refinement order column appears on the second row
         assert len(lines[2].split()) == 5
 
+    def test_failing_diagnostic_fails_its_row(self, capsys, monkeypatch):
+        def failing(*args, **kwargs):
+            raise ShockDevError("geometry unavailable")
+
+        monkeypatch.setattr(FBD, "geometry_checks", failing)
+        assert run_cli(["sweep", "--n", "16"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out.splitlines()[1].split() == ["16", "failed"]
+        assert "n=16: ShockDevError: geometry unavailable" in captured.err
+
     def test_eps_sweep_table(self, capsys):
         assert run_cli(["sweep", "--eps", "0.01", "0.005"]) == 0
         lines = capsys.readouterr().out.splitlines()
@@ -126,8 +137,7 @@ class TestRun:
         """Full canonical run through the CLI, reusing the session solves."""
 
         def fake_compute(cfg):
-            eos, cusp, model = build_problem(cfg)
-            return eos, cusp, model, canon_bundle
+            return canon_bundle
 
         monkeypatch.setattr(cli, "compute_bundle", fake_compute)
         assert run_cli(["run", "--out", str(tmp_path)]) == 0
@@ -184,8 +194,7 @@ class TestRun:
 
     def test_out_dir_created(self, tmp_path, monkeypatch, canon_bundle, capsys):
         def fake_compute(cfg):
-            eos, cusp, model = build_problem(cfg)
-            return eos, cusp, model, canon_bundle
+            return canon_bundle
 
         monkeypatch.setattr(cli, "compute_bundle", fake_compute)
         nested = tmp_path / "a" / "b"
@@ -194,8 +203,7 @@ class TestRun:
 
     def test_output_names_honored(self, tmp_path, monkeypatch, canon_bundle, capsys):
         def fake_compute(cfg):
-            eos, cusp, model = build_problem(cfg)
-            return eos, cusp, model, canon_bundle
+            return canon_bundle
 
         monkeypatch.setattr(cli, "compute_bundle", fake_compute)
         cfg = tmp_path / "names.ini"
@@ -212,8 +220,7 @@ class TestCsvPrecision:
     def test_seventeen_significant_digits(self, tmp_path, monkeypatch,
                                           canon_bundle, capsys):
         def fake_compute(cfg):
-            eos, cusp, model = build_problem(cfg)
-            return eos, cusp, model, canon_bundle
+            return canon_bundle
 
         monkeypatch.setattr(cli, "compute_bundle", fake_compute)
         assert run_cli(["run", "--out", str(tmp_path)]) == 0

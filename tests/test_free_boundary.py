@@ -270,9 +270,8 @@ class TestOuterIteration:
         assert ctx.trust_index == kt
         assert kt <= ctx.speed_trust_index <= max(n // 2, 1)
 
-    def test_idempotence_at_fixed_point(self, rad, canon_model, canon_cusp, canon_sol):
-        ctx = FBD.SolverContext.build(rad, canon_model, canon_cusp, canon_sol.eps, canon_sol.n)
-        bf_next, _, _ = FBD.outer_iterate(canon_sol.boundary, ctx)
+    def test_idempotence_at_fixed_point(self, canon_sol):
+        bf_next, _, _ = FBD.outer_iterate(canon_sol.boundary, canon_sol.context)
         metric = FBD.boundary_difference(bf_next, canon_sol.boundary)
         assert max(metric) < 10.0 * TOL_OUTER
 
@@ -344,7 +343,7 @@ class TestAndersonAcceleration:
         cusp = SA.CuspData.from_physics(eos, kappa=1.0, lam=1.0, dbeta_dt0=0.3)
         model = SA.synthesize_model(cusp, eos, eps=EPS)
         sol = FBD.run_shock_development(
-            eos, model, cusp, eps=EPS, n=n, seed_fn=seed_fn, collect_diagnostics=False
+            eos, model, cusp, eps=EPS, n=n, seed_fn=seed_fn
         )
         ref, ref_history = picard_outer(eos, model, cusp, EPS, n, seed_fn)
         assert sol.retries == 0
@@ -363,7 +362,7 @@ class TestAndersonAcceleration:
         step, fixed = _linear_outer_map(calls)
         monkeypatch.setattr(FBD, "outer_iterate", step)
         sol = FBD.run_shock_development(
-            rad, canon_model, canon_cusp, eps=EPS, n=2, collect_diagnostics=False
+            rad, canon_model, canon_cusp, eps=EPS, n=2
         )
         assert len(sol.outer_history) <= 5
         got = np.stack([sol.boundary.y, sol.boundary.beta_hat_plus, sol.boundary.V_hat])
@@ -378,7 +377,7 @@ class TestAndersonAcceleration:
         step, fixed = _linear_outer_map(calls, kick_at=2)
         monkeypatch.setattr(FBD, "outer_iterate", step)
         sol = FBD.run_shock_development(
-            rad, canon_model, canon_cusp, eps=EPS, n=2, collect_diagnostics=False
+            rad, canon_model, canon_cusp, eps=EPS, n=2
         )
         m = [max(h) for h in sol.outer_history]
         assert m[1] < m[0] < m[2] and m[3] < m[2]
@@ -414,7 +413,7 @@ class TestAndersonAcceleration:
         # mixed iterate, and the step is retried from the plain iterate
         calls = self._fail_at(monkeypatch, {3})
         sol = FBD.run_shock_development(
-            rad, canon_model, canon_cusp, eps=EPS, n=16, collect_diagnostics=False
+            rad, canon_model, canon_cusp, eps=EPS, n=16
         )
         assert sol.retries == 0
         assert sol.eps == EPS
@@ -430,7 +429,7 @@ class TestAndersonAcceleration:
         # the retry from the plain iterate fails too: the halved domain takes over
         self._fail_at(monkeypatch, {3, 4})
         sol = FBD.run_shock_development(
-            rad, canon_model, canon_cusp, eps=EPS, n=16, collect_diagnostics=False
+            rad, canon_model, canon_cusp, eps=EPS, n=16
         )
         assert sol.retries == 1
         assert sol.eps == EPS / 2
@@ -444,7 +443,7 @@ class TestAndersonAcceleration:
         # when that fails too, from the plain iterate (call 5)
         calls = self._fail_at(monkeypatch, {3, 4}, warm=True)
         sol = FBD.run_shock_development(
-            rad, canon_model, canon_cusp, eps=EPS, n=16, collect_diagnostics=False
+            rad, canon_model, canon_cusp, eps=EPS, n=16
         )
         assert sol.retries == 0
         assert calls[3] is calls[2]
@@ -476,7 +475,7 @@ def _traced_solve(monkeypatch, eos, model, cusp, n=64, solve_fixed=None):
         if solve_fixed is not None:
             m.setattr(FBD, "solve_fixed_bvp", solve_fixed)
         sol = FBD.run_shock_development(
-            eos, model, cusp, eps=EPS, n=n, collect_diagnostics=False
+            eos, model, cusp, eps=EPS, n=n
         )
     return sol, steps
 
@@ -577,7 +576,7 @@ class TestWarmSteps:
         monkeypatch.setattr(FBD, "corner_expansion", flagged)
         monkeypatch.setattr(FBD, "jump_newton_step", stepped)
         sol = FBD.run_shock_development(
-            rad, canon_model, canon_cusp, eps=EPS, n=64, collect_diagnostics=False
+            rad, canon_model, canon_cusp, eps=EPS, n=64
         )
         assert len(sol.outer_history) == 10
         assert len(cold) == 3
@@ -585,7 +584,7 @@ class TestWarmSteps:
 
     def test_returned_curve_is_a_cold_root(self, rad, canon_model, canon_cusp):
         sol = FBD.run_shock_development(
-            rad, canon_model, canon_cusp, eps=EPS, n=64, collect_diagnostics=False
+            rad, canon_model, canon_cusp, eps=EPS, n=64
         )
         c = sol.curve
         beta_plus, V, _, _ = FBD.jump_update(sol.fields, canon_model, rad, c.v * c.y)
@@ -604,7 +603,7 @@ class TestWarmSteps:
 
         def solve():
             return FBD.run_shock_development(
-                rad, canon_model, canon_cusp, eps=EPS, n=64, collect_diagnostics=False
+                rad, canon_model, canon_cusp, eps=EPS, n=64
             )
 
         with monkeypatch.context() as m:
@@ -640,7 +639,7 @@ class TestWarmSteps:
 
         monkeypatch.setattr(FBD, "outer_iterate", missing_polish)
         sol = FBD.run_shock_development(
-            rad, canon_model, canon_cusp, eps=EPS, n=16, collect_diagnostics=False
+            rad, canon_model, canon_cusp, eps=EPS, n=16
         )
         polish = kinds.index("polish")
         assert kinds[polish - 1] == "warm"
@@ -682,7 +681,7 @@ class TestWarmPolish:
 
         monkeypatch.setattr(FBD, "outer_iterate", recording)
         sol = FBD.run_shock_development(
-            eos, model, cusp, eps=eps, n=n, collect_diagnostics=False
+            eos, model, cusp, eps=eps, n=n
         )
         assert sol.retries == 0
         assert sol.fields.sweeps == 1
@@ -698,7 +697,7 @@ class TestWarmPolish:
 
         def solve():
             return FBD.run_shock_development(
-                rad, canon_model, canon_cusp, eps=EPS, n=64, collect_diagnostics=False
+                rad, canon_model, canon_cusp, eps=EPS, n=64
             )
 
         def cold_polish(bf, ctx, warm=None):
@@ -736,7 +735,7 @@ class TestJumpUpdate:
     @pytest.fixture(scope="class")
     def sol_n16(self, rad, canon_model, canon_cusp):
         return FBD.run_shock_development(
-            rad, canon_model, canon_cusp, eps=EPS, n=16, collect_diagnostics=False
+            rad, canon_model, canon_cusp, eps=EPS, n=16
         )
 
     def test_batched_update_matches_per_node_jump(self, sol_n16, canon_model, rad):
@@ -766,7 +765,7 @@ class TestJumpUpdate:
 
         monkeypatch.setattr(FBD, "solve_jump_beta", fails_once)
         sol = FBD.run_shock_development(
-            rad, canon_model, canon_cusp, eps=EPS, n=16, collect_diagnostics=False
+            rad, canon_model, canon_cusp, eps=EPS, n=16
         )
         assert failed
         assert sol.retries == 1
@@ -785,8 +784,8 @@ class TestConvergedCanonicalRun:
     def test_budget(self, canon_sol):
         assert canon_sol.retries == 0
         assert canon_sol.eps == EPS
-        assert canon_sol.diagnostics["outer_iterations"] <= 25
-        assert canon_sol.diagnostics["attempted_eps"] == [EPS]
+        assert len(canon_sol.outer_history) <= 25
+        assert canon_sol.attempted_eps == [EPS]
 
     def test_history_contracts_to_tolerance(self, canon_sol):
         m = [max(h) for h in canon_sol.outer_history]
@@ -948,6 +947,93 @@ class TestRefinementAndRobustness:
         monkeypatch.setattr(FBD.SolverContext, "build", no_setup)
         with pytest.raises(ValueError, match=rf"n must be at least 2, got {n}"):
             FBD.run_shock_development(rad, canon_model, canon_cusp, eps=EPS, n=n)
+
+    @pytest.mark.parametrize(
+        "budget",
+        [
+            {"max_outer": 0},
+            {"max_retries": -1},
+            {"tol_outer": 0.0},
+            {"tol_outer": -1e-10},
+            {"tol_outer": math.nan},
+            {"tol_outer": math.inf},
+        ],
+        ids=lambda b: "-".join(f"{k}={v}" for k, v in b.items()),
+    )
+    def test_bad_budget_rejected_before_any_work(self, rad, canon_model, canon_cusp,
+                                                 monkeypatch, budget):
+        # without the entry checks these ended in IndexError, OverflowError,
+        # a math domain error or a NonConvergence over no domain at all
+        def no_setup(*args, **kwargs):
+            raise AssertionError("SolverContext.build ran")
+
+        monkeypatch.setattr(FBD.SolverContext, "build", no_setup)
+        (name,) = budget
+        with pytest.raises(ValueError, match=rf"^{name} must be"):
+            FBD.run_shock_development(rad, canon_model, canon_cusp, eps=EPS, n=16, **budget)
+
+
+_DIAGNOSTICS = ("curve_asymptotics", "geometry_checks", "blowup_fits", "characteristic_residuals")
+
+
+def _bits(x):
+    """x with every float replaced by its hex form, for bit-for-bit equality."""
+    if dataclasses.is_dataclass(x):
+        return _bits(dataclasses.asdict(x))
+    if isinstance(x, dict):
+        return {k: _bits(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_bits(v) for v in x]
+    if isinstance(x, np.ndarray):
+        return (x.shape, x.tobytes())
+    if isinstance(x, (bool, np.bool_)):
+        return bool(x)
+    return float(x).hex()
+
+
+class TestLazyDiagnostics:
+    """A solve runs no diagnostic; the first read of ``diagnostics`` runs
+    each one once, from the solution's own context, and caches them."""
+
+    def test_computed_once_on_first_read(self, rad, canon_model, canon_cusp, monkeypatch):
+        direct = {name: getattr(FBD, name) for name in _DIAGNOSTICS}
+        calls = []
+        for name, fn in direct.items():
+
+            def counting(*args, _name=name, _fn=fn, **kwargs):
+                calls.append(_name)
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(FBD, name, counting)
+        sol = FBD.run_shock_development(rad, canon_model, canon_cusp, eps=EPS, n=16)
+        assert calls == []
+        diag = sol.diagnostics
+        assert sorted(calls) == sorted(_DIAGNOSTICS)
+        assert sol.diagnostics is diag
+        assert len(calls) == len(_DIAGNOSTICS)
+
+        want = {
+            "limits": direct["curve_asymptotics"](sol.curve, canon_cusp, rad),
+            "geometry": direct["geometry_checks"](sol.curve, sol.fields, canon_model, rad),
+            "blowup": direct["blowup_fits"](sol.fields),
+            "residuals": direct["characteristic_residuals"](
+                sol.fields, rad, sol.context.init, sol.boundary
+            ),
+        }
+        assert _bits(diag) == _bits(want)
+
+    def test_context_is_the_one_solved_on(self, rad, canon_model, canon_cusp, monkeypatch):
+        built = []
+        build = FBD.SolverContext.build.__func__
+
+        def recording(cls, *args, **kwargs):
+            built.append(build(cls, *args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(FBD.SolverContext, "build", classmethod(recording))
+        sol = FBD.run_shock_development(rad, canon_model, canon_cusp, eps=EPS, n=16)
+        assert len(built) == 1 and sol.context is built[0]
+        assert sol.corner is sol.context.corner
 
 
 class TestTabulatedEos:

@@ -9,12 +9,15 @@ import math
 import numpy as np
 import pytest
 
+import shockdev.free_boundary as FBD
 from shockdev.config import SolverConfig
+from shockdev.errors import ShockDevError
 from shockdev.free_boundary import SubCheck, blowup_fits
 from shockdev.report import (
     SolutionBundle,
     _check_convergence_structure,
     _pyify,
+    compute_bundle,
     format_check_lines,
     full_report,
     render_report,
@@ -179,6 +182,31 @@ class TestFailureCapture:
         check = _check_convergence_structure(SolverConfig.canonical(), bundle)
         assert not check["pass"]
         assert math.isnan(check["detail"]["inner_sweep_ratio"]["half_eps"])
+
+    def test_failing_diagnostic_fails_only_the_checks_that_read_it(self, monkeypatch):
+        # fresh solves: a session solve may have its diagnostics cached
+        cfg = dataclasses.replace(SolverConfig.canonical(), n=16)
+        bundle = compute_bundle(cfg)
+
+        def failing(*args, **kwargs):
+            raise ShockDevError("geometry unavailable")
+
+        with monkeypatch.context() as m:
+            m.setattr(FBD, "geometry_checks", failing)
+            report = full_report(cfg, bundle)
+        healthy = full_report(cfg, bundle)
+        reads_diagnostics = {
+            "outer_corner_limits", "shock_geometry", "jump_residuals_on_shock",
+            "grid_convergence",
+        }
+        assert report["solver"] == healthy["solver"]
+        assert report["solver"]["converged"] is True
+        for got, want in zip(report["checks"], healthy["checks"]):
+            if got["name"] in reads_diagnostics:
+                assert not got["pass"], got["name"]
+                assert got["detail"] == {"error": "ShockDevError: geometry unavailable"}
+            else:
+                assert _pyify(got) == _pyify(want), got["name"]
 
     def test_still_serializable(self, broken):
         parsed = json.loads(render_report(broken))

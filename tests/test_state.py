@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from shockdev import eos as E
+from shockdev import jump as J
 from shockdev import state as S
 from shockdev.errors import OutOfRange
 
@@ -360,6 +361,31 @@ class TestWaveStateMatchesBundle:
             monkeypatch.setattr(E, name, counting)
         fn(rad, S.RiemannPair(np.array([0.1, -0.2]), np.array([0.05, 0.3])))
         assert counts == {"rho_of_potential": 1, "_check_rho": 1}
+
+    @pytest.mark.parametrize("law", LAWS)
+    def test_pressure_mu_and_jump_functionals_follow_the_pair(self, law, request):
+        # a scalar pair gives Python floats, lanes give arrays of the same values
+        eos = request.getfixturevalue(law)
+        alpha, beta = np.array([0.1, -0.05, 0.2]), np.array([0.2, 0.1, -0.1])
+
+        def values(a, b):
+            pair = S.RiemannPair(a, b)
+            ws = S.wave_state(eos, pair)
+            behind = S.RiemannPair(a + 0.02, b + 0.001)
+            return {
+                "pressure": ws.pressure(eos),
+                "mu": ws.mu(eos),
+                "entropy_q": J.entropy_q(eos, pair),
+                "hugoniot_residual": J.hugoniot_residual(eos, J.JumpPair(pair, behind)),
+            }
+
+        lanes = values(alpha, beta)
+        for name, x in lanes.items():
+            assert type(x) is np.ndarray and x.shape == (3,), name
+        for k in range(3):
+            for name, x in values(float(alpha[k]), float(beta[k])).items():
+                assert type(x) is float, name
+                assert x == pytest.approx(lanes[name][k], rel=1e-13, abs=1e-300), name
 
     def test_every_check_is_still_made(self, rad):
         with pytest.raises(OutOfRange, match="potential"):
