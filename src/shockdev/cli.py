@@ -176,8 +176,8 @@ def cmd_sweep(args, cfg, stdout, stderr) -> int:
     if not ns and not epses:
         print("nothing to sweep", file=stdout)
         return EXIT_OK
-    if ns is not None and any(n < 2 for n in ns):
-        raise ConfigError("sweep grid sizes must be >= 2")
+    if ns is not None and any(n < 3 for n in ns):
+        raise ConfigError("sweep grid sizes must be >= 3")
     if epses is not None and any(not (math.isfinite(e) and e > 0) for e in epses):
         raise ConfigError("sweep domain sizes must be finite and positive")
     eos, cusp, model = build_problem(cfg)

@@ -224,8 +224,8 @@ def _validate(values: dict, errors: list[str]) -> None:
     if not (math.isfinite(eps) and eps > 0):
         errors.append(f"[solver] eps: must be finite and positive, got {eps}")
     n = get("solver", "n")
-    if n < 2:
-        errors.append(f"[solver] n: must be at least 2, got {n}")
+    if n < 3:
+        errors.append(f"[solver] n: must be at least 3, got {n}")
     tol = get("solver", "tol_outer")
     if not (math.isfinite(tol) and tol > _MACH_EPS):
         errors.append(

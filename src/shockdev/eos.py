@@ -53,6 +53,9 @@ __all__ = [
     "eos_identity_residual",
 ]
 
+# gauge of the built-in laws: reference density and the enthalpy there
+_RHO_REF, _H_REF = 1.0, 1.0
+
 _CHART_NODES = 4097
 # Gauss-Legendre rule for each chart segment (4 and 8 points agree to
 # rounding on the tested laws)
@@ -450,18 +453,15 @@ def eos_identity_residual(eos: BarotropicEos, rho):
 # Built-in pressure laws.
 # ----------------------------------------------------------------------
 
-def radiation(
-    rho_ref: float = 1.0,
-    h_ref: float = 1.0,
-    rho_min: float = 1e-6,
-    rho_max: float = 1e6,
-) -> BarotropicEos:
+def radiation() -> BarotropicEos:
     """Pure radiation: p = rho/3, constant eta^2 = 1/3.
 
+    The gauge is fixed: rho_ref = h_ref = 1 and densities in [1e-6, 1e6].
     Closed chain (with x = rho/rho_ref):
         sigma = sigma_ref x^(3/4),  h = h_ref x^(1/4),
         rho_tilde = sqrt(3) log(h/h_ref),  mu = 2/3.
     """
+    rho_ref, h_ref = _RHO_REF, _H_REF
     sqrt3 = math.sqrt(3.0)
     sigma_ref = (rho_ref + rho_ref / 3.0) / h_ref
 
@@ -469,8 +469,8 @@ def radiation(
         label="radiation",
         pressure_fn=lambda r: r / 3.0,
         dp_drho_fn=lambda r: np.full_like(np.asarray(r, dtype=float), 1.0 / 3.0),
-        rho_min=rho_min,
-        rho_max=rho_max,
+        rho_min=1e-6,
+        rho_max=1e6,
         rho_ref=rho_ref,
         h_ref=h_ref,
         sigma_cf=lambda r: sigma_ref * (np.asarray(r, dtype=float) / rho_ref) ** 0.75,
@@ -484,16 +484,11 @@ def radiation(
     )
 
 
-def poly2(
-    k: float,
-    rho_ref: float = 1.0,
-    h_ref: float = 1.0,
-    rho_min: float = 1e-6,
-    rho_max: float | None = None,
-) -> BarotropicEos:
+def poly2(k: float) -> BarotropicEos:
     """Quadratic pressure law p = k rho^2 with eta^2 = 2 k rho.
 
-    Admissible while 2 k rho < 1; the default upper bound stops just short.
+    The gauge is fixed: rho_ref = h_ref = 1. Admissible while 2 k rho < 1;
+    densities run from 1e-6 to just short of that, 0.999 / (2 k).
     Closed chain with C = (1 + k rho_ref)^2 / h_ref:
         sigma = C rho / (1 + k rho),   h = (1 + k rho)^2 / C,
         rho_tilde = 2 sqrt(2) [atan(eta/sqrt2) - atan(eta_ref/sqrt2)],
@@ -501,8 +496,7 @@ def poly2(
     """
     if k <= 0:
         raise OutOfRange("poly2: k must be positive")
-    if rho_max is None:
-        rho_max = 0.999 / (2.0 * k)
+    rho_ref, h_ref = _RHO_REF, _H_REF
     C = (1.0 + k * rho_ref) ** 2 / h_ref
     sqrt2 = math.sqrt(2.0)
     eta_ref = math.sqrt(2.0 * k * rho_ref)
@@ -530,8 +524,8 @@ def poly2(
         label="poly2",
         pressure_fn=lambda r: k * np.square(np.asarray(r, dtype=float)),
         dp_drho_fn=lambda r: 2.0 * k * np.asarray(r, dtype=float),
-        rho_min=rho_min,
-        rho_max=rho_max,
+        rho_min=1e-6,
+        rho_max=0.999 / (2.0 * k),
         rho_ref=rho_ref,
         h_ref=h_ref,
         sigma_cf=lambda r: C * np.asarray(r, dtype=float)
@@ -544,19 +538,15 @@ def poly2(
     )
 
 
-def from_table(
-    table,
-    rho_ref: float | None = None,
-    h_ref: float = 1.0,
-    label: str = "table",
-) -> BarotropicEos:
+def from_table(table, rho_ref: float | None = None) -> BarotropicEos:
     """Tabulated barotrope from a two-column (rho, p) table.
 
     Args:
         table: path to a two-column text file (whitespace or comma
             separated), or an (N, 2) array.
         rho_ref: reference density; defaults to the middle table node.
-        h_ref: enthalpy assigned at rho_ref.
+
+    The enthalpy at rho_ref is fixed at h_ref = 1, and the label is "table".
 
     The pressure is interpolated with a monotone cubic, so dp/drho inherits
     the table's monotonicity. Admissibility (p > 0, dp/drho in (0, 1)) is
@@ -570,27 +560,27 @@ def from_table(
     else:
         data = np.asarray(table, dtype=float)
     if data.ndim != 2 or data.shape[1] != 2 or data.shape[0] < 4:
-        raise OutOfRange(f"{label}: need an (N >= 4, 2) table of (rho, p)")
+        raise OutOfRange("table: need an (N >= 4, 2) table of (rho, p)")
     rho, p = data[:, 0], data[:, 1]
     if not np.all(np.diff(rho) > 0):
-        raise OutOfRange(f"{label}: table densities must be strictly increasing")
+        raise OutOfRange("table: table densities must be strictly increasing")
     if not np.all(p > 0):
-        raise OutOfRange(f"{label}: table pressures must be positive")
+        raise OutOfRange("table: table pressures must be positive")
     interp = _hermite(rho, p, _pchip_slopes(rho, p))
     mid = 0.5 * (rho[:-1] + rho[1:])
     slopes = interp(np.concatenate([rho, mid]))[1]
     if np.any(slopes <= 0) or np.any(slopes >= 1):
-        raise OutOfRange(f"{label}: table dp/drho must lie in (0, 1)")
+        raise OutOfRange("table: table dp/drho must lie in (0, 1)")
     if rho_ref is None:
         rho_ref = float(rho[len(rho) // 2])
     eos = BarotropicEos(
-        label=label,
+        label="table",
         pressure_fn=lambda r: interp(r)[0],
         dp_drho_fn=lambda r: interp(r)[1],
         rho_min=float(rho[0]),
         rho_max=float(rho[-1]),
         rho_ref=float(rho_ref),
-        h_ref=h_ref,
+        h_ref=_H_REF,
     )
     eos._knots = rho.copy()
     return eos

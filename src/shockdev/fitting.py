@@ -58,16 +58,15 @@ def derivative(f: Callable, x: float, order: int = 1, step: float = 1e-3) -> flo
     return acc / step**order
 
 
-def mixed_second(
-    f: Callable, x: float, y: float, step_x: float = 1e-3, step_y: float = 1e-3
-) -> float:
-    """Mixed second derivative d2 f / dx dy (4th order in both directions)."""
+def mixed_second(f: Callable, x: float, y: float, step: float = 1e-3) -> float:
+    """Mixed second derivative d2 f / dx dy (4th order in both directions,
+    the same spacing ``step`` in each)."""
     offs, cs = _STENCILS[1]
     acc = 0.0
     for ox, cx in zip(offs, cs):
         for oy, cy in zip(offs, cs):
-            acc += cx * cy * f(x + ox * step_x, y + oy * step_y)
-    return acc / (step_x * step_y)
+            acc += cx * cy * f(x + ox * step, y + oy * step)
+    return acc / (step * step)
 
 
 def richardson(coarse: float, fine: float, order: int) -> float:
@@ -130,13 +129,16 @@ def quadratic_extrapolate(x, y) -> float:
     return float(y1 * l1 + y2 * l2 + y3 * l3)
 
 
+# bracketed steps a lane may take before it counts as not converged
+_NEWTON_MAX_ITER = 60
+
+
 def safeguarded_newton_lanes(
     fdf: Callable,
     x0,
     lo,
     hi,
     f_tol,
-    max_iter: int = 60,
     polish: int = 6,
     f_ends=None,
 ) -> np.ndarray:
@@ -194,7 +196,7 @@ def safeguarded_newton_lanes(
     fx, dx = fdf(x)
 
     with np.errstate(divide="ignore", invalid="ignore"):
-        for _ in range(max_iter):
+        for _ in range(_NEWTON_MAX_ITER):
             done |= np.abs(fx) < f_tol
             run = ~done
             if not run.any():
@@ -211,7 +213,7 @@ def safeguarded_newton_lanes(
         else:
             if not done.all():
                 raise NonConvergence(
-                    f"newton/bisection did not reach |f| < f_tol in {max_iter} "
+                    f"newton/bisection did not reach |f| < f_tol in {_NEWTON_MAX_ITER} "
                     f"iterations on {int(np.count_nonzero(~done))} of {done.size} lanes"
                 )
 

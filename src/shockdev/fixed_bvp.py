@@ -647,11 +647,15 @@ def characteristic_residuals(
 def write_grid_csv(fg: FieldGrid, path) -> None:
     """Dump the triangle nodes as CSV with 17 significant digits."""
     cols = ("t", "r", "alpha", "beta", "dt_du", "dt_dv")
-    arrays = [getattr(fg, c) for c in cols]
-    nodes = fg.grid.nodes
+    # one format per row, on Python floats: %.16e gives the same bytes for
+    # a float and a NumPy float64, and a list row is cheaper to read
+    fields = [getattr(fg, c).tolist() for c in cols]
+    nodes = fg.grid.nodes.tolist()
+    line = "%d,%d" + ",%.16e" * (2 + len(cols)) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("i,j,u,v," + ",".join(cols) + "\n")
         for i in range(fg.grid.n + 1):
-            for j in range(i + 1):
-                vals = ",".join("%.16e" % arr[i, j] for arr in arrays)
-                fh.write(f"{i},{j},%.16e,%.16e," % (nodes[i], nodes[j]) + vals + "\n")
+            row_i = zip(*(f[i][: i + 1] for f in fields))
+            fh.writelines(
+                line % (i, j, nodes[i], nodes[j], *vals) for j, vals in enumerate(row_i)
+            )

@@ -93,6 +93,9 @@ _WARM_MAX_Q = 1e-4
 # step tolerance and iteration budget of the corner y1 fixed point
 _CORNER_TOL = 1e-8
 _CORNER_MAX_ITER = 60
+# fractions of the model's w-box at which the corner system samples the
+# jump maps
+_CORNER_FRACTIONS = (0.2, 0.1, 0.05)
 
 __all__ = [
     "CornerExpansion",
@@ -150,15 +153,14 @@ class CornerExpansion:
 def corner_expansion(
     model: StateAheadModel,
     eos: eos_mod.BarotropicEos,
-    *,
-    sample_fractions=(0.2, 0.1, 0.05),
 ) -> CornerExpansion:
     """Solve the corner system for the shock curve's first-order structure.
 
     The quadratic speed coefficient and the hatted behind-invariant slope
     are measured on the exact jump maps along the corner state family at
-    three small parameter values (fractions of the model's w-box) and
-    extrapolated to zero, so the result involves no field grid at all.
+    three small parameter values (the ``_CORNER_FRACTIONS`` of the model's
+    w-box) and extrapolated to zero, so the result involves no field grid
+    at all.
 
     The three closure relations (see :class:`CornerExpansion`) are linear
     in y1 apart from W2.  Writing V_hat0(y1) = W2(y1) - kap y1 / 2 and
@@ -179,7 +181,7 @@ def corner_expansion(
     cusp = model.cusp
     kap, lam = cusp.kappa, cusp.lam
     f2 = cusp.f_hat0
-    vs = model.box_w * np.asarray(sample_fractions, dtype=float)
+    vs = model.box_w * np.asarray(_CORNER_FRACTIONS, dtype=float)
 
     # radius terms of the identification residual at linear order in v,
     # evaluated at the corner (f_hat = f2, y = -1)
@@ -776,12 +778,18 @@ def run_shock_development(
     diagnostics are computed when first read.
 
     Raises:
-        ValueError: before any work, if n < 2 (the diagnostics difference
-            along the shock and need at least three nodes), max_outer < 1,
-            max_retries < 0, or tol_outer is not finite and positive.
+        ValueError: before any work, if cusp or eos is not the one the
+            model was synthesized from, n < 3 (the corner extrapolation
+            fits a quadratic to the shock nodes from the trust index on,
+            so it needs three of them), max_outer < 1, max_retries < 0,
+            or tol_outer is not finite and positive.
         NonConvergence: every attempted domain size failed.
     """
-    budgets = (("n", n, 2), ("max_outer", max_outer, 1), ("max_retries", max_retries, 0))
+    if cusp != model.cusp:
+        raise ValueError("cusp is not the cusp the model was synthesized from")
+    if eos is not model.eos:
+        raise ValueError("eos is not the EOS the model was synthesized from")
+    budgets = (("n", n, 3), ("max_outer", max_outer, 1), ("max_retries", max_retries, 0))
     for name, value, low in budgets:
         if not value >= low:
             raise ValueError(f"{name} must be at least {low}, got {value}")
@@ -968,8 +976,7 @@ def write_shock_csv(curve: ShockCurve, path) -> None:
         "delta_hat",
         "V_hat",
     )
-    arrays = [getattr(curve, c) for c in cols]
+    line = ",".join(["%.16e"] * len(cols)) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(cols) + "\n")
-        for k in range(len(curve.v)):
-            fh.write(",".join("%.16e" % arr[k] for arr in arrays) + "\n")
+        fh.writelines(line % row for row in zip(*(getattr(curve, c).tolist() for c in cols)))

@@ -376,7 +376,7 @@ def coincidence_structure(eos: eos_mod.BarotropicEos, state: RiemannPair) -> dic
             f"d{k}": fitting.derivative(lambda a: J_of(a, 0.0), 0.0, order=k, step=h)
             for k in (1, 2, 3, 4)
         }
-        out["mixed"] = fitting.mixed_second(J_of, 0.0, 0.0, h, h)
+        out["mixed"] = fitting.mixed_second(J_of, 0.0, 0.0, h)
         return out
 
     steps = (_COINCIDENCE_STEP, _COINCIDENCE_STEP / 2)

@@ -22,9 +22,8 @@ emanating from the cusp, and the initial data it carries.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import asdict, dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field
 from typing import Mapping, NamedTuple
 
 import numpy as np
@@ -42,13 +41,16 @@ __all__ = [
     "singular_boundary",
     "incoming_characteristic",
     "initial_data",
-    "load_model",
 ]
 
 # below this |dc+/dalpha| no finite alpha slope can reproduce kappa
 _SLOPE_FLOOR = 1e-7
 
 _FIELDS = ("r", "alpha", "beta")
+
+# total degree up to which synthesize_model takes override slots; the
+# constrained slots reach degree 4
+_MODEL_DEGREE = 5
 
 # Newton passes of the incoming-characteristic march before it gives up;
 # it settles in 2 passes for the built-in laws at n = 1...4096
@@ -215,7 +217,6 @@ class StateAheadModel:
 
     cusp: CuspData
     eos: eos_mod.BarotropicEos
-    degree: int
     box_t: float
     box_w: float
     coeffs: Mapping[str, Mapping[tuple[int, int], float]]
@@ -261,76 +262,26 @@ class StateAheadModel:
             out = out + (term * w_arr**pw if pw else term)
         return float(out) if out.ndim == 0 else out
 
-    def dump(self, path) -> None:
-        """Write the model (cusp data + nonzero coefficients) as JSON."""
-        payload = {
-            "eos_label": self.eos.label,
-            "degree": self.degree,
-            "box_t": self.box_t,
-            "box_w": self.box_w,
-            "cusp": asdict(self.cusp),
-            "coefficients": {
-                field: {f"{i},{j}": c for (i, j), c in sorted(table.items())}
-                for field, table in self.coeffs.items()
-            },
-        }
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
-
-def load_model(path, eos: eos_mod.BarotropicEos) -> StateAheadModel:
-    """Rebuild a model dumped by :meth:`StateAheadModel.dump`.
-
-    Raises:
-        ValueError: the stored EOS label does not match the supplied EOS.
-    """
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    if payload["eos_label"] != eos.label:
-        raise ValueError(
-            f"model was dumped with EOS {payload['eos_label']!r}, got {eos.label!r}"
-        )
-    coeffs = {
-        field: {
-            tuple(int(p) for p in key.split(",")): float(c) for key, c in table.items()
-        }
-        for field, table in payload["coefficients"].items()
-    }
-    # older dumps also carry "l", a cusp slope no computation used
-    cusp = {k: v for k, v in payload["cusp"].items() if k != "l"}
-    return StateAheadModel(
-        cusp=CuspData(**cusp),
-        eos=eos,
-        degree=int(payload["degree"]),
-        box_t=float(payload["box_t"]),
-        box_w=float(payload["box_w"]),
-        coeffs=coeffs,
-    )
-
 
 def synthesize_model(
     cusp: CuspData,
     eos: eos_mod.BarotropicEos,
-    degree: int = 5,
     eps: float = 0.01,
     overrides: Mapping[str, Mapping[tuple[int, int], float]] | None = None,
 ) -> StateAheadModel:
     """Build the minimal polynomial model realizing the cusp constraints.
 
     All constrained coefficient slots are set from ``cusp``; every other
-    slot up to total degree ``degree`` defaults to zero and may be set via
-    ``overrides`` (mapping field name -> {(t-power, w-power): value}).
+    slot up to total degree ``_MODEL_DEGREE`` defaults to zero and may be
+    set via ``overrides`` (mapping field name -> {(t-power, w-power): value}).
 
     Validity box: |t| <= 10 eps^2, |w| <= 2 eps.
 
     Raises:
-        ValueError: degree < 4, unknown override field, or override beyond
-            the declared degree.
+        ValueError: eps not positive, unknown override field, or override
+            beyond the model degree.
         InconsistentCusp: an override targets a constrained slot.
     """
-    if degree < 4:
-        raise ValueError(f"model degree must be at least 4, got {degree}")
     if not (eps > 0):
         raise ValueError(f"eps must be positive, got {eps}")
     tables = _constrained_slots(cusp)
@@ -340,8 +291,8 @@ def synthesize_model(
             raise ValueError(f"unknown field {field!r} in overrides; expected one of {_FIELDS}")
         for slot, value in extra.items():
             i, j = (int(slot[0]), int(slot[1]))
-            if i < 0 or j < 0 or i + j > degree:
-                raise ValueError(f"override slot {slot} outside degree-{degree} table")
+            if i < 0 or j < 0 or i + j > _MODEL_DEGREE:
+                raise ValueError(f"override slot {slot} outside degree-{_MODEL_DEGREE} table")
             if (i, j) in constrained[field]:
                 raise InconsistentCusp(
                     f"coefficient (t^{i} w^{j}) of {field} is fixed by the cusp data "
@@ -351,7 +302,6 @@ def synthesize_model(
     return StateAheadModel(
         cusp=cusp,
         eos=eos,
-        degree=int(degree),
         box_t=10.0 * eps * eps,
         box_w=2.0 * eps,
         coeffs=tables,

@@ -77,6 +77,9 @@ class TestConfigErrors:
 
     def test_sweep_invalid_values(self, capsys):
         assert run_cli(["sweep", "--n", "1"]) == 2
+        # two nodes along the shock are too few for the corner fits
+        assert run_cli(["sweep", "--n", "2"]) == 2
+        assert run_cli(["sweep", "--n", "16", "2"]) == 2
         assert run_cli(["sweep", "--eps", "-0.5"]) == 2
         # an infinite domain once reached the grid and left a traceback
         assert run_cli(["sweep", "--eps", "0.01", "inf"]) == 2

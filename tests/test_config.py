@@ -187,6 +187,13 @@ class TestValidation:
         for frag in ("[eos] kind", "[solver] eps", "[solver] n", "max_retries"):
             assert frag in msg
 
+    @pytest.mark.parametrize("n", [2, 1])
+    def test_too_few_nodes(self, n):
+        # the corner extrapolation fits a quadratic to the shock nodes
+        with pytest.raises(ConfigError, match=rf"\[solver\] n: must be at least 3, got {n}"):
+            load_config(None, env={"SHOCKDEV_SOLVER_N": str(n)})
+        assert load_config(None, env={"SHOCKDEV_SOLVER_N": "3"}).n == 3
+
     def test_unknown_section_and_key(self, tmp_path):
         path = tmp_path / "run.ini"
         path.write_text("[sovler]\nn = 8\n[solver]\ngrid = 8\n")

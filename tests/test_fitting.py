@@ -138,17 +138,24 @@ class TestSafeguardedNewtonLanes:
         with pytest.raises(NoRoot, match=r"no sign change across \[-0\.8, 3\.2\] in lane 2:"):
             lane_roots(lanes, f_tol=1e-12)
 
-    def test_same_iteration_count_per_lane(self):
+    def test_same_iteration_count_per_lane(self, monkeypatch):
         # the smallest budget the scalar routine needs is exactly the one
         # the lane-wise routine needs on that lane
-        for lane in LANES:
-            k = next(k for k in range(61) if converges(scalar_roots, [lane], k))
-            assert converges(lane_roots, [lane], k)
-            assert k == 0 or not converges(lane_roots, [lane], k - 1)
+        def lane_converges(lane, budget):
+            monkeypatch.setattr(fitting, "_NEWTON_MAX_ITER", budget)
+            return converges(lane_roots, [lane])
 
-    def test_one_lane_over_budget_fails_the_batch(self):
+        for lane in LANES:
+            k = next(
+                k for k in range(61) if converges(scalar_roots, [lane], max_iter=k)
+            )
+            assert lane_converges(lane, k)
+            assert k == 0 or not lane_converges(lane, k - 1)
+
+    def test_one_lane_over_budget_fails_the_batch(self, monkeypatch):
+        monkeypatch.setattr(fitting, "_NEWTON_MAX_ITER", 2)
         with pytest.raises(NonConvergence):
-            lane_roots(LANES, f_tol=1e-12, max_iter=2)
+            lane_roots(LANES, f_tol=1e-12)
 
     def test_given_end_values_are_not_evaluated_again(self):
         s, lo, hi, x0 = (np.array(c) for c in zip(*LANES))
@@ -213,9 +220,9 @@ class TestPowerLawFit:
             fitting.power_law_fit(x, y)
 
 
-def converges(roots, lanes, max_iter):
+def converges(roots, lanes, **kw):
     try:
-        roots(lanes, f_tol=1e-12, max_iter=max_iter)
+        roots(lanes, f_tol=1e-12, **kw)
     except NonConvergence:
         return False
     return True

@@ -64,10 +64,9 @@ class TestCornerExpansion:
             -2.0 * canon_corner.W2 / 9.0, abs=2e-8
         )
 
-    def test_sample_independence(self, canon_model, rad, canon_corner):
-        other = FBD.corner_expansion(
-            canon_model, rad, sample_fractions=(0.3, 0.15, 0.075)
-        )
+    def test_sample_independence(self, canon_model, rad, canon_corner, monkeypatch):
+        monkeypatch.setattr(FBD, "_CORNER_FRACTIONS", (0.3, 0.15, 0.075))
+        other = FBD.corner_expansion(canon_model, rad)
         assert other.y1 == pytest.approx(canon_corner.y1, abs=1e-5)
         assert other.V_hat0 == pytest.approx(canon_corner.V_hat0, abs=1e-4)
 
@@ -362,7 +361,7 @@ class TestAndersonAcceleration:
         step, fixed = _linear_outer_map(calls)
         monkeypatch.setattr(FBD, "outer_iterate", step)
         sol = FBD.run_shock_development(
-            rad, canon_model, canon_cusp, eps=EPS, n=2
+            rad, canon_model, canon_cusp, eps=EPS, n=3
         )
         assert len(sol.outer_history) <= 5
         got = np.stack([sol.boundary.y, sol.boundary.beta_hat_plus, sol.boundary.V_hat])
@@ -377,7 +376,7 @@ class TestAndersonAcceleration:
         step, fixed = _linear_outer_map(calls, kick_at=2)
         monkeypatch.setattr(FBD, "outer_iterate", step)
         sol = FBD.run_shock_development(
-            rad, canon_model, canon_cusp, eps=EPS, n=2
+            rad, canon_model, canon_cusp, eps=EPS, n=3
         )
         m = [max(h) for h in sol.outer_history]
         assert m[1] < m[0] < m[2] and m[3] < m[2]
@@ -936,17 +935,37 @@ class TestRefinementAndRobustness:
         assert "0.005" in str(exc.value)
         assert exc.value.history
 
-    @pytest.mark.parametrize("n", [1, 0])
-    def test_too_few_nodes_rejected_before_any_work(self, rad, canon_model, canon_cusp,
-                                                    monkeypatch, n):
-        # the diagnostics need three nodes along the shock; without the
-        # entry check an n = 1 solve ran all its outer steps first
-        def no_setup(*args, **kwargs):
+    @pytest.fixture
+    def no_setup(self, monkeypatch):
+        """A problem rejected on entry never reaches ``SolverContext.build``."""
+
+        def build(*args, **kwargs):
             raise AssertionError("SolverContext.build ran")
 
-        monkeypatch.setattr(FBD.SolverContext, "build", no_setup)
-        with pytest.raises(ValueError, match=rf"n must be at least 2, got {n}"):
+        monkeypatch.setattr(FBD.SolverContext, "build", build)
+
+    @pytest.mark.parametrize("n", [2, 1, 0])
+    def test_too_few_nodes_rejected_before_any_work(self, rad, canon_model, canon_cusp,
+                                                    no_setup, n):
+        # the corner extrapolation fits a quadratic and needs three nodes
+        # along the shock; without the entry check an n = 1 solve ran all
+        # its outer steps first, and an n = 2 solve fitted two points
+        with pytest.raises(ValueError, match=rf"n must be at least 3, got {n}"):
             FBD.run_shock_development(rad, canon_model, canon_cusp, eps=EPS, n=n)
+
+    @pytest.mark.parametrize("mismatch", ["cusp", "eos"])
+    def test_problem_other_than_the_models_rejected_before_any_work(
+        self, rad, p2, canon_model, canon_cusp, no_setup, mismatch
+    ):
+        # without the entry check a cusp with another dbeta_dt0 "converged"
+        # and failed its corner checks, and poly2 failed deep in the solve
+        eos, cusp = rad, canon_cusp
+        if mismatch == "cusp":
+            cusp = SA.CuspData.from_physics(rad, kappa=1.0, lam=1.0, dbeta_dt0=0.1)
+        else:
+            eos = p2
+        with pytest.raises(ValueError, match=rf"{mismatch} is not the"):
+            FBD.run_shock_development(eos, canon_model, cusp, eps=EPS, n=16)
 
     @pytest.mark.parametrize(
         "budget",
@@ -961,13 +980,9 @@ class TestRefinementAndRobustness:
         ids=lambda b: "-".join(f"{k}={v}" for k, v in b.items()),
     )
     def test_bad_budget_rejected_before_any_work(self, rad, canon_model, canon_cusp,
-                                                 monkeypatch, budget):
+                                                 no_setup, budget):
         # without the entry checks these ended in IndexError, OverflowError,
         # a math domain error or a NonConvergence over no domain at all
-        def no_setup(*args, **kwargs):
-            raise AssertionError("SolverContext.build ran")
-
-        monkeypatch.setattr(FBD.SolverContext, "build", no_setup)
         (name,) = budget
         with pytest.raises(ValueError, match=rf"^{name} must be"):
             FBD.run_shock_development(rad, canon_model, canon_cusp, eps=EPS, n=16, **budget)

@@ -71,7 +71,7 @@ class TestCoincidenceStructure:
             out = {
                 f"d{k}": fitting.derivative(J_of, 0.0, order=k, step=h) for k in (1, 2, 3, 4)
             }
-            out["mixed"] = fitting.mixed_second(J_of, 0.0, 0.0, h, h)
+            out["mixed"] = fitting.mixed_second(J_of, 0.0, 0.0, h)
             return out
 
         h = J._COINCIDENCE_STEP

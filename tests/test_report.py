@@ -213,6 +213,15 @@ class TestFailureCapture:
         assert parsed["counts"]["passed"] < parsed["counts"]["total"]
 
 
+class TestComputeBundle:
+    def test_small_grid_builds_every_solve(self):
+        # the half-n solve of an n = 4 config once ran at n = 2 and fitted
+        # the corner quadratics to two points
+        bundle = compute_bundle(dataclasses.replace(SolverConfig.canonical(), n=4))
+        assert not bundle.errors
+        assert (bundle.half_n.n, bundle.base.n, bundle.double_n.n) == (3, 4, 8)
+
+
 class TestSerialization:
     def test_pyify_numpy_and_nonfinite(self):
         data = {

@@ -8,8 +8,6 @@ singular boundary, and least-squares expansion fits for the corner behavior.
 
 from __future__ import annotations
 
-import dataclasses
-import json
 import math
 
 import numpy as np
@@ -154,8 +152,6 @@ class TestSynthesisOverrides:
             SA.synthesize_model(cusp, rad, eps=0.1, overrides={"alpha": {(0, 1): 5.0}})
 
     def test_degree_and_slot_validation(self, cusp, rad):
-        with pytest.raises(ValueError):
-            SA.synthesize_model(cusp, rad, degree=3)
         with pytest.raises(ValueError):
             SA.synthesize_model(cusp, rad, eps=0.1, overrides={"r": {(4, 4): 1.0}})
         with pytest.raises(ValueError):
@@ -305,40 +301,6 @@ class TestInitialData:
         assert init.dh_du == pytest.approx(curve.slope, abs=1e-16)
         alpha_direct = model.eval("alpha", curve.t, curve.w)
         assert init.alpha_i == pytest.approx(alpha_direct, abs=1e-16)
-
-
-class TestModelSerialization:
-    def test_round_trip(self, model, rad, tmp_path):
-        path = tmp_path / "model.json"
-        model.dump(path)
-        loaded = SA.load_model(path, rad)
-        assert loaded.coeffs == model.coeffs
-        assert loaded.cusp == model.cusp
-        assert loaded.box_t == model.box_t and loaded.box_w == model.box_w
-        pts_t = np.array([0.0, 5e-3, -2e-3])
-        pts_w = np.array([0.0, 0.04, 0.09])
-        for field in ("r", "alpha", "beta"):
-            assert loaded.eval(field, pts_t, pts_w) == pytest.approx(
-                model.eval(field, pts_t, pts_w), abs=0
-            )
-
-    def test_dump_has_no_l_and_older_dump_with_l_loads(self, model, rad, tmp_path):
-        path = tmp_path / "model.json"
-        model.dump(path)
-        payload = json.loads(path.read_text())
-        assert "l" not in payload["cusp"]
-        # the derived corner limits are properties, not stored fields
-        assert set(payload["cusp"]) == set(dataclasses.asdict(model.cusp))
-        assert "f_hat0" not in payload["cusp"]
-        payload["cusp"]["l"] = 0.25
-        path.write_text(json.dumps(payload))
-        assert SA.load_model(path, rad).cusp == model.cusp
-
-    def test_label_mismatch(self, model, p2, tmp_path):
-        path = tmp_path / "model.json"
-        model.dump(path)
-        with pytest.raises(ValueError):
-            SA.load_model(path, p2)
 
 
 def reference_eval(model, field, t, w, dt=0, dw=0):
