@@ -24,7 +24,7 @@ from pathlib import Path
 from .config import build_problem, load_config
 from .errors import ConfigError, ShockDevError
 from .fixed_bvp import write_grid_csv
-from .free_boundary import run_shock_development, write_shock_csv
+from .free_boundary import run_shock_development, setting_errors, write_shock_csv
 from .report import (
     compute_bundle,
     format_check_lines,
@@ -176,10 +176,11 @@ def cmd_sweep(args, cfg, stdout, stderr) -> int:
     if not ns and not epses:
         print("nothing to sweep", file=stdout)
         return EXIT_OK
-    if ns is not None and any(n < 3 for n in ns):
-        raise ConfigError("sweep grid sizes must be >= 3")
-    if epses is not None and any(not (math.isfinite(e) and e > 0) for e in epses):
-        raise ConfigError("sweep domain sizes must be finite and positive")
+    swept = [(cfg.eps, n) for n in ns] if ns is not None else [(e, cfg.n) for e in epses]
+    bad = [f"{name} {text}" for eps, n in swept
+           for name, text in setting_errors(eps, n, **cfg.solver_options())]
+    if bad:
+        raise ConfigError("invalid sweep:\n  " + "\n  ".join(bad))
     eos, cusp, model = build_problem(cfg)
 
     rows = _sweep_rows(cfg, eos, cusp, model, ns, epses, stderr)

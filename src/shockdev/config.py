@@ -22,6 +22,13 @@ reflection ratio and the trust index of the hatted curve follow from the
 corner asymptotics, and the field sweep stops at its rounding floor well
 inside its fixed tolerance and budget.
 
+The config owns the rules of its own layer: types, section and key
+names, the [eos] kind and coefficient (the kind decides whether the
+coefficient is read), a non-negative seed and relative output paths.  The
+[solver] bounds and defaults come from ``free_boundary.setting_errors``
+and its constants; the [cusp] bounds are judged when ``build_problem``
+makes the cusp data, so a bad cusp is a setup error, not a config error.
+
 Validation failures raise :class:`~shockdev.errors.ConfigError` carrying
 every violation, so the command line can report them all at once.
 """
@@ -30,20 +37,17 @@ from __future__ import annotations
 
 import configparser
 import json
-import math
 import os
+from collections.abc import Mapping
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
-import numpy as np
-
 from . import eos as eos_mod
+from . import free_boundary
 from .errors import ConfigError
-from .state_ahead import CuspData, StateAheadModel, synthesize_model
+from .state_ahead import CuspData, synthesize_model
 
 __all__ = ["SolverConfig", "load_config", "build_problem"]
-
-_MACH_EPS = float(np.finfo(float).eps)
 
 
 def _key(section: str, default):
@@ -72,9 +76,9 @@ class SolverConfig:
     xi: float = _key("cusp", 0.0)
     eps: float = _key("solver", 0.01)
     n: int = _key("solver", 64)
-    tol_outer: float = _key("solver", 1e-10)
-    max_outer: int = _key("solver", 60)
-    max_retries: int = _key("solver", 3)
+    tol_outer: float = _key("solver", free_boundary.TOL_OUTER)
+    max_outer: int = _key("solver", free_boundary.MAX_OUTER)
+    max_retries: int = _key("solver", free_boundary.MAX_RETRIES)
     grid_csv: str = _key("output", "grid.csv")
     shock_csv: str = _key("output", "shock.csv")
     report_json: str = _key("output", "report.json")
@@ -148,43 +152,35 @@ def _coerce(section: str, key: str, raw, errors: list[str]):
 
 
 def _read_file_layer(path: Path, errors: list[str]) -> dict:
-    """Parse the config file into {(section, key): raw value}."""
+    """Parse the config file into {(section, key): raw value}; either format
+    is read as {section: {key: raw}}, then one pass checks the names."""
     try:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    looks_json = path.suffix.lower() == ".json" or text.lstrip()[:1] == "{"
-    layer: dict[tuple[str, str], object] = {}
-    if looks_json:
+    if path.suffix.lower() == ".json" or text.lstrip()[:1] == "{":
         try:
             data = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
         if not isinstance(data, dict):
             raise ConfigError(f"config file {path}: top level must be an object")
-        for section, body in data.items():
-            if section not in _SCHEMA:
-                errors.append(f"unknown section [{section}]")
-                continue
-            if not isinstance(body, dict):
-                errors.append(f"[{section}]: must be an object of key/value pairs")
-                continue
-            for key, raw in body.items():
-                if key not in _SCHEMA[section]:
-                    errors.append(f"unknown key [{section}] {key}")
-                    continue
-                layer[(section, key)] = raw
-        return layer
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-    try:
-        parser.read_string(text, source=str(path))
-    except configparser.Error as exc:
-        raise ConfigError(f"config file {path} is not valid sectioned text: {exc}") from exc
-    for section in parser.sections():
+    else:
+        parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+        try:
+            parser.read_string(text, source=str(path))
+        except configparser.Error as exc:
+            raise ConfigError(f"config file {path} is not valid sectioned text: {exc}") from exc
+        data = {section: parser[section] for section in parser.sections()}
+    layer: dict[tuple[str, str], object] = {}
+    for section, body in data.items():
         if section not in _SCHEMA:
             errors.append(f"unknown section [{section}]")
             continue
-        for key, raw in parser.items(section):
+        if not isinstance(body, Mapping):
+            errors.append(f"[{section}]: must be an object of key/value pairs")
+            continue
+        for key, raw in body.items():
             if key not in _SCHEMA[section]:
                 errors.append(f"unknown key [{section}] {key}")
                 continue
@@ -216,25 +212,9 @@ def _validate(values: dict, errors: list[str]) -> None:
         isinstance(get("eos", "coefficient"), float) and get("eos", "coefficient") > 0
     ):
         errors.append("[eos] coefficient: must be positive for the quadratic law")
-    for key in ("kappa", "lam", "r0"):
-        val = get("cusp", key)
-        if not (math.isfinite(val) and val > 0):
-            errors.append(f"[cusp] {key}: must be finite and positive, got {val}")
-    eps = get("solver", "eps")
-    if not (math.isfinite(eps) and eps > 0):
-        errors.append(f"[solver] eps: must be finite and positive, got {eps}")
-    n = get("solver", "n")
-    if n < 3:
-        errors.append(f"[solver] n: must be at least 3, got {n}")
-    tol = get("solver", "tol_outer")
-    if not (math.isfinite(tol) and tol > _MACH_EPS):
-        errors.append(
-            f"[solver] tol_outer: must exceed machine epsilon ({_MACH_EPS:.2e}), got {tol}"
-        )
-    if get("solver", "max_outer") < 1:
-        errors.append("[solver] max_outer: must be at least 1")
-    if get("solver", "max_retries") < 0:
-        errors.append("[solver] max_retries: must be non-negative")
+    solver = {key: get("solver", key) for key in _SCHEMA["solver"]}
+    for name, text in free_boundary.setting_errors(**solver):
+        errors.append(f"[solver] {name}: {text}")
     if get("checks", "seed") < 0:
         errors.append("[checks] seed: must be non-negative")
     for key in ("grid_csv", "shock_csv", "report_json"):

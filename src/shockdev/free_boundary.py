@@ -90,6 +90,12 @@ _ANDERSON_DEPTH = 3
 # inner solve (the canonical ratio is about 5e-8)
 _WARM_MAX_Q = 1e-4
 
+# fewest grid intervals (the corner extrapolation fits a quadratic to the
+# shock nodes), and the default outer tolerance and budgets; read at call time
+MIN_N = 3
+TOL_OUTER, MAX_OUTER, MAX_RETRIES = 1e-10, 60, 3
+_MACH_EPS = float(np.finfo(float).eps)
+
 # step tolerance and iteration budget of the corner y1 fixed point
 _CORNER_TOL = 1e-8
 _CORNER_MAX_ITER = 60
@@ -285,12 +291,12 @@ class ShockSolution:
     def diagnostics(self) -> dict:
         """Corner limits, geometry, blow-up fits and characteristic
         residuals of the converged solve, computed on first read."""
-        ctx = self.context
+        ctx, eos = self.context, self.context.model.eos
         return {
-            "limits": curve_asymptotics(self.curve, ctx.cusp, ctx.eos),
-            "geometry": geometry_checks(self.curve, self.fields, ctx.model, ctx.eos),
+            "limits": curve_asymptotics(self.curve, ctx.model.cusp, eos),
+            "geometry": geometry_checks(self.curve, self.fields, ctx.model, eos),
             "blowup": blowup_fits(self.fields),
-            "residuals": characteristic_residuals(self.fields, ctx.eos, ctx.init, self.boundary),
+            "residuals": characteristic_residuals(self.fields, eos, ctx.init, self.boundary),
         }
 
     @property
@@ -321,12 +327,10 @@ class SolverContext:
     n // 2.  ``speed_trust_index`` bounds the fill of the hatted speed,
     whose raw extraction additionally divides ~ulp-level speed rounding by
     v^2, so its trusted region must satisfy v^2 > ulp/tol_outer regardless
-    of the grid.
+    of the grid.  The EOS and the cusp data are those of ``model``.
     """
 
-    eos: eos_mod.BarotropicEos
     model: StateAheadModel
-    cusp: CuspData
     grid: TriGrid
     init: object
     corner: CornerExpansion
@@ -335,28 +339,20 @@ class SolverContext:
 
     @classmethod
     def build(
-        cls,
-        eos: eos_mod.BarotropicEos,
-        model: StateAheadModel,
-        cusp: CuspData,
-        eps: float,
-        n: int,
-        tol_outer: float = 1e-10,
+        cls, model: StateAheadModel, eps: float, n: int, tol_outer: float = TOL_OUTER
     ) -> "SolverContext":
         grid = TriGrid(eps, n)
-        init = initial_data(model, eos, eps, n)
-        corner = corner_expansion(model, eos)
+        init = initial_data(model, model.eos, eps, n)
+        corner = corner_expansion(model, model.eos)
         trust_index = min(max(4, grid.n // 8), max(grid.n // 2, 1))
         # hatted-speed rounding floor: ~3 ulp of the speed scale over v^2
         # must stay below a third of the convergence tolerance
-        j_v = 3.0 * np.finfo(float).eps * max(1.0, abs(cusp.c_plus0))
+        j_v = 3.0 * _MACH_EPS * max(1.0, abs(model.cusp.c_plus0))
         v_speed = math.sqrt(3.0 * j_v / tol_outer)
         kt_speed = max(trust_index, math.ceil(v_speed / grid.delta))
         kt_speed = int(min(kt_speed, max(grid.n // 2, 1)))
         return cls(
-            eos=eos,
             model=model,
-            cusp=cusp,
             grid=grid,
             init=init,
             corner=corner,
@@ -520,7 +516,7 @@ def outer_iterate(bf: BoundaryFunctions, ctx: SolverContext, *, warm=None):
         (next boundary functions, solved FieldGrid, ShockCurve sampled from
         this step).
     """
-    cusp = ctx.cusp
+    cusp = ctx.model.cusp
     corner = ctx.corner
     sweep_from = beta_prev = None
     if warm is not None:
@@ -528,7 +524,7 @@ def outer_iterate(bf: BoundaryFunctions, ctx: SolverContext, *, warm=None):
         sweep_from = (fg_prev.alpha, fg_prev.beta)
         if curve_prev is not None:
             beta_prev = curve_prev.beta_plus
-    fg = solve_fixed_bvp(bf, ctx.init, ctx.eos, ctx.grid, warm=sweep_from)
+    fg = solve_fixed_bvp(bf, ctx.init, ctx.model.eos, ctx.grid, warm=sweep_from)
     v = ctx.grid.nodes
     kt = ctx.trust_index
     anchor = min(2 * kt, ctx.grid.n)
@@ -553,7 +549,7 @@ def outer_iterate(bf: BoundaryFunctions, ctx: SolverContext, *, warm=None):
     y = solve_identification(ctx.model, v, f_hat, delta_hat)
     z = v * y
     beta_plus, V, alpha_minus, beta_minus = jump_update(
-        fg, ctx.model, ctx.eos, z, beta_prev=beta_prev
+        fg, ctx.model, ctx.model.eos, z, beta_prev=beta_prev
     )
 
     alpha_hat_plus = np.empty_like(v)
@@ -700,7 +696,7 @@ def _attempt(ctx: SolverContext, *, tol_outer: float, max_outer: int, seed_fn) -
         the solve's ``boundary``, ``fields``, ``curve``, ``outer_history``
         and ``inner_changes``, keyed by their :class:`ShockSolution` fields.
     """
-    bf = seed_fn(ctx.cusp, ctx.grid.nodes)
+    bf = seed_fn(ctx.model.cusp, ctx.grid.nodes)
     history = []
     window = []  # Anderson window: packed (x_k, G(x_k)), oldest first
     plain = None  # G(x_{k-1}) while bf is a mixed iterate
@@ -758,6 +754,20 @@ def _attempt(ctx: SolverContext, *, tol_outer: float, max_outer: int, seed_fn) -
     )
 
 
+def setting_errors(eps, n, tol_outer, max_outer, max_retries) -> list:
+    """(name, what is wrong) for each solve setting out of its bounds: the
+    one statement of those bounds, which every caller asks."""
+    rules = (
+        ("eps", eps, math.isfinite(eps) and eps > 0, "finite and positive"),
+        ("n", n, n >= MIN_N, f"at least {MIN_N}"),
+        ("tol_outer", tol_outer, math.isfinite(tol_outer) and tol_outer > _MACH_EPS,
+         f"finite and above machine epsilon ({_MACH_EPS:.2e})"),
+        ("max_outer", max_outer, max_outer >= 1, "at least 1"),
+        ("max_retries", max_retries, max_retries >= 0, "at least 0"),
+    )
+    return [(name, f"must be {rule}, got {value}") for name, value, ok, rule in rules if not ok]
+
+
 def run_shock_development(
     eos: eos_mod.BarotropicEos,
     model: StateAheadModel,
@@ -765,9 +775,9 @@ def run_shock_development(
     *,
     eps: float,
     n: int,
-    tol_outer: float = 1e-10,
-    max_outer: int = 60,
-    max_retries: int = 3,
+    tol_outer: float = TOL_OUTER,
+    max_outer: int = MAX_OUTER,
+    max_retries: int = MAX_RETRIES,
     seed_fn=None,
 ) -> ShockSolution:
     """Construct the shock development on the largest workable domain <= eps.
@@ -779,22 +789,18 @@ def run_shock_development(
 
     Raises:
         ValueError: before any work, if cusp or eos is not the one the
-            model was synthesized from, n < 3 (the corner extrapolation
-            fits a quadratic to the shock nodes from the trust index on,
-            so it needs three of them), max_outer < 1, max_retries < 0,
-            or tol_outer is not finite and positive.
+            model was synthesized from, or a setting is out of the bounds
+            of :func:`setting_errors`.
         NonConvergence: every attempted domain size failed.
     """
     if cusp != model.cusp:
         raise ValueError("cusp is not the cusp the model was synthesized from")
     if eos is not model.eos:
         raise ValueError("eos is not the EOS the model was synthesized from")
-    budgets = (("n", n, 3), ("max_outer", max_outer, 1), ("max_retries", max_retries, 0))
-    for name, value, low in budgets:
-        if not value >= low:
-            raise ValueError(f"{name} must be at least {low}, got {value}")
-    if not (math.isfinite(tol_outer) and tol_outer > 0):
-        raise ValueError(f"tol_outer must be finite and positive, got {tol_outer}")
+    bad = setting_errors(eps, n, tol_outer, max_outer, max_retries)
+    if bad:
+        name, text = bad[0]
+        raise ValueError(f"{name} {text}")
     if seed_fn is None:
         seed_fn = BoundaryFunctions.seed
     attempt_eps = float(eps)
@@ -803,7 +809,7 @@ def run_shock_development(
     for retry in range(max_retries + 1):
         attempted.append(attempt_eps)
         try:
-            ctx = SolverContext.build(eos, model, cusp, attempt_eps, n, tol_outer=tol_outer)
+            ctx = SolverContext.build(model, attempt_eps, n, tol_outer=tol_outer)
             solved = _attempt(ctx, tol_outer=tol_outer, max_outer=max_outer, seed_fn=seed_fn)
         except (NonConvergence, SingularGamma) as exc:
             last_exc = exc

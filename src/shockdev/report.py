@@ -31,7 +31,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import eos as eos_mod
-from . import fitting
+from . import fitting, free_boundary
 from .config import SolverConfig, build_problem
 from .errors import ShockDevError
 from .fixed_bvp import BoundaryFunctions
@@ -96,7 +96,7 @@ def compute_bundle(cfg: SolverConfig) -> SolutionBundle:
             return None
 
     bundle.base = attempt("base", model, eps=cfg.eps, n=cfg.n)
-    bundle.half_n = attempt("half_n", model, eps=cfg.eps, n=max(cfg.n // 2, 3))
+    bundle.half_n = attempt("half_n", model, eps=cfg.eps, n=max(cfg.n // 2, free_boundary.MIN_N))
     bundle.double_n = attempt("double_n", model, eps=cfg.eps, n=2 * cfg.n)
     model_half = synthesize_model(cusp, eos, eps=cfg.eps / 2)
     bundle.half_eps = attempt("half_eps", model_half, eps=cfg.eps / 2, n=cfg.n)

@@ -118,13 +118,18 @@ class CuspData:
         """Build cusp data, deriving the constrained quantities from the EOS.
 
         Raises:
-            InconsistentCusp: non-positive kappa/lam/r0, or an EOS whose
+            InconsistentCusp: a parameter not finite, or kappa, lam or r0
+                not positive (the one check of these bounds), or an EOS whose
                 outgoing speed does not respond to the outgoing invariant at
                 the cusp state (no finite alpha slope fits kappa).
         """
-        for name, val in (("kappa", kappa), ("lam", lam), ("r0", r0)):
-            if not (math.isfinite(val) and val > 0):
-                raise InconsistentCusp(f"{name} must be finite and positive, got {val}")
+        params = dict(kappa=kappa, lam=lam, r0=r0, alpha0=alpha0, beta0=beta0,
+                      dbeta_dt0=dbeta_dt0, alpha_ddot0=alpha_ddot0, xi=xi)
+        for name, val in params.items():
+            positive = name in ("kappa", "lam", "r0")
+            if not (math.isfinite(val) and (val > 0 or not positive)):
+                rule = "finite and positive" if positive else "finite"
+                raise InconsistentCusp(f"{name} must be {rule}, got {val}")
         state0 = wave_state(eos, RiemannPair(float(alpha0), float(beta0)))
         c_plus0, c_minus0 = state0.speeds()
         dcplus_dalpha0 = state0.speed_derivatives(eos)["pa"]
@@ -278,12 +283,12 @@ def synthesize_model(
     Validity box: |t| <= 10 eps^2, |w| <= 2 eps.
 
     Raises:
-        ValueError: eps not positive, unknown override field, or override
-            beyond the model degree.
+        ValueError: eps not finite and positive, unknown override field, or
+            override beyond the model degree.
         InconsistentCusp: an override targets a constrained slot.
     """
-    if not (eps > 0):
-        raise ValueError(f"eps must be positive, got {eps}")
+    if not (math.isfinite(eps) and eps > 0):
+        raise ValueError(f"eps must be finite and positive, got {eps}")
     tables = _constrained_slots(cusp)
     constrained = {field: set(table) for field, table in tables.items()}
     for field, extra in (overrides or {}).items():

@@ -65,15 +65,19 @@ class TestConfigErrors:
 
     @pytest.mark.parametrize("command", [["run"], ["verify"], ["sweep", "--n", "8"]])
     def test_setup_error_exits_2(self, tmp_path, capsys, command):
-        # the cusp state lies outside the radiation law's admissible range
-        cfg = tmp_path / "far.ini"
-        cfg.write_text("[cusp]\nalpha0 = 40\n")
-        argv = [*command, "--config", str(cfg)]
-        if command == ["run"]:
-            argv += ["--out", str(tmp_path / "out")]
-        assert run_cli(argv) == 2
-        assert "setup error" in capsys.readouterr().err
-        assert not (tmp_path / "out" / "report.json").exists()
+        # cusp data the cusp record refuses, judged before any solve: a state
+        # outside the radiation law's admissible range, non-finite shape
+        # data, and a negative refocusing rate (once a config error)
+        for k, entry in enumerate(["alpha0 = 40", "dbeta_dt0 = nan", "xi = inf", "kappa = -1"]):
+            cfg = tmp_path / f"bad{k}.ini"
+            cfg.write_text(f"[cusp]\n{entry}\n")
+            out = tmp_path / f"out{k}"
+            argv = [*command, "--config", str(cfg)]
+            if command == ["run"]:
+                argv += ["--out", str(out)]
+            assert run_cli(argv) == 2, entry
+            assert "setup error" in capsys.readouterr().err, entry
+            assert not (out / "report.json").exists()
 
     def test_sweep_invalid_values(self, capsys):
         assert run_cli(["sweep", "--n", "1"]) == 2

@@ -3,14 +3,18 @@
 from __future__ import annotations
 
 import configparser
+import inspect
 import json
 import re
 from pathlib import Path
 
 import pytest
 
+import shockdev.free_boundary as FBD
+import shockdev.report as report
+from shockdev import cli
 from shockdev.config import _SCHEMA, SolverConfig, build_problem, load_config
-from shockdev.errors import ConfigError
+from shockdev.errors import ConfigError, ShockDevError
 
 # solver numerics that are fixed rules of the solver, not configuration
 REMOVED_SOLVER_KEYS = ("tol_inner", "max_sweeps", "v_floor", "trust_index")
@@ -284,3 +288,37 @@ def test_readme_ini_block_lists_every_key(tmp_path):
     schema = SolverConfig.canonical().as_sections()
     assert listed == {(s, k) for s, keys in schema.items() for k in keys}
     assert load_config(path, env={}) == SolverConfig.canonical()
+
+
+class TestSolveSettingsOwner:
+    """The solve settings' floor and defaults are declared once, in
+    ``free_boundary``, and every other site reads them from there."""
+
+    def test_grid_floor_is_read_at_call_time(self, monkeypatch, capsys):
+        monkeypatch.setattr(FBD, "MIN_N", 4)
+        with pytest.raises(ConfigError, match=r"\[solver\] n: must be at least 4, got 3"):
+            load_config(None, env={"SHOCKDEV_SOLVER_N": "3"})
+        assert cli.main(["sweep", "--n", "3"]) == 2
+        assert "n must be at least 4, got 3" in capsys.readouterr().err
+
+        grids = []
+
+        def spy(*args, n, **kwargs):
+            grids.append(n)
+            raise ShockDevError("not solved")
+
+        monkeypatch.setattr(report, "run_shock_development", spy)
+        bundle = report.compute_bundle(load_config(None, env={"SHOCKDEV_SOLVER_N": "6"}))
+        assert grids == [6, 4, 12, 6, 6]
+        assert set(bundle.errors) == {"base", "half_n", "double_n", "half_eps", "perturbed"}
+
+    def test_solver_defaults_are_the_solvers(self):
+        params = inspect.signature(FBD.run_shock_development).parameters
+        defaults = {key: params[key].default for key in SolverConfig().solver_options()}
+        assert SolverConfig().solver_options() == defaults == {
+            "tol_outer": FBD.TOL_OUTER,
+            "max_outer": FBD.MAX_OUTER,
+            "max_retries": FBD.MAX_RETRIES,
+        }
+        build = inspect.signature(FBD.SolverContext.build).parameters
+        assert build["tol_outer"].default == FBD.TOL_OUTER

@@ -241,7 +241,7 @@ class TestIdentification:
 class TestOuterIteration:
     @staticmethod
     def _iterate(rad, model, cusp, eps, n, steps):
-        ctx = FBD.SolverContext.build(rad, model, cusp, eps, n)
+        ctx = FBD.SolverContext.build(model, eps, n)
         bf = BoundaryFunctions.seed(cusp, ctx.grid.nodes)
         metrics = []
         for _ in range(steps):
@@ -265,7 +265,7 @@ class TestOuterIteration:
     @pytest.mark.parametrize("n, kt", [(2, 1), (8, 4), (64, 8), (256, 32)])
     def test_trust_index_rule(self, rad, canon_model, canon_cusp, n, kt):
         # max(4, n // 8), capped at n // 2
-        ctx = FBD.SolverContext.build(rad, canon_model, canon_cusp, EPS, n)
+        ctx = FBD.SolverContext.build(canon_model, EPS, n)
         assert ctx.trust_index == kt
         assert kt <= ctx.speed_trust_index <= max(n // 2, 1)
 
@@ -279,7 +279,7 @@ def picard_outer(eos, model, cusp, eps, n, seed_fn=BoundaryFunctions.seed):
     """Plain Picard iteration of the outer map, the reference for the
     accelerated solve: x_{k+1} = G(x_k) until the raw residual is below
     the outer tolerance.  Returns (G(x_k), history)."""
-    ctx = FBD.SolverContext.build(eos, model, cusp, eps, n, tol_outer=TOL_OUTER)
+    ctx = FBD.SolverContext.build(model, eps, n, tol_outer=TOL_OUTER)
     bf = seed_fn(cusp, ctx.grid.nodes)
     history = []
     for _ in range(60):
@@ -976,16 +976,24 @@ class TestRefinementAndRobustness:
             {"tol_outer": -1e-10},
             {"tol_outer": math.nan},
             {"tol_outer": math.inf},
+            {"tol_outer": 1e-17},
+            {"eps": 0.0},
+            {"eps": -0.01},
+            {"eps": math.nan},
+            {"eps": math.inf},
         ],
         ids=lambda b: "-".join(f"{k}={v}" for k, v in b.items()),
     )
     def test_bad_budget_rejected_before_any_work(self, rad, canon_model, canon_cusp,
                                                  no_setup, budget):
         # without the entry checks these ended in IndexError, OverflowError,
-        # a math domain error or a NonConvergence over no domain at all
+        # a math domain error or a NonConvergence over no domain at all; a
+        # tolerance below machine epsilon ran four domains before failing
         (name,) = budget
         with pytest.raises(ValueError, match=rf"^{name} must be"):
-            FBD.run_shock_development(rad, canon_model, canon_cusp, eps=EPS, n=16, **budget)
+            FBD.run_shock_development(
+                rad, canon_model, canon_cusp, **{"eps": EPS, "n": 16, **budget}
+            )
 
 
 _DIAGNOSTICS = ("curve_asymptotics", "geometry_checks", "blowup_fits", "characteristic_residuals")

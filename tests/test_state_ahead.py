@@ -74,6 +74,16 @@ class TestCuspData:
         with pytest.raises(InconsistentCusp):
             SA.CuspData.from_physics(rad, **args)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("name", ["alpha0", "beta0", "dbeta_dt0", "alpha_ddot0", "xi"])
+    def test_rejects_non_finite_data(self, rad, name, value):
+        # a nan dbeta_dt0 once reached the solve and ended in an OutOfRange
+        # potential, and an infinite xi left the box at t = -inf
+        args = dict(kappa=1.0, lam=1.0, dbeta_dt0=0.3)
+        args[name] = value
+        with pytest.raises(InconsistentCusp, match=rf"^{name} must be finite, got"):
+            SA.CuspData.from_physics(rad, **args)
+
     def test_rejects_insensitive_sound_speed(self):
         # quadratic pressure correction tuned so the steepening coefficient
         # vanishes at the reference state: no alpha slope can refocus rays
@@ -150,6 +160,13 @@ class TestSynthesisOverrides:
     def test_constrained_slot_rejected(self, cusp, rad):
         with pytest.raises(InconsistentCusp):
             SA.synthesize_model(cusp, rad, eps=0.1, overrides={"alpha": {(0, 1): 5.0}})
+
+    @pytest.mark.parametrize("eps", [math.inf, math.nan, 0.0, -0.01])
+    def test_domain_must_be_finite_and_positive(self, cusp, rad, eps):
+        # an infinite eps gave an infinite validity box, so OutOfBox could
+        # never fire
+        with pytest.raises(ValueError, match=rf"^eps must be finite and positive, got {eps}"):
+            SA.synthesize_model(cusp, rad, eps=eps)
 
     def test_degree_and_slot_validation(self, cusp, rad):
         with pytest.raises(ValueError):
