@@ -77,11 +77,12 @@ def _print_summary(report: dict, stream) -> None:
 
 
 def cmd_run(args, cfg, stdout, stderr) -> int:
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     bundle = compute_bundle(cfg)
     report = full_report(cfg, bundle)
 
+    # made only once there is something to write, so a refused run leaves none
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     write_report(report, out_dir / cfg.report_json)
     if bundle.base is not None:
         write_grid_csv(bundle.base.fields, out_dir / cfg.grid_csv)

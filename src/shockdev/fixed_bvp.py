@@ -19,6 +19,10 @@ All quadrature is composite trapezoid (2nd order).  Column integrals that
 start on the diagonal are taken as differences of cumulative integrals from
 the axis; the integrand is zeroed outside the triangle, and the spurious
 below-diagonal contributions cancel exactly in the difference.
+
+Each full (n+1, n+1) grid stays bound only while a later line reads it,
+and one that no later line reads is written over in place where a new grid
+of its shape is due.
 """
 
 from __future__ import annotations
@@ -73,6 +77,9 @@ class TriGrid:
         self.nodes = np.linspace(0.0, self.eps, self.n + 1)
         idx = np.arange(self.n + 1)
         self.mask = idx[None, :] <= idx[:, None]
+        # nodes 1 <= j <= i - 1, where a centred v-stencil stays inside
+        self.v_inner = idx[None, :] < idx[:, None]
+        self.v_inner[:, 0] = False
 
     def __repr__(self) -> str:
         return f"TriGrid(eps={self.eps}, n={self.n})"
@@ -174,12 +181,13 @@ def gamma_inverse(
 
 # Cumulative trapezoid rule from 0 along v (the last axis), term for term
 # SciPy's cumulative_trapezoid(X, dx=delta, initial=0); along u (axis 0) it
-# is _ct_v(X.T, delta).T.
+# is _ct_v(X.T, delta).T.  With ``out = X`` it overwrites its integrand.
 
-def _ct_v(X: np.ndarray, delta: float) -> np.ndarray:
-    out = np.empty_like(X)
-    out[..., 0] = 0.0
+def _ct_v(X: np.ndarray, delta: float, out: np.ndarray | None = None) -> np.ndarray:
+    if out is None:
+        out = np.empty_like(X)
     body = np.add(X[..., 1:], X[..., :-1], out=out[..., 1:])
+    out[..., 0] = 0.0
     body *= delta
     body /= 2.0
     np.cumsum(body, axis=-1, out=body)
@@ -190,6 +198,11 @@ def _from_diag(CT: np.ndarray) -> np.ndarray:
     """Column integrals from the diagonal, CT[i, j] - CT[j, j], in place."""
     CT -= np.diagonal(CT).copy()
     return CT
+
+
+def _speed_part(state):
+    """The state's v and eta alone, all that its speeds and sources read."""
+    return state._replace(rho_tilde=None, rho=None, eta2=None)
 
 
 def _sup(X: np.ndarray, mask: np.ndarray) -> float:
@@ -223,10 +236,12 @@ def dv_grid(X: np.ndarray, grid: TriGrid) -> np.ndarray:
     d = grid.delta
     n = grid.n
     X = np.asarray(X, dtype=float)
-    out = np.zeros_like(X)
+    out = np.zeros(X.shape)
     if n >= 2:
-        inner = out[:, 1:-1]
-        np.subtract(X[:, 2:], X[:, :-2], out=inner, where=grid.mask[:, 2:])
+        # on the flattened rows: contiguous, where the row-wise view is not
+        inner = out.reshape(-1)[1:-1]
+        flat = X.reshape(-1)
+        np.subtract(flat[2:], flat[:-2], out=inner, where=grid.v_inner.reshape(-1)[1:-1])
         inner /= 2.0 * d
         i = np.arange(2, n + 1)
         out[i, 0] = (-3.0 * X[i, 0] + 4.0 * X[i, 1] - X[i, 2]) / (2.0 * d)
@@ -331,8 +346,10 @@ def _march_linear_t(mu_grid, nu_grid, gamma_inv_diag, dh_du, grid: TriGrid):
     dh = np.asarray(dh_du, dtype=float)
     dhl = dh.tolist()
     ginv = np.asarray(gamma_inv_diag, dtype=float).tolist()
+    # only mu's column integral starts above the diagonal; nu feeds row
+    # integrals from v = 0, whose entries j > i never reach an entry j < i
     mu = np.where(grid.mask, mu_grid, 0.0)
-    nu = np.where(grid.mask, nu_grid, 0.0)
+    nu = np.asarray(nu_grid, dtype=float)
 
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
         # K = -int_0^v nu dv' and L = int_v^u mu du' give e^{-K}, e^{-L},
@@ -361,10 +378,13 @@ def _march_linear_t(mu_grid, nu_grid, gamma_inv_diag, dh_du, grid: TriGrid):
         c *= gam
         W = np.add(1.0, c)
         np.reciprocal(W, out=W)
-        prod = np.empty_like(W)
+        # A_j on the flattened rows, whose contiguous pass needs no buffer;
+        # the wrapped entries j = 0 are then set to prod_0 = 1
+        prod = np.empty(W.shape)
+        flat = prod.reshape(-1)
+        np.subtract(1.0, c.reshape(-1)[:-1], out=flat[1:])
+        flat[1:] *= W.reshape(-1)[1:]
         prod[:, 0] = 1.0
-        np.subtract(1.0, c[:, :-1], out=prod[:, 1:])
-        prod[:, 1:] *= W[:, 1:]
         np.multiply.accumulate(prod, axis=1, out=prod)
         W *= np.divide(half, prod, out=c)
         gam_dh = np.multiply(gam, dh[:, None], out=c)
@@ -375,9 +395,11 @@ def _march_linear_t(mu_grid, nu_grid, gamma_inv_diag, dh_du, grid: TriGrid):
         emK_halfF_d = (np.diagonal(emK) * half * np.diagonal(F)).tolist()
         halfG_d = np.diagonal(halfG).tolist()
 
-        P = np.zeros_like(W)
-        Q = np.zeros_like(W)
+        # row i of P and Q is written over row i of prod and gam h', which
+        # no later row reads
+        P, Q = prod, gam_dh
         P[0, 0] = dhl[0]
+        Q[0, 0] = 0.0
         # S[j] = a(v_j) + int_{v_j}^{u_i} e^L nu P du' along column j without
         # the end-point term of row i, which hP (halfG P of the previous row,
         # then of this one) supplies; Fq and R are row buffers.  Each row is
@@ -392,12 +414,12 @@ def _march_linear_t(mu_grid, nu_grid, gamma_inv_diag, dh_du, grid: TriGrid):
         fq0, fq1, r = Fq[:-1], Fq[1:], R[1:]
         # out passed positionally: a keyword out costs more per call
         add, sub, mul, acc = np.add, np.subtract, np.multiply, np.add.accumulate
-        rows = zip(emL, gam_dh, F, W[:, 1:], prod[:, 1:], emK, gam, halfG, P, Q)
+        rows = zip(emL, F, W[:, 1:], prod[:, 1:], emK, gam, halfG, P, Q)
         next(rows)
-        for i, (el, gd, f, w, pr, ek, g, hg, p, q) in enumerate(rows, 1):
+        for i, (el, f, w, pr, ek, g, hg, p, q) in enumerate(rows, 1):
             add(S, hP, S)
-            mul(el, S, q)
-            add(q, gd, q)
+            mul(el, S, Fq)
+            add(Fq, q, q)
             mul(f, q, Fq)
             add(fq0, fq1, r)
             mul(r, w, r)
@@ -507,25 +529,39 @@ def solve_fixed_bvp(
     _check_nodes("boundary", bf.v, grid)
     d = grid.delta
     mask = grid.mask
+    outside = ~mask
     shape = (grid.n + 1, grid.n + 1)
     alpha_i = np.asarray(init.alpha_i, dtype=float)
     beta_p = bf.beta_plus()
 
-    def assemble(alpha, state):
+    def in_triangle(X):
+        """X with its entries outside the triangle set to 0, in place."""
+        np.copyto(X, 0.0, where=outside)
+        return X
+
+    def assemble(alpha, beta, sweep):
+        """t, P, Q, r and r - r0 at (alpha, beta), and for a sweep the state
+        its transport sources read."""
+        state = wave_state(eos, RiemannPair(alpha, beta))
         cp, cm = state.speeds()
+        # the re-assembly keeps no state
+        state = _speed_part(state) if sweep else None
         spread = cp - cm
-        # solve_linear_t zeroes both coefficients outside the triangle
+        # solve_linear_t reads no coefficient outside the triangle
         mu = du_grid(cp, grid)
         mu /= spread
         nu = dv_grid(cm, grid)
         nu /= spread
-        del spread
+        cm_edge = cm[:, 0].copy()
+        del spread, cm
         ginv = gamma_inverse(bf, np.diagonal(alpha).copy(), eos)
         t, P, Q = solve_linear_t(mu, nu, ginv, init.h, init.dh_du, grid)
-        s_edge = _ct_v((cm * P)[:, 0], d)
-        s = _ct_v(np.where(mask, cp * Q, 0.0), d)
+        del mu, nu
+        s_edge = _ct_v(cm_edge * P[:, 0], d)
+        # cp is read for the last time here
+        s = _ct_v(in_triangle(np.multiply(cp, Q, out=cp)), d, out=cp)
         s += s_edge[:, None]
-        return t, P, Q, bf.cusp.r0 + s, s
+        return t, P, Q, bf.cusp.r0 + s, s, state
 
     if warm is None:
         alpha = np.broadcast_to(alpha_i[:, None], shape).copy()
@@ -536,21 +572,20 @@ def solve_fixed_bvp(
     met = False
     prev = math.inf
     for _ in range(_MAX_SWEEPS if warm is None else 1):
-        # one state evaluation serves the speeds and the sources
-        state = wave_state(eos, RiemannPair(alpha, beta))
-        t, P, Q, r, s = assemble(alpha, state)
+        t, P, Q, r, s, state = assemble(alpha, beta, True)
         A, B = state.sources(r)
-        alpha_new = _ct_v(np.where(mask, Q * A, 0.0), d)
+        del state
+        # a cold sweep reads its P and Q for the last time here, so the new
+        # fields are formed in their storage; the warm sweep returns them
+        alpha_new = in_triangle(np.multiply(Q, A, out=Q if warm is None else None))
+        beta_new = in_triangle(np.multiply(P, B, out=P if warm is None else None))
+        del A, B
+        _ct_v(alpha_new, d, out=alpha_new)
         alpha_new += alpha_i[:, None]
-        beta_new = _from_diag(_ct_v(np.where(mask, P * B, 0.0).T, d).T)
+        _from_diag(_ct_v(beta_new.T, d, out=beta_new.T).T)
         beta_new += beta_p[None, :]
         if warm is None:
-            # t, P and Q stay bound until the next time solve has allocated
-            # its grids; released together with the rest, they let the
-            # allocator hand the heap top back to the system, and the next
-            # sweep faults those pages in again (3,300 rather than 6,200
-            # minor page faults per n = 256 interior solve on Linux/glibc)
-            del state, r, s, A, B
+            del t, P, Q, r, s
         change = max(_sup(alpha_new - alpha, mask), _sup(beta_new - beta, mask))
         alpha, beta = alpha_new, beta_new
         history.append(change)
@@ -581,7 +616,7 @@ def solve_fixed_bvp(
                 diverging=history[-1] > history[0],
             )
     if warm is None:
-        t, P, Q, r, s = assemble(alpha, wave_state(eos, RiemannPair(alpha, beta)))
+        t, P, Q, r, s, _ = assemble(alpha, beta, False)
     return FieldGrid(
         grid=grid,
         t=t,
@@ -617,29 +652,35 @@ def characteristic_residuals(
     """
     grid = fg.grid
     n = grid.n
-    idx = np.arange(n + 1)
-    I, J = idx[:, None], idx[None, :]
+    P, Q = fg.dt_du, fg.dt_dv
+    res = {}
+
+    def record(name, D, mask, dT, coef=None):
+        """The sup over ``mask`` of D - coef dT, formed in place in D."""
+        D -= dT if coef is None else coef * dT
+        res[name] = _sup(D, mask)
+
+    # one residual at a time, each releasing its grids before the next
+    state = _speed_part(wave_state(eos, RiemannPair(fg.alpha, fg.beta)))
+    A, B = state.sources(fg.r)
     # stencil validity: centered in v needs 1 <= j <= i - 1; centered in u
     # needs j + 1 <= i <= n - 1
-    mask_v = (J >= 1) & (J <= I - 1)
-    mask_u = (I >= J + 1) & (I <= n - 1)
-
-    state = wave_state(eos, RiemannPair(fg.alpha, fg.beta))
+    mask_v = grid.v_inner
+    mask_u = np.tri(n + 1, k=-1, dtype=bool)
+    mask_u[n] = False
+    alpha_i = np.asarray(init.alpha_i, dtype=float)[:, None]
+    record("alpha", dv_grid(fg.alpha - alpha_i, grid), mask_v, Q, A)
+    del A
+    record("beta", du_grid(fg.beta - bf.beta_plus()[None, :], grid), mask_u, P, B)
+    del B
     cp, cm = state.speeds()
-    A, B = state.sources(fg.r)
-
-    base_alpha = fg.alpha - np.asarray(init.alpha_i, dtype=float)[:, None]
-    base_beta = fg.beta - bf.beta_plus()[None, :]
-    base_r = fg.r_off
-
-    res = {
-        "alpha": _sup(dv_grid(base_alpha, grid) - fg.dt_dv * A, mask_v),
-        "beta": _sup(du_grid(base_beta, grid) - fg.dt_du * B, mask_u),
-        "radius_out": _sup(dv_grid(base_r, grid) - cp * fg.dt_dv, mask_v),
-        "radius_in": _sup(du_grid(base_r, grid) - cm * fg.dt_du, mask_u),
-        "time_out": _sup(dv_grid(fg.t, grid) - fg.dt_dv, mask_v),
-        "time_in": _sup(du_grid(fg.t, grid) - fg.dt_du, mask_u),
-    }
+    del state
+    record("radius_out", dv_grid(fg.r_off, grid), mask_v, Q, cp)
+    del cp
+    record("radius_in", du_grid(fg.r_off, grid), mask_u, P, cm)
+    del cm
+    record("time_out", dv_grid(fg.t, grid), mask_v, Q)
+    record("time_in", du_grid(fg.t, grid), mask_u, P)
     res["max"] = max(res.values())
     return res
 

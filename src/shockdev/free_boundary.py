@@ -506,11 +506,11 @@ def outer_iterate(bf: BoundaryFunctions, ctx: SolverContext, *, warm=None):
     """One outer step: fields -> identification -> jump -> new boundary data.
 
     Cold (``warm`` None), the fields come from the full inner solve and the
-    jump nodes from the cold root solve.  With ``warm = (fields, curve)`` of
-    the previous step, the fields come from one sweep started at its
-    (alpha, beta) (see :func:`solve_fixed_bvp`) and the jump nodes from one
-    Newton step from its beta_plus (see :func:`jump_update`); with
-    ``curve`` None, the jump nodes come from the cold root solve.
+    jump nodes from the cold root solve.  With ``warm = ((alpha, beta),
+    beta_plus)`` of the previous step, the fields come from one sweep
+    started at its (alpha, beta) (see :func:`solve_fixed_bvp`) and the jump
+    nodes from one Newton step from its beta_plus (see :func:`jump_update`);
+    with ``beta_plus`` None, the jump nodes come from the cold root solve.
 
     Returns:
         (next boundary functions, solved FieldGrid, ShockCurve sampled from
@@ -518,12 +518,7 @@ def outer_iterate(bf: BoundaryFunctions, ctx: SolverContext, *, warm=None):
     """
     cusp = ctx.model.cusp
     corner = ctx.corner
-    sweep_from = beta_prev = None
-    if warm is not None:
-        fg_prev, curve_prev = warm
-        sweep_from = (fg_prev.alpha, fg_prev.beta)
-        if curve_prev is not None:
-            beta_prev = curve_prev.beta_plus
+    sweep_from, beta_prev = (None, None) if warm is None else warm
     fg = solve_fixed_bvp(bf, ctx.init, ctx.model.eos, ctx.grid, warm=sweep_from)
     v = ctx.grid.nodes
     kt = ctx.trust_index
@@ -638,12 +633,13 @@ def _anderson_mix(window: list) -> np.ndarray:
 def _step(bf: BoundaryFunctions, ctx: SolverContext, warm=None):
     """G at ``bf`` by :func:`outer_iterate`, warm from ``warm`` when given.
 
-    ``warm`` is the previous step's (fields, curve), or (fields, None) for
-    the polish: the cold jump solve at a converged iterate, whose fields
-    are those of the warm step at ``bf`` itself.  The warm evaluation is
-    kept unless it raises NonConvergence or SingularGamma, or, for the
-    polish, its sweep moved the fields by more than ``rounding_floor``, the
-    floor the full inner solve stops on; otherwise the full step runs.
+    ``warm`` is the previous step's ((alpha, beta), beta_plus), or
+    ((alpha, beta), None) for the polish: the cold jump solve at a
+    converged iterate, whose fields are those of the warm step at ``bf``
+    itself.  The warm evaluation is kept unless it raises NonConvergence
+    or SingularGamma, or, for the polish, its sweep moved the fields by
+    more than ``rounding_floor``, the floor the full inner solve stops on;
+    otherwise the full step runs.
     Returns (step result, whether the warm evaluation was kept).
     """
     if warm is not None:
@@ -704,7 +700,9 @@ def _attempt(ctx: SolverContext, *, tol_outer: float, max_outer: int, seed_fn) -
     fg = curve = None
     inner_changes = []
     for k in range(max_outer):
-        warm_start = (fg, curve) if warm_ok else None
+        warm_start = ((fg.alpha, fg.beta), curve.beta_plus) if warm_ok else None
+        # a step reads no more of the step before it than warm_start
+        fg = curve = None
         try:
             (bf_next, fg, curve), warm = _step(bf, ctx, warm_start)
         except (NonConvergence, SingularGamma):
@@ -718,7 +716,9 @@ def _attempt(ctx: SolverContext, *, tol_outer: float, max_outer: int, seed_fn) -
             warm_ok = _first_ratio(fg.changes) <= _WARM_MAX_Q
         metric = boundary_difference(bf_next, bf)
         if warm and max(metric) < tol_outer:
-            (bf_next, fg, curve), warm = _step(bf, ctx, (fg, None))
+            warm_start = ((fg.alpha, fg.beta), None)
+            fg = curve = None
+            (bf_next, fg, curve), warm = _step(bf, ctx, warm_start)
             metric = boundary_difference(bf_next, bf)
             warm_ok = False  # should the polish miss, only full steps follow
         if not warm:

@@ -79,6 +79,13 @@ class TestConfigErrors:
             assert "setup error" in capsys.readouterr().err, entry
             assert not (out / "report.json").exists()
 
+    def test_refused_run_leaves_no_out_dir(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("SHOCKDEV_CUSP_KAPPA", "-1")
+        out = tmp_path / "d"
+        assert run_cli(["run", "--out", str(out)]) == 2
+        assert "setup error" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_sweep_invalid_values(self, capsys):
         assert run_cli(["sweep", "--n", "1"]) == 2
         # two nodes along the shock are too few for the corner fits

@@ -1,6 +1,7 @@
 """Tests for the characteristic-triangle inner solver."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -217,6 +218,18 @@ class TestGridDerivatives:
         X = rng.normal(size=(n + 1, n + 1))
         assert np.array_equal(FB.dv_grid(X, g), per_line_dv(X, g))
         assert np.array_equal(FB.du_grid(X, g), per_line_du(X, g))
+
+    @pytest.mark.parametrize("n", [3, 16, 257])
+    def test_reads_only_the_triangle(self, n, rng):
+        # bit for bit the per-line reference with NaN outside the triangle,
+        # which neither derivative may read
+        g = FB.TriGrid(EPS, n)
+        X = rng.normal(size=(n + 1, n + 1))
+        want_v, want_u = per_line_dv(X, g), per_line_du(X, g)
+        X[~g.mask] = math.nan
+        for layout in (X, np.asfortranarray(X)):
+            assert np.array_equal(FB.dv_grid(layout, g), want_v)
+            assert np.array_equal(FB.du_grid(layout, g), want_u)
 
     def test_quadratic_is_exact(self):
         g = FB.TriGrid(EPS, 8)
@@ -511,6 +524,11 @@ class TestSolveLinearT:
         mu[7, 7] = nu[7, 7] = 32.0
         nu[7, 6] = -32.0  # K(7, 7) = 0
         assert_matches_row_loop((mu, nu, np.full(n + 1, 0.5), g.nodes**2, 1.0 + g.nodes, g))
+
+    def test_matches_row_loop_in_column_major_layout(self):
+        # the march flattens its rows, whatever the inputs' memory order
+        g, mu, nu, ginv, h, dh, *_ = manufactured_case(16)
+        assert_matches_row_loop((np.asfortranarray(mu), np.asfortranarray(nu), ginv, h, dh, g))
 
     def test_inputs_are_not_modified(self):
         g, mu, nu, ginv, h, dh, *_ = manufactured_case(16)
@@ -986,6 +1004,45 @@ def centered_residuals(fg, eos, init, bf):
     }
     res["max"] = max(res.values())
     return res
+
+
+def traced_peak_grids(fn, n):
+    """(fn(), tracemalloc peak of the call in (n+1)^2 float64 grids)."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return out, (peak - base) / ((n + 1) ** 2 * 8)
+
+
+class TestLiveSet:
+    """Full grids alive at once in an n = 128 frozen-curve inner solve and
+    in its residual check: each grid is held only while a later line reads
+    it (24.4 and 14.3 grids when the solve held the whole state, both
+    speed grids and the previous sweep's t, P, Q)."""
+
+    N = 128
+
+    @pytest.fixture(scope="class")
+    def traced_solve(self, rad, cusp, model):
+        grid = FB.TriGrid(EPS, self.N)
+        init = SA.initial_data(model, rad, EPS, self.N)
+        bf = FB.BoundaryFunctions.seed(cusp, grid.nodes)
+        fg, peak = traced_peak_grids(lambda: FB.solve_fixed_bvp(bf, init, rad, grid), self.N)
+        return fg, bf, init, peak
+
+    def test_inner_solve_peak(self, traced_solve):
+        assert traced_solve[3] <= 17.0
+
+    def test_residual_check_peak(self, traced_solve, rad):
+        fg, bf, init, _ = traced_solve
+        _, peak = traced_peak_grids(
+            lambda: FB.characteristic_residuals(fg, rad, init, bf), self.N
+        )
+        assert peak <= 8.0
 
 
 class TestResiduals:
