@@ -286,22 +286,16 @@ def du_grid(X: np.ndarray, grid: TriGrid) -> np.ndarray:
 _NON_FINITE_T = "time solve produced non-finite values"
 
 
-def solve_linear_t(
-    mu_grid: np.ndarray,
-    nu_grid: np.ndarray,
-    gamma_inv_diag,
-    h,
-    dh_du,
-    grid: TriGrid,
-):
-    """Solve the linear problem for the time coordinate at frozen coefficients.
+def solve_linear_t(mu_grid: np.ndarray, nu_grid: np.ndarray, gamma_inv_diag, dh_du, grid: TriGrid):
+    """Solve the linear problem for the slopes of the time coordinate at
+    frozen coefficients.
 
     The derivative grids are the unknowns.  With P = dt/du, Q = dt/dv and
     the frozen coefficients mu = (dc+/du)/(c+ - c-), nu = (dc-/dv)/(c+ - c-),
     the cross-derivative relation turns into the pair of Volterra equations
 
-        P(u, v) = e^{-K} [h'(u) - int_0^v e^{K} mu Q dv'],  K = int_0^v (-nu) dv'
-        Q(u, v) = e^{-L} [a(v) + int_v^u e^{L} nu P du'],   L = int_v^u mu du'
+        P(u, v) = e^{k} [h'(u) - int_0^v e^{-k} mu Q dv'],  k = int_0^v nu dv'
+        Q(u, v) = e^{-l} [a(v) + int_v^u e^{l} nu P du'],   l = int_v^u mu du'
 
     closed on the diagonal by a(v) = P(v, v) / gamma(v), with a(0) = 0 and
     a = 0 wherever P(v, v) = 0 (where gamma_inv may be +inf).  The
@@ -309,73 +303,80 @@ def solve_linear_t(
     the rows u_i solves it directly, with no tolerance: the column integrals
     advance by one panel per row, the row integral obeys a first-order
     linear recurrence along the row (the end-point weight couples P and Q
-    at each node), and the diagonal node closes through gamma_inv.  t is
-    reconstructed last so the data t(u, 0) = h(u) is exact at the nodes.
-
-    Every product that does not change along the march (the recurrence
-    weights and gamma h'(u_i)) is formed once on the whole grid; a row then
-    costs fourteen in-place NumPy calls on whole-row views and preallocated
-    buffers, and the diagonal node is closed in Python floats.  Every value
-    comes from the same floating-point operations, in the same order, as
-    in a loop that forms each row's products inside the loop, so the two
-    agree bit for bit.
+    at each node), and the diagonal node closes through gamma_inv.  The
+    march works in the scaled variables of :func:`_march_linear_t`, in
+    seven in-place NumPy calls per row, and closes the diagonal node in
+    Python floats.  t itself, h(u) + int_0^v Q dv', is left to the caller
+    that keeps it (:func:`_t_grid`).
 
     Returns:
-        (t, P, Q) as (n+1, n+1) arrays; P and Q are 0 outside the triangle
-        (j > i), and t continues its diagonal value there.
+        (P, Q) as (n+1, n+1) arrays, 0 outside the triangle (j > i).
 
     Raises:
         NonConvergence: non-finite values in the triangle, including an
             infinite gamma_inv at a node v > 0 whose diagonal P is nonzero,
             or a diagonal closure whose denominator vanishes.
     """
-    # the march's coefficient grids are released before t is formed
     P, Q = _march_linear_t(mu_grid, nu_grid, gamma_inv_diag, dh_du, grid)
     if not (np.isfinite(P).all() and np.isfinite(Q).all()):
         raise NonConvergence(_NON_FINITE_T, diverging=True)
-    t = _ct_v(Q, grid.delta)
+    return P, Q
+
+
+def _t_grid(h, Q: np.ndarray, delta: float) -> np.ndarray:
+    """t = h(u) + int_0^v Q dv', so the data t(u, 0) = h(u) is exact at the nodes."""
+    t = _ct_v(Q, delta)
     t += np.asarray(h, dtype=float)[:, None]
-    return t, P, Q
+    return t
 
 
 def _march_linear_t(mu_grid, nu_grid, gamma_inv_diag, dh_du, grid: TriGrid):
     """P and Q of :func:`solve_linear_t`, 0 outside the triangle and not
-    yet checked for finiteness."""
+    yet checked for finiteness.
+
+    With the integrating factors carried in scaled variables, F' = e^{-k-l}
+    mu and G' = half e^{k+l} nu, row i off the diagonal has P = e^{k}
+    (h'(u_i) - R) and Q = e^{-l} (U - G' R): R is the trapezoid row integral
+    of F' (U - G' R) from v = 0, and U is a(v) plus the trapezoid column
+    integral of e^{l} nu P from the diagonal, whose end-point term of row
+    i, G' (h'(u_i) - R), enters U only as G' h'(u_i).  So
+    R_j (1 + c_j) = R_{j-1} (1 - c_{j-1}) + half ((F'U)_{j-1} + (F'U)_j)
+    with c = half F' G', and rho = R / prod is the cumulative sum of W_j
+    ((F'U)_{j-1} + (F'U)_j), with prod_j = A_1...A_j, A_j = (1 - c_{j-1}) /
+    (1 + c_j) and W_j = half / ((1 + c_j) prod_j); the next row's U is
+    U + D_i - 2 G' prod rho with D_i = G' h'(u_i) + G'_{i+1} h'(u_{i+1}).
+    Every product that does not change along the march is formed once on
+    the whole grid; a row then costs seven NumPy calls on whole-row views,
+    and P and Q are formed from rho and U once after the march.
+    """
     n = grid.n
     half = 0.5 * grid.delta
     dh = np.asarray(dh_du, dtype=float)
     dhl = dh.tolist()
     ginv = np.asarray(gamma_inv_diag, dtype=float).tolist()
     # only mu's column integral starts above the diagonal; nu feeds row
-    # integrals from v = 0, whose entries j > i never reach an entry j < i
+    # integrals from v = 0, whose entries j > i never reach an entry j < i.
+    # Both are taken in row-major order, which the flattened passes read.
     mu = np.where(grid.mask, mu_grid, 0.0)
-    nu = np.asarray(nu_grid, dtype=float)
+    nu = np.ascontiguousarray(nu_grid, dtype=float)
 
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-        # K = -int_0^v nu dv' and L = int_v^u mu du' give e^{-K}, e^{-L},
-        # F = e^{K} mu and halfG = half e^{L} nu, each formed in place
-        F = _ct_v(nu, grid.delta)
-        emK = np.exp(F)
-        np.negative(F, out=F)
-        np.exp(F, out=F)
-        F *= mu
-        halfG = _from_diag(_ct_v(mu.T, grid.delta).T)
-        del mu
-        emL = np.negative(halfG)
-        np.exp(emL, out=emL)
-        np.exp(halfG, out=halfG)
-        halfG *= half
-        halfG *= nu
-        del nu
-        # Off the diagonal of row i, P = e^{-K} (h' - R) and Q = q - gam R,
-        # with R the row integral and q the value of Q at R = 0.  Then
-        # R_j = A_j R_{j-1} + half ((F q)_{j-1} + (F q)_j) / (1 + c_j) with
-        # A_j = (1 - c_{j-1}) / (1 + c_j), so R_j = prod_j sum_{k <= j} W_k
-        # ((F q)_{k-1} + (F q)_k), prod_j = A_1...A_j, W_k = half / ((1 + c_k) prod_k).
-        gam = emL * halfG
-        gam *= emK
-        c = half * F
-        c *= gam
+        # e^{k} and e^{-l}, the only two exponentials; then F' in mu's
+        # storage and G'
+        ek = _ct_v(nu, grid.delta)
+        np.exp(ek, out=ek)
+        el = _from_diag(_ct_v(mu.T, grid.delta).T)
+        np.negative(el, out=el)
+        np.exp(el, out=el)
+        F = mu
+        F *= el
+        F /= ek
+        G = np.multiply(nu, ek)
+        G /= el
+        G *= half
+        del mu, nu
+        c = np.multiply(F, G)
+        c *= half
         W = np.add(1.0, c)
         np.reciprocal(W, out=W)
         # A_j on the flattened rows, whose contiguous pass needs no buffer;
@@ -387,62 +388,75 @@ def _march_linear_t(mu_grid, nu_grid, gamma_inv_diag, dh_du, grid: TriGrid):
         prod[:, 0] = 1.0
         np.multiply.accumulate(prod, axis=1, out=prod)
         W *= np.divide(half, prod, out=c)
-        gam_dh = np.multiply(gam, dh[:, None], out=c)
-        del c
+        # rho is written over W's rows, and rho_0 = 0 is never written
+        W[:, 0] = 0.0
         # the diagonal closure, in Python floats
-        emK_d = np.diagonal(emK).tolist()
+        ek_d = np.diagonal(ek).tolist()
         halfF_sub = (half * np.diagonal(F, -1)).tolist()
-        emK_halfF_d = (np.diagonal(emK) * half * np.diagonal(F)).tolist()
-        halfG_d = np.diagonal(halfG).tolist()
+        halfF_ek_d = (half * np.diagonal(F) * np.diagonal(ek)).tolist()
+        G_d = np.diagonal(G).tolist()
+        G_sub = np.diagonal(G, -1).tolist()
+        Gh_next = (np.diagonal(G, -1) * dh[1:]).tolist() + [0.0]
+        prod_sub = np.diagonal(prod, -1).tolist()
+        # D_i in c's storage, by a forward pass on the flattened rows that
+        # reads each row before it is written; row i of Z then holds U_{i+1}
+        Z = np.multiply(G, dh[:, None], out=c)
+        zf = Z.reshape(-1)
+        np.add(zf[: -(n + 1)], zf[n + 1 :], out=zf[: -(n + 1)])
+        del c, zf
+        # 2 G' prod, in G's storage
+        G *= prod
+        G *= 2.0
 
-        # row i of P and Q is written over row i of prod and gam h', which
-        # no later row reads
-        P, Q = prod, gam_dh
-        P[0, 0] = dhl[0]
-        Q[0, 0] = 0.0
-        # S[j] = a(v_j) + int_{v_j}^{u_i} e^L nu P du' along column j without
-        # the end-point term of row i, which hP (halfG P of the previous row,
-        # then of this one) supplies; Fq and R are row buffers.  Each row is
-        # computed at full length, on whole-row views: its entries j >= i
-        # feed no entry j < i, the diagonal one is closed below, and those
-        # beyond the diagonal are zeroed after the march.
-        S = np.zeros(n + 1)
-        hP = np.zeros(n + 1)
-        hP[0] = halfG_d[0] * dhl[0]
-        Fq = np.empty(n + 1)
-        R = np.zeros(n + 1)
-        fq0, fq1, r = Fq[:-1], Fq[1:], R[1:]
+        p_d = [dhl[0]]
+        q_d = [0.0]
+        # Each row is computed at full length, on whole-row views: its
+        # entries j >= i feed no entry j < i, the diagonal one is closed
+        # below, and those beyond the diagonal are zeroed after the march.
+        # The last row's update writes U_{n+1}, which nothing reads.
+        FU = np.empty(n + 1)
+        ps = np.empty(n)
+        fu0, fu1 = FU[:-1], FU[1:]
+        T = np.empty(n + 1)
         # out passed positionally: a keyword out costs more per call
         add, sub, mul, acc = np.add, np.subtract, np.multiply, np.add.accumulate
-        rows = zip(emL, F, W[:, 1:], prod[:, 1:], emK, gam, halfG, P, Q)
-        next(rows)
-        for i, (el, f, w, pr, ek, g, hg, p, q) in enumerate(rows, 1):
-            add(S, hP, S)
-            mul(el, S, Fq)
-            add(Fq, q, q)
-            mul(f, q, Fq)
-            add(fq0, fq1, r)
-            mul(r, w, r)
+        rows = zip(F[1:], Z, Z[1:], W[1:], W[1:, 1:], G[1:])
+        for i, (f, u, z, rho, r, g2) in enumerate(rows, 1):
+            mul(f, u, FU)
+            add(fu0, fu1, ps)
+            mul(ps, r, r)
             acc(r, 0, None, r)
-            mul(r, pr, r)
-            sub(dhl[i], R, p)
-            mul(p, ek, p)
-            mul(g, R, hP)
-            sub(q, hP, q)
-            mul(hg, p, hP)
-            add(S, hP, S)
-            b = emK_d[i] * (dhl[i] - R.item(i - 1) - halfF_sub[i - 1] * q.item(i - 1))
+            mul(g2, rho, T)
+            sub(z, T, z)
+            add(z, u, z)
+            # R and U - G'R at the node before the diagonal close it
+            R = prod_sub[i - 1] * rho.item(i - 1)
+            b = dhl[i] - R - halfF_sub[i - 1] * (u.item(i - 1) - G_sub[i - 1] * R)
             # an infinite gamma_inv leaves Q = NaN here unless b = 0
-            p_ii = q_ii = 0.0
+            pt = p_ii = q_ii = 0.0
             if b != 0.0:
-                den = 1.0 + emK_halfF_d[i] * ginv[i]
+                den = 1.0 + halfF_ek_d[i] * ginv[i]
                 if den == 0.0:
                     raise NonConvergence(_NON_FINITE_T, diverging=True)
-                p_ii = b / den
+                pt = b / den
+                p_ii = ek_d[i] * pt
                 q_ii = ginv[i] * p_ii
-            p[i], q[i] = p_ii, q_ii
-            hP[i] = halfG_d[i] * p_ii
-            S[i] = q_ii
+            p_d.append(p_ii)
+            q_d.append(q_ii)
+            z[i] = q_ii + G_d[i] * pt + Gh_next[i]
+
+        # P = e^{k} (h' - prod rho) in prod's storage, and Q = e^{-l}
+        # (U - G' prod rho) in G's, row i of Q from row i - 1 of Z
+        prod *= W
+        P = np.subtract(dh[:, None], prod, out=prod)
+        P *= ek
+        Q = G
+        Q *= W
+        Q *= 0.5
+        np.subtract(Z[:-1], Q[1:], out=Q[1:])
+        Q *= el
+        np.fill_diagonal(P, p_d)
+        np.fill_diagonal(Q, q_d)
         outside = ~grid.mask
         np.copyto(P, 0.0, where=outside)
         np.copyto(Q, 0.0, where=outside)
@@ -483,8 +497,9 @@ class FieldGrid:
 
 
 def _check_nodes(name: str, got: np.ndarray, grid: TriGrid) -> None:
-    if got.shape != grid.nodes.shape or not np.allclose(
-        got, grid.nodes, rtol=0.0, atol=1e-14 * grid.eps
+    # a NaN deviation fails the comparison, so NaN and +-inf samples are rejected
+    if got.shape != grid.nodes.shape or not (
+        np.max(np.abs(got - grid.nodes)) <= 1e-14 * grid.eps
     ):
         raise ValueError(f"{name} samples are not on the grid nodes")
 
@@ -540,7 +555,7 @@ def solve_fixed_bvp(
         return X
 
     def assemble(alpha, beta, sweep):
-        """t, P, Q, r and r - r0 at (alpha, beta), and for a sweep the state
+        """P, Q, r and r - r0 at (alpha, beta), and for a sweep the state
         its transport sources read."""
         state = wave_state(eos, RiemannPair(alpha, beta))
         cp, cm = state.speeds()
@@ -555,13 +570,13 @@ def solve_fixed_bvp(
         cm_edge = cm[:, 0].copy()
         del spread, cm
         ginv = gamma_inverse(bf, np.diagonal(alpha).copy(), eos)
-        t, P, Q = solve_linear_t(mu, nu, ginv, init.h, init.dh_du, grid)
+        P, Q = solve_linear_t(mu, nu, ginv, init.dh_du, grid)
         del mu, nu
         s_edge = _ct_v(cm_edge * P[:, 0], d)
         # cp is read for the last time here
         s = _ct_v(in_triangle(np.multiply(cp, Q, out=cp)), d, out=cp)
         s += s_edge[:, None]
-        return t, P, Q, bf.cusp.r0 + s, s, state
+        return P, Q, bf.cusp.r0 + s, s, state
 
     if warm is None:
         alpha = np.broadcast_to(alpha_i[:, None], shape).copy()
@@ -572,7 +587,7 @@ def solve_fixed_bvp(
     met = False
     prev = math.inf
     for _ in range(_MAX_SWEEPS if warm is None else 1):
-        t, P, Q, r, s, state = assemble(alpha, beta, True)
+        P, Q, r, s, state = assemble(alpha, beta, True)
         A, B = state.sources(r)
         del state
         # a cold sweep reads its P and Q for the last time here, so the new
@@ -585,7 +600,7 @@ def solve_fixed_bvp(
         _from_diag(_ct_v(beta_new.T, d, out=beta_new.T).T)
         beta_new += beta_p[None, :]
         if warm is None:
-            del t, P, Q, r, s
+            del P, Q, r, s
         change = max(_sup(alpha_new - alpha, mask), _sup(beta_new - beta, mask))
         alpha, beta = alpha_new, beta_new
         history.append(change)
@@ -596,7 +611,7 @@ def solve_fixed_bvp(
                 diverging=True,
             )
         if warm is not None:
-            # returns the warm sweep's own t, P, Q and r with the new fields
+            # returns the warm sweep's own P, Q and r with the new fields
             break
         if met and change >= prev:
             break
@@ -616,10 +631,11 @@ def solve_fixed_bvp(
                 diverging=history[-1] > history[0],
             )
     if warm is None:
-        t, P, Q, r, s, _ = assemble(alpha, beta, False)
+        P, Q, r, s, _ = assemble(alpha, beta, False)
+    # only the returned Q is integrated for t: a cold sweep discards its t
     return FieldGrid(
         grid=grid,
-        t=t,
+        t=_t_grid(init.h, Q, d),
         r=r,
         r_off=s,
         alpha=alpha,

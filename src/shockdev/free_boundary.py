@@ -536,10 +536,9 @@ def outer_iterate(bf: BoundaryFunctions, ctx: SolverContext, *, warm=None):
 
     delta_hat = np.empty_like(v)
     delta_hat[1:] = (g[1:] - cusp.c_plus0 * f[1:]) / v[1:] ** 3
+    # identification reads delta_hat[1:] only; the corner value of a curve
+    # that a solve returns is fitted once, by _fit_corner_value
     delta_hat = _corner_fill(v, delta_hat, kt, anchor, 0.0, corner.deltahat1)
-    # the reported corner value stays a genuine extrapolation from trusted
-    # nodes (its smallness is a diagnostic, so it must not be imposed)
-    delta_hat[0] = fitting.extrapolate_to_zero(v[kt:], delta_hat[kt:])
 
     y = solve_identification(ctx.model, v, f_hat, delta_hat)
     z = v * y
@@ -588,6 +587,16 @@ def outer_iterate(bf: BoundaryFunctions, ctx: SolverContext, *, warm=None):
         speed_trust_index=kt_v,
     )
     return bf_next, fg, curve
+
+
+def _fit_corner_value(curve: ShockCurve) -> None:
+    """Set the reported delta_hat(0) of a returned curve, in place.
+
+    It stays a genuine extrapolation from the trusted nodes (its smallness
+    is a diagnostic, so it must not be imposed).
+    """
+    kt = curve.trust_index
+    curve.delta_hat[0] = fitting.extrapolate_to_zero(curve.v[kt:], curve.delta_hat[kt:])
 
 
 def boundary_difference(a: BoundaryFunctions, b: BoundaryFunctions):
@@ -726,6 +735,9 @@ def _attempt(ctx: SolverContext, *, tol_outer: float, max_outer: int, seed_fn) -
         history.append(metric)
         worst = max(metric)
         if worst < tol_outer:
+            # an outer map that samples no curve leaves none to complete
+            if curve is not None:
+                _fit_corner_value(curve)
             return dict(
                 boundary=bf_next,
                 fields=fg,

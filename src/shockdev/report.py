@@ -483,9 +483,15 @@ def _check_grid_convergence(cfg, bundle):
         base = _need(bundle.base, bundle.errors, "base")
         half = _need(bundle.half_n, bundle.errors, "half_n")
         double = _need(bundle.double_n, bundle.errors, "double_n")
-        res = [
-            s.diagnostics["residuals"]["max"] for s in (half, base, double)
-        ]
+
+        def residual_max(s):
+            # of the half_n and double_n solves only the residuals are read
+            ctx = s.context
+            return free_boundary.characteristic_residuals(
+                s.fields, ctx.model.eos, ctx.init, s.boundary
+            )["max"]
+
+        res = [residual_max(half), base.diagnostics["residuals"]["max"], residual_max(double)]
         res_orders = [math.log2(res[0] / res[1]), math.log2(res[1] / res[2])]
         curve = _curve_orders(half, base, double)
         gates = {"f": 1.8, "g": 1.8, "y": 1.5, "V": 1.5}

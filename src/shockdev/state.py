@@ -163,9 +163,15 @@ class WaveState(NamedTuple):
         r_a = np.asarray(r, dtype=float)
         if np.any(r_a <= 0):
             raise OutOfRange("source terms need r > 0")
-        ve = self.v * self.eta
-        common = -2.0 * ve / r_a
-        return _lane_result(common / (1.0 + ve)), _lane_result(common / (1.0 - ve))
+        # A in the storage of 1 + v eta, then B in common's, so the call
+        # holds three grids of the result's shape at most
+        ve = np.asarray(self.v * self.eta)
+        common = np.asarray(-2.0 * ve / r_a)
+        A = np.add(1.0, ve, out=np.empty_like(common))
+        np.divide(common, A, out=A)
+        np.subtract(1.0, ve, out=ve)
+        B = np.divide(common, ve, out=common)
+        return _lane_result(A), _lane_result(B)
 
     def pressure(self, eos: eos_mod.BarotropicEos):
         """Pressure at the (already checked) density."""

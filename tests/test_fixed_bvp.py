@@ -285,16 +285,16 @@ def manufactured_case(n, eps=0.5):
     return g, mu, nu, ginv, h, dh, P_ex, Q_ex, t_ex
 
 
-def picard_linear_t(mu_grid, nu_grid, gamma_inv_diag, h, dh_du, grid, tol=1e-12, max_iter=400):
+def picard_linear_t(mu_grid, nu_grid, gamma_inv_diag, dh_du, grid, tol=1e-12, max_iter=400):
     """Reference: the time solve by Picard iteration of the discrete pair.
 
     Iterates the trapezoid-discretized Volterra pair from Q = 0 until the
     sup-norm change drops below ``tol``, then polishes while it still
     strictly decreases; the direct march must reproduce this fixed point.
+    Returns (P, Q).
     """
     d = grid.delta
     mask = grid.mask
-    h = np.asarray(h, dtype=float)
     dh = np.asarray(dh_du, dtype=float)
     ginv = np.asarray(gamma_inv_diag, dtype=float)
     mu = np.where(mask, mu_grid, 0.0)
@@ -338,23 +338,23 @@ def picard_linear_t(mu_grid, nu_grid, gamma_inv_diag, h, dh_du, grid, tol=1e-12,
     else:
         if not met:
             raise NonConvergence("budget exhausted", history)
-    t = h[:, None] + ct_v(np.where(mask, Q, 0.0))
-    return t, P, Q
+    return P, Q
 
 
-def row_loop_linear_t(mu_grid, nu_grid, gamma_inv_diag, h, dh_du, grid):
-    """Reference: the direct march with every row product formed in the loop.
+def row_loop_linear_t(mu_grid, nu_grid, gamma_inv_diag, dh_du, grid):
+    """Reference: the direct march in unscaled variables, every row product
+    formed in the loop.
 
-    The package's former time solve, kept as the oracle of the precomputed
-    march: the same trapezoid system, diagonal closure and floating-point
-    operations, with about 22 NumPy calls per row, the products formed in
-    the loop and the diagonal node closed in NumPy scalars.
+    The package's former time solve: the same trapezoid system and
+    diagonal closure with the integrating factors e^{+-K}, e^{+-L} taken
+    apart (four exponentials), about 22 NumPy calls per row and the
+    diagonal node closed in NumPy scalars.  The scaled march agrees with it
+    to rounding.  Returns (P, Q).
     """
     n = grid.n
     d = grid.delta
     half = 0.5 * d
     mask = grid.mask
-    h = np.asarray(h, dtype=float)
     dh = np.asarray(dh_du, dtype=float)
     ginv = np.asarray(gamma_inv_diag, dtype=float)
     mu = np.where(mask, mu_grid, 0.0)
@@ -392,29 +392,86 @@ def row_loop_linear_t(mu_grid, nu_grid, gamma_inv_diag, h, dh_du, grid):
             S[i] = Q[i, i]
     if not (np.isfinite(P[mask]).all() and np.isfinite(Q[mask]).all()):
         raise NonConvergence("time solve produced non-finite values", diverging=True)
-    t = h[:, None] + cumulative_trapezoid(Q, dx=d, axis=1, initial=0.0)
-    return t, P, Q
+    return P, Q
 
 
-def assert_matches_row_loop(args):
-    # bit for bit: the precomputed march does the loop's arithmetic
+def scaled_row_loop_linear_t(mu_grid, nu_grid, gamma_inv_diag, dh_du, grid):
+    """Reference: the scaled march with every row product formed in the loop.
+
+    The oracle of the precomputed march: the same scaled variables
+    (F' = e^{-k-l} mu, G' = half e^{k+l} nu, U = S + G' h'(u_i), rho =
+    R / prod), floating-point operations and diagonal closure, on the
+    triangle part of each row only, with the diagonal node closed in NumPy
+    scalars.  Returns (P, Q).
+    """
+    n = grid.n
+    d = grid.delta
+    half = 0.5 * d
+    mask = grid.mask
+    dh = np.asarray(dh_du, dtype=float)
+    ginv = np.asarray(gamma_inv_diag, dtype=float)
+    mu = np.where(mask, mu_grid, 0.0)
+    nu = np.where(mask, nu_grid, 0.0)
+    ek = np.exp(cumulative_trapezoid(nu, dx=d, axis=1, initial=0.0))
+    CT = cumulative_trapezoid(mu, dx=d, axis=0, initial=0.0)
+    el = np.exp(-(CT - np.diagonal(CT)[None, :]))
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+        F = mu * el / ek
+        G = nu * ek / el * half
+        c = F * G * half
+        W = 1.0 / (1.0 + c)
+        prod = np.cumprod(np.hstack([np.ones((n + 1, 1)), (1.0 - c[:, :-1]) * W[:, 1:]]), axis=1)
+        W *= half / prod
+        G2P = G * prod * 2.0
+        P = np.zeros_like(F)
+        Q = np.zeros_like(F)
+        P[0, 0] = dh[0]
+        U = np.zeros(n + 1)
+        U[0] = G[0, 0] * dh[0] + G[1, 0] * dh[1]
+        for i in range(1, n + 1):
+            FU = F[i, :i] * U[:i]
+            rho = np.zeros(i)
+            rho[1:] = np.cumsum((FU[:-1] + FU[1:]) * W[i, 1:i])
+            P[i, :i] = ek[i, :i] * (dh[i] - prod[i, :i] * rho)
+            Q[i, :i] = el[i, :i] * (U[:i] - G2P[i, :i] * rho * 0.5)
+            R = prod[i, i - 1] * rho[-1]
+            b = dh[i] - R - half * F[i, i - 1] * (U[i - 1] - G[i, i - 1] * R)
+            pt = 0.0
+            if b != 0.0:
+                pt = b / (1.0 + half * F[i, i] * ek[i, i] * ginv[i])
+                P[i, i] = ek[i, i] * pt
+                Q[i, i] = ginv[i] * P[i, i]
+            if i < n:
+                D = G[i, :i] * dh[i] + G[i + 1, :i] * dh[i + 1]
+                U[:i] = D - G2P[i, :i] * rho + U[:i]
+                U[i] = Q[i, i] + G[i, i] * pt + G[i + 1, i] * dh[i + 1]
+    if not (np.isfinite(P[mask]).all() and np.isfinite(Q[mask]).all()):
+        raise NonConvergence("time solve produced non-finite values", diverging=True)
+    return P, Q
+
+
+def assert_matches_row_loops(args):
+    """The march against both row loops: bit for bit against the scaled
+    loop, whose arithmetic it does, and within 1e-14 of each field's max
+    on the triangle against the unscaled loop."""
     got = FB.solve_linear_t(*args)
-    want = row_loop_linear_t(*args)
-    for x, y in zip(got, want):
-        assert np.array_equal(x, y)
     mask = args[-1].mask
-    assert not np.any(got[1][~mask]) and not np.any(got[2][~mask])
+    for x, y in zip(got, scaled_row_loop_linear_t(*args)):
+        assert np.array_equal(x, y)
+    for x, y in zip(got, row_loop_linear_t(*args)):
+        assert np.max(np.abs(x - y)[mask]) <= 1e-14 * np.max(np.abs(y[mask]))
+    assert not np.any(got[0][~mask]) and not np.any(got[1][~mask])
 
 
 def zero_denominator_case(n=16):
-    """Coefficients whose diagonal closure 1 + e^{-K} half F gamma_inv is
-    exactly 0 at node 7: nu = 0 (so K = 0), mu = 1 and delta a power of 2."""
+    """Coefficients whose diagonal closure 1 + e^{k} half F' gamma_inv is
+    exactly 0 at node 7: nu = 0 (so k = 0), mu = 1 and delta a power of 2."""
     g = FB.TriGrid(1.0, n)
     mu = np.ones((n + 1, n + 1))
     nu = np.zeros((n + 1, n + 1))
     ginv = np.full(n + 1, 0.5)
     ginv[7] = -1.0 / (0.5 * g.delta)
-    return mu, nu, ginv, g.nodes**2, 1.0 + g.nodes, g
+    return mu, nu, ginv, 1.0 + g.nodes, g
 
 
 def frozen_curve_args(rad, cusp, model, n):
@@ -446,6 +503,11 @@ def assert_matches_picard(args):
         assert np.max(np.abs(x - y)[grid.mask]) <= 1e-13 * scale
 
 
+def t_of(h, Q, grid):
+    """t = h(u) + int_0^v Q dv', as the inner solve forms it."""
+    return np.asarray(h)[:, None] + cumulative_trapezoid(Q, dx=grid.delta, axis=1, initial=0.0)
+
+
 class TestSolveLinearT:
     def test_decoupled_is_exact(self, rad, cusp, model):
         n = 32
@@ -453,21 +515,18 @@ class TestSolveLinearT:
         init = SA.initial_data(model, rad, EPS, n)
         zero = np.zeros((n + 1, n + 1))
         ginv = 1.0 + g.nodes
-        t, P, Q = FB.solve_linear_t(zero, zero, ginv, init.h, init.dh_du, g)
+        P, Q = FB.solve_linear_t(zero, zero, ginv, init.dh_du, g)
         dh = np.asarray(init.dh_du)
         a = dh * ginv
         a[0] = 0.0
         assert np.array_equal(P, np.where(g.mask, dh[:, None], 0.0))
         assert np.array_equal(Q, np.where(g.mask, a[None, :], 0.0))
-        t_manual = np.asarray(init.h)[:, None] + cumulative_trapezoid(
-            np.where(g.mask, Q, 0.0), dx=g.delta, axis=1, initial=0.0
-        )
-        assert np.array_equal(t, t_manual)
+        assert np.array_equal(FB._t_grid(init.h, Q, g.delta), t_of(init.h, Q, g))
 
     @pytest.mark.parametrize("n", [16, 64])
     def test_matches_picard_manufactured(self, n):
         g, mu, nu, ginv, h, dh, *_ = manufactured_case(n)
-        assert_matches_picard((mu, nu, ginv, h, dh, g))
+        assert_matches_picard((mu, nu, ginv, dh, g))
 
     @pytest.mark.parametrize("n", [16, 64])
     def test_matches_picard_frozen_curve(self, rad, cusp, model, n):
@@ -479,73 +538,86 @@ class TestSolveLinearT:
     @pytest.mark.parametrize("n", [16, 64, 256])
     def test_matches_row_loop_manufactured(self, n):
         g, mu, nu, ginv, h, dh, *_ = manufactured_case(n)
-        assert_matches_row_loop((mu, nu, ginv, h, dh, g))
+        assert_matches_row_loops((mu, nu, ginv, dh, g))
 
     @pytest.mark.parametrize("n", [16, 64, 256])
     def test_matches_row_loop_frozen_curve(self, rad, cusp, model, n):
         calls = frozen_curve_args(rad, cusp, model, n)
         for args in (calls[0], calls[-1]):
-            assert_matches_row_loop(args)
+            assert_matches_row_loops(args)
 
     def test_special_nodes_match_row_loop(self):
-        # gamma_inv = +inf with b != 0: both raise; with b = 0 (all data
-        # zero): both close the node to 0
+        # gamma_inv = +inf with b != 0: all raise; with b = 0 (all data
+        # zero): all close the node to 0
         g, mu, nu, ginv, h, dh, *_ = manufactured_case(16)
         ginv = ginv.copy()
         ginv[6] = math.inf
-        for solve in (FB.solve_linear_t, row_loop_linear_t):
+        for solve in (FB.solve_linear_t, scaled_row_loop_linear_t, row_loop_linear_t):
             with pytest.raises(NonConvergence) as exc:
-                solve(mu, nu, ginv, h, dh, g)
+                solve(mu, nu, ginv, dh, g)
             assert exc.value.diverging
-        zeros = np.zeros(17)
-        assert_matches_row_loop((mu, nu, np.full(17, math.inf), zeros, zeros, g))
+        assert_matches_row_loops((mu, nu, np.full(17, math.inf), np.zeros(17), g))
 
     def test_zero_denominator_raises_non_convergence(self):
         args = zero_denominator_case()
         assert 1.0 + 0.5 * args[-1].delta * args[2][7] == 0.0
-        for solve in (FB.solve_linear_t, row_loop_linear_t):
+        for solve in (FB.solve_linear_t, scaled_row_loop_linear_t, row_loop_linear_t):
             with pytest.raises(NonConvergence) as exc:
                 solve(*args)
             assert exc.value.diverging
-        # one node short of it, the closure is finite and both agree
-        mu, nu, ginv, h, dh, g = args
+        # one node short of it, the closure is finite and all agree
+        mu, nu, ginv, dh, g = args
         ginv = ginv.copy()
         ginv[7] = 0.5
-        assert_matches_row_loop((mu, nu, ginv, h, dh, g))
+        assert_matches_row_loops((mu, nu, ginv, dh, g))
 
     def test_values_beyond_the_diagonal_are_discarded(self):
-        # c = half F gam = 1 exactly at node (7, 7) makes the recurrence
-        # weight W[7, 8] infinite; the row loop never reads it, and the
+        # c = half F' G' = 1 exactly at node (7, 7) makes the recurrence
+        # weight W[7, 8] infinite; the row loops never read it, and the
         # full-row march must discard what it produces beyond the diagonal
         n = 16
         g = FB.TriGrid(1.0, n)
         mu = np.zeros((n + 1, n + 1))
         nu = np.zeros((n + 1, n + 1))
         mu[7, 7] = nu[7, 7] = 32.0
-        nu[7, 6] = -32.0  # K(7, 7) = 0
-        assert_matches_row_loop((mu, nu, np.full(n + 1, 0.5), g.nodes**2, 1.0 + g.nodes, g))
+        nu[7, 6] = -32.0  # k(7, 7) = 0
+        assert_matches_row_loops((mu, nu, np.full(n + 1, 0.5), 1.0 + g.nodes, g))
 
     def test_matches_row_loop_in_column_major_layout(self):
         # the march flattens its rows, whatever the inputs' memory order
         g, mu, nu, ginv, h, dh, *_ = manufactured_case(16)
-        assert_matches_row_loop((np.asfortranarray(mu), np.asfortranarray(nu), ginv, h, dh, g))
+        assert_matches_row_loops((np.asfortranarray(mu), np.asfortranarray(nu), ginv, dh, g))
+
+    def test_two_grid_exponentials(self, monkeypatch):
+        # e^{k} and e^{-l}; F' and G' are formed from them
+        g, mu, nu, ginv, h, dh, *_ = manufactured_case(16)
+        exp, grids = np.exp, []
+
+        def counting(x, *args, **kwargs):
+            if np.ndim(x) == 2:
+                grids.append(1)
+            return exp(x, *args, **kwargs)
+
+        monkeypatch.setattr(np, "exp", counting)
+        FB.solve_linear_t(mu, nu, ginv, dh, g)
+        assert len(grids) == 2
 
     def test_inputs_are_not_modified(self):
         g, mu, nu, ginv, h, dh, *_ = manufactured_case(16)
-        before = [np.copy(x) for x in (mu, nu, ginv, h, dh)]
-        FB.solve_linear_t(mu, nu, ginv, h, dh, g)
-        for x, y in zip(before, (mu, nu, ginv, h, dh)):
+        before = [np.copy(x) for x in (mu, nu, ginv, dh)]
+        FB.solve_linear_t(mu, nu, ginv, dh, g)
+        for x, y in zip(before, (mu, nu, ginv, dh)):
             assert np.array_equal(x, y)
 
     def test_manufactured_second_order(self):
         errs = {}
         for n in (16, 32):
             g, mu, nu, ginv, h, dh, P_ex, Q_ex, t_ex = manufactured_case(n)
-            t, P, Q = FB.solve_linear_t(mu, nu, ginv, h, dh, g)
+            P, Q = FB.solve_linear_t(mu, nu, ginv, dh, g)
             errs[n] = (
                 np.max(np.abs(P - P_ex)[g.mask]),
                 np.max(np.abs(Q - Q_ex)[g.mask]),
-                np.max(np.abs(t - t_ex)[g.mask]),
+                np.max(np.abs(FB._t_grid(h, Q, g.delta) - t_ex)[g.mask]),
             )
         assert errs[16][0] < 1e-4 and errs[16][1] < 1e-4 and errs[16][2] < 2e-5
         for k in range(3):
@@ -560,26 +632,27 @@ class TestSolveLinearT:
         else:
             {"mu": mu, "nu": nu}[where][9, 4] = math.nan
         with pytest.raises(NonConvergence) as exc:
-            FB.solve_linear_t(mu, nu, ginv, h, dh, g)
+            FB.solve_linear_t(mu, nu, ginv, dh, g)
         assert exc.value.diverging
         with pytest.raises(NonConvergence), np.errstate(invalid="ignore"):
-            picard_linear_t(mu, nu, ginv, h, dh, g)
+            picard_linear_t(mu, nu, ginv, dh, g)
 
     def test_non_finite_outside_triangle_ignored(self):
         g, mu, nu, ginv, h, dh, *_ = manufactured_case(16)
         mu = np.where(g.mask, mu, math.nan)
         nu = np.where(g.mask, nu, math.inf)
-        assert_matches_picard((mu, nu, ginv, h, dh, g))
+        assert_matches_picard((mu, nu, ginv, dh, g))
+        assert_matches_row_loops((mu, nu, ginv, dh, g))
 
     def test_sonic_node_with_nonzero_slope_raises(self):
         g, mu, nu, ginv, h, dh, *_ = manufactured_case(16)
         ginv = ginv.copy()
         ginv[6] = math.inf
         with pytest.raises(NonConvergence) as exc:
-            FB.solve_linear_t(mu, nu, ginv, h, dh, g)
+            FB.solve_linear_t(mu, nu, ginv, dh, g)
         assert exc.value.diverging
         with pytest.raises(NonConvergence):
-            picard_linear_t(mu, nu, ginv, h, dh, g)
+            picard_linear_t(mu, nu, ginv, dh, g)
 
     def test_sonic_nodes_with_zero_slope_close_to_zero(self):
         # gamma_inv = +inf at every node (the corner and exactly sonic
@@ -587,8 +660,8 @@ class TestSolveLinearT:
         g, mu, nu, *_ = manufactured_case(16)
         zeros = np.zeros(17)
         ginv = np.full(17, math.inf)
-        t, P, Q = FB.solve_linear_t(mu, nu, ginv, zeros, zeros, g)
-        assert not np.any(t) and not np.any(P) and not np.any(Q)
+        P, Q = FB.solve_linear_t(mu, nu, ginv, zeros, g)
+        assert not np.any(P) and not np.any(Q)
 
 
 def polished_fixed_bvp(bf, init, eos, grid, tol_inner=1e-12, max_sweeps=60):
@@ -612,7 +685,8 @@ def polished_fixed_bvp(bf, init, eos, grid, tol_inner=1e-12, max_sweeps=60):
         mu = np.where(mask, FB.du_grid(cp, grid) / spread, 0.0)
         nu = np.where(mask, FB.dv_grid(cm, grid) / spread, 0.0)
         ginv = FB.gamma_inverse(bf, np.diagonal(alpha).copy(), eos)
-        t, P, Q = FB.solve_linear_t(mu, nu, ginv, init.h, init.dh_du, grid)
+        P, Q = FB.solve_linear_t(mu, nu, ginv, init.dh_du, grid)
+        t = t_of(init.h, Q, grid)
         s_edge = cumulative_trapezoid((cm * P)[:, 0], dx=d, initial=0.0)
         s = s_edge[:, None] + FB._ct_v(np.where(mask, cp * Q, 0.0), d)
         return t, P, Q, bf.cusp.r0 + s, s
@@ -699,6 +773,42 @@ class TestSolveFixedBvp:
         fg = FB.solve_fixed_bvp(bf, init, rad, grid)
         assert fg.sweeps == 2
         assert shapes.count((n + 1, n + 1)) == 3
+
+    def test_t_integrated_once(self, rad, cusp, model, monkeypatch):
+        # a cold sweep discards its t, so a cold two-sweep solve integrates
+        # t once, for its re-assembly, and a warm sweep once, for itself;
+        # every other full-grid integral into a fresh grid is one of the
+        # two integrating factors of a time solve
+        n = 32
+        grid = FB.TriGrid(EPS, n)
+        init = SA.initial_data(model, rad, EPS, n)
+        bf = FB.BoundaryFunctions.seed(cusp, grid.nodes)
+        integrate, ct_v, solve_t = FB._t_grid, FB._ct_v, FB.solve_linear_t
+        seen, fresh, solves = [], [], []
+
+        def counting_t(h, Q, delta):
+            seen.append(Q)
+            return integrate(h, Q, delta)
+
+        def counting_ct(X, delta, out=None):
+            if out is None and X.ndim == 2:
+                fresh.append(1)
+            return ct_v(X, delta, out)
+
+        def counting_solve(*args):
+            solves.append(1)
+            return solve_t(*args)
+
+        monkeypatch.setattr(FB, "_t_grid", counting_t)
+        monkeypatch.setattr(FB, "_ct_v", counting_ct)
+        monkeypatch.setattr(FB, "solve_linear_t", counting_solve)
+        fg = FB.solve_fixed_bvp(bf, init, rad, grid)
+        assert fg.sweeps == 2 and len(solves) == 3
+        assert len(seen) == 1 and seen[0] is fg.dt_dv
+        assert len(fresh) == 2 * len(solves) + 1
+        warm = FB.solve_fixed_bvp(bf, init, rad, grid, warm=(fg.alpha, fg.beta))
+        assert len(seen) == 2 and seen[1] is warm.dt_dv
+        assert len(fresh) == 2 * len(solves) + 2
 
     def test_converges_fast(self, base_run):
         fg, _, _ = base_run
@@ -845,6 +955,18 @@ class TestSolveFixedBvp:
         bf = FB.BoundaryFunctions.seed(cusp, g.nodes + 1e-5)
         with pytest.raises(ValueError):
             FB.solve_fixed_bvp(bf, init, rad, g)
+        # a non-finite sample is off the nodes too, in either argument
+        for bad in (math.nan, math.inf, -math.inf):
+            nodes = g.nodes.copy()
+            nodes[5] = bad
+            with pytest.raises(ValueError, match="boundary"):
+                FB.solve_fixed_bvp(FB.BoundaryFunctions.seed(cusp, nodes), init, rad, g)
+            seed = FB.BoundaryFunctions.seed(cusp, g.nodes)
+            with pytest.raises(ValueError, match="initial data"):
+                FB.solve_fixed_bvp(seed, init._replace(u=nodes), rad, g)
+        # within the tolerance of 1e-14 eps the samples are accepted
+        bf = FB.BoundaryFunctions.seed(cusp, g.nodes + 0.5e-14 * EPS)
+        FB.solve_fixed_bvp(bf, init, rad, g)
 
 
 class TestWarmSweep:
@@ -1042,7 +1164,9 @@ class TestLiveSet:
         _, peak = traced_peak_grids(
             lambda: FB.characteristic_residuals(fg, rad, init, bf), self.N
         )
-        assert peak <= 8.0
+        # 7.14 measured, set by the state's v and eta and the 5-grid peak of
+        # its speeds(); the sources, formed in place, peak at 3 grids
+        assert peak <= 7.25
 
 
 class TestResiduals:
