@@ -201,13 +201,21 @@ def _env_layer(env, errors: list[str]) -> dict:
     return layer
 
 
+# [eos] kind -> the law it builds from [eos] coefficient
+_EOS_KINDS = {
+    "radiation": lambda coefficient: eos_mod.radiation(),
+    "poly2": eos_mod.poly2,
+}
+
+
 def _validate(values: dict, errors: list[str]) -> None:
     def get(section, key):
         return values[(section, key)]
 
     kind = get("eos", "kind")
-    if kind not in ("radiation", "poly2"):
-        errors.append(f"[eos] kind: must be 'radiation' or 'poly2', got {kind!r}")
+    if kind not in _EOS_KINDS:
+        kinds = " or ".join(map(repr, _EOS_KINDS))
+        errors.append(f"[eos] kind: must be {kinds}, got {kind!r}")
     if kind == "poly2" and not (
         isinstance(get("eos", "coefficient"), float) and get("eos", "coefficient") > 0
     ):
@@ -262,10 +270,7 @@ def load_config(path=None, env=None) -> SolverConfig:
 
 def build_problem(cfg: SolverConfig):
     """Construct the (eos, cusp data, ahead-state model) triple for a config."""
-    if cfg.eos_kind == "radiation":
-        eos = eos_mod.radiation()
-    else:
-        eos = eos_mod.poly2(cfg.eos_coefficient)
+    eos = _EOS_KINDS[cfg.eos_kind](cfg.eos_coefficient)
     cusp = CuspData.from_physics(
         eos,
         kappa=cfg.kappa,

@@ -42,9 +42,7 @@ __all__ = [
     "enthalpy",
     "rho_of_enthalpy",
     "potential_of_rho",
-    "riemann_potential",
     "rho_of_potential",
-    "enthalpy_of_potential",
     "eta_of_potential",
     "big_g",
     "sigma_tilde",
@@ -331,23 +329,9 @@ def potential_of_rho(eos: BarotropicEos, rho):
     return out if out.ndim else float(out)
 
 
-def riemann_potential(eos: BarotropicEos, h):
-    """Enthalpy potential rho_tilde(h) = int_{h_ref}^{h} dh'/(eta(h') h').
-
-    Vanishes at h_ref and is strictly increasing in h.
-    """
-    rho = rho_of_enthalpy(eos, h)
-    return potential_of_rho(eos, rho)
-
-
 def rho_of_potential(eos: BarotropicEos, rho_tilde):
     """Density at a given enthalpy potential (inverse of potential_of_rho)."""
     return _inverse(eos, rho_tilde, eos.rho_of_potential_cf, potential_of_rho, "potential")
-
-
-def enthalpy_of_potential(eos: BarotropicEos, rho_tilde):
-    """Specific enthalpy at a given enthalpy potential."""
-    return enthalpy(eos, rho_of_potential(eos, rho_tilde))
 
 
 def eta_of_potential(eos: BarotropicEos, rho_tilde):

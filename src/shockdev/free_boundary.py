@@ -72,6 +72,7 @@ from .fixed_bvp import (
 from .jump import (
     JumpPair,
     cubic_coefficient,
+    entropy_q,
     jump_J,
     jump_newton_step,
     jump_scale,
@@ -94,6 +95,11 @@ _WARM_MAX_Q = 1e-4
 # shock nodes), and the default outer tolerance and budgets; read at call time
 MIN_N = 3
 TOL_OUTER, MAX_OUTER, MAX_RETRIES = 1e-10, 60, 3
+# the corner fill's trust index is max(_TRUST_FLOOR, n // _TRUST_DIVISOR),
+# capped at n // 2; from ADEQUATE_N up it is n // _TRUST_DIVISOR, a fixed
+# fraction of the grid, so only those grids refine one discretization
+_TRUST_FLOOR, _TRUST_DIVISOR = 4, 8
+ADEQUATE_N = _TRUST_FLOOR * _TRUST_DIVISOR
 _MACH_EPS = float(np.finfo(float).eps)
 
 # step tolerance and iteration budget of the corner y1 fixed point
@@ -324,10 +330,10 @@ class SolverContext:
     ``trust_index`` bounds the corner fill of the state-based hatted
     quantities (delta_hat, beta_hat_plus) whose raw noise is the
     grid-independent 1/k^2 quadrature law; it is max(4, n // 8), capped at
-    n // 2.  ``speed_trust_index`` bounds the fill of the hatted speed,
-    whose raw extraction additionally divides ~ulp-level speed rounding by
-    v^2, so its trusted region must satisfy v^2 > ulp/tol_outer regardless
-    of the grid.  The EOS and the cusp data are those of ``model``.
+    n // 2 (see ``ADEQUATE_N``).  ``speed_trust_index`` bounds the fill of
+    the hatted speed, whose raw extraction additionally divides ~ulp-level
+    speed rounding by v^2, so its trusted region must satisfy
+    v^2 > ulp/tol_outer regardless of the grid.  The EOS and the cusp data are those of ``model``.
     """
 
     model: StateAheadModel
@@ -344,7 +350,7 @@ class SolverContext:
         grid = TriGrid(eps, n)
         init = initial_data(model, model.eos, eps, n)
         corner = corner_expansion(model, model.eos)
-        trust_index = min(max(4, grid.n // 8), max(grid.n // 2, 1))
+        trust_index = min(max(_TRUST_FLOOR, grid.n // _TRUST_DIVISOR), max(grid.n // 2, 1))
         # hatted-speed rounding floor: ~3 ulp of the speed scale over v^2
         # must stay below a third of the convergence tolerance
         j_v = 3.0 * _MACH_EPS * max(1.0, abs(model.cusp.c_plus0))
@@ -906,8 +912,10 @@ def geometry_checks(
 ) -> dict:
     """Pointwise shock-geometry invariants of a converged curve.
 
-    Returns {name: SubCheck}; the two sign conditions count their violating
-    nodes against an exact target of 0.
+    Returns {name: SubCheck}; the three sign conditions (positive
+    determinism margins, the entropy condition q(behind) < q(ahead) and the
+    shock in the past of the singular boundary) count their violating
+    nodes 1..n against an exact target of 0.
     """
     cusp = model.cusp
     v = curve.v
@@ -936,6 +944,9 @@ def geometry_checks(
         v[kt:], margin_behind[kt:] / v[kt:])
     non_positive = np.count_nonzero(~((margin_ahead[1:] > 0.0) & (margin_behind[1:] > 0.0)))
 
+    # entropy condition: the steepness functional q drops across the front
+    entropy_gain = np.count_nonzero(~(entropy_q(eos, behind) - entropy_q(eos, ahead) < 0.0))
+
     # the shock stays in the past of the singular boundary of the ahead chart
     t_star = np.asarray(singular_boundary(model, v * curve.y), dtype=float)
     not_past = np.count_nonzero(~(curve.f[1:] < t_star[1:]))
@@ -949,6 +960,7 @@ def geometry_checks(
         "margin_ahead_slope": SubCheck.of(slope_ahead, kap, 0.15, scale=abs(kap)),
         "margin_behind_slope": SubCheck.of(slope_behind, kap, 0.15, scale=abs(kap)),
         "positive_margins": SubCheck.of(non_positive, 0.0, 0.0),
+        "entropy_condition": SubCheck.of(entropy_gain, 0.0, 0.0),
         "past_singular_boundary": SubCheck.of(not_past, 0.0, 0.0),
         "singular_lead_ratio": SubCheck.of(lead_ratio, 1.0 / 3.0, 0.10, scale=1.0 / 3.0),
     }

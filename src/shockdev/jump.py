@@ -42,7 +42,6 @@ from .state import (
     StressComponents,
     StressDerivatives,
     _lane_result,
-    char_speeds,
     stress,
     stress_derivatives,
     wave_state,
@@ -57,10 +56,7 @@ __all__ = [
     "solve_jump_beta",
     "jump_newton_step",
     "shock_speed",
-    "jump_balance_residuals",
-    "determinism_margin",
     "entropy_q",
-    "hugoniot_residual",
     "coincidence_structure",
 ]
 
@@ -302,60 +298,11 @@ def _coincident(eos: eos_mod.BarotropicEos, dT: StressComponents, ahead: Riemann
     return np.abs(dT.tt) <= 2e-14 * np.abs(stress(eos, ahead).tt)
 
 
-def jump_balance_residuals(eos: eos_mod.BarotropicEos, jp: JumpPair):
-    """Residuals of both conservation conditions at V = [T^tr]/[T^tt].
-
-    Returns:
-        (-[T^tt] V + [T^tr], -[T^tr] V + [T^rr]); the first vanishes by
-        construction, the second vanishes iff J = 0.
-    """
-    dT = stress_jump(eos, jp)
-    V = shock_speed(eos, jp)
-    return -dT.tt * V + dT.tr, -dT.tr * V + dT.rr
-
-
 def entropy_q(eos: eos_mod.BarotropicEos, state: RiemannPair):
     """Steepness functional q = (1/eta^2 - 1)/sigma^2, which decreases
     across a physical front, per lane."""
     w = wave_state(eos, state)
     return (1.0 / _lane_result(w.eta2) - 1.0) / w.sigma(eos) ** 2
-
-
-def determinism_margin(eos: eos_mod.BarotropicEos, jp: JumpPair):
-    """Margins that make the front deterministic, per lane.
-
-    Returns:
-        (m_ahead, m_behind):
-        m_ahead  = [eta sigma / sqrt(1 - eta^2)] (behind minus ahead);
-                   positive exactly when the behind state is the denser one.
-        m_behind = c_plus(behind) - V, the subsonic margin of the front as
-                   seen from behind.
-        Lanes whose states (nearly) coincide, where V is 0/0, give (0, 0).
-    """
-
-    def val(state):
-        w = wave_state(eos, state)
-        return w.eta * w.sigma(eos) / np.sqrt(1.0 - w.eta2)
-
-    dT = stress_jump(eos, jp)
-    live = ~_coincident(eos, dT, jp.ahead)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        m_behind = char_speeds(eos, jp.behind)[0] - np.divide(dT.tr, dT.tt)
-    m_ahead = val(jp.behind) - val(jp.ahead)
-    return _lane_result(np.where(live, m_ahead, 0.0)), _lane_result(np.where(live, m_behind, 0.0))
-
-
-def hugoniot_residual(eos: eos_mod.BarotropicEos, jp: JumpPair):
-    """Taub-adiabat mismatch h+^2 - h-^2 - (p+ - p-)(h+/sigma+ + h-/sigma-), per lane.
-
-    Zero at coincidence and of cubic order in the jump strength along the
-    J = 0 branch (the flow potential is not exactly conserved across a
-    front; its production enters at third order).
-    """
-    wa, wb = wave_state(eos, jp.ahead), wave_state(eos, jp.behind)
-    ha, hb = wa.enthalpy(eos), wb.enthalpy(eos)
-    pa, pb = wa.pressure(eos), wb.pressure(eos)
-    return hb**2 - ha**2 - (pb - pa) * (hb / wb.sigma(eos) + ha / wa.sigma(eos))
 
 
 def coincidence_structure(eos: eos_mod.BarotropicEos, state: RiemannPair) -> dict:

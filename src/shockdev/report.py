@@ -433,10 +433,12 @@ def _check_geometry(bundle):
             "margin_ahead_slope",
             "margin_behind_slope",
             "positive_margins",
+            "entropy_condition",
         ),
         "shock_geometry",
         "shock stays inside the ahead chart with one-third lead ratio; "
-        "determinism margins positive with unit-curvature slopes",
+        "determinism margins positive with unit-curvature slopes; "
+        "entropy condition q(behind) < q(ahead) at every node",
         "position of the shock relative to the singular boundary and the "
         "characteristic-speed margins on both sides",
     )
@@ -496,11 +498,11 @@ def _check_grid_convergence(cfg, bundle):
         curve = _curve_orders(half, base, double)
         gates = {"f": 1.8, "g": 1.8, "y": 1.5, "V": 1.5}
         curve_ok = all(curve[k]["order"] >= g for k, g in gates.items())
-        grid_adequate = cfg.n >= 16
+        grid_adequate = cfg.n >= free_boundary.ADEQUATE_N
         ok = grid_adequate and min(res_orders) >= 1.8 and curve_ok
         return min(res_orders), ok, {
             "n": cfg.n,
-            "n_minimum": 16,
+            "n_minimum": free_boundary.ADEQUATE_N,
             "grid_adequate": grid_adequate,
             "residual_max": {"half_n": res[0], "base": res[1], "double_n": res[2]},
             "residual_orders": res_orders,

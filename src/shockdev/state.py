@@ -25,21 +25,14 @@ from .errors import OutOfRange
 
 __all__ = [
     "RiemannPair",
-    "FluidState",
     "WaveState",
     "StressComponents",
     "StressDerivatives",
-    "riemann_from_state",
-    "state_from_riemann",
     "wave_state",
     "char_speeds",
-    "char_speed_derivatives",
-    "source_terms",
-    "source_terms_wavefield_form",
     "stress",
     "stress_derivatives",
     "velocity",
-    "pressure_derivative",
 ]
 
 
@@ -48,13 +41,6 @@ class RiemannPair(NamedTuple):
 
     alpha: float
     beta: float
-
-
-class FluidState(NamedTuple):
-    """Wave-field components (psi_t, psi_r) with psi_t > |psi_r|."""
-
-    psi_t: float
-    psi_r: float
 
 
 class StressComponents(NamedTuple):
@@ -70,46 +56,6 @@ class StressDerivatives(NamedTuple):
     tt_beta: float
     tr_beta: float
     rr_beta: float
-
-
-def riemann_from_state(eos: eos_mod.BarotropicEos, state: FluidState) -> RiemannPair:
-    """Invert the wave-field components into Riemann invariants.
-
-    Raises:
-        ValueError: if psi_t <= |psi_r| (no physical rest frame).
-        OutOfRange: if the implied enthalpy leaves the admissible range.
-    """
-    psi_t = np.asarray(state.psi_t, dtype=float)
-    psi_r = np.asarray(state.psi_r, dtype=float)
-    if np.any(psi_t <= np.abs(psi_r)):
-        raise ValueError("wave field requires psi_t > |psi_r|")
-    h = np.sqrt(psi_t**2 - psi_r**2)
-    zeta = np.arctanh(psi_r / psi_t)
-    rho_tilde = eos_mod.riemann_potential(eos, h if h.ndim else float(h))
-    alpha = rho_tilde - zeta
-    beta = rho_tilde + zeta
-    if np.ndim(alpha):
-        return RiemannPair(np.asarray(alpha), np.asarray(beta))
-    return RiemannPair(float(alpha), float(beta))
-
-
-def state_from_riemann(eos: eos_mod.BarotropicEos, pair: RiemannPair) -> FluidState:
-    """Wave-field components at a Riemann pair."""
-    alpha = np.asarray(pair.alpha, dtype=float)
-    beta = np.asarray(pair.beta, dtype=float)
-    rho_tilde = 0.5 * (alpha + beta)
-    zeta = 0.5 * (beta - alpha)
-    h = np.asarray(
-        eos_mod.enthalpy_of_potential(
-            eos, rho_tilde if rho_tilde.ndim else float(rho_tilde)
-        ),
-        dtype=float,
-    )
-    psi_t = h * np.cosh(zeta)
-    psi_r = h * np.sinh(zeta)
-    if psi_t.ndim:
-        return FluidState(np.asarray(psi_t), np.asarray(psi_r))
-    return FluidState(float(psi_t), float(psi_r))
 
 
 def _lane_result(x):
@@ -144,7 +90,18 @@ class WaveState(NamedTuple):
         return _lane_result(eos_mod._mu_at(eos, self.rho_tilde, self.eta))
 
     def speed_derivatives(self, eos: eos_mod.BarotropicEos) -> dict:
-        """See :func:`char_speed_derivatives`."""
+        """Partial derivatives of (c_plus, c_minus) in (alpha, beta).
+
+        With mu = d eta/d rho_tilde + 1 - eta^2 and s = d eta/d rho_tilde:
+
+            dc+/dalpha = (1-v^2) mu / (2 (1+v eta)^2)
+            dc+/dbeta  = (1-v^2) (s - (1-eta^2)) / (2 (1+v eta)^2)
+            dc-/dalpha = (1-v^2) ((1-eta^2) - s) / (2 (1-v eta)^2)
+            dc-/dbeta  = -(1-v^2) mu / (2 (1-v eta)^2)
+
+        Returns:
+            dict with keys "pa", "pb", "ma", "mb".
+        """
         mu = self.mu(eos)
         s = mu - (1.0 - self.eta2)
         one_m_v2 = 1.0 - self.v**2
@@ -159,7 +116,18 @@ class WaveState(NamedTuple):
         }
 
     def sources(self, r):
-        """See :func:`source_terms`."""
+        """Spherical source terms of the characteristic equations at radius r.
+
+        d alpha along the outgoing family and d beta along the incoming
+        family pick up A = -2 v eta / (r (1 + v eta)) and
+        B = -2 v eta / (r (1 - v eta)).
+
+        Returns:
+            (A, B).
+
+        Raises:
+            OutOfRange: some r <= 0.
+        """
         r_a = np.asarray(r, dtype=float)
         if np.any(r_a <= 0):
             raise OutOfRange("source terms need r > 0")
@@ -220,59 +188,6 @@ def char_speeds(eos: eos_mod.BarotropicEos, pair: RiemannPair):
     return wave_state(eos, pair).speeds()
 
 
-def char_speed_derivatives(eos: eos_mod.BarotropicEos, pair: RiemannPair):
-    """Partial derivatives of (c_plus, c_minus) in (alpha, beta).
-
-    With mu = d eta/d rho_tilde + 1 - eta^2 and s = d eta/d rho_tilde:
-
-        dc+/dalpha = (1-v^2) mu / (2 (1+v eta)^2)
-        dc+/dbeta  = (1-v^2) (s - (1-eta^2)) / (2 (1+v eta)^2)
-        dc-/dalpha = (1-v^2) ((1-eta^2) - s) / (2 (1-v eta)^2)
-        dc-/dbeta  = -(1-v^2) mu / (2 (1-v eta)^2)
-
-    Returns:
-        dict with keys "pa", "pb", "ma", "mb".
-    """
-    return wave_state(eos, pair).speed_derivatives(eos)
-
-
-def source_terms(eos: eos_mod.BarotropicEos, pair: RiemannPair, r):
-    """Spherical source terms of the characteristic equations.
-
-    d alpha along the outgoing family and d beta along the incoming family
-    pick up A = -2 v eta / (r (1 + v eta)) and B = -2 v eta / (r (1 - v eta)).
-
-    Returns:
-        (A, B).
-    """
-    return wave_state(eos, pair).sources(r)
-
-
-def source_terms_wavefield_form(eos: eos_mod.BarotropicEos, pair: RiemannPair, r):
-    """Source terms evaluated through the wave-field components.
-
-    Independent algebraic route used for cross-checking: with
-    F = (1/eta^2 - 1)/H, H_hat = (1 + F psi_t^2) H,
-
-        A = (2 psi_r / (r H_hat)) (psi_t/eta + psi_r)
-        B = (2 psi_r / (r H_hat)) (psi_t/eta - psi_r)
-    """
-    w = wave_state(eos, pair)
-    st = state_from_riemann(eos, pair)
-    psi_t = np.asarray(st.psi_t, dtype=float)
-    psi_r = np.asarray(st.psi_r, dtype=float)
-    H = np.square(w.enthalpy(eos))
-    F = (1.0 / w.eta2 - 1.0) / H
-    H_hat = (1.0 + F * psi_t**2) * H
-    r_a = np.asarray(r, dtype=float)
-    pref = 2.0 * psi_r / (r_a * H_hat)
-    A = pref * (psi_t / w.eta + psi_r)
-    B = pref * (psi_t / w.eta - psi_r)
-    if np.ndim(A):
-        return A, B
-    return float(A), float(B)
-
-
 def stress(eos: eos_mod.BarotropicEos, pair: RiemannPair) -> StressComponents:
     """Stress components of the perfect fluid.
 
@@ -310,9 +225,3 @@ def stress_derivatives(eos: eos_mod.BarotropicEos, pair: RiemannPair) -> StressD
         rr_beta=_lane_result(w * (v - eta) ** 2),
     )
 
-
-def pressure_derivative(eos: eos_mod.BarotropicEos, pair: RiemannPair):
-    """dp/dalpha = dp/dbeta = E eta (1 - v^2)/2 at a Riemann pair."""
-    w = wave_state(eos, pair)
-    E = (w.rho + w.pressure(eos)) / (1.0 - w.v**2)
-    return _lane_result(E * w.eta * (1.0 - w.v**2) / 2.0)

@@ -1,0 +1,145 @@
+"""Cross-check oracles: independent routes to quantities the library computes.
+
+Nothing in the solver, the report or the command line needs these; the
+tests hold the library's state algebra and jump solutions against them.
+
+* :func:`state_from_riemann` / :func:`riemann_from_state` convert between
+  Riemann pairs and the wave-field components (psi_t, psi_r) =
+  h (cosh zeta, sinh zeta), so v = -psi_r/psi_t.
+* :func:`source_terms_wavefield_form` evaluates the spherical source terms
+  through the wave-field components.
+* :func:`jump_balance_residuals`, :func:`determinism_margin` and
+  :func:`hugoniot_residual` measure a solved jump pair: both conservation
+  conditions, the margins that make the front deterministic, and the
+  Taub-adiabat mismatch.
+"""
+
+from __future__ import annotations
+
+from typing import NamedTuple
+
+import numpy as np
+
+from shockdev import eos as eos_mod
+from shockdev.jump import JumpPair, _coincident, shock_speed, stress_jump
+from shockdev.state import RiemannPair, _lane_result, char_speeds, wave_state
+
+
+class FluidState(NamedTuple):
+    """Wave-field components (psi_t, psi_r) with psi_t > |psi_r|."""
+
+    psi_t: float
+    psi_r: float
+
+
+def riemann_from_state(eos: eos_mod.BarotropicEos, state: FluidState) -> RiemannPair:
+    """Invert the wave-field components into Riemann invariants.
+
+    The enthalpy potential rho_tilde(h) = int_{h_ref}^{h} dh'/(eta h') is
+    read as the potential of the density at h.
+
+    Raises:
+        ValueError: if psi_t <= |psi_r| (no physical rest frame).
+        OutOfRange: if the implied enthalpy leaves the admissible range.
+    """
+    psi_t = np.asarray(state.psi_t, dtype=float)
+    psi_r = np.asarray(state.psi_r, dtype=float)
+    if np.any(psi_t <= np.abs(psi_r)):
+        raise ValueError("wave field requires psi_t > |psi_r|")
+    h = np.sqrt(psi_t**2 - psi_r**2)
+    zeta = np.arctanh(psi_r / psi_t)
+    rho = eos_mod.rho_of_enthalpy(eos, h if h.ndim else float(h))
+    rho_tilde = eos_mod.potential_of_rho(eos, rho)
+    alpha = rho_tilde - zeta
+    beta = rho_tilde + zeta
+    if np.ndim(alpha):
+        return RiemannPair(np.asarray(alpha), np.asarray(beta))
+    return RiemannPair(float(alpha), float(beta))
+
+
+def state_from_riemann(eos: eos_mod.BarotropicEos, pair: RiemannPair) -> FluidState:
+    """Wave-field components at a Riemann pair."""
+    alpha = np.asarray(pair.alpha, dtype=float)
+    beta = np.asarray(pair.beta, dtype=float)
+    rho_tilde = 0.5 * (alpha + beta)
+    zeta = 0.5 * (beta - alpha)
+    rho = eos_mod.rho_of_potential(eos, rho_tilde if rho_tilde.ndim else float(rho_tilde))
+    h = np.asarray(eos_mod.enthalpy(eos, rho), dtype=float)
+    psi_t = h * np.cosh(zeta)
+    psi_r = h * np.sinh(zeta)
+    if psi_t.ndim:
+        return FluidState(np.asarray(psi_t), np.asarray(psi_r))
+    return FluidState(float(psi_t), float(psi_r))
+
+
+def source_terms_wavefield_form(eos: eos_mod.BarotropicEos, pair: RiemannPair, r):
+    """Source terms evaluated through the wave-field components.
+
+    With F = (1/eta^2 - 1)/H, H_hat = (1 + F psi_t^2) H:
+
+        A = (2 psi_r / (r H_hat)) (psi_t/eta + psi_r)
+        B = (2 psi_r / (r H_hat)) (psi_t/eta - psi_r)
+    """
+    w = wave_state(eos, pair)
+    st = state_from_riemann(eos, pair)
+    psi_t = np.asarray(st.psi_t, dtype=float)
+    psi_r = np.asarray(st.psi_r, dtype=float)
+    H = np.square(w.enthalpy(eos))
+    F = (1.0 / w.eta2 - 1.0) / H
+    H_hat = (1.0 + F * psi_t**2) * H
+    r_a = np.asarray(r, dtype=float)
+    pref = 2.0 * psi_r / (r_a * H_hat)
+    A = pref * (psi_t / w.eta + psi_r)
+    B = pref * (psi_t / w.eta - psi_r)
+    if np.ndim(A):
+        return A, B
+    return float(A), float(B)
+
+
+def jump_balance_residuals(eos: eos_mod.BarotropicEos, jp: JumpPair):
+    """Residuals of both conservation conditions at V = [T^tr]/[T^tt].
+
+    Returns:
+        (-[T^tt] V + [T^tr], -[T^tr] V + [T^rr]); the first vanishes by
+        construction, the second vanishes iff J = 0.
+    """
+    dT = stress_jump(eos, jp)
+    V = shock_speed(eos, jp)
+    return -dT.tt * V + dT.tr, -dT.tr * V + dT.rr
+
+
+def determinism_margin(eos: eos_mod.BarotropicEos, jp: JumpPair):
+    """Margins that make the front deterministic, per lane.
+
+    Returns:
+        (m_ahead, m_behind):
+        m_ahead  = [eta sigma / sqrt(1 - eta^2)] (behind minus ahead);
+                   positive exactly when the behind state is the denser one.
+        m_behind = c_plus(behind) - V, the subsonic margin of the front as
+                   seen from behind.
+        Lanes whose states (nearly) coincide, where V is 0/0, give (0, 0).
+    """
+
+    def val(state):
+        w = wave_state(eos, state)
+        return w.eta * w.sigma(eos) / np.sqrt(1.0 - w.eta2)
+
+    dT = stress_jump(eos, jp)
+    live = ~_coincident(eos, dT, jp.ahead)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        m_behind = char_speeds(eos, jp.behind)[0] - np.divide(dT.tr, dT.tt)
+    m_ahead = val(jp.behind) - val(jp.ahead)
+    return _lane_result(np.where(live, m_ahead, 0.0)), _lane_result(np.where(live, m_behind, 0.0))
+
+
+def hugoniot_residual(eos: eos_mod.BarotropicEos, jp: JumpPair):
+    """Taub-adiabat mismatch h+^2 - h-^2 - (p+ - p-)(h+/sigma+ + h-/sigma-), per lane.
+
+    Zero at coincidence and of cubic order in the jump strength along the
+    J = 0 branch (the flow potential is not exactly conserved across a
+    front; its production enters at third order).
+    """
+    wa, wb = wave_state(eos, jp.ahead), wave_state(eos, jp.behind)
+    ha, hb = wa.enthalpy(eos), wb.enthalpy(eos)
+    pa, pb = wa.pressure(eos), wb.pressure(eos)
+    return hb**2 - ha**2 - (pb - pa) * (hb / wb.sigma(eos) + ha / wa.sigma(eos))

@@ -98,12 +98,14 @@ def test_criterion_05_outer_corner_limits(canon_report, moving_sol):
 
 def test_criterion_06_shock_geometry(canon_report):
     """The shock stays past the singular boundary with lead ratio 1/3
-    (10%); determinism margins are positive with slopes kappa (15%)."""
+    (10%); determinism margins are positive with slopes kappa (15%); the
+    entropy condition holds at every node."""
     detail = _check(canon_report, "shock_geometry")["detail"]
     assert detail["past_singular_boundary"].passed
     lead = detail["singular_lead_ratio"]
     assert abs(lead.value - 1.0 / 3.0) <= 0.10 / 3.0
     assert detail["positive_margins"].passed
+    assert detail["entropy_condition"].value == 0.0
     kappa = 1.0
     for side in ("margin_ahead_slope", "margin_behind_slope"):
         slope = detail[side]

@@ -13,7 +13,7 @@ import shockdev.fitting as fitting
 import shockdev.fixed_bvp as FB
 import shockdev.state_ahead as SA
 from shockdev.errors import NonConvergence, SingularGamma
-from shockdev.state import RiemannPair, char_speeds, source_terms
+from shockdev.state import RiemannPair, char_speeds, wave_state
 from test_state_ahead import sequential_march
 
 EPS = 0.01
@@ -696,7 +696,7 @@ def polished_fixed_bvp(bf, init, eos, grid, tol_inner=1e-12, max_sweeps=60):
     prev = math.inf
     for _ in range(max_sweeps):
         t, P, Q, r, s = assemble(alpha, beta)
-        A, B = source_terms(eos, RiemannPair(alpha, beta), r)
+        A, B = wave_state(eos, RiemannPair(alpha, beta)).sources(r)
         alpha_new = alpha_i[:, None] + FB._ct_v(np.where(mask, Q * A, 0.0), d)
         beta_new = beta_p[None, :] + FB._from_diag(FB._ct_v(np.where(mask, P * B, 0.0).T, d).T)
         change = max(FB._sup(alpha_new - alpha, mask), FB._sup(beta_new - beta, mask))
@@ -1099,7 +1099,7 @@ def centered_residuals(fg, eos, init, bf):
     mask_v = (J >= 1) & (J <= I - 1)
     mask_u = (I >= J + 1) & (I <= n - 1)
     cp, cm = char_speeds(eos, RiemannPair(fg.alpha, fg.beta))
-    A, B = source_terms(eos, RiemannPair(fg.alpha, fg.beta), fg.r)
+    A, B = wave_state(eos, RiemannPair(fg.alpha, fg.beta)).sources(fg.r)
     base_alpha = fg.alpha - np.asarray(init.alpha_i, dtype=float)[:, None]
     base_beta = fg.beta - bf.beta_plus()[None, :]
 

@@ -870,6 +870,40 @@ class TestConvergedCanonicalRun:
             )
 
 
+@pytest.fixture(scope="module")
+def p2_sol(p2):
+    """The canonical cusp under the quadratic law p = 0.1 rho^2, n = 64."""
+    cusp = SA.CuspData.from_physics(p2, kappa=1.0, lam=1.0, dbeta_dt0=0.3)
+    model = SA.synthesize_model(cusp, p2, eps=EPS)
+    return FBD.run_shock_development(p2, model, cusp, eps=EPS, n=64)
+
+
+class TestEntropyCondition:
+    """q = (1/eta^2 - 1)/sigma^2 drops across the solved front at every node."""
+
+    @pytest.mark.parametrize("sol_name", ["canon_sol", "p2_sol"])
+    def test_holds_on_the_canonical_front(self, request, sol_name):
+        sol = request.getfixturevalue(sol_name)
+        rec = sol.diagnostics["geometry"]["entropy_condition"]
+        assert (rec.value, rec.target, rec.tolerance, rec.passed) == (0.0, 0.0, 0.0, True)
+
+    @pytest.mark.parametrize("sol_name", ["canon_sol", "p2_sol"])
+    def test_swapped_sides_fail_at_every_node(self, request, sol_name):
+        sol = request.getfixturevalue(sol_name)
+        curve = sol.curve
+        swapped = dataclasses.replace(
+            curve,
+            alpha_minus=curve.alpha_plus,
+            beta_minus=curve.beta_plus,
+            alpha_plus=curve.alpha_minus,
+            beta_plus=curve.beta_minus,
+        )
+        model = sol.context.model
+        rec = FBD.geometry_checks(swapped, sol.fields, model, model.eos)["entropy_condition"]
+        assert rec.value == sol.n
+        assert not rec.passed
+
+
 class TestRefinementAndRobustness:
     def test_grid_refinement_second_order(self, canon_sol_n32, canon_sol, canon_sol_n128):
         for name, gate in (("f", 1.8), ("g", 1.8), ("y", 1.5), ("V", 1.5)):

@@ -221,6 +221,19 @@ class TestComputeBundle:
         assert not bundle.errors
         assert (bundle.half_n.n, bundle.base.n, bundle.double_n.n) == (3, 4, 8)
 
+    def test_grid_below_one_trust_family_is_not_adequate(self):
+        # at n = 16 the trust index is max(4, n // 8) = n / 4, not n / 8, so
+        # the refinement study mixes two discretizations
+        cfg = dataclasses.replace(SolverConfig.canonical(), n=16)
+        report = full_report(cfg, bundle=compute_bundle(cfg))
+        by_name = {c["name"]: c for c in report["checks"]}
+        detail = by_name["grid_convergence"]["detail"]
+        assert FBD.ADEQUATE_N == 32
+        assert (detail["n_minimum"], detail["grid_adequate"]) == (32, False)
+        assert not by_name["grid_convergence"]["pass"]
+        geometry = by_name["shock_geometry"]
+        assert geometry["pass"] and geometry["detail"]["entropy_condition"].value == 0.0
+
 
 class TestSerialization:
     def test_pyify_numpy_and_nonfinite(self):
