@@ -22,7 +22,9 @@ below-diagonal contributions cancel exactly in the difference.
 
 Each full (n+1, n+1) grid stays bound only while a later line reads it,
 and one that no later line reads is written over in place where a new grid
-of its shape is due.
+of its shape is due.  So the time solve consumes the coefficient grids it
+is handed: :func:`solve_linear_t` writes its scaled coefficients into the
+storage of mu and nu, and a caller that reads them afterwards passes copies.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ import numpy as np
 
 from . import eos as eos_mod
 from .errors import NonConvergence, SingularGamma
-from .state import RiemannPair, char_speeds, wave_state
+from .state import RiemannPair, char_speeds, sources_of, wave_state
 from .state_ahead import CuspData, InitialData
 
 __all__ = [
@@ -77,6 +79,8 @@ class TriGrid:
         self.nodes = np.linspace(0.0, self.eps, self.n + 1)
         idx = np.arange(self.n + 1)
         self.mask = idx[None, :] <= idx[:, None]
+        # entries j > i, which every solve on the grid sets to 0
+        self.outside = ~self.mask
         # nodes 1 <= j <= i - 1, where a centred v-stencil stays inside
         self.v_inner = idx[None, :] < idx[:, None]
         self.v_inner[:, 0] = False
@@ -179,18 +183,34 @@ def gamma_inverse(
     return out
 
 
-# Cumulative trapezoid rule from 0 along v (the last axis), term for term
-# SciPy's cumulative_trapezoid(X, dx=delta, initial=0); along u (axis 0) it
-# is _ct_v(X.T, delta).T.  With ``out = X`` it overwrites its integrand.
+# Cumulative trapezoid rules from 0 along v (the last axis) and along u
+# (axis 0), term for term SciPy's cumulative_trapezoid(X, dx=delta,
+# initial=0).  With ``out = X`` they overwrite their integrand; a given
+# ``out`` must be C-contiguous.  Their pair sums and scalings run on
+# contiguous memory, which NumPy passes over faster than 2-D row slices.
 
 def _ct_v(X: np.ndarray, delta: float, out: np.ndarray | None = None) -> np.ndarray:
     if out is None:
-        out = np.empty_like(X)
-    body = np.add(X[..., 1:], X[..., :-1], out=out[..., 1:])
+        out = np.empty(X.shape)
+    # on the flattened rows; the sums at j = 0 wrap from the row before
+    flat = X.reshape(-1)
+    body = np.add(flat[1:], flat[:-1], out=out.reshape(-1)[1:])
     out[..., 0] = 0.0
     body *= delta
     body /= 2.0
-    np.cumsum(body, axis=-1, out=body)
+    np.cumsum(out[..., 1:], axis=-1, out=out[..., 1:])
+    return out
+
+
+def _ct_u(X: np.ndarray, delta: float, out: np.ndarray | None = None) -> np.ndarray:
+    if out is None:
+        out = np.empty(X.shape)
+    # on whole-row slices, cumulated down the columns
+    body = np.add(X[1:], X[:-1], out=out[1:])
+    out[0] = 0.0
+    body *= delta
+    body /= 2.0
+    np.cumsum(body, axis=0, out=body)
     return out
 
 
@@ -201,7 +221,7 @@ def _from_diag(CT: np.ndarray) -> np.ndarray:
 
 
 def _speed_part(state):
-    """The state's v and eta alone, all that its speeds and sources read."""
+    """The state's v and eta alone: its speeds and v eta read no more."""
     return state._replace(rho_tilde=None, rho=None, eta2=None)
 
 
@@ -309,6 +329,12 @@ def solve_linear_t(mu_grid: np.ndarray, nu_grid: np.ndarray, gamma_inv_diag, dh_
     Python floats.  t itself, h(u) + int_0^v Q dv', is left to the caller
     that keeps it (:func:`_t_grid`).
 
+    The solve overwrites ``mu_grid`` and ``nu_grid``: it forms its scaled
+    coefficients in their storage (for a grid that is not C-contiguous
+    float64, in a copy), and Q is returned in nu_grid's.  A caller that
+    reads either grid after the call passes a copy.  Entries of mu and nu
+    outside the triangle do not reach P or Q, whatever their values.
+
     Returns:
         (P, Q) as (n+1, n+1) arrays, 0 outside the triangle (j > i).
 
@@ -354,24 +380,31 @@ def _march_linear_t(mu_grid, nu_grid, gamma_inv_diag, dh_du, grid: TriGrid):
     dh = np.asarray(dh_du, dtype=float)
     dhl = dh.tolist()
     ginv = np.asarray(gamma_inv_diag, dtype=float).tolist()
-    # only mu's column integral starts above the diagonal; nu feeds row
-    # integrals from v = 0, whose entries j > i never reach an entry j < i.
-    # Both are taken in row-major order, which the flattened passes read.
-    mu = np.where(grid.mask, mu_grid, 0.0)
+    # F' and G' are formed in the storage of mu and nu, both taken in
+    # row-major order, which the flattened passes read.  Only mu's column
+    # integral starts above the diagonal, so mu alone is zeroed outside the
+    # triangle; nu feeds row integrals from v = 0, whose entries j > i
+    # never reach an entry j < i.
+    mu = np.ascontiguousarray(mu_grid, dtype=float)
     nu = np.ascontiguousarray(nu_grid, dtype=float)
+    if np.may_share_memory(mu, nu):
+        nu = nu.copy()
+    outside = grid.outside
+    np.copyto(mu, 0.0, where=outside)
 
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
         # e^{k} and e^{-l}, the only two exponentials; then F' in mu's
-        # storage and G'
+        # storage and G' in nu's
         ek = _ct_v(nu, grid.delta)
         np.exp(ek, out=ek)
-        el = _from_diag(_ct_v(mu.T, grid.delta).T)
+        el = _from_diag(_ct_u(mu, grid.delta))
         np.negative(el, out=el)
         np.exp(el, out=el)
         F = mu
         F *= el
         F /= ek
-        G = np.multiply(nu, ek)
+        G = nu
+        G *= ek
         G /= el
         G *= half
         del mu, nu
@@ -457,7 +490,6 @@ def _march_linear_t(mu_grid, nu_grid, gamma_inv_diag, dh_du, grid: TriGrid):
         Q *= el
         np.fill_diagonal(P, p_d)
         np.fill_diagonal(Q, q_d)
-        outside = ~grid.mask
         np.copyto(P, 0.0, where=outside)
         np.copyto(Q, 0.0, where=outside)
     return P, Q
@@ -471,12 +503,12 @@ class FieldGrid:
     hatted quantities divide it by v^3, so recovering it by subtracting r0
     from the absolute radius would inject absolute-rounding noise of order
     ulp(r0) that the division amplifies beyond any useful tolerance near
-    the corner.
+    the corner.  The radius itself, ``r``, is formed from it on each read.
     """
 
     grid: TriGrid
     t: np.ndarray
-    r: np.ndarray
+    r0: float
     r_off: np.ndarray
     alpha: np.ndarray
     beta: np.ndarray
@@ -484,6 +516,11 @@ class FieldGrid:
     dt_dv: np.ndarray
     sweeps: int = 0
     changes: list = field(default_factory=list)
+
+    @property
+    def r(self) -> np.ndarray:
+        """The radius r0 + r_off, a fresh grid on each read."""
+        return self.r0 + self.r_off
 
     def diagonal(self, name: str) -> np.ndarray:
         """Samples of a field along the shock diagonal u = v."""
@@ -544,10 +581,11 @@ def solve_fixed_bvp(
     _check_nodes("boundary", bf.v, grid)
     d = grid.delta
     mask = grid.mask
-    outside = ~mask
+    outside = grid.outside
     shape = (grid.n + 1, grid.n + 1)
     alpha_i = np.asarray(init.alpha_i, dtype=float)
     beta_p = bf.beta_plus()
+    r0 = float(bf.cusp.r0)
 
     def in_triangle(X):
         """X with its entries outside the triangle set to 0, in place."""
@@ -555,14 +593,16 @@ def solve_fixed_bvp(
         return X
 
     def assemble(alpha, beta, sweep):
-        """P, Q, r and r - r0 at (alpha, beta), and for a sweep the state
-        its transport sources read."""
-        state = wave_state(eos, RiemannPair(alpha, beta))
+        """P, Q and r - r0 at (alpha, beta), and for a sweep v eta, all
+        that its transport sources read of the state."""
+        state = _speed_part(wave_state(eos, RiemannPair(alpha, beta)))
         cp, cm = state.speeds()
-        # the re-assembly keeps no state
-        state = _speed_part(state) if sweep else None
+        # the re-assembly keeps nothing of the state
+        ve = state.v * state.eta if sweep else None
+        del state
         spread = cp - cm
-        # solve_linear_t reads no coefficient outside the triangle
+        # solve_linear_t reads no coefficient outside the triangle, and
+        # forms its own in the storage of mu and nu
         mu = du_grid(cp, grid)
         mu /= spread
         nu = dv_grid(cm, grid)
@@ -576,7 +616,7 @@ def solve_fixed_bvp(
         # cp is read for the last time here
         s = _ct_v(in_triangle(np.multiply(cp, Q, out=cp)), d, out=cp)
         s += s_edge[:, None]
-        return P, Q, bf.cusp.r0 + s, s, state
+        return P, Q, s, ve
 
     if warm is None:
         alpha = np.broadcast_to(alpha_i[:, None], shape).copy()
@@ -587,9 +627,14 @@ def solve_fixed_bvp(
     met = False
     prev = math.inf
     for _ in range(_MAX_SWEEPS if warm is None else 1):
-        P, Q, r, s, state = assemble(alpha, beta, True)
-        A, B = state.sources(r)
-        del state
+        P, Q, s, ve = assemble(alpha, beta, True)
+        # the radius r0 + s, for the sources, stays bound with P, Q and s:
+        # released here, the freed top of the heap goes back to the system
+        # and the next sweep faults it in again (a quarter more minor
+        # faults per n = 512 solve, for no lower peak)
+        r = r0 + s
+        A, B = sources_of(ve, r)
+        del ve
         # a cold sweep reads its P and Q for the last time here, so the new
         # fields are formed in their storage; the warm sweep returns them
         alpha_new = in_triangle(np.multiply(Q, A, out=Q if warm is None else None))
@@ -597,10 +642,10 @@ def solve_fixed_bvp(
         del A, B
         _ct_v(alpha_new, d, out=alpha_new)
         alpha_new += alpha_i[:, None]
-        _from_diag(_ct_v(beta_new.T, d, out=beta_new.T).T)
+        _from_diag(_ct_u(beta_new, d, out=beta_new))
         beta_new += beta_p[None, :]
         if warm is None:
-            del P, Q, r, s
+            del P, Q, s, r
         change = max(_sup(alpha_new - alpha, mask), _sup(beta_new - beta, mask))
         alpha, beta = alpha_new, beta_new
         history.append(change)
@@ -631,12 +676,12 @@ def solve_fixed_bvp(
                 diverging=history[-1] > history[0],
             )
     if warm is None:
-        P, Q, r, s, _ = assemble(alpha, beta, False)
+        P, Q, s, _ = assemble(alpha, beta, False)
     # only the returned Q is integrated for t: a cold sweep discards its t
     return FieldGrid(
         grid=grid,
         t=_t_grid(init.h, Q, d),
-        r=r,
+        r0=r0,
         r_off=s,
         alpha=alpha,
         beta=beta,
@@ -669,32 +714,39 @@ def characteristic_residuals(
     grid = fg.grid
     n = grid.n
     P, Q = fg.dt_du, fg.dt_dv
-    res = {}
+    res = dict.fromkeys(("alpha", "beta", "radius_out", "radius_in", "time_out", "time_in"))
 
     def record(name, D, mask, dT, coef=None):
-        """The sup over ``mask`` of D - coef dT, formed in place in D."""
-        D -= dT if coef is None else coef * dT
+        """The sup over ``mask`` of D - coef dT, formed in place in D; a
+        coefficient grid is read for the last time here and takes dT."""
+        if coef is not None:
+            dT = np.multiply(coef, dT, out=coef)
+        D -= dT
         res[name] = _sup(D, mask)
 
-    # one residual at a time, each releasing its grids before the next
+    # each coefficient grid is formed when its residual is due and released
+    # after it: the speeds, then the sources from v eta, whose radius
+    # r0 + r_off is formed for them alone
     state = _speed_part(wave_state(eos, RiemannPair(fg.alpha, fg.beta)))
-    A, B = state.sources(fg.r)
+    cp, cm = state.speeds()
+    ve = state.v * state.eta
+    del state
     # stencil validity: centered in v needs 1 <= j <= i - 1; centered in u
     # needs j + 1 <= i <= n - 1
     mask_v = grid.v_inner
     mask_u = np.tri(n + 1, k=-1, dtype=bool)
     mask_u[n] = False
+    record("radius_out", dv_grid(fg.r_off, grid), mask_v, Q, cp)
+    del cp
+    record("radius_in", du_grid(fg.r_off, grid), mask_u, P, cm)
+    del cm
+    A, B = sources_of(ve, fg.r)
+    del ve
     alpha_i = np.asarray(init.alpha_i, dtype=float)[:, None]
     record("alpha", dv_grid(fg.alpha - alpha_i, grid), mask_v, Q, A)
     del A
     record("beta", du_grid(fg.beta - bf.beta_plus()[None, :], grid), mask_u, P, B)
     del B
-    cp, cm = state.speeds()
-    del state
-    record("radius_out", dv_grid(fg.r_off, grid), mask_v, Q, cp)
-    del cp
-    record("radius_in", du_grid(fg.r_off, grid), mask_u, P, cm)
-    del cm
     record("time_out", dv_grid(fg.t, grid), mask_v, Q)
     record("time_in", du_grid(fg.t, grid), mask_u, P)
     res["max"] = max(res.values())

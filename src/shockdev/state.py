@@ -29,6 +29,7 @@ __all__ = [
     "StressComponents",
     "StressDerivatives",
     "wave_state",
+    "sources_of",
     "char_speeds",
     "stress",
     "stress_derivatives",
@@ -80,10 +81,20 @@ class WaveState(NamedTuple):
     eta2: np.ndarray
 
     def speeds(self):
-        """(c_plus, c_minus) = ((v + eta)/(1 + v eta), (v - eta)/(1 - v eta))."""
+        """(c_plus, c_minus) = ((v + eta)/(1 + v eta), (v - eta)/(1 - v eta)).
+
+        c_minus is formed in the storage of 1 + v eta over 1 - v eta written
+        onto v eta, so the call holds three grids of the pair's shape at most.
+        """
         v, eta = self.v, self.eta
-        ve = v * eta
-        return _lane_result((v + eta) / (1.0 + ve)), _lane_result((v - eta) / (1.0 - ve))
+        ve = np.asarray(v * eta)
+        cp = np.add(v, eta, out=np.empty_like(ve))
+        den = np.add(1.0, ve, out=np.empty_like(ve))
+        cp /= den
+        cm = np.subtract(v, eta, out=den)
+        np.subtract(1.0, ve, out=ve)
+        cm /= ve
+        return _lane_result(cp), _lane_result(cm)
 
     def mu(self, eos: eos_mod.BarotropicEos):
         """Nonlinearity coefficient mu = d eta/d rho_tilde + 1 - eta^2."""
@@ -120,7 +131,7 @@ class WaveState(NamedTuple):
 
         d alpha along the outgoing family and d beta along the incoming
         family pick up A = -2 v eta / (r (1 + v eta)) and
-        B = -2 v eta / (r (1 - v eta)).
+        B = -2 v eta / (r (1 - v eta)); :func:`sources_of` forms them.
 
         Returns:
             (A, B).
@@ -128,17 +139,7 @@ class WaveState(NamedTuple):
         Raises:
             OutOfRange: some r <= 0.
         """
-        r_a = np.asarray(r, dtype=float)
-        if np.any(r_a <= 0):
-            raise OutOfRange("source terms need r > 0")
-        # A in the storage of 1 + v eta, then B in common's, so the call
-        # holds three grids of the result's shape at most
-        ve = np.asarray(self.v * self.eta)
-        common = np.asarray(-2.0 * ve / r_a)
-        A = np.add(1.0, ve, out=np.empty_like(common))
-        np.divide(common, A, out=A)
-        np.subtract(1.0, ve, out=ve)
-        B = np.divide(common, ve, out=common)
+        A, B = sources_of(np.asarray(self.v * self.eta), r)
         return _lane_result(A), _lane_result(B)
 
     def pressure(self, eos: eos_mod.BarotropicEos):
@@ -152,6 +153,28 @@ class WaveState(NamedTuple):
     def sigma(self, eos: eos_mod.BarotropicEos):
         """Flow potential sigma at the (already checked) density."""
         return _lane_result(eos_mod._sigma_at(eos, self.rho))
+
+
+def sources_of(ve: np.ndarray, r):
+    """The source terms (A, B) of :meth:`WaveState.sources` from the product
+    ve = v eta alone, for a caller that keeps no more of the state.
+
+    ve is written over (with 1 - v eta), so the call holds three grids of
+    the result's shape at most, ve among them.
+
+    Raises:
+        OutOfRange: some r <= 0.
+    """
+    r_a = np.asarray(r, dtype=float)
+    if np.any(r_a <= 0):
+        raise OutOfRange("source terms need r > 0")
+    # A in the storage of 1 + v eta, then B in common's
+    common = np.asarray(-2.0 * ve / r_a)
+    A = np.add(1.0, ve, out=np.empty_like(common))
+    np.divide(common, A, out=A)
+    np.subtract(1.0, ve, out=ve)
+    B = np.divide(common, ve, out=common)
+    return A, B
 
 
 def wave_state(eos: eos_mod.BarotropicEos, pair: RiemannPair) -> WaveState:

@@ -904,6 +904,52 @@ class TestEntropyCondition:
         assert not rec.passed
 
 
+def _seed_slope(a):
+    """Starting boundary y = -1 + a v, the benchmark's seed family."""
+
+    def seed(cusp, v):
+        return BoundaryFunctions.seed(cusp, v).replace(y=-1.0 + a * v)
+
+    return seed
+
+
+class TestOuterStepCounts:
+    """The outer stop counts steps against ``tol_outer`` with no margin, so
+    a change that moves a last residual across it moves a whole step.
+    These solves take 10 steps, and each ends at least 3x below
+    ``tol_outer``, so rounding-level changes upstream leave them at 10
+    and a change that moves a count shows here.  poly2(0.1) at n = 128 is
+    left out: its last residual is 9.66e-11 against 1e-10, on the edge."""
+
+    @pytest.fixture
+    def solve(self, rad):
+        cusp = SA.CuspData.from_physics(rad, kappa=1.0, lam=1.0, dbeta_dt0=0.3)
+        model = SA.synthesize_model(cusp, rad, eps=EPS)
+
+        def run(n, a):
+            return FBD.run_shock_development(
+                rad, model, cusp, eps=EPS, n=n, seed_fn=_seed_slope(a)
+            )
+
+        return run
+
+    @pytest.mark.parametrize(
+        "case",
+        ["canon_sol", "seed_005", "perturbed_sol", "canon_sol_n128", "n256", "p2_sol"],
+    )
+    def test_ten_steps_well_below_tol_outer(self, request, solve, case):
+        # radiation at n = 64 from y = -1 and y = -1 + a v (a = 0.05, 0.1),
+        # at n = 128 and 256, and poly2(0.1) at n = 64
+        if case == "seed_005":
+            sol = solve(64, 0.05)
+        elif case == "n256":
+            sol = solve(256, 0.0)
+        else:
+            sol = request.getfixturevalue(case)
+        assert len(sol.outer_history) == 10
+        assert max(sol.outer_history[-1]) <= TOL_OUTER / 3.0
+
+
 class TestRefinementAndRobustness:
     def test_grid_refinement_second_order(self, canon_sol_n32, canon_sol, canon_sol_n128):
         for name, gate in (("f", 1.8), ("g", 1.8), ("y", 1.5), ("V", 1.5)):

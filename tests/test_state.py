@@ -8,6 +8,7 @@ derivative formula.
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -139,6 +140,32 @@ class TestSources:
         for pair in random_pairs(rng, 20, zeta_range=(-1.0, -0.05)):
             A, B = S.wave_state(rad, pair).sources(1.0)
             assert A < 0 and B < 0
+
+    def test_from_the_product_alone(self, rad, rng):
+        # sources_of reads v eta alone and writes over it; the same bits
+        pair = S.RiemannPair(rng.uniform(-0.2, 0.2, (9, 9)), rng.uniform(-0.2, 0.2, (9, 9)))
+        ws = S.wave_state(rad, pair)
+        r = rng.uniform(0.5, 2.0, (9, 9))
+        ve = ws.v * ws.eta
+        got = S.sources_of(ve, r)
+        assert np.array_equal(ve, 1.0 - ws.v * ws.eta)
+        for x, y in zip(got, ws.sources(r)):
+            assert x.tobytes() == y.tobytes()
+
+
+def test_speeds_hold_three_grids(rad, rng):
+    # at n = 128 NumPy elides no temporary (a grid is below 256 KiB), so the
+    # expression form held 5 grids to return 2
+    shape = (129, 129)
+    ws = S.wave_state(rad, S.RiemannPair(rng.uniform(-0.2, 0.2, shape), rng.uniform(-0.2, 0.2, shape)))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        ws.speeds()
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak / (shape[0] * shape[1] * 8) <= 3.05
 
 
 class TestStress:
