@@ -203,13 +203,7 @@ def sound_speed_sq(eos: BarotropicEos, rho):
         OutOfRange: if rho leaves the admissible interval or eta^2 leaves
             (0, 1).
     """
-    a = _check_rho(eos, rho)
-    eta2 = np.asarray(eos.dp_drho_fn(a), dtype=float)
-    if eta2.size:
-        lo, hi = (eta2.min(), eta2.max()) if eta2.ndim else (eta2, eta2)
-        # NaN fails both comparisons, so a NaN sound speed is rejected too
-        if not (0 < lo and hi < 1):
-            raise OutOfRange(f"{eos.label}: dp/drho left (0, 1) at rho={rho}")
+    eta2 = _sound_speed_sq_at(eos, _check_rho(eos, rho))
     return eta2 if eta2.ndim else float(eta2)
 
 
@@ -264,6 +258,17 @@ def _ensure_chart(eos: BarotropicEos):
 # The ``_*_at`` helpers evaluate at a density array that has already passed
 # ``_check_rho``, so a caller holding one checked density pays for one check.
 
+def _sound_speed_sq_at(eos: BarotropicEos, a: np.ndarray) -> np.ndarray:
+    """eta^2 at checked densities a; OutOfRange if it leaves (0, 1)."""
+    eta2 = np.asarray(eos.dp_drho_fn(a), dtype=float)
+    if eta2.size:
+        lo, hi = (eta2.min(), eta2.max()) if eta2.ndim else (eta2, eta2)
+        # NaN fails both comparisons, so a NaN sound speed is rejected too
+        if not (0 < lo and hi < 1):
+            raise OutOfRange(f"{eos.label}: dp/drho left (0, 1) at rho={a}")
+    return eta2
+
+
 def _sigma_at(eos: BarotropicEos, a: np.ndarray) -> np.ndarray:
     if eos.sigma_cf is not None:
         return np.asarray(eos.sigma_cf(a), dtype=float)
@@ -310,7 +315,8 @@ def _inverse(eos: BarotropicEos, x, closed, forward, name: str):
         chart = _ensure_chart(eos)
         _check_in(eos, a, *chart[f"{name}_range"], name)
         out = np.asarray(chart[f"rho_of_{name}"](a)[0])
-    out = np.clip(out, eos.rho_min, eos.rho_max)
+    # np.clip's arithmetic, without its Python wrapper
+    out = np.minimum(np.maximum(out, eos.rho_min), eos.rho_max)
     return out if out.ndim else float(out)
 
 

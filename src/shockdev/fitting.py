@@ -2,8 +2,10 @@
 
 The differencing stencils are 4th order; the Newton solve runs over
 independent bracketed 1-D problems and serves every root solve in the
-package.  The fits and stencils are deliberately plain so they can double
-as independent oracles in the test suite.
+package.  Its residual acts elementwise over leading axes, so both bracket
+ends and the start are evaluated in one call on a (3, *lanes) stack.  The
+fits and stencils are deliberately plain so they can double as independent
+oracles in the test suite.
 """
 
 from __future__ import annotations
@@ -140,7 +142,7 @@ def safeguarded_newton_lanes(
     hi,
     f_tol,
     polish: int = 6,
-    f_ends=None,
+    start=None,
 ) -> np.ndarray:
     """Newton iteration inside a bracket with bisection fallback, lane-wise.
 
@@ -159,57 +161,85 @@ def safeguarded_newton_lanes(
          scales and cannot afford tolerance-band jitter).
 
     Finished lanes are frozen by masks while the others continue, so each
-    lane takes exactly the steps it would take alone.
+    lane takes exactly the steps it would take alone.  While every lane
+    runs, the bracket and the iterate are updated with no lane mask, and
+    while every Newton step lands inside its bracket, with no bisection.
 
     Args:
-        fdf: maps an array of iterates (one per lane) to the arrays
-            (f, df/dx) at those iterates, lane by lane.
+        fdf: maps an array of iterates to the arrays (f, df/dx) at those
+            iterates, elementwise: the lanes are its trailing axes, and it
+            must also accept a leading axis in front of them.  Both ends
+            and the start are evaluated in one call, on the stack
+            (lo, hi, x0 clipped into [lo, hi]) of shape (3, *lanes).
         x0, lo, hi, f_tol: per-lane arrays (or scalars broadcast to lanes).
-        f_ends: the values (f(lo), f(hi)) when the caller already has them;
-            by default both ends are evaluated here.
+        start: the pair (f, df/dx) of ``fdf`` on that stack when the caller
+            already has it; x0 must then lie in [lo, hi].
 
     Raises:
         NoRoot: some lane has neither an end within f_tol nor a sign
             change across its range (the first such lane is named).
         NonConvergence: some lane exhausted the iteration budget.
     """
-    x0, lo, hi, f_tol = (
-        np.array(a, dtype=float) for a in np.broadcast_arrays(x0, lo, hi, f_tol)
-    )
-    blo, bhi = lo, hi
-    if f_ends is None:
-        flo, fhi = fdf(blo)[0], fdf(bhi)[0]
-    else:
-        flo, fhi = f_ends
-    take_lo = np.abs(flo) < f_tol
-    take_hi = ~take_lo & (np.abs(fhi) < f_tol)
+    f_tol = np.asarray(f_tol, dtype=float)
+    # the bracket ends and the iterate are rows of one array, updated in
+    # place: a row taken with an ellipsis stays a view for 0-d lanes too
+    pts = np.empty((3,) + np.broadcast(x0, lo, hi, f_tol).shape)
+    blo, bhi, x = pts[0, ...], pts[1, ...], pts[2, ...]
+    blo[...], bhi[...] = lo, hi
+    np.maximum(x0, blo, out=x)
+    np.minimum(x, bhi, out=x)
+    # the values and slopes there, rows of one array in the same order
+    vals = np.empty((2,) + pts.shape)
+    vals[0], vals[1] = fdf(pts) if start is None else start
+    flo, fhi, fx = vals[0, 0, ...], vals[0, 1, ...], vals[0, 2, ...]
+    dx = vals[1, 2, ...]
+    near = np.abs(vals[0, :2]) < f_tol
+    take_lo, take_hi = near[0, ...], near[1, ...]
+    take_hi &= ~take_lo
     done = take_lo | take_hi
-    unbracketed = ~done & ~(flo * fhi < 0)
+    unbracketed = ~(done | (flo * fhi < 0))
     if unbracketed.any():
         k = int(np.flatnonzero(unbracketed)[0])
-        f_lo, f_hi = (np.broadcast_to(a, unbracketed.shape).flat[k] for a in (flo, fhi))
         raise NoRoot(
-            f"no sign change across [{lo.flat[k]}, {hi.flat[k]}] in lane {k}: "
-            f"f = {f_lo:.3e}, {f_hi:.3e} at its ends"
+            f"no sign change across [{blo.flat[k]}, {bhi.flat[k]}] in lane {k}: "
+            f"f = {flo.flat[k]:.3e}, {fhi.flat[k]:.3e} at its ends"
         )
-    x = np.where(take_lo, blo, np.where(take_hi, bhi, np.clip(x0, blo, bhi)))
-    fx, dx = fdf(x)
+    if done.any():
+        # an accepted end is the iterate, with the value and slope there
+        for take, row in ((take_lo, 0), (take_hi, 1)):
+            np.copyto(pts[2, ...], pts[row, ...], where=take)
+            np.copyto(vals[:, 2, ...], vals[:, row, ...], where=take)
 
+    # the bracket ends with their values, and per end the lanes whose end
+    # the latest iterate replaces
+    ends, f_ends = pts[:2], vals[0, :2]
+    moves = np.empty(ends.shape, dtype=bool)
     with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(_NEWTON_MAX_ITER):
             done |= np.abs(fx) < f_tol
-            run = ~done
-            if not run.any():
+            finished = np.count_nonzero(done)
+            if finished == done.size:
                 break
-            # tighten the bracket using the latest evaluation
-            left = flo * fx <= 0
-            bhi, fhi = np.where(run & left, x, bhi), np.where(run & left, fx, fhi)
-            blo, flo = np.where(run & ~left, x, blo), np.where(run & ~left, fx, flo)
-            xn = np.where((dx != 0) & np.isfinite(dx), x - fx / dx, np.nan)
-            inside = np.isfinite(xn) & (blo < xn) & (xn < bhi)
-            x = np.where(run, np.where(inside, xn, 0.5 * (blo + bhi)), x)
+            # tighten the bracket using the latest evaluation: it replaces
+            # hi where f changes sign from lo to it, else lo
+            np.less_equal(flo * fx, 0, out=moves[1, ...])
+            np.logical_not(moves[1, ...], out=moves[0, ...])
+            run = True
+            if finished:
+                run = ~done
+                moves &= run
+            np.copyto(ends, x, where=moves)
+            np.copyto(f_ends, fx, where=moves)
+            # x is now an end of the bracket, so a step that a zero or
+            # non-finite slope leaves non-finite or at x is not inside it
+            xn = x - fx / dx
+            inside = (blo < xn) & (xn < bhi)
+            if not inside.all():
+                xn = np.where(inside, xn, 0.5 * (blo + bhi))
+            np.copyto(x, xn, where=run)
             fn, dn = fdf(x)
-            fx, dx = np.where(run, fn, fx), np.where(run, dn, dx)
+            np.copyto(fx, fn, where=run)
+            np.copyto(dx, dn, where=run)
         else:
             if not done.all():
                 raise NonConvergence(

@@ -226,12 +226,14 @@ def _speed_part(state):
 
 
 def _sup(X: np.ndarray, mask: np.ndarray) -> float:
-    return float(np.max(np.abs(X[mask])))
+    """max |X| over mask, with |X| formed in X's own storage: X is a
+    temporary its caller gives up.  A NaN entry in the mask gives NaN."""
+    return float(np.abs(X, out=X).max(where=mask, initial=0.0))
 
 
 def _rounding_floor(alpha: np.ndarray, beta: np.ndarray, mask: np.ndarray) -> float:
     """2 ulp of max(|alpha|, |beta|) on the triangle."""
-    return 2.0 * np.spacing(max(_sup(alpha, mask), _sup(beta, mask)))
+    return 2.0 * np.spacing(max(_sup(alpha.copy(), mask), _sup(beta.copy(), mask)))
 
 
 def _extrapolate_entry(sources: list) -> float | None:
@@ -263,9 +265,12 @@ def dv_grid(X: np.ndarray, grid: TriGrid) -> np.ndarray:
         flat = X.reshape(-1)
         np.subtract(flat[2:], flat[:-2], out=inner, where=grid.v_inner.reshape(-1)[1:-1])
         inner /= 2.0 * d
-        i = np.arange(2, n + 1)
-        out[i, 0] = (-3.0 * X[i, 0] + 4.0 * X[i, 1] - X[i, 2]) / (2.0 * d)
-        out[i, i] = (3.0 * X[i, i] - 4.0 * X[i, i - 1] + X[i, i - 2]) / (2.0 * d)
+        # rows i >= 2: their first three entries are column views, their
+        # last three diagonal views (out's diagonal, strided on its storage)
+        out[2:, 0] = (-3.0 * X[2:, 0] + 4.0 * X[2:, 1] - X[2:, 2]) / (2.0 * d)
+        out.reshape(-1)[2 * (n + 2) :: n + 2] = (
+            3.0 * np.diagonal(X)[2:] - 4.0 * np.diagonal(X, -1)[1:] + np.diagonal(X, -2)
+        ) / (2.0 * d)
     out[1, :2] = (X[1, 1] - X[1, 0]) / d
     for i, j in ((1, 0), (1, 1), (0, 0)):
         sources = [out[k, j] for k in range(i + 1, min(i + 4, n + 1)) if k >= j]
@@ -286,14 +291,21 @@ def du_grid(X: np.ndarray, grid: TriGrid) -> np.ndarray:
     d = grid.delta
     n = grid.n
     X = np.asarray(X, dtype=float)
-    out = np.zeros_like(X)
+    out = np.zeros(X.shape)
     if n >= 2:
         inner = out[1:-1, :]
         np.subtract(X[2:, :], X[:-2, :], out=inner, where=grid.mask[:-2, :])
         inner /= 2.0 * d
-        j = np.arange(n - 1)
-        out[j, j] = (-3.0 * X[j, j] + 4.0 * X[j + 1, j] - X[j + 2, j]) / (2.0 * d)
-        out[n, j] = (3.0 * X[n, j] - 4.0 * X[n - 1, j] + X[n - 2, j]) / (2.0 * d)
+        # columns j <= n - 2: their first three entries are diagonal views
+        # (out's diagonal, strided on its storage), their last three row views
+        out.reshape(-1)[: (n - 1) * (n + 2) : n + 2] = (
+            -3.0 * np.diagonal(X)[: n - 1]
+            + 4.0 * np.diagonal(X, -1)[: n - 1]
+            - np.diagonal(X, -2)
+        ) / (2.0 * d)
+        out[n, : n - 1] = (
+            3.0 * X[n, : n - 1] - 4.0 * X[n - 1, : n - 1] + X[n - 2, : n - 1]
+        ) / (2.0 * d)
     out[n - 1 :, n - 1] = (X[n, n - 1] - X[n - 1, n - 1]) / d
     for i, j in ((n - 1, n - 1), (n, n - 1), (n, n)):
         sources = [out[i, k] for k in range(j - 1, max(j - 4, -1), -1) if k >= 0]
@@ -646,7 +658,13 @@ def solve_fixed_bvp(
         beta_new += beta_p[None, :]
         if warm is None:
             del P, Q, s, r
-        change = max(_sup(alpha_new - alpha, mask), _sup(beta_new - beta, mask))
+        # a cold sweep discards its iterate, so its change is formed there;
+        # a warm sweep's iterate belongs to the caller
+        cold = warm is None
+        change = max(
+            _sup(np.subtract(alpha_new, alpha, out=alpha if cold else None), mask),
+            _sup(np.subtract(beta_new, beta, out=beta if cold else None), mask),
+        )
         alpha, beta = alpha_new, beta_new
         history.append(change)
         if not math.isfinite(change) or (history and change > 100.0 * (history[0] + 1e-300)):

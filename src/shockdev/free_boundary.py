@@ -428,10 +428,17 @@ def solve_identification(
     ]
 
     def fdf(y):
-        res, slope = delta_hat[1:], np.zeros_like(y)
+        # a y^0 and a 1 y^0 equal a and y^1 equals y bit for bit, and
+        # 0.0 - x equals the first slope term subtracted from zeros
+        res, slope = delta_hat[1:], 0.0
         for a, wj in terms:
-            res = res - a * y**wj
-            if wj:
+            if not wj:
+                res = res - a
+            elif wj == 1:
+                res = res - a * y
+                slope = slope - a
+            else:
+                res = res - a * y**wj
                 slope = slope - a * wj * y ** (wj - 1)
         return res, slope
 

@@ -86,28 +86,30 @@ def _jump_and_behind_slopes(eos: eos_mod.BarotropicEos, jp: JumpPair):
     """Stress jumps per lane plus the stress derivatives at the behind state.
 
     The 8 Gauss points of every lane and the behind state itself form a
-    trailing axis of 9 states, evaluated in one ``stress_derivatives`` call.
+    trailing axis of 9 states, evaluated in one ``stress_derivatives`` call
+    and contracted with the Gauss weights in one product.  The product's
+    rounding depends on how many lanes share one matrix-vector call, so
+    0-d states are taken as one lane, which rounds like a 1-D dot product.
     """
-    a0, b0, a1, b1 = np.broadcast_arrays(
-        *(np.asarray(x, dtype=float) for x in (*jp.ahead, *jp.behind))
+    ends = (*jp.ahead, *jp.behind)
+    shape = np.broadcast(*ends).shape
+    # rows: ahead alpha, ahead beta, behind alpha, behind beta
+    inv = np.empty((4,) + (shape or (1,)))
+    for row, end in zip(inv, ends):
+        row[...] = end
+    jumps = inv[2:] - inv[:2]
+    points = np.empty(jumps.shape + (9,))
+    np.multiply(jumps[..., None], _GAUSS_S, out=points[..., :-1])
+    points[..., :-1] += inv[:2, ..., None]
+    points[..., -1] = inv[2:]
+    d = stress_derivatives(eos, RiemannPair(points[0], points[1]))
+    # the six derivatives are rows of one array: (tt, rr, tr) by (alpha, beta)
+    gauss = (d.tt_alpha.base[..., :-1] @ _GAUSS_W01).reshape((3, 2) + inv.shape[1:])
+    tt, rr, tr = (jumps[0] * gauss[:, 0] + jumps[1] * gauss[:, 1]).reshape((3,) + shape)
+    return (
+        StressComponents(tt, tr, rr),
+        StressDerivatives(*(row[..., -1].reshape(shape) for row in d)),
     )
-    da, db = a1 - a0, b1 - b0
-    points = RiemannPair(
-        np.concatenate([a0[..., None] + _GAUSS_S * da[..., None], a1[..., None]], axis=-1),
-        np.concatenate([b0[..., None] + _GAUSS_S * db[..., None], b1[..., None]], axis=-1),
-    )
-    d = stress_derivatives(eos, points)
-    dT = StressComponents(
-        *(
-            da * (d_a[..., :-1] @ _GAUSS_W01) + db * (d_b[..., :-1] @ _GAUSS_W01)
-            for d_a, d_b in (
-                (d.tt_alpha, d.tt_beta),
-                (d.tr_alpha, d.tr_beta),
-                (d.rr_alpha, d.rr_beta),
-            )
-        )
-    )
-    return dT, StressDerivatives(*(x[..., -1] for x in d))
 
 
 def _J_and_slope(dT: StressComponents, d: StressDerivatives):
@@ -209,12 +211,16 @@ def solve_jump_beta(
         behind = RiemannPair(a_plus, b)
         return _J_and_slope(*_jump_and_behind_slopes(eos, JumpPair(ahead, behind)))
 
+    # the bracket ends and the seed, evaluated together; the Newton solve
+    # starts from all three
+    pts = np.empty((3, lanes.size))
+    pts[2] = seed
     pending = np.ones(lanes.size, dtype=bool)
     for _ in range(_MAX_EXPAND + 1):
-        lo, hi = seed - width, seed + width
-        f_lo, _ = fdf(lo)
-        f_hi, _ = fdf(hi)
-        pending &= ~(f_lo * f_hi <= 0)
+        np.subtract(seed, width, out=pts[0])
+        np.add(seed, width, out=pts[1])
+        start = fdf(pts)
+        pending &= ~(start[0][0] * start[0][1] <= 0)
         if not pending.any():
             break
         width = np.where(pending, 2.0 * width, width)
@@ -226,11 +232,11 @@ def solve_jump_beta(
     out.flat[lanes] = fitting.safeguarded_newton_lanes(
         fdf,
         seed,
-        lo,
-        hi,
+        pts[0],
+        pts[1],
         f_tol=_J_TOL_REL * jump_scale(eos, ahead),
         polish=8,
-        f_ends=(f_lo, f_hi),
+        start=start,
     )
     return _lane_result(out)
 

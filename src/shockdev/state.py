@@ -68,10 +68,10 @@ class WaveState(NamedTuple):
     """The state at Riemann pairs after one density inversion.
 
     ``wave_state`` builds it from (alpha, beta): one inversion of the
-    enthalpy potential, one density range check and one sound-speed check,
-    whatever the methods read afterwards.  Fields are arrays of the pair's
-    shape (scalars for a scalar pair); the methods give Python floats for a
-    scalar pair.
+    enthalpy potential, which checks the potential against the image of the
+    density range, and one sound-speed check, whatever the methods read
+    afterwards.  Fields are arrays of the pair's shape (scalars for a scalar
+    pair); the methods give Python floats for a scalar pair.
     """
 
     rho_tilde: np.ndarray
@@ -180,15 +180,19 @@ def sources_of(ve: np.ndarray, r):
 def wave_state(eos: eos_mod.BarotropicEos, pair: RiemannPair) -> WaveState:
     """Invert the enthalpy potential at Riemann pairs into a :class:`WaveState`.
 
+    The inversion checks the potential against the image of [rho_min,
+    rho_max] and clips the density into that range, so the density needs no
+    check of its own.
+
     Raises:
-        OutOfRange: the potential (alpha + beta)/2 or the density leaves the
-            admissible range, or eta^2 leaves (0, 1).
+        OutOfRange: the potential (alpha + beta)/2 leaves the image of the
+            admissible density range, or eta^2 leaves (0, 1).
     """
     alpha = np.asarray(pair.alpha, dtype=float)
     beta = np.asarray(pair.beta, dtype=float)
     rho_tilde = 0.5 * (alpha + beta)
     rho = np.asarray(eos_mod.rho_of_potential(eos, rho_tilde), dtype=float)
-    eta2 = np.asarray(eos_mod.sound_speed_sq(eos, rho), dtype=float)
+    eta2 = eos_mod._sound_speed_sq_at(eos, rho)
     return WaveState(rho_tilde, rho, velocity(eos, pair), np.sqrt(eta2), eta2)
 
 
@@ -234,17 +238,38 @@ def stress_derivatives(eos: eos_mod.BarotropicEos, pair: RiemannPair) -> StressD
         dT^rr/dalpha = w (v + eta)^2       dT^rr/dbeta = w (v - eta)^2
 
     These encode d T^tr = c_pm d T^tt along each family.  E is computed
-    from rho and p alone.
+    from rho and p alone.  For array pairs the six components are rows of
+    one (6, *shape) array, which is their ``.base``: its rows are tt, rr and
+    tr, each along alpha and then beta, so a caller contracts all six at
+    once.
     """
     ws = wave_state(eos, pair)
     v, eta = ws.v, ws.eta
     w = (ws.rho + ws.pressure(eos)) / (1.0 - v**2) / (2.0 * eta)
+    if not np.ndim(w):
+        # a NumPy scalar squares through pow, which is an ulp off x * x at
+        # times, so a scalar pair keeps the scalar expressions
+        return StressDerivatives(
+            tt_alpha=float(w * (1.0 + v * eta) ** 2),
+            tr_alpha=float(w * (v + eta) * (1.0 + v * eta)),
+            rr_alpha=float(w * (v + eta) ** 2),
+            tt_beta=float(w * (1.0 - v * eta) ** 2),
+            tr_beta=float(w * (v - eta) * (1.0 - v * eta)),
+            rr_beta=float(w * (v - eta) ** 2),
+        )
+    # rows 0-3 take 1 + v eta, 1 - v eta, v + eta and v - eta; the tr rows
+    # w (v +- eta) (1 +- v eta) are formed from them before rows 0-3 are
+    # squared and scaled by w, each step on contiguous rows
+    d = np.empty((6,) + w.shape)
+    ve = v * eta
+    np.add(1.0, ve, out=d[0])
+    np.subtract(1.0, ve, out=d[1])
+    np.add(v, eta, out=d[2])
+    np.subtract(v, eta, out=d[3])
+    np.multiply(d[2:4], w, out=d[4:])
+    d[4:] *= d[:2]
+    np.square(d[:4], out=d[:4])
+    d[:4] *= w
     return StressDerivatives(
-        tt_alpha=_lane_result(w * (1.0 + v * eta) ** 2),
-        tr_alpha=_lane_result(w * (v + eta) * (1.0 + v * eta)),
-        rr_alpha=_lane_result(w * (v + eta) ** 2),
-        tt_beta=_lane_result(w * (1.0 - v * eta) ** 2),
-        tr_beta=_lane_result(w * (v - eta) * (1.0 - v * eta)),
-        rr_beta=_lane_result(w * (v - eta) ** 2),
+        tt_alpha=d[0], tr_alpha=d[4], rr_alpha=d[2], tt_beta=d[1], tr_beta=d[5], rr_beta=d[3]
     )
-

@@ -12,6 +12,9 @@ tests hold the library's state algebra and jump solutions against them.
   :func:`hugoniot_residual` measure a solved jump pair: both conservation
   conditions, the margins that make the front deterministic, and the
   Taub-adiabat mismatch.
+* :func:`reference_newton_lanes` is the lane-wise safeguarded Newton solve
+  written with a fresh ``np.where`` array for every update and every end
+  evaluated apart, the reference for ``fitting.safeguarded_newton_lanes``.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from shockdev import eos as eos_mod
+from shockdev.errors import NoRoot, NonConvergence
 from shockdev.jump import JumpPair, _coincident, shock_speed, stress_jump
 from shockdev.state import RiemannPair, _lane_result, char_speeds, wave_state
 
@@ -143,3 +147,74 @@ def hugoniot_residual(eos: eos_mod.BarotropicEos, jp: JumpPair):
     ha, hb = wa.enthalpy(eos), wb.enthalpy(eos)
     pa, pb = wa.pressure(eos), wb.pressure(eos)
     return hb**2 - ha**2 - (pb - pa) * (hb / wb.sigma(eos) + ha / wa.sigma(eos))
+
+
+# bracketed steps a lane may take in reference_newton_lanes
+REFERENCE_MAX_ITER = 60
+
+
+def reference_newton_lanes(fdf, x0, lo, hi, f_tol, polish: int = 6, f_ends=None):
+    """Newton inside a bracket with bisection fallback, lane by lane.
+
+    The steps of ``fitting.safeguarded_newton_lanes``: an end within f_tol
+    is accepted, a Newton step is taken when it lands strictly inside the
+    tightened bracket and bisection otherwise, finished lanes are frozen,
+    and the root is polished while |f| decreases.  Here ``fdf`` sees lane
+    arrays only: each end is evaluated in its own call (unless ``f_ends``
+    gives their values), then the start in another, and every update forms
+    a new array under a lane mask.
+    """
+    x0, lo, hi, f_tol = (
+        np.array(a, dtype=float) for a in np.broadcast_arrays(x0, lo, hi, f_tol)
+    )
+    blo, bhi = lo, hi
+    if f_ends is None:
+        flo, fhi = fdf(blo)[0], fdf(bhi)[0]
+    else:
+        flo, fhi = f_ends
+    take_lo = np.abs(flo) < f_tol
+    take_hi = ~take_lo & (np.abs(fhi) < f_tol)
+    done = take_lo | take_hi
+    unbracketed = ~done & ~(flo * fhi < 0)
+    if unbracketed.any():
+        k = int(np.flatnonzero(unbracketed)[0])
+        f_lo, f_hi = (np.broadcast_to(a, unbracketed.shape).flat[k] for a in (flo, fhi))
+        raise NoRoot(
+            f"no sign change across [{lo.flat[k]}, {hi.flat[k]}] in lane {k}: "
+            f"f = {f_lo:.3e}, {f_hi:.3e} at its ends"
+        )
+    x = np.where(take_lo, blo, np.where(take_hi, bhi, np.clip(x0, blo, bhi)))
+    fx, dx = fdf(x)
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(REFERENCE_MAX_ITER):
+            done |= np.abs(fx) < f_tol
+            run = ~done
+            if not run.any():
+                break
+            left = flo * fx <= 0
+            bhi, fhi = np.where(run & left, x, bhi), np.where(run & left, fx, fhi)
+            blo, flo = np.where(run & ~left, x, blo), np.where(run & ~left, fx, flo)
+            xn = np.where((dx != 0) & np.isfinite(dx), x - fx / dx, np.nan)
+            inside = np.isfinite(xn) & (blo < xn) & (xn < bhi)
+            x = np.where(run, np.where(inside, xn, 0.5 * (blo + bhi)), x)
+            fn, dn = fdf(x)
+            fx, dx = np.where(run, fn, fx), np.where(run, dn, dx)
+        else:
+            if not done.all():
+                raise NonConvergence(
+                    f"newton/bisection did not reach |f| < f_tol in {REFERENCE_MAX_ITER} "
+                    f"iterations on {int(np.count_nonzero(~done))} of {done.size} lanes"
+                )
+
+        going = np.ones_like(done)
+        for _ in range(polish):
+            xn = x - fx / dx
+            going &= (dx != 0) & np.isfinite(dx) & (xn != x) & np.isfinite(xn)
+            if not going.any():
+                break
+            fn, dn = fdf(np.where(going, xn, x))
+            going &= np.abs(fn) < np.abs(fx)
+            x = np.where(going, xn, x)
+            fx, dx = np.where(going, fn, fx), np.where(going, dn, dx)
+    return x

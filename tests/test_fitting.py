@@ -16,6 +16,8 @@ import math
 import numpy as np
 import pytest
 
+import oracles
+from oracles import reference_newton_lanes
 from shockdev import fitting
 from shockdev.errors import NoRoot, NonConvergence
 
@@ -158,22 +160,106 @@ class TestSafeguardedNewtonLanes:
             lane_roots(LANES, f_tol=1e-12)
 
     def test_given_end_values_are_not_evaluated_again(self):
+        # the ends and the start are one call on the stack (lo, hi, x0); a
+        # caller that hands over that call's values saves it, and no later
+        # call sees the stack or either end again
         s, lo, hi, x0 = (np.array(c) for c in zip(*LANES))
+        stack = np.array([lo, hi, x0])
         seen = []
 
         def fdf(x):
             seen.append(x.copy())
             return f(x, s), df(x, s)
 
-        got = fitting.safeguarded_newton_lanes(
-            fdf, x0, lo, hi, f_tol=1e-12, f_ends=(f(lo, s), f(hi, s))
-        )
+        start = fdf(stack)
+        seen.clear()
+        got = fitting.safeguarded_newton_lanes(fdf, x0, lo, hi, f_tol=1e-12, start=start)
         assert got.tolist() == scalar_roots(LANES, f_tol=1e-12)
+        assert all(x.shape == lo.shape for x in seen)
         assert not any(np.array_equal(x, lo) or np.array_equal(x, hi) for x in seen)
         calls = len(seen)
         seen.clear()
         fitting.safeguarded_newton_lanes(fdf, x0, lo, hi, f_tol=1e-12)
-        assert len(seen) == calls + 2
+        assert len(seen) == calls + 1
+        assert np.array_equal(seen[0], stack)
+
+
+def _cubic_lanes(rng, n):
+    """Random lanes of f = d - d^3/6 (d = x - s), one root s in each range
+    [lo, hi] and starts anywhere in it: many first Newton steps leave the
+    bracket and bisect, and the lanes finish at different steps."""
+    s = rng.uniform(-1.0, 1.0, n)
+    lo = s - rng.uniform(0.05, 2.2, n)
+    hi = s + rng.uniform(0.05, 2.2, n)
+    x0 = lo + rng.uniform(0.0, 1.0, n) * (hi - lo)
+    return s, lo, hi, x0
+
+
+class TestAgainstReference:
+    """The lane solve returns the reference roots bit for bit
+    (``oracles.reference_newton_lanes``) and fails in the same cases."""
+
+    @staticmethod
+    def both(fdf, *args, **kwargs):
+        out = []
+        for solve in (fitting.safeguarded_newton_lanes, reference_newton_lanes):
+            try:
+                out.append(solve(fdf, *args, **kwargs))
+            except (NoRoot, NonConvergence) as exc:
+                out.append((type(exc), str(exc)))
+        return out
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_lanes(self, seed):
+        rng = np.random.default_rng(seed)
+        s, lo, hi, x0 = _cubic_lanes(rng, 97)
+        # roots exactly at an end, and ends within f_tol of one
+        lo[:5], hi[5:10] = s[:5], s[5:10]
+        lo[10:13], hi[13:16] = s[10:13] - 1e-14, s[13:16] + 1e-14
+        got, want = self.both(lambda x: (f(x, s), df(x, s)), x0, lo, hi, f_tol=1e-12)
+        assert got.tobytes() == want.tobytes()
+
+    def test_non_finite_and_zero_slopes(self):
+        # slopes of 0, +-inf and NaN at the start force bisection there
+        rng = np.random.default_rng(11)
+        s, lo, hi, x0 = _cubic_lanes(rng, 40)
+        bad = np.resize([0.0, np.inf, -np.inf, np.nan, 1.0], 40)
+
+        def fdf(x):
+            return f(x, s), np.where(x == x0, bad, df(x, s))
+
+        got, want = self.both(fdf, x0, lo, hi, f_tol=1e-12)
+        assert got.tobytes() == want.tobytes()
+
+    def test_scalar_lane(self):
+        def fdf(x):
+            return f(x, 0.1), df(x, 0.1)
+
+        for x0 in (-1.9, -0.3, 0.1, 1.7):
+            got, want = self.both(fdf, x0, -2.0, 2.0, f_tol=1e-12)
+            assert got.shape == want.shape == ()
+            assert got.tobytes() == want.tobytes()
+
+    def test_no_root_in_the_same_lane(self):
+        rng = np.random.default_rng(3)
+        s, lo, hi, x0 = _cubic_lanes(rng, 20)
+        lo[7] = s[7] + 0.1  # both ends above the root: no sign change
+        got, want = self.both(lambda x: (f(x, s), df(x, s)), x0, lo, hi, f_tol=1e-12)
+        assert got == want
+        assert got[0] is NoRoot and "in lane 7:" in got[1]
+
+    @pytest.mark.parametrize("budget", [0, 1, 2, 3, 4, 6])
+    def test_same_budget_failures(self, budget, monkeypatch):
+        monkeypatch.setattr(fitting, "_NEWTON_MAX_ITER", budget)
+        monkeypatch.setattr(oracles, "REFERENCE_MAX_ITER", budget)
+        rng = np.random.default_rng(5)
+        s, lo, hi, x0 = _cubic_lanes(rng, 30)
+        got, want = self.both(lambda x: (f(x, s), df(x, s)), x0, lo, hi, f_tol=1e-12)
+        if isinstance(want, tuple):
+            assert want[0] is NonConvergence
+            assert got == want
+        else:
+            assert got.tobytes() == want.tobytes()
 
 
 class TestExtrapolation:

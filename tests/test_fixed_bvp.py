@@ -212,7 +212,7 @@ def per_line_du(X, grid):
 
 
 class TestGridDerivatives:
-    @pytest.mark.parametrize("n", [2, 3, 16])
+    @pytest.mark.parametrize("n", [2, 3, 4, 16, 64, 256])
     def test_bit_identical_to_per_line_reference(self, n, rng):
         g = FB.TriGrid(EPS, n)
         X = rng.normal(size=(n + 1, n + 1))
@@ -237,6 +237,31 @@ class TestGridDerivatives:
         X = 2.0 * U**2 - 3.0 * U * V + V**2
         assert np.allclose(FB.du_grid(X, g)[g.mask], (4.0 * U - 3.0 * V)[g.mask], atol=1e-12)
         assert np.allclose(FB.dv_grid(X, g)[g.mask], (2.0 * V - 3.0 * U)[g.mask], atol=1e-12)
+
+
+class TestSup:
+    @pytest.mark.parametrize("n", [2, 16, 64, 256])
+    def test_equals_the_gathered_form(self, n, rng):
+        # bit for bit float(np.max(np.abs(X[mask]))), the form that copied
+        # the masked entries and then their absolute values
+        shape = (n + 1, n + 1)
+        masks = (np.tri(n + 1, dtype=bool), np.tri(n + 1, k=-1, dtype=bool) | np.eye(n + 1, dtype=bool))
+        for nan_frac in (0.0, 0.01, 0.5, 1.0):
+            X = rng.normal(size=shape) * 10.0 ** rng.uniform(-300, 300)
+            X[rng.random(shape) < 0.05] = -0.0
+            X[rng.random(shape) < nan_frac] = math.nan
+            for mask in (*masks, rng.random(shape) < 0.3):
+                mask.flat[0] = True
+                want = float(np.max(np.abs(X[mask])))
+                got = FB._sup(X.copy(), mask)
+                assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+    def test_entries_outside_the_mask_are_not_read(self, rng):
+        X = rng.normal(size=(9, 9))
+        mask = np.tri(9, dtype=bool)
+        want = float(np.max(np.abs(X[mask])))
+        X[~mask] = math.nan
+        assert FB._sup(X, mask) == want
 
 
 def sliced_ct_v(X, delta, out=None):

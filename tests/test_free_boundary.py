@@ -126,14 +126,17 @@ def continuation_identification(model, v, f_hat, delta_hat):
     cusp = model.cusp
     terms = FBD._radius_tail_terms(model)
 
-    def fdf(k, y):
-        y = float(y[0])
-        res, slope = delta_hat[k], 0.0
-        for c, ti, wj, e in terms:
-            res -= c * f_hat[k] ** ti * v[k] ** e * y**wj
-            if wj:
-                slope -= c * f_hat[k] ** ti * v[k] ** e * wj * y ** (wj - 1)
-        return np.array([res]), np.array([slope])
+    def fdf(k, ys):
+        # scalar arithmetic per entry, over any leading axes of the lane
+        res, slope = np.empty(np.shape(ys)), np.empty(np.shape(ys))
+        for i, y in np.ndenumerate(ys):
+            y = float(y)
+            res[i], slope[i] = delta_hat[k], 0.0
+            for c, ti, wj, e in terms:
+                res[i] -= c * f_hat[k] ** ti * v[k] ** e * y**wj
+                if wj:
+                    slope[i] -= c * f_hat[k] ** ti * v[k] ** e * wj * y ** (wj - 1)
+        return res, slope
 
     out = [-1.0]
     for k in range(1, len(v)):

@@ -237,8 +237,9 @@ class TestLanes:
 
     @pytest.mark.parametrize("eos_name", ["rad", "p2"])
     def test_bracket_ends_are_evaluated_once(self, eos_name, request, rng, monkeypatch):
-        # the bracket search hands its end values to the Newton solve, which
-        # would otherwise evaluate J at both ends again
+        # the bracket search evaluates both ends and the seed in one call and
+        # hands the values to the Newton solve, which would otherwise make
+        # that call again
         eos = request.getfixturevalue(eos_name)
         ahead, da = self.batch(rng)
         calls = []
@@ -254,13 +255,13 @@ class TestLanes:
 
         newton = fitting.safeguarded_newton_lanes
 
-        def without_ends(*args, f_ends=None, **kwargs):
+        def without_start(*args, start=None, **kwargs):
             return newton(*args, **kwargs)
 
-        monkeypatch.setattr(J.fitting, "safeguarded_newton_lanes", without_ends)
+        monkeypatch.setattr(J.fitting, "safeguarded_newton_lanes", without_start)
         calls.clear()
         want = J.solve_jump_beta(eos, ahead.alpha + da, ahead)
-        assert len(calls) == with_ends + 2
+        assert len(calls) == with_ends + 1
         assert np.array_equal(got, want)
 
     def test_one_lane_over_cap_rejects_the_batch(self, rad, rng):

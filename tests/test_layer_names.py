@@ -102,5 +102,28 @@ def test_stress_derivatives_is_called_through_the_jump_module(rad, monkeypatch):
     monkeypatch.setattr(jump, "stress_derivatives", counting)
     ahead = RiemannPair(np.zeros(3), np.zeros(3))
     jump.solve_jump_beta(rad, np.array([1e-2, 2e-2, -1e-2]), ahead)
-    # two bracket ends, the start and at least one Newton step
-    assert len(calls) >= 4
+    # the bracket ends with the seed, one Newton step and one polish step
+    assert len(calls) == 3
+
+
+def test_jump_layer_counts_per_canonical_solve(rad, monkeypatch):
+    # the benchmark's state.stress_derivatives.calls and
+    # jump.solve_jump_beta.calls of one canonical n = 64 solve from the flat
+    # seed. Its 10 outer steps and polish make 11 jump updates: 8 warm ones
+    # evaluate once each; 3 cold ones and the 3 corner samples solve the
+    # jump cold, each bracket search evaluating both ends and the seed in
+    # one call
+    calls = {"stress_derivatives": 0, "solve_jump_beta": 0}
+    for module, name in ((jump, "stress_derivatives"), (free_boundary, "solve_jump_beta")):
+        direct = getattr(module, name)
+
+        def counting(*args, _name=name, _direct=direct, **kwargs):
+            calls[_name] += 1
+            return _direct(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counting)
+    cusp = CuspData.from_physics(rad, kappa=1.0, lam=1.0, dbeta_dt0=0.3)
+    model = synthesize_model(cusp, rad, eps=0.01)
+    sol = free_boundary.run_shock_development(rad, model, cusp, eps=0.01, n=64)
+    assert len(sol.outer_history) == 10
+    assert calls == {"stress_derivatives": 44, "solve_jump_beta": 6}

@@ -257,6 +257,70 @@ class TestStress:
             assert dp == pytest.approx(fd_pb, rel=1e-6)
 
 
+def closed_form_derivatives(eos, pair):
+    """The six closed forms of :func:`S.stress_derivatives` as written."""
+    ws = S.wave_state(eos, pair)
+    v, eta = ws.v, ws.eta
+    w = (ws.rho + ws.pressure(eos)) / (1.0 - v**2) / (2.0 * eta)
+    return (
+        w * (1.0 + v * eta) ** 2,
+        w * (v + eta) * (1.0 + v * eta),
+        w * (v + eta) ** 2,
+        w * (1.0 - v * eta) ** 2,
+        w * (v - eta) * (1.0 - v * eta),
+        w * (v - eta) ** 2,
+    )
+
+
+class TestStressDerivativeRows:
+    """The six derivatives are written as rows of one array and equal their
+    closed forms bit for bit, for scalar and lane pairs."""
+
+    @pytest.mark.parametrize("law", ["rad", "p2", "table"])
+    def test_lanes_equal_the_closed_forms(self, law, request, rng):
+        eos = request.getfixturevalue(law)
+        pairs = random_pairs(rng, 60, rt_range=(-0.3, 0.3), zeta_range=(-0.8, 0.8))
+        pair = S.RiemannPair(
+            np.array([p.alpha for p in pairs]).reshape(4, 15),
+            np.array([p.beta for p in pairs]).reshape(4, 15),
+        )
+        got = S.stress_derivatives(eos, pair)
+        for g, w in zip(got, closed_form_derivatives(eos, pair)):
+            assert g.shape == (4, 15)
+            assert g.tobytes() == w.tobytes()
+        # rows of one array, tt, rr and tr each along alpha then beta, which
+        # the jump layer contracts at once
+        base = got.tt_alpha.base
+        assert base.shape == (6, 4, 15)
+        order = ("tt_alpha", "tt_beta", "rr_alpha", "rr_beta", "tr_alpha", "tr_beta")
+        for row, name in zip(base, order):
+            assert np.shares_memory(row, getattr(got, name))
+            assert row.tobytes() == getattr(got, name).tobytes()
+
+    @pytest.mark.parametrize("law", ["rad", "p2", "table"])
+    def test_scalars_equal_the_closed_forms(self, law, request, rng):
+        eos = request.getfixturevalue(law)
+        for pair in random_pairs(rng, 40, rt_range=(-0.3, 0.3), zeta_range=(-0.8, 0.8)):
+            got = S.stress_derivatives(eos, pair)
+            want = closed_form_derivatives(eos, pair)
+            assert all(type(g) is float for g in got)
+            assert list(got) == [float(w) for w in want]
+
+    @pytest.mark.parametrize("law", ["rad", "p2", "table"])
+    def test_potential_outside_the_density_image_is_refused(self, law, request):
+        # the inversion's check of the potential against the image of
+        # [rho_min, rho_max] is the one range check of a wave state
+        eos = request.getfixturevalue(law)
+        lo, hi = (E.potential_of_rho(eos, r) for r in (eos.rho_min, eos.rho_max))
+        for rho_tilde in (lo - 1e-3, hi + 1e-3, math.nan):
+            for shape in ((), (3,)):
+                rt = np.full(shape, rho_tilde)
+                rt.flat[0] = 0.5 * (lo + hi)
+                pair = S.RiemannPair(rt if shape else rho_tilde, rt if shape else rho_tilde)
+                with pytest.raises(OutOfRange, match="potential"):
+                    S.wave_state(eos, pair)
+
+
 # ---------------------------------------------------------------------------
 # Oracle: the full state bundle the wave state replaced.  Every quantity
 # comes from the public eos functions, each of which checks the density
@@ -384,7 +448,10 @@ class TestWaveStateMatchesBundle:
              "stress_derivatives", "enthalpy_and_sigma"],
     )
     def test_one_inversion_and_one_density_check(self, rad, fn, monkeypatch):
-        counts = {"rho_of_potential": 0, "_check_rho": 0}
+        # the one range check is the inversion's, of the potential against
+        # the image of the density range; the density it clips into that
+        # range is not checked again
+        counts = {"rho_of_potential": 0, "_check_in": 0, "_check_rho": 0}
         for name in counts:
             wrapped = getattr(E, name)
 
@@ -394,7 +461,7 @@ class TestWaveStateMatchesBundle:
 
             monkeypatch.setattr(E, name, counting)
         fn(rad, S.RiemannPair(np.array([0.1, -0.2]), np.array([0.05, 0.3])))
-        assert counts == {"rho_of_potential": 1, "_check_rho": 1}
+        assert counts == {"rho_of_potential": 1, "_check_in": 1, "_check_rho": 0}
 
     @pytest.mark.parametrize("law", LAWS)
     def test_pressure_mu_and_jump_functionals_follow_the_pair(self, law, request):
