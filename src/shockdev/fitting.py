@@ -251,7 +251,7 @@ def safeguarded_newton_lanes(
         going = np.ones_like(done)
         for _ in range(polish):
             xn = x - fx / dx
-            going &= (dx != 0) & np.isfinite(dx) & (xn != x) & np.isfinite(xn)
+            going &= (xn != x) & np.isfinite(xn)  # a 0 or non-finite dx fails too
             if not going.any():
                 break
             fn, dn = fdf(np.where(going, xn, x))

@@ -36,7 +36,7 @@ import numpy as np
 
 from . import eos as eos_mod
 from .errors import NonConvergence, SingularGamma
-from .state import RiemannPair, char_speeds, sources_of, wave_state
+from .state import RiemannPair, sources_of, sweep_state
 from .state_ahead import CuspData, InitialData
 
 __all__ = [
@@ -164,30 +164,32 @@ def gamma_inverse(
             degenerate constant solution stays solvable.
     """
     v = bf.v
-    alpha_diag = np.asarray(alpha_on_diag, dtype=float)
     V = bf.speed()
-    cp, cm = char_speeds(eos, RiemannPair(alpha_diag, bf.beta_plus()))
-    num = V - cm
-    den = cp - V
+    # the behind speeds alone, with num and den formed in their storage
+    cp, cm, _ = sweep_state(eos, RiemannPair(alpha_on_diag, bf.beta_plus()))
+    num = np.subtract(V, cm, out=cm)
+    den = np.subtract(cp, V, out=cp)
     corner = v == 0.0
-    bad = ~corner & (den < 0)
-    if np.any(bad):
-        j = int(np.argmax(bad))
-        raise SingularGamma(
-            f"shock speed exceeds the behind outgoing speed at v = {v[j]:.6g} "
-            f"(margin {den[j]:.3e})"
-        )
+    if den.min() < 0:  # the mask only when some den is negative
+        bad = ~corner & (den < 0)
+        if bad.any():
+            j = int(np.argmax(bad))
+            raise SingularGamma(
+                f"shock speed exceeds the behind outgoing speed at v = {v[j]:.6g} "
+                f"(margin {den[j]:.3e})"
+            )
     with np.errstate(divide="ignore"):
-        out = num / den
-    out[corner] = math.inf
-    return out
+        num /= den
+    num[corner] = math.inf
+    return num
 
 
 # Cumulative trapezoid rules from 0 along v (the last axis) and along u
 # (axis 0), term for term SciPy's cumulative_trapezoid(X, dx=delta,
-# initial=0).  With ``out = X`` they overwrite their integrand; a given
-# ``out`` must be C-contiguous.  Their pair sums and scalings run on
-# contiguous memory, which NumPy passes over faster than 2-D row slices.
+# initial=0), whose (delta x) / 2 is x (delta / 2) exactly.  With ``out =
+# X`` they overwrite their integrand; a given ``out`` must be C-contiguous.
+# Their pair sums and scalings run on contiguous memory, which NumPy
+# passes over faster than 2-D row slices.
 
 def _ct_v(X: np.ndarray, delta: float, out: np.ndarray | None = None) -> np.ndarray:
     if out is None:
@@ -196,8 +198,7 @@ def _ct_v(X: np.ndarray, delta: float, out: np.ndarray | None = None) -> np.ndar
     flat = X.reshape(-1)
     body = np.add(flat[1:], flat[:-1], out=out.reshape(-1)[1:])
     out[..., 0] = 0.0
-    body *= delta
-    body /= 2.0
+    body *= 0.5 * delta
     np.cumsum(out[..., 1:], axis=-1, out=out[..., 1:])
     return out
 
@@ -208,21 +209,15 @@ def _ct_u(X: np.ndarray, delta: float, out: np.ndarray | None = None) -> np.ndar
     # on whole-row slices, cumulated down the columns
     body = np.add(X[1:], X[:-1], out=out[1:])
     out[0] = 0.0
-    body *= delta
-    body /= 2.0
+    body *= 0.5 * delta
     np.cumsum(body, axis=0, out=body)
     return out
 
 
 def _from_diag(CT: np.ndarray) -> np.ndarray:
     """Column integrals from the diagonal, CT[i, j] - CT[j, j], in place."""
-    CT -= np.diagonal(CT).copy()
+    CT -= CT.diagonal().copy()
     return CT
-
-
-def _speed_part(state):
-    """The state's v and eta alone: its speeds and v eta read no more."""
-    return state._replace(rho_tilde=None, rho=None, eta2=None)
 
 
 def _sup(X: np.ndarray, mask: np.ndarray) -> float:
@@ -232,8 +227,10 @@ def _sup(X: np.ndarray, mask: np.ndarray) -> float:
 
 
 def _rounding_floor(alpha: np.ndarray, beta: np.ndarray, mask: np.ndarray) -> float:
-    """2 ulp of max(|alpha|, |beta|) on the triangle."""
-    return 2.0 * np.spacing(max(_sup(alpha.copy(), mask), _sup(beta.copy(), mask)))
+    """2 ulp of max(|alpha|, |beta|) on the triangle, |alpha| and then |beta|
+    formed in one temporary."""
+    scratch = np.abs(alpha)
+    return 2.0 * np.spacing(max(_sup(scratch, mask), _sup(np.abs(beta, out=scratch), mask)))
 
 
 def _extrapolate_entry(sources: list) -> float | None:
@@ -269,11 +266,12 @@ def dv_grid(X: np.ndarray, grid: TriGrid) -> np.ndarray:
         # last three diagonal views (out's diagonal, strided on its storage)
         out[2:, 0] = (-3.0 * X[2:, 0] + 4.0 * X[2:, 1] - X[2:, 2]) / (2.0 * d)
         out.reshape(-1)[2 * (n + 2) :: n + 2] = (
-            3.0 * np.diagonal(X)[2:] - 4.0 * np.diagonal(X, -1)[1:] + np.diagonal(X, -2)
+            3.0 * X.diagonal()[2:] - 4.0 * X.diagonal(-1)[1:] + X.diagonal(-2)
         ) / (2.0 * d)
-    out[1, :2] = (X[1, 1] - X[1, 0]) / d
+    # the corner fix-ups run on Python floats, which round as NumPy's do
+    out[1, :2] = (X.item(1, 1) - X.item(1, 0)) / d
     for i, j in ((1, 0), (1, 1), (0, 0)):
-        sources = [out[k, j] for k in range(i + 1, min(i + 4, n + 1)) if k >= j]
+        sources = [out.item(k, j) for k in range(i + 1, min(i + 4, n + 1)) if k >= j]
         fixed = _extrapolate_entry(sources)
         if fixed is not None:
             out[i, j] = fixed
@@ -299,16 +297,16 @@ def du_grid(X: np.ndarray, grid: TriGrid) -> np.ndarray:
         # columns j <= n - 2: their first three entries are diagonal views
         # (out's diagonal, strided on its storage), their last three row views
         out.reshape(-1)[: (n - 1) * (n + 2) : n + 2] = (
-            -3.0 * np.diagonal(X)[: n - 1]
-            + 4.0 * np.diagonal(X, -1)[: n - 1]
-            - np.diagonal(X, -2)
+            -3.0 * X.diagonal()[: n - 1]
+            + 4.0 * X.diagonal(-1)[: n - 1]
+            - X.diagonal(-2)
         ) / (2.0 * d)
         out[n, : n - 1] = (
             3.0 * X[n, : n - 1] - 4.0 * X[n - 1, : n - 1] + X[n - 2, : n - 1]
         ) / (2.0 * d)
-    out[n - 1 :, n - 1] = (X[n, n - 1] - X[n - 1, n - 1]) / d
+    out[n - 1 :, n - 1] = (X.item(n, n - 1) - X.item(n - 1, n - 1)) / d
     for i, j in ((n - 1, n - 1), (n, n - 1), (n, n)):
-        sources = [out[i, k] for k in range(j - 1, max(j - 4, -1), -1) if k >= 0]
+        sources = [out.item(i, k) for k in range(j - 1, max(j - 4, -1), -1) if k >= 0]
         fixed = _extrapolate_entry(sources)
         if fixed is not None:
             out[i, j] = fixed
@@ -390,8 +388,6 @@ def _march_linear_t(mu_grid, nu_grid, gamma_inv_diag, dh_du, grid: TriGrid):
     n = grid.n
     half = 0.5 * grid.delta
     dh = np.asarray(dh_du, dtype=float)
-    dhl = dh.tolist()
-    ginv = np.asarray(gamma_inv_diag, dtype=float).tolist()
     # F' and G' are formed in the storage of mu and nu, both taken in
     # row-major order, which the flattened passes read.  Only mu's column
     # integral starts above the diagonal, so mu alone is zeroed outside the
@@ -409,8 +405,9 @@ def _march_linear_t(mu_grid, nu_grid, gamma_inv_diag, dh_du, grid: TriGrid):
         # storage and G' in nu's
         ek = _ct_v(nu, grid.delta)
         np.exp(ek, out=ek)
-        el = _from_diag(_ct_u(mu, grid.delta))
-        np.negative(el, out=el)
+        # -l = CT[j, j] - CT[i, j], -(CT[i, j] - CT[j, j]) but for a 0's sign
+        el = _ct_u(mu, grid.delta)
+        np.subtract(el.diagonal().copy(), el, out=el)
         np.exp(el, out=el)
         F = mu
         F *= el
@@ -435,14 +432,15 @@ def _march_linear_t(mu_grid, nu_grid, gamma_inv_diag, dh_du, grid: TriGrid):
         W *= np.divide(half, prod, out=c)
         # rho is written over W's rows, and rho_0 = 0 is never written
         W[:, 0] = 0.0
-        # the diagonal closure, in Python floats
-        ek_d = np.diagonal(ek).tolist()
-        halfF_sub = (half * np.diagonal(F, -1)).tolist()
-        halfF_ek_d = (half * np.diagonal(F) * np.diagonal(ek)).tolist()
-        G_d = np.diagonal(G).tolist()
-        G_sub = np.diagonal(G, -1).tolist()
-        Gh_next = (np.diagonal(G, -1) * dh[1:]).tolist() + [0.0]
-        prod_sub = np.diagonal(prod, -1).tolist()
+        # the diagonal closure, in Python floats taken by one tolist; entry
+        # (i, i - 1) of a sub-diagonal at i, den_d = 1 + half F' e^{k} gamma_inv
+        dg = np.zeros((9, n + 1))
+        dg[[0, 3, 7, 8]] = ek.diagonal(), G.diagonal(), gamma_inv_diag, dh
+        dg[[1, 4, 6], 1:] = half * F.diagonal(-1), G.diagonal(-1), prod.diagonal(-1)
+        dg[2] = half * F.diagonal() * dg[0] * dg[7] + 1.0
+        dg[5, :-1] = dg[4, 1:] * dh[1:]
+        ek_d, halfF_sub, den_d, G_d, G_sub, Gh_next, prod_sub, ginv, dhl = dg.tolist()
+        del dg
         # D_i in c's storage, by a forward pass on the flattened rows that
         # reads each row before it is written; row i of Z then holds U_{i+1}
         Z = np.multiply(G, dh[:, None], out=c)
@@ -475,12 +473,12 @@ def _march_linear_t(mu_grid, nu_grid, gamma_inv_diag, dh_du, grid: TriGrid):
             sub(z, T, z)
             add(z, u, z)
             # R and U - G'R at the node before the diagonal close it
-            R = prod_sub[i - 1] * rho.item(i - 1)
-            b = dhl[i] - R - halfF_sub[i - 1] * (u.item(i - 1) - G_sub[i - 1] * R)
+            R = prod_sub[i] * rho.item(i - 1)
+            b = dhl[i] - R - halfF_sub[i] * (u.item(i - 1) - G_sub[i] * R)
             # an infinite gamma_inv leaves Q = NaN here unless b = 0
             pt = p_ii = q_ii = 0.0
             if b != 0.0:
-                den = 1.0 + halfF_ek_d[i] * ginv[i]
+                den = den_d[i]
                 if den == 0.0:
                     raise NonConvergence(_NON_FINITE_T, diverging=True)
                 pt = b / den
@@ -500,8 +498,8 @@ def _march_linear_t(mu_grid, nu_grid, gamma_inv_diag, dh_du, grid: TriGrid):
         Q *= 0.5
         np.subtract(Z[:-1], Q[1:], out=Q[1:])
         Q *= el
-        np.fill_diagonal(P, p_d)
-        np.fill_diagonal(Q, q_d)
+        P.reshape(-1)[:: n + 2] = p_d
+        Q.reshape(-1)[:: n + 2] = q_d
         np.copyto(P, 0.0, where=outside)
         np.copyto(Q, 0.0, where=outside)
     return P, Q
@@ -536,7 +534,7 @@ class FieldGrid:
 
     def diagonal(self, name: str) -> np.ndarray:
         """Samples of a field along the shock diagonal u = v."""
-        return np.diagonal(getattr(self, name)).copy()
+        return getattr(self, name).diagonal().copy()
 
     @property
     def rounding_floor(self) -> float:
@@ -545,12 +543,14 @@ class FieldGrid:
         return _rounding_floor(self.alpha, self.beta, self.grid.mask)
 
 
-def _check_nodes(name: str, got: np.ndarray, grid: TriGrid) -> None:
-    # a NaN deviation fails the comparison, so NaN and +-inf samples are rejected
-    if got.shape != grid.nodes.shape or not (
-        np.max(np.abs(got - grid.nodes)) <= 1e-14 * grid.eps
-    ):
-        raise ValueError(f"{name} samples are not on the grid nodes")
+def _check_nodes(init: InitialData, bf: BoundaryFunctions, grid: TriGrid) -> None:
+    # both sample sets in one pass, a set of another shape taken as NaN; a
+    # NaN deviation fails the comparison, so NaN and +-inf samples fail too
+    named, nodes = (("initial data", init.u), ("boundary", bf.v)), grid.nodes
+    sets = [x if x.shape == nodes.shape else np.full(nodes.shape, np.nan) for _, x in named]
+    for (name, _), dev in zip(named, np.abs(np.subtract(sets, nodes)).max(axis=1)):
+        if not dev <= 1e-14 * grid.eps:
+            raise ValueError(f"{name} samples are not on the grid nodes")
 
 
 def solve_fixed_bvp(
@@ -589,29 +589,18 @@ def solve_fixed_bvp(
             contraction), or the time solve met non-finite values.
         SingularGamma, OutOfRange: propagated from the coefficients.
     """
-    _check_nodes("initial data", init.u, grid)
-    _check_nodes("boundary", bf.v, grid)
+    _check_nodes(init, bf, grid)
     d = grid.delta
     mask = grid.mask
-    outside = grid.outside
     shape = (grid.n + 1, grid.n + 1)
     alpha_i = np.asarray(init.alpha_i, dtype=float)
     beta_p = bf.beta_plus()
     r0 = float(bf.cusp.r0)
 
-    def in_triangle(X):
-        """X with its entries outside the triangle set to 0, in place."""
-        np.copyto(X, 0.0, where=outside)
-        return X
-
-    def assemble(alpha, beta, sweep):
-        """P, Q and r - r0 at (alpha, beta), and for a sweep v eta, all
-        that its transport sources read of the state."""
-        state = _speed_part(wave_state(eos, RiemannPair(alpha, beta)))
-        cp, cm = state.speeds()
-        # the re-assembly keeps nothing of the state
-        ve = state.v * state.eta if sweep else None
-        del state
+    def assemble(alpha, beta):
+        """P, Q and r - r0 at (alpha, beta), and v eta, all that a sweep's
+        transport sources read of the state."""
+        cp, cm, ve = sweep_state(eos, RiemannPair(alpha, beta))
         spread = cp - cm
         # solve_linear_t reads no coefficient outside the triangle, and
         # forms its own in the storage of mu and nu
@@ -621,12 +610,14 @@ def solve_fixed_bvp(
         nu /= spread
         cm_edge = cm[:, 0].copy()
         del spread, cm
-        ginv = gamma_inverse(bf, np.diagonal(alpha).copy(), eos)
+        ginv = gamma_inverse(bf, alpha.diagonal().copy(), eos)
         P, Q = solve_linear_t(mu, nu, ginv, init.dh_du, grid)
         del mu, nu
         s_edge = _ct_v(cm_edge * P[:, 0], d)
-        # cp is read for the last time here
-        s = _ct_v(in_triangle(np.multiply(cp, Q, out=cp)), d, out=cp)
+        # P and Q are 0 outside the triangle, so are their products with
+        # finite coefficients: a -0.0 adds as +0.0 to every integral from
+        # v = 0 or u = 0.  cp is read for the last time here
+        s = _ct_v(np.multiply(cp, Q, out=cp), d, out=cp)
         s += s_edge[:, None]
         return P, Q, s, ve
 
@@ -639,7 +630,7 @@ def solve_fixed_bvp(
     met = False
     prev = math.inf
     for _ in range(_MAX_SWEEPS if warm is None else 1):
-        P, Q, s, ve = assemble(alpha, beta, True)
+        P, Q, s, ve = assemble(alpha, beta)
         # the radius r0 + s, for the sources, stays bound with P, Q and s:
         # released here, the freed top of the heap goes back to the system
         # and the next sweep faults it in again (a quarter more minor
@@ -649,8 +640,8 @@ def solve_fixed_bvp(
         del ve
         # a cold sweep reads its P and Q for the last time here, so the new
         # fields are formed in their storage; the warm sweep returns them
-        alpha_new = in_triangle(np.multiply(Q, A, out=Q if warm is None else None))
-        beta_new = in_triangle(np.multiply(P, B, out=P if warm is None else None))
+        alpha_new = np.multiply(Q, A, out=Q if warm is None else None)
+        beta_new = np.multiply(P, B, out=P if warm is None else None)
         del A, B
         _ct_v(alpha_new, d, out=alpha_new)
         alpha_new += alpha_i[:, None]
@@ -694,7 +685,7 @@ def solve_fixed_bvp(
                 diverging=history[-1] > history[0],
             )
     if warm is None:
-        P, Q, s, _ = assemble(alpha, beta, False)
+        P, Q, s, _ = assemble(alpha, beta)
     # only the returned Q is integrated for t: a cold sweep discards its t
     return FieldGrid(
         grid=grid,
@@ -745,10 +736,7 @@ def characteristic_residuals(
     # each coefficient grid is formed when its residual is due and released
     # after it: the speeds, then the sources from v eta, whose radius
     # r0 + r_off is formed for them alone
-    state = _speed_part(wave_state(eos, RiemannPair(fg.alpha, fg.beta)))
-    cp, cm = state.speeds()
-    ve = state.v * state.eta
-    del state
+    cp, cm, ve = sweep_state(eos, RiemannPair(fg.alpha, fg.beta))
     # stencil validity: centered in v needs 1 <= j <= i - 1; centered in u
     # needs j + 1 <= i <= n - 1
     mask_v = grid.v_inner

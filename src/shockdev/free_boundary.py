@@ -290,8 +290,8 @@ class ShockSolution:
 
     @property
     def corner(self) -> CornerExpansion:
-        """The grid-free corner expansion of the context."""
-        return self.context.corner
+        """The grid-free corner expansion of the context's model."""
+        return self.context.model.corner
 
     @functools.cached_property
     def diagnostics(self) -> dict:
@@ -333,13 +333,13 @@ class SolverContext:
     n // 2 (see ``ADEQUATE_N``).  ``speed_trust_index`` bounds the fill of
     the hatted speed, whose raw extraction additionally divides ~ulp-level
     speed rounding by v^2, so its trusted region must satisfy
-    v^2 > ulp/tol_outer regardless of the grid.  The EOS and the cusp data are those of ``model``.
+    v^2 > ulp/tol_outer regardless of the grid.  The EOS, the cusp data and
+    the corner expansion (computed once per model) are those of ``model``.
     """
 
     model: StateAheadModel
     grid: TriGrid
     init: object
-    corner: CornerExpansion
     trust_index: int
     speed_trust_index: int
 
@@ -349,7 +349,6 @@ class SolverContext:
     ) -> "SolverContext":
         grid = TriGrid(eps, n)
         init = initial_data(model, model.eos, eps, n)
-        corner = corner_expansion(model, model.eos)
         trust_index = min(max(_TRUST_FLOOR, grid.n // _TRUST_DIVISOR), max(grid.n // 2, 1))
         # hatted-speed rounding floor: ~3 ulp of the speed scale over v^2
         # must stay below a third of the convergence tolerance
@@ -361,7 +360,6 @@ class SolverContext:
             model=model,
             grid=grid,
             init=init,
-            corner=corner,
             trust_index=trust_index,
             speed_trust_index=kt_speed,
         )
@@ -421,17 +419,18 @@ def solve_identification(
     v = np.asarray(v, dtype=float)
     f_hat = np.asarray(f_hat, dtype=float)
     delta_hat = np.asarray(delta_hat, dtype=float)
-    # per radius term: its lane coefficients c f_hat^i v^e and its y power
-    terms = [
-        (c * f_hat[1:] ** ti * v[1:] ** e, wj)
-        for c, ti, wj, e in _radius_tail_terms(model)
-    ]
+    # per radius term: its lane coefficients a = c f_hat^i v^e, its y power
+    # wj and the slope's a wj
+    terms = []
+    for c, ti, wj, e in _radius_tail_terms(model):
+        a = c * f_hat[1:] ** ti * v[1:] ** e
+        terms.append((a, wj, a * wj))
 
     def fdf(y):
         # a y^0 and a 1 y^0 equal a and y^1 equals y bit for bit, and
         # 0.0 - x equals the first slope term subtracted from zeros
         res, slope = delta_hat[1:], 0.0
-        for a, wj in terms:
+        for a, wj, aw in terms:
             if not wj:
                 res = res - a
             elif wj == 1:
@@ -439,12 +438,13 @@ def solve_identification(
                 slope = slope - a
             else:
                 res = res - a * y**wj
-                slope = slope - a * wj * y ** (wj - 1)
+                slope = slope - aw * y ** (wj - 1)
         return res, slope
 
-    y0 = np.full(len(v) - 1, -1.0)
+    # every lane starts at -1 on [-1.5, -0.5]: the start stack is 3 numbers
+    y0, start = np.full(len(v) - 1, -1.0), fdf(np.array([[-1.5], [-0.5], [-1.0]]))
     roots = fitting.safeguarded_newton_lanes(
-        fdf, y0, y0 - 0.5, y0 + 0.5, f_tol=1e-13 * cusp.lam / cusp.kappa
+        fdf, y0, y0 - 0.5, y0 + 0.5, f_tol=1e-13 * cusp.lam / cusp.kappa, start=start
     )
     out = np.concatenate([[-1.0], roots])
 
@@ -453,7 +453,7 @@ def solve_identification(
         fk = vk**2 * f_hat[-1]
         gk = vk**3 * delta_hat[-1] + cusp.c_plus0 * fk
         raw = (gk + cusp.r0 - model.eval("r", fk, vk * yk)) / vk**3
-        fac = fdf(roots)[0][-1]
+        fac = fdf(roots[-1:])[0][-1]
         tol = 1e-9 * max(1.0, cusp.r0) * (0.01 / vk) ** 3
         if abs(raw - fac) > tol:
             raise ShockDevError(
@@ -530,7 +530,7 @@ def outer_iterate(bf: BoundaryFunctions, ctx: SolverContext, *, warm=None):
         this step).
     """
     cusp = ctx.model.cusp
-    corner = ctx.corner
+    corner = ctx.model.corner
     sweep_from, beta_prev = (None, None) if warm is None else warm
     fg = solve_fixed_bvp(bf, ctx.init, ctx.model.eos, ctx.grid, warm=sweep_from)
     v = ctx.grid.nodes
@@ -618,9 +618,9 @@ def boundary_difference(a: BoundaryFunctions, b: BoundaryFunctions):
     Returns (sup |dy|, sup |d beta_hat_plus|, sup |dV_hat|); their maximum
     is the outer stopping metric.
     """
-    dy = float(np.max(np.abs(a.y - b.y)))
-    db = float(np.max(np.abs(a.beta_hat_plus - b.beta_hat_plus)))
-    dvh = float(np.max(np.abs(a.V_hat - b.V_hat)))
+    dy = float(np.abs(a.y - b.y).max())
+    db = float(np.abs(a.beta_hat_plus - b.beta_hat_plus).max())
+    dvh = float(np.abs(a.V_hat - b.V_hat).max())
     return dy, db, dvh
 
 

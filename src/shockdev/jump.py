@@ -41,8 +41,8 @@ from .state import (
     RiemannPair,
     StressComponents,
     StressDerivatives,
+    WaveState,
     _lane_result,
-    stress,
     stress_derivatives,
     wave_state,
 )
@@ -78,37 +78,43 @@ _MAX_EXPAND = 4
 _COINCIDENCE_STEP = 1e-2
 
 _GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(8)
-_GAUSS_S = 0.5 * (_GAUSS_X + 1.0)
+_GAUSS_S = (0.5 * (_GAUSS_X + 1.0))[:, None]  # on [0, 1], a column
 _GAUSS_W01 = 0.5 * _GAUSS_W
 
 
 def _jump_and_behind_slopes(eos: eos_mod.BarotropicEos, jp: JumpPair):
     """Stress jumps per lane plus the stress derivatives at the behind state.
 
-    The 8 Gauss points of every lane and the behind state itself form a
-    trailing axis of 9 states, evaluated in one ``stress_derivatives`` call
-    and contracted with the Gauss weights in one product.  The product's
-    rounding depends on how many lanes share one matrix-vector call, so
-    0-d states are taken as one lane, which rounds like a 1-D dot product.
+    The 8 Gauss points of each lane (formed along the lanes, then laid out
+    lane by lane) and the behind states are the states of one
+    ``stress_derivatives`` call; the Gauss block is contracted with the
+    weights in one product, whose rounding depends on how many lanes share
+    one matrix-vector call, so 0-d states are taken as one lane, which
+    rounds like a 1-D dot product.
     """
     ends = (*jp.ahead, *jp.behind)
     shape = np.broadcast(*ends).shape
+    lanes = shape or (1,)
     # rows: ahead alpha, ahead beta, behind alpha, behind beta
-    inv = np.empty((4,) + (shape or (1,)))
+    inv = np.empty((4,) + lanes)
     for row, end in zip(inv, ends):
         row[...] = end
     jumps = inv[2:] - inv[:2]
-    points = np.empty(jumps.shape + (9,))
-    np.multiply(jumps[..., None], _GAUSS_S, out=points[..., :-1])
-    points[..., :-1] += inv[:2, ..., None]
-    points[..., -1] = inv[2:]
+    m = jumps[0].size
+    by_point = np.multiply(jumps.reshape(2, 1, m), _GAUSS_S)
+    by_point += inv[:2].reshape(2, 1, m)
+    points = np.empty((2, 9 * m))
+    points[:, : 8 * m].reshape(2, m, 8)[...] = by_point.transpose(0, 2, 1)
+    points[:, 8 * m :] = inv[2:].reshape(2, m)
     d = stress_derivatives(eos, RiemannPair(points[0], points[1]))
     # the six derivatives are rows of one array: (tt, rr, tr) by (alpha, beta)
-    gauss = (d.tt_alpha.base[..., :-1] @ _GAUSS_W01).reshape((3, 2) + inv.shape[1:])
+    rows = d.tt_alpha.base
+    gauss = (rows[:, : 8 * m].reshape((6,) + lanes + (8,)) @ _GAUSS_W01).reshape((3, 2) + lanes)
     tt, rr, tr = (jumps[0] * gauss[:, 0] + jumps[1] * gauss[:, 1]).reshape((3,) + shape)
+    behind = rows[:, 8 * m :].reshape((6,) + shape)
     return (
         StressComponents(tt, tr, rr),
-        StressDerivatives(*(row[..., -1].reshape(shape) for row in d)),
+        StressDerivatives(behind[0], behind[4], behind[2], behind[1], behind[5], behind[3]),
     )
 
 
@@ -148,14 +154,21 @@ def jump_J(eos: eos_mod.BarotropicEos, jp: JumpPair):
 
 def jump_scale(eos: eos_mod.BarotropicEos, state: RiemannPair):
     """Natural size of J: (rho + p)^2 at the given state(s), per lane."""
-    w = wave_state(eos, state)
-    return _lane_result((w.rho + w.pressure(eos)) ** 2)
+    return _lane_result(_scale_at(eos, wave_state(eos, state)))
 
 
 def cubic_coefficient(eos: eos_mod.BarotropicEos, state: RiemannPair):
     """Leading coefficient G0 = -mu^2/(192 eta^2) of the cubic jump law, per lane."""
-    w = wave_state(eos, state)
-    return _lane_result(-(w.mu(eos) ** 2) / (192.0 * w.eta2))
+    return _lane_result(_cubic_at(eos, wave_state(eos, state)))
+
+
+# the two at inverted states, so a solve that needs both inverts once
+def _scale_at(eos: eos_mod.BarotropicEos, w: WaveState):
+    return (w.rho + w.pressure(eos)) ** 2
+
+
+def _cubic_at(eos: eos_mod.BarotropicEos, w: WaveState):
+    return -(w.mu(eos) ** 2) / (192.0 * w.eta2)
 
 
 def _capped_dalpha(a_plus: np.ndarray, a_ahead: np.ndarray) -> np.ndarray:
@@ -203,7 +216,8 @@ def solve_jump_beta(
     a_plus = a_plus.ravel()[lanes]
     ahead = RiemannPair(a_ahead.ravel()[lanes], b_ahead.ravel()[lanes])
     dalpha3 = dalpha.ravel()[lanes] ** 3
-    g0 = cubic_coefficient(eos, ahead)
+    w_ahead = wave_state(eos, ahead)  # for G0 and the tolerance's scale
+    g0 = _cubic_at(eos, w_ahead)
     seed = ahead.beta + g0 * dalpha3
     width = 8.0 * np.abs(g0 * dalpha3) + 1e-14
 
@@ -234,7 +248,7 @@ def solve_jump_beta(
         seed,
         pts[0],
         pts[1],
-        f_tol=_J_TOL_REL * jump_scale(eos, ahead),
+        f_tol=_J_TOL_REL * _scale_at(eos, w_ahead),
         polish=8,
         start=start,
     )
@@ -276,12 +290,12 @@ def jump_newton_step(
         return None
     ahead = RiemannPair(a_ahead, b_ahead)
     dT, d = _jump_and_behind_slopes(eos, JumpPair(ahead, RiemannPair(a_plus, b_prev)))
-    if np.any(_coincident(eos, dT, ahead)):
+    if _coincident(eos, dT, ahead).any():
         return None
     J, dJ = _J_and_slope(dT, d)
     with np.errstate(divide="ignore", invalid="ignore"):
         step = -J / dJ
-    if not np.all(np.abs(step) <= np.abs(b_prev - b_ahead)):
+    if not (np.abs(step) <= np.abs(b_prev - b_ahead)).all():
         return None
     dV = (d.tr_beta * dT.tt - dT.tr * d.tt_beta) / dT.tt**2
     return _lane_result(b_prev + step), _lane_result(dT.tr / dT.tt + dV * step)
@@ -294,14 +308,15 @@ def shock_speed(eos: eos_mod.BarotropicEos, jp: JumpPair):
         DegenerateJump: the states of some lane (nearly) coincide and V is 0/0.
     """
     dT = stress_jump(eos, jp)
-    if np.any(_coincident(eos, dT, jp.ahead)):
+    if _coincident(eos, dT, jp.ahead).any():
         raise DegenerateJump("states coincide; front speed is indeterminate")
     return dT.tr / dT.tt
 
 
 def _coincident(eos: eos_mod.BarotropicEos, dT: StressComponents, ahead: RiemannPair):
     """Lanes whose states (nearly) coincide, where V = [T^tr]/[T^tt] is 0/0."""
-    return np.abs(dT.tt) <= 2e-14 * np.abs(stress(eos, ahead).tt)
+    E, p = wave_state(eos, ahead).energy(eos)
+    return np.abs(dT.tt) <= 2e-14 * np.abs(E - p)
 
 
 def entropy_q(eos: eos_mod.BarotropicEos, state: RiemannPair):

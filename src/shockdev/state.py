@@ -29,6 +29,7 @@ __all__ = [
     "StressComponents",
     "StressDerivatives",
     "wave_state",
+    "sweep_state",
     "sources_of",
     "char_speeds",
     "stress",
@@ -61,7 +62,7 @@ class StressDerivatives(NamedTuple):
 
 def _lane_result(x):
     """A Python float for a single-lane (0-d) result, the lane array otherwise."""
-    return float(x) if np.ndim(x) == 0 else x
+    return x if getattr(x, "ndim", 0) else float(x)
 
 
 class WaveState(NamedTuple):
@@ -81,19 +82,8 @@ class WaveState(NamedTuple):
     eta2: np.ndarray
 
     def speeds(self):
-        """(c_plus, c_minus) = ((v + eta)/(1 + v eta), (v - eta)/(1 - v eta)).
-
-        c_minus is formed in the storage of 1 + v eta over 1 - v eta written
-        onto v eta, so the call holds three grids of the pair's shape at most.
-        """
-        v, eta = self.v, self.eta
-        ve = np.asarray(v * eta)
-        cp = np.add(v, eta, out=np.empty_like(ve))
-        den = np.add(1.0, ve, out=np.empty_like(ve))
-        cp /= den
-        cm = np.subtract(v, eta, out=den)
-        np.subtract(1.0, ve, out=ve)
-        cm /= ve
+        """(c_plus, c_minus) of :func:`sweep_state`, from copies of v and eta."""
+        cp, cm, _ = _speeds_over(np.array(self.v, dtype=float), np.array(self.eta, dtype=float))
         return _lane_result(cp), _lane_result(cm)
 
     def mu(self, eos: eos_mod.BarotropicEos):
@@ -146,6 +136,11 @@ class WaveState(NamedTuple):
         """Pressure at the (already checked) density."""
         return _lane_result(np.asarray(eos.pressure_fn(self.rho), dtype=float))
 
+    def energy(self, eos: eos_mod.BarotropicEos):
+        """(E, p) with E = (rho + p)/(1 - v^2), so T^tt = E - p."""
+        p = self.pressure(eos)
+        return (self.rho + p) / (1.0 - self.v**2), p
+
     def enthalpy(self, eos: eos_mod.BarotropicEos):
         """Specific enthalpy h = (rho + p)/sigma at the (already checked) density."""
         return _lane_result(eos_mod._enthalpy_at(eos, self.rho))
@@ -166,7 +161,7 @@ def sources_of(ve: np.ndarray, r):
         OutOfRange: some r <= 0.
     """
     r_a = np.asarray(r, dtype=float)
-    if np.any(r_a <= 0):
+    if r_a.size and r_a.min() <= 0:
         raise OutOfRange("source terms need r > 0")
     # A in the storage of 1 + v eta, then B in common's
     common = np.asarray(-2.0 * ve / r_a)
@@ -205,14 +200,29 @@ def velocity(eos: eos_mod.BarotropicEos, pair: RiemannPair):
 
 
 def char_speeds(eos: eos_mod.BarotropicEos, pair: RiemannPair):
-    """Characteristic speeds c_pm = (v +- eta)/(1 +- v eta).
+    """Characteristic speeds c_pm = (v +- eta)/(1 +- v eta), each strictly
+    inside (-1, 1): the first two results of :func:`sweep_state`."""
+    cp, cm, _ = sweep_state(eos, pair)
+    return _lane_result(cp), _lane_result(cm)
 
-    Reads only v and eta of one :func:`wave_state` evaluation.
 
-    Returns:
-        (c_plus, c_minus), each strictly inside (-1, 1).
-    """
-    return wave_state(eos, pair).speeds()
+def sweep_state(eos: eos_mod.BarotropicEos, pair: RiemannPair):
+    """(c_plus, c_minus, v eta) at Riemann pairs, all a sweep reads of the
+    state: one :func:`wave_state`, with its inversion and checks, and the
+    speeds formed over its v and eta, which nothing else keeps."""
+    _, _, v, eta, _ = wave_state(eos, pair)
+    return _speeds_over(np.asarray(v), np.asarray(eta))
+
+
+def _speeds_over(v: np.ndarray, eta: np.ndarray):
+    """(c_plus, c_minus, v eta) with c_pm = (v +- eta)/(1 +- v eta), c_minus
+    in v's storage and 1 +- v eta in eta's: the caller gives both up."""
+    ve = v * eta
+    cp = v + eta
+    cm = np.subtract(v, eta, out=v)
+    cp /= np.add(1.0, ve, out=eta)
+    cm /= np.subtract(1.0, ve, out=eta)
+    return cp, cm, ve
 
 
 def stress(eos: eos_mod.BarotropicEos, pair: RiemannPair) -> StressComponents:
@@ -222,8 +232,7 @@ def stress(eos: eos_mod.BarotropicEos, pair: RiemannPair) -> StressComponents:
         T^tt = E - p,   T^tr = E v,   T^rr = E v^2 + p.
     """
     w = wave_state(eos, pair)
-    p = w.pressure(eos)
-    E = (w.rho + p) / (1.0 - w.v**2)
+    E, p = w.energy(eos)
     return StressComponents(
         _lane_result(E - p), _lane_result(E * w.v), _lane_result(E * w.v**2 + p)
     )
@@ -245,8 +254,8 @@ def stress_derivatives(eos: eos_mod.BarotropicEos, pair: RiemannPair) -> StressD
     """
     ws = wave_state(eos, pair)
     v, eta = ws.v, ws.eta
-    w = (ws.rho + ws.pressure(eos)) / (1.0 - v**2) / (2.0 * eta)
-    if not np.ndim(w):
+    w = ws.energy(eos)[0] / (2.0 * eta)
+    if not w.ndim:
         # a NumPy scalar squares through pow, which is an ulp off x * x at
         # times, so a scalar pair keeps the scalar expressions
         return StressDerivatives(
@@ -270,6 +279,5 @@ def stress_derivatives(eos: eos_mod.BarotropicEos, pair: RiemannPair) -> StressD
     d[4:] *= d[:2]
     np.square(d[:4], out=d[:4])
     d[:4] *= w
-    return StressDerivatives(
-        tt_alpha=d[0], tr_alpha=d[4], rr_alpha=d[2], tt_beta=d[1], tr_beta=d[5], rr_beta=d[3]
-    )
+    # fields tt_alpha, tr_alpha, rr_alpha, tt_beta, tr_beta, rr_beta
+    return StressDerivatives(d[0], d[4], d[2], d[1], d[5], d[3])

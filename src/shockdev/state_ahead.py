@@ -22,6 +22,7 @@ emanating from the cusp, and the initial data it carries.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field as dc_field
 from typing import Mapping, NamedTuple
@@ -266,6 +267,12 @@ class StateAheadModel:
             term = factor * t_arr**pt if pt else factor
             out = out + (term * w_arr**pw if pw else term)
         return float(out) if out.ndim == 0 else out
+
+    @functools.cached_property
+    def corner(self):
+        """``free_boundary.corner_expansion`` of the model, computed once."""
+        from . import free_boundary  # which imports this module
+        return free_boundary.corner_expansion(self, self.eos)
 
 
 def synthesize_model(

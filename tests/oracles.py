@@ -15,16 +15,24 @@ tests hold the library's state algebra and jump solutions against them.
 * :func:`reference_newton_lanes` is the lane-wise safeguarded Newton solve
   written with a fresh ``np.where`` array for every update and every end
   evaluated apart, the reference for ``fitting.safeguarded_newton_lanes``.
+* :func:`reference_sweep_state`, :func:`reference_gamma_inverse`,
+  :func:`reference_cubic_coefficient`, :func:`reference_jump_scale` and
+  :func:`reference_coincident` are the earlier routes to the sweep's state,
+  the reflection ratio, the cubic seed and J scale, and the coincidence
+  test: each through a full ``wave_state`` of its own (the sweep's with
+  ``WaveState.speeds`` written over v eta, then v eta formed again), the
+  references the lean paths must match bit for bit.
 """
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
 
 from shockdev import eos as eos_mod
-from shockdev.errors import NoRoot, NonConvergence
+from shockdev.errors import NoRoot, NonConvergence, SingularGamma
 from shockdev.jump import JumpPair, _coincident, shock_speed, stress_jump
 from shockdev.state import RiemannPair, _lane_result, char_speeds, wave_state
 
@@ -218,3 +226,63 @@ def reference_newton_lanes(fdf, x0, lo, hi, f_tol, polish: int = 6, f_ends=None)
             x = np.where(going, xn, x)
             fx, dx = np.where(going, fn, fx), np.where(going, dn, dx)
     return x
+
+
+def reference_sweep_state(eos: eos_mod.BarotropicEos, pair: RiemannPair):
+    """(c_plus, c_minus, v eta) through a full wave_state: its speeds with
+    1 - v eta written over v eta, then v eta formed a second time."""
+    w = wave_state(eos, pair)
+    v, eta = w.v, w.eta
+    ve = np.asarray(v * eta)
+    cp = np.add(v, eta, out=np.empty_like(ve))
+    den = np.add(1.0, ve, out=np.empty_like(ve))
+    cp /= den
+    cm = np.subtract(v, eta, out=den)
+    np.subtract(1.0, ve, out=ve)
+    cm /= ve
+    return cp, cm, w.v * w.eta
+
+
+def reference_gamma_inverse(bf, alpha_on_diag, eos: eos_mod.BarotropicEos):
+    """Reflection ratio (V - c_bar_minus)/(c_bar_plus - V) from the full
+    state of the diagonal nodes, +inf at v = 0, with the SingularGamma rule
+    of ``fixed_bvp.gamma_inverse``."""
+    v = bf.v
+    alpha_diag = np.asarray(alpha_on_diag, dtype=float)
+    V = bf.speed()
+    cp, cm, _ = reference_sweep_state(eos, RiemannPair(alpha_diag, bf.beta_plus()))
+    num = V - cm
+    den = cp - V
+    corner = v == 0.0
+    bad = ~corner & (den < 0)
+    if np.any(bad):
+        j = int(np.argmax(bad))
+        raise SingularGamma(
+            f"shock speed exceeds the behind outgoing speed at v = {v[j]:.6g} "
+            f"(margin {den[j]:.3e})"
+        )
+    with np.errstate(divide="ignore"):
+        out = num / den
+    out[corner] = math.inf
+    return out
+
+
+def reference_cubic_coefficient(eos: eos_mod.BarotropicEos, state: RiemannPair):
+    """G0 = -mu^2/(192 eta^2) from an inversion of its own."""
+    w = wave_state(eos, state)
+    return _lane_result(-(w.mu(eos) ** 2) / (192.0 * w.eta2))
+
+
+def reference_jump_scale(eos: eos_mod.BarotropicEos, state: RiemannPair):
+    """(rho + p)^2 from an inversion of its own."""
+    w = wave_state(eos, state)
+    return _lane_result((w.rho + w.pressure(eos)) ** 2)
+
+
+def reference_coincident(eos: eos_mod.BarotropicEos, dT, ahead: RiemannPair):
+    """The coincidence test against T^tt of all three stress components of
+    the ahead states, E - p with E = (rho + p)/(1 - v^2)."""
+    w = wave_state(eos, ahead)
+    p = w.pressure(eos)
+    E = (w.rho + p) / (1.0 - w.v**2)
+    return np.abs(dT.tt) <= 2e-14 * np.abs(_lane_result(E - p))

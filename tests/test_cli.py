@@ -176,6 +176,23 @@ class TestRun:
         assert shock.shape == (65,)
         assert np.allclose(shock["y"][-1], canon_bundle.base.curve.y[-1], rtol=0, atol=0)
 
+    def test_one_corner_expansion_per_model(self, tmp_path, monkeypatch, capsys):
+        # the canonical run makes five solves on two models (the half-eps
+        # solve has its own); each model's corner expansion is computed
+        # once, through free_boundary.corner_expansion (5 calls when every
+        # solve computed its own), and the outputs do not change
+        direct = FBD.corner_expansion
+        models = []
+
+        def counting(model, eos):
+            models.append(model)
+            return direct(model, eos)
+
+        monkeypatch.setattr(FBD, "corner_expansion", counting)
+        assert run_cli(["run", "--out", str(tmp_path)]) == 0
+        assert len(models) == 2
+        assert models[0] is not models[1]
+
     def test_coarse_grid_flags_convergence_and_exits_3(self, tmp_path, capsys):
         """n = 8 is below the grid floor: outputs are still written, the
         refinement check fails, and the exit code reports it."""

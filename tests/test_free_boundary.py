@@ -773,6 +773,34 @@ class TestJumpUpdate:
         assert sol.retries == 1
         assert sol.eps == EPS / 2
 
+    def test_halved_domain_reuses_the_models_corner_expansion(
+        self, rad, canon_cusp, monkeypatch
+    ):
+        # the corner expansion depends on the model alone: the model computes
+        # it once, through free_boundary.corner_expansion, for every context
+        # built on it, the halved-domain retry's included
+        model = SA.synthesize_model(canon_cusp, rad, eps=EPS)
+        attempt, corner = FBD._attempt, FBD.corner_expansion
+        attempts, corners = [], []
+
+        def fails_once(ctx, **kwargs):
+            attempts.append(ctx)
+            if len(attempts) == 1:
+                raise NonConvergence("outer iteration failed")
+            return attempt(ctx, **kwargs)
+
+        def counting(*args):
+            corners.append(args)
+            return corner(*args)
+
+        monkeypatch.setattr(FBD, "_attempt", fails_once)
+        monkeypatch.setattr(FBD, "corner_expansion", counting)
+        sol = FBD.run_shock_development(rad, model, canon_cusp, eps=EPS, n=16)
+        assert sol.retries == 1
+        assert len(corners) == 1
+        assert attempts[0].model is attempts[1].model is model
+        assert sol.corner is model.corner
+
 
 def _rel_err(check):
     return abs(check.value - check.target) / abs(check.target)
@@ -1139,7 +1167,7 @@ class TestLazyDiagnostics:
         monkeypatch.setattr(FBD.SolverContext, "build", classmethod(recording))
         sol = FBD.run_shock_development(rad, canon_model, canon_cusp, eps=EPS, n=16)
         assert len(built) == 1 and sol.context is built[0]
-        assert sol.corner is sol.context.corner
+        assert sol.corner is sol.context.model.corner
 
 
 class TestTabulatedEos:

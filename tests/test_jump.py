@@ -218,13 +218,13 @@ class TestLanes:
             ]
         )
         # Put the last lane's cubic seed on the wrong side of its root, so
-        # its first bracket misses and has to be expanded once.
-        marked = ahead.alpha[-1]
-        cubic = J.cubic_coefficient
+        # its first bracket misses and has to be expanded once.  The solve
+        # forms G0 by _cubic_at from its one inversion of the ahead states.
+        cubic = J._cubic_at
         monkeypatch.setattr(
             J,
-            "cubic_coefficient",
-            lambda e, s: cubic(e, s) * np.where(s.alpha == marked, -0.1, 1.0),
+            "_cubic_at",
+            lambda e, w: cubic(e, w) * np.where(np.arange(w.rho.size) == w.rho.size - 1, -0.1, 1.0),
         )
         with monkeypatch.context() as m, pytest.raises(NoRoot):
             m.setattr(J, "_MAX_EXPAND", 0)

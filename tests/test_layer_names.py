@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from shockdev import cli, fixed_bvp, free_boundary, jump, report, state_ahead
+from shockdev import eos as eos_mod
 from shockdev.state import RiemannPair
 from shockdev.state_ahead import CuspData, synthesize_model
 
@@ -127,3 +128,38 @@ def test_jump_layer_counts_per_canonical_solve(rad, monkeypatch):
     sol = free_boundary.run_shock_development(rad, model, cusp, eps=0.01, n=64)
     assert len(sol.outer_history) == 10
     assert calls == {"stress_derivatives": 44, "solve_jump_beta": 6}
+
+
+def test_inversions_per_canonical_solve(rad, monkeypatch):
+    # enthalpy-potential inversions of one canonical n = 64 solve from the
+    # flat seed, the cusp and the model built first. Each sweep state, each
+    # diagonal state set of the reflection ratio, each jump residual and
+    # each coincidence test inverts its states once, and a cold jump solve
+    # inverts its ahead states once for the cubic seed and the tolerance
+    # (110 when it inverted them once for each). The benchmark's counts
+    # stay: 10 outer steps, 15 time solves, 44 stress-derivative
+    # evaluations and 6 solve_jump_beta calls
+    calls = dict.fromkeys(("rho_of_potential", "solve_linear_t", "stress_derivatives", "solve_jump_beta"), 0)
+    for module, name in (
+        (eos_mod, "rho_of_potential"),
+        (fixed_bvp, "solve_linear_t"),
+        (jump, "stress_derivatives"),
+        (free_boundary, "solve_jump_beta"),
+    ):
+        direct = getattr(module, name)
+
+        def counting(*args, _name=name, _direct=direct, **kwargs):
+            calls[_name] += 1
+            return _direct(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counting)
+    cusp = CuspData.from_physics(rad, kappa=1.0, lam=1.0, dbeta_dt0=0.3)
+    model = synthesize_model(cusp, rad, eps=0.01)
+    sol = free_boundary.run_shock_development(rad, model, cusp, eps=0.01, n=64)
+    assert len(sol.outer_history) == 10
+    assert calls == {
+        "rho_of_potential": 104,
+        "solve_linear_t": 15,
+        "stress_derivatives": 44,
+        "solve_jump_beta": 6,
+    }

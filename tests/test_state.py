@@ -153,19 +153,24 @@ class TestSources:
             assert x.tobytes() == y.tobytes()
 
 
-def test_speeds_hold_three_grids(rad, rng):
-    # at n = 128 NumPy elides no temporary (a grid is below 256 KiB), so the
-    # expression form held 5 grids to return 2
+def test_sweep_state_holds_three_grids(rad, rng):
+    # c+, c- and v eta are formed over the state's v and eta: the call
+    # peaks at the five grids of the state (at n = 128 NumPy elides no
+    # temporary, a grid being below 256 KiB) and keeps three; v and eta
+    # with speeds() and a second v eta kept five
     shape = (129, 129)
-    ws = S.wave_state(rad, S.RiemannPair(rng.uniform(-0.2, 0.2, shape), rng.uniform(-0.2, 0.2, shape)))
+    pair = S.RiemannPair(rng.uniform(-0.2, 0.2, shape), rng.uniform(-0.2, 0.2, shape))
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        ws.speeds()
-        peak = tracemalloc.get_traced_memory()[1] - base
+        kept = S.sweep_state(rad, pair)
+        now, peak = (x - base for x in tracemalloc.get_traced_memory())
     finally:
         tracemalloc.stop()
-    assert peak / (shape[0] * shape[1] * 8) <= 3.05
+    grid = shape[0] * shape[1] * 8
+    assert len(kept) == 3
+    assert now / grid <= 3.05
+    assert peak / grid <= 5.05
 
 
 class TestStress:
