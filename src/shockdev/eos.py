@@ -17,7 +17,8 @@ else the solver needs is derived from it:
 The two reference constants (rho_ref, h_ref) fix the free integration
 constants of sigma and rho_tilde. The radiation and quadratic laws carry
 closed forms; any other law (tabulated, or without closed forms) is read off
-one chart (``_ensure_chart``), for scalar and array input alike.
+one chart (``_ensure_chart``), for scalar and array input alike: a scalar is
+a lane of one, and its results come back as Python floats.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import OutOfRange
-from .fitting import safeguarded_newton_lanes
+from .fitting import _lane_result, safeguarded_newton_lanes
 
 __all__ = [
     "BarotropicEos",
@@ -127,7 +128,7 @@ def _check_in(eos: BarotropicEos, x, lo, hi, name: str):
     a = np.asarray(x, dtype=float)
     if not a.size:
         return a
-    amin, amax = (a.min(), a.max()) if a.ndim else (a, a)
+    amin, amax = a.min(), a.max()
     # NaN fails both comparisons and +-inf fails one, so this also rejects
     # non-finite input
     if not (lo <= amin and amax <= hi):
@@ -203,15 +204,12 @@ def sound_speed_sq(eos: BarotropicEos, rho):
         OutOfRange: if rho leaves the admissible interval or eta^2 leaves
             (0, 1).
     """
-    eta2 = _sound_speed_sq_at(eos, _check_rho(eos, rho))
-    return eta2 if eta2.ndim else float(eta2)
+    return _lane_result(_sound_speed_sq_at(eos, _check_rho(eos, rho)))
 
 
 def pressure(eos: BarotropicEos, rho):
     """Pressure p(rho)."""
-    a = _check_rho(eos, rho)
-    p = np.asarray(eos.pressure_fn(a), dtype=float)
-    return p if p.ndim else float(p)
+    return _lane_result(np.asarray(eos.pressure_fn(_check_rho(eos, rho)), dtype=float))
 
 
 def _ensure_chart(eos: BarotropicEos):
@@ -262,7 +260,7 @@ def _sound_speed_sq_at(eos: BarotropicEos, a: np.ndarray) -> np.ndarray:
     """eta^2 at checked densities a; OutOfRange if it leaves (0, 1)."""
     eta2 = np.asarray(eos.dp_drho_fn(a), dtype=float)
     if eta2.size:
-        lo, hi = (eta2.min(), eta2.max()) if eta2.ndim else (eta2, eta2)
+        lo, hi = eta2.min(), eta2.max()
         # NaN fails both comparisons, so a NaN sound speed is rejected too
         if not (0 < lo and hi < 1):
             raise OutOfRange(f"{eos.label}: dp/drho left (0, 1) at rho={a}")
@@ -284,14 +282,12 @@ def _enthalpy_at(eos: BarotropicEos, a: np.ndarray) -> np.ndarray:
 
 def sigma(eos: BarotropicEos, rho):
     """Flow potential sigma(rho), the integrating factor of d(rho)/(rho+p)."""
-    out = _sigma_at(eos, _check_rho(eos, rho))
-    return out if out.ndim else float(out)
+    return _lane_result(_sigma_at(eos, _check_rho(eos, rho)))
 
 
 def enthalpy(eos: BarotropicEos, rho):
     """Specific enthalpy h = (rho + p)/sigma."""
-    out = _enthalpy_at(eos, _check_rho(eos, rho))
-    return out if out.ndim else float(out)
+    return _lane_result(_enthalpy_at(eos, _check_rho(eos, rho)))
 
 
 def _inverse(eos: BarotropicEos, x, closed, forward, name: str):
@@ -316,8 +312,7 @@ def _inverse(eos: BarotropicEos, x, closed, forward, name: str):
         _check_in(eos, a, *chart[f"{name}_range"], name)
         out = np.asarray(chart[f"rho_of_{name}"](a)[0])
     # np.clip's arithmetic, without its Python wrapper
-    out = np.minimum(np.maximum(out, eos.rho_min), eos.rho_max)
-    return out if out.ndim else float(out)
+    return _lane_result(np.minimum(np.maximum(out, eos.rho_min), eos.rho_max))
 
 
 def rho_of_enthalpy(eos: BarotropicEos, h):
@@ -332,7 +327,7 @@ def potential_of_rho(eos: BarotropicEos, rho):
         out = np.asarray(eos.potential_of_rho_cf(a), dtype=float)
     else:
         out = np.asarray(_ensure_chart(eos)["potential"](a)[0])
-    return out if out.ndim else float(out)
+    return _lane_result(out)
 
 
 def rho_of_potential(eos: BarotropicEos, rho_tilde):
@@ -342,8 +337,7 @@ def rho_of_potential(eos: BarotropicEos, rho_tilde):
 
 def eta_of_potential(eos: BarotropicEos, rho_tilde):
     """Sound speed eta at a given enthalpy potential."""
-    out = np.sqrt(sound_speed_sq(eos, rho_of_potential(eos, rho_tilde)))
-    return out if np.ndim(out) else float(out)
+    return _lane_result(np.sqrt(sound_speed_sq(eos, rho_of_potential(eos, rho_tilde))))
 
 
 # ----------------------------------------------------------------------
@@ -357,16 +351,14 @@ def big_g(eos: BarotropicEos, H):
         raise OutOfRange(f"{eos.label}: H must be positive")
     h = np.sqrt(a)
     rho = rho_of_enthalpy(eos, h)
-    out = np.asarray(sigma(eos, rho), dtype=float) / h
-    return out if out.ndim else float(out)
+    return _lane_result(np.asarray(sigma(eos, rho), dtype=float) / h)
 
 
 def sigma_tilde(eos: BarotropicEos, h):
     """Stiffness combination Sigma_tilde = (1 - eta^2)/h^2."""
     rho = rho_of_enthalpy(eos, h)
     eta2 = np.asarray(sound_speed_sq(eos, rho), dtype=float)
-    out = (1.0 - eta2) / np.square(np.asarray(h, dtype=float))
-    return out if out.ndim else float(out)
+    return _lane_result((1.0 - eta2) / np.square(np.asarray(h, dtype=float)))
 
 
 def sigma_tilde_slope(eos: BarotropicEos, h):
@@ -383,8 +375,7 @@ def mu_coefficient(eos: BarotropicEos, rho_tilde):
     requires it at the cusp state.
     """
     a = np.asarray(rho_tilde, dtype=float)
-    out = _mu_at(eos, a, np.asarray(eta_of_potential(eos, a), dtype=float))
-    return out if out.ndim else float(out)
+    return _lane_result(_mu_at(eos, a, np.asarray(eta_of_potential(eos, a), dtype=float)))
 
 
 def _mu_at(eos: BarotropicEos, a: np.ndarray, eta: np.ndarray) -> np.ndarray:

@@ -131,6 +131,12 @@ def quadratic_extrapolate(x, y) -> float:
     return float(y1 * l1 + y2 * l2 + y3 * l3)
 
 
+def _lane_result(x):
+    """The lane rule of every lane function: a scalar is a lane of one, whose
+    (0-d) result comes back as a Python float; lanes come back as the array."""
+    return x if getattr(x, "ndim", 0) else float(x)
+
+
 # bracketed steps a lane may take before it counts as not converged
 _NEWTON_MAX_ITER = 60
 

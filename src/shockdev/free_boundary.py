@@ -500,6 +500,14 @@ def jump_update(
     return beta_plus, V, alpha_minus, beta_minus
 
 
+def _hatted(v, raw, k, corner):
+    """A hatted curve quantity: raw / v^k at v > 0, the corner value at v = 0."""
+    out = np.empty_like(v)
+    out[0] = corner
+    out[1:] = raw[1:] / v[1:] ** k
+    return out
+
+
 def _corner_fill(v, raw, kt, anchor, limit, slope):
     """Replace raw[:kt] by limit + slope v + c v^2 with c set at the anchor.
 
@@ -540,18 +548,13 @@ def outer_iterate(bf: BoundaryFunctions, ctx: SolverContext, *, warm=None):
     g = fg.diagonal("r_off")
     alpha_plus = fg.diagonal("alpha")
 
-    f_hat = np.empty_like(v)
-    f_hat[0] = cusp.f_hat0
-    f_hat[1:] = f[1:] / v[1:] ** 2
-    g_hat = np.empty_like(v)
-    g_hat[0] = cusp.g_hat0
-    g_hat[1:] = g[1:] / v[1:] ** 2
-
-    delta_hat = np.empty_like(v)
-    delta_hat[1:] = (g[1:] - cusp.c_plus0 * f[1:]) / v[1:] ** 3
+    f_hat = _hatted(v, f, 2, cusp.f_hat0)
+    g_hat = _hatted(v, g, 2, cusp.g_hat0)
     # identification reads delta_hat[1:] only; the corner value of a curve
     # that a solve returns is fitted once, by _fit_corner_value
-    delta_hat = _corner_fill(v, delta_hat, kt, anchor, 0.0, corner.deltahat1)
+    delta_hat = _corner_fill(
+        v, _hatted(v, g - cusp.c_plus0 * f, 3, 0.0), kt, anchor, 0.0, corner.deltahat1
+    )
 
     y = solve_identification(ctx.model, v, f_hat, delta_hat)
     z = v * y
@@ -559,23 +562,17 @@ def outer_iterate(bf: BoundaryFunctions, ctx: SolverContext, *, warm=None):
         fg, ctx.model, ctx.model.eos, z, beta_prev=beta_prev
     )
 
-    alpha_hat_plus = np.empty_like(v)
-    alpha_hat_plus[0] = cusp.alpha_hat0
-    alpha_hat_plus[1:] = (alpha_plus[1:] - ctx.init.alpha_i[1:]) / v[1:] ** 2
-
-    beta_hat_plus = np.empty_like(v)
-    beta_hat_plus[1:] = (beta_plus[1:] - cusp.beta0) / v[1:] ** 2
+    alpha_hat_plus = _hatted(v, alpha_plus - ctx.init.alpha_i, 2, cusp.alpha_hat0)
     beta_hat_plus = _corner_fill(
-        v, beta_hat_plus, kt, anchor, cusp.beta_hat0, corner.beta_hat_slope
+        v, _hatted(v, beta_plus - cusp.beta0, 2, cusp.beta_hat0),
+        kt, anchor, cusp.beta_hat0, corner.beta_hat_slope,
     )
 
     kt_v = ctx.speed_trust_index
     anchor_v = min(2 * kt_v, ctx.grid.n)
-    V_hat = np.empty_like(v)
-    V_hat[1:] = (V[1:] - cusp.c_plus0 - 0.5 * cusp.kappa * (1.0 + y[1:]) * v[1:]) / v[1:] ** 2
+    V_hat = _hatted(v, V - cusp.c_plus0 - 0.5 * cusp.kappa * (1.0 + y) * v, 2, corner.V_hat0)
     vhat_slope = (V_hat[anchor_v] - corner.V_hat0) / v[anchor_v]
     V_hat[1:kt_v] = corner.V_hat0 + vhat_slope * v[1:kt_v]
-    V_hat[0] = corner.V_hat0
 
     bf_next = BoundaryFunctions(
         cusp=cusp, v=v, y=y, beta_hat_plus=beta_hat_plus, V_hat=V_hat

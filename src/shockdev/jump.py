@@ -37,12 +37,12 @@ import numpy as np
 from . import eos as eos_mod
 from . import fitting
 from .errors import DegenerateJump, NoRoot, OutOfRange
+from .fitting import _lane_result
 from .state import (
     RiemannPair,
     StressComponents,
     StressDerivatives,
     WaveState,
-    _lane_result,
     stress_derivatives,
     wave_state,
 )

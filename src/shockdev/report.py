@@ -155,10 +155,17 @@ def _sample_rhos(eos, rng):
     return rng.uniform(lo, hi, size=8)
 
 
-def _sample_states(rng, count):
+def _sample_pair(rng, count):
+    """count sampled invariant pairs, as one lane pair."""
     rt = rng.uniform(-0.2, 0.3, size=count)
     zeta = rng.uniform(-0.4, 0.4, size=count)
-    return [RiemannPair(float(r - z), float(r + z)) for r, z in zip(rt, zeta)]
+    return RiemannPair(rt - zeta, rt + zeta)
+
+
+def _sample_states(rng, count):
+    """The states of :func:`_sample_pair`, one scalar pair each."""
+    alpha, beta = _sample_pair(rng, count)
+    return [RiemannPair(a, b) for a, b in zip(alpha.tolist(), beta.tolist())]
 
 
 def _check_eos_identities(eos, rng):
@@ -272,13 +279,15 @@ def _check_jump_cubic(eos, cusp_state):
 
 def _check_state_speeds(eos, rng):
     def body():
-        worst_gap = math.inf
-        for s in _sample_states(rng, 12):
-            cp, cm = char_speeds(eos, s)
-            vf = velocity(eos, s)
-            if not (abs(cp) < 1.0 and abs(cm) < 1.0):
-                return 0.0, False, {"state": [s.alpha, s.beta], "error": "superluminal"}
-            worst_gap = min(worst_gap, cp - vf, vf - cm)
+        s = _sample_pair(rng, 12)
+        cp, cm = char_speeds(eos, s)
+        vf = velocity(eos, s)
+        superluminal = np.flatnonzero(~((np.abs(cp) < 1.0) & (np.abs(cm) < 1.0)))
+        if superluminal.size:
+            k = superluminal[0]
+            state = [float(s.alpha[k]), float(s.beta[k])]
+            return 0.0, False, {"state": state, "error": "superluminal"}
+        worst_gap = float(min((cp - vf).min(), (vf - cm).min()))
         return worst_gap, worst_gap > 0.0, {"min_speed_gap": worst_gap}
 
     return _check(
@@ -294,19 +303,14 @@ def _check_state_speeds(eos, rng):
 def _check_state_stress(eos, rng):
     def body():
         step = 1e-6
-        worst = 0.0
-        for s in _sample_states(rng, 6):
-            d = stress_derivatives(eos, s)
-            for comp in ("tt", "tr", "rr"):
-                for var in ("alpha", "beta"):
-                    def at(x):
-                        if var == "alpha":
-                            return getattr(stress(eos, RiemannPair(s.alpha + x, s.beta)), comp)
-                        return getattr(stress(eos, RiemannPair(s.alpha, s.beta + x)), comp)
-
-                    fd = (at(step) - at(-step)) / (2 * step)
-                    closed = getattr(d, f"{comp}_{var}")
-                    worst = max(worst, abs(fd - closed) / max(abs(closed), 1e-12))
+        a, b = s = _sample_pair(rng, 6)
+        # by component (tt, tr, rr), invariant (alpha, beta) and sample
+        closed = np.reshape(stress_derivatives(eos, s), (2, 3, -1)).swapaxes(0, 1)
+        # rows: alpha + step, alpha - step, beta + step, beta - step
+        T = np.array(stress(eos, RiemannPair(np.stack([a + step, a - step, a, a]),
+                                             np.stack([b, b, b + step, b - step]))))
+        fd = (T[:, 0::2] - T[:, 1::2]) / (2 * step)
+        worst = float((np.abs(fd - closed) / np.maximum(np.abs(closed), 1e-12)).max())
         return worst, worst <= 1e-6, {"max_rel_defect": worst}
 
     return _check(

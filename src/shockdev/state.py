@@ -22,6 +22,7 @@ import numpy as np
 
 from . import eos as eos_mod
 from .errors import OutOfRange
+from .fitting import _lane_result
 
 __all__ = [
     "RiemannPair",
@@ -58,11 +59,6 @@ class StressDerivatives(NamedTuple):
     tt_beta: float
     tr_beta: float
     rr_beta: float
-
-
-def _lane_result(x):
-    """A Python float for a single-lane (0-d) result, the lane array otherwise."""
-    return x if getattr(x, "ndim", 0) else float(x)
 
 
 class WaveState(NamedTuple):
@@ -195,8 +191,7 @@ def velocity(eos: eos_mod.BarotropicEos, pair: RiemannPair):
     """Fluid velocity v = -tanh((beta - alpha)/2)."""
     alpha = np.asarray(pair.alpha, dtype=float)
     beta = np.asarray(pair.beta, dtype=float)
-    out = -np.tanh(0.5 * (beta - alpha))
-    return out if out.ndim else float(out)
+    return _lane_result(-np.tanh(0.5 * (beta - alpha)))
 
 
 def char_speeds(eos: eos_mod.BarotropicEos, pair: RiemannPair):
@@ -255,29 +250,19 @@ def stress_derivatives(eos: eos_mod.BarotropicEos, pair: RiemannPair) -> StressD
     ws = wave_state(eos, pair)
     v, eta = ws.v, ws.eta
     w = ws.energy(eos)[0] / (2.0 * eta)
-    if not w.ndim:
-        # a NumPy scalar squares through pow, which is an ulp off x * x at
-        # times, so a scalar pair keeps the scalar expressions
-        return StressDerivatives(
-            tt_alpha=float(w * (1.0 + v * eta) ** 2),
-            tr_alpha=float(w * (v + eta) * (1.0 + v * eta)),
-            rr_alpha=float(w * (v + eta) ** 2),
-            tt_beta=float(w * (1.0 - v * eta) ** 2),
-            tr_beta=float(w * (v - eta) * (1.0 - v * eta)),
-            rr_beta=float(w * (v - eta) ** 2),
-        )
     # rows 0-3 take 1 + v eta, 1 - v eta, v + eta and v - eta; the tr rows
     # w (v +- eta) (1 +- v eta) are formed from them before rows 0-3 are
-    # squared and scaled by w, each step on contiguous rows
-    d = np.empty((6,) + w.shape)
+    # squared and scaled by w, each step on contiguous rows (a row taken
+    # with an ellipsis stays a view for a 0-d pair too)
+    d = np.empty((6,) + np.shape(w))
     ve = v * eta
-    np.add(1.0, ve, out=d[0])
-    np.subtract(1.0, ve, out=d[1])
-    np.add(v, eta, out=d[2])
-    np.subtract(v, eta, out=d[3])
+    np.add(1.0, ve, out=d[0, ...])
+    np.subtract(1.0, ve, out=d[1, ...])
+    np.add(v, eta, out=d[2, ...])
+    np.subtract(v, eta, out=d[3, ...])
     np.multiply(d[2:4], w, out=d[4:])
     d[4:] *= d[:2]
     np.square(d[:4], out=d[:4])
     d[:4] *= w
-    # fields tt_alpha, tr_alpha, rr_alpha, tt_beta, tr_beta, rr_beta
-    return StressDerivatives(d[0], d[4], d[2], d[1], d[5], d[3])
+    tt_a, tt_b, rr_a, rr_b, tr_a, tr_b = map(_lane_result, d)
+    return StressDerivatives(tt_a, tr_a, rr_a, tt_b, tr_b, rr_b)

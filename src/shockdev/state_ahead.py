@@ -31,6 +31,7 @@ import numpy as np
 
 from . import eos as eos_mod
 from .errors import InconsistentCusp, LeftBox, NonConvergence, OutOfBox
+from .fitting import _lane_result
 from .state import RiemannPair, wave_state
 
 __all__ = [
@@ -60,7 +61,7 @@ _MARCH_PASSES = 8
 
 def _abs_max(a: np.ndarray) -> float:
     """Largest |a|: NaN if any entry is NaN, 0 for an empty array."""
-    return abs(float(a)) if a.ndim == 0 else float(np.abs(a).max(initial=0.0))
+    return float(np.abs(a).max(initial=0.0))
 
 
 @dataclass(frozen=True)
@@ -266,7 +267,7 @@ class StateAheadModel:
             # a zero power is an exact factor 1, so skipping it changes no bit
             term = factor * t_arr**pt if pt else factor
             out = out + (term * w_arr**pw if pw else term)
-        return float(out) if out.ndim == 0 else out
+        return _lane_result(out)
 
     @functools.cached_property
     def corner(self):
@@ -343,7 +344,7 @@ def singular_boundary(model: StateAheadModel, w):
         ta = ta - step
         tv[live] = ta
         live = live[~(np.abs(step) <= 1e-15 * (np.abs(ta) + wa * wa) + 1e-300)]
-    return float(tv[0]) if w_arr.ndim == 0 else tv.reshape(w_arr.shape)
+    return _lane_result(tv.reshape(w_arr.shape))
 
 
 class CharacteristicData(NamedTuple):

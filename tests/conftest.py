@@ -40,6 +40,25 @@ def p2():
     return eos_mod.poly2(0.1)
 
 
+def _nonlinear_table():
+    rho = np.geomspace(0.05, 4.5, 400)
+    return eos_mod.from_table(np.column_stack([rho, 0.1 * rho**2 + 0.05 * rho]), rho_ref=1.0)
+
+
+@pytest.fixture(scope="session")
+def make_table():
+    """Factory of the nonlinear tabulated law p = 0.1 rho^2 + 0.05 rho on 400
+    nodes (chart route); each call builds a fresh instance, with a fresh
+    chart cache."""
+    return _nonlinear_table
+
+
+@pytest.fixture(scope="module")
+def table(make_table):
+    """The nonlinear tabulated law of ``make_table``, one instance per module."""
+    return make_table()
+
+
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(20260815)

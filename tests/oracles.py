@@ -33,8 +33,9 @@ import numpy as np
 
 from shockdev import eos as eos_mod
 from shockdev.errors import NoRoot, NonConvergence, SingularGamma
+from shockdev.fitting import _lane_result
 from shockdev.jump import JumpPair, _coincident, shock_speed, stress_jump
-from shockdev.state import RiemannPair, _lane_result, char_speeds, wave_state
+from shockdev.state import RiemannPair, char_speeds, wave_state
 
 
 class FluidState(NamedTuple):

@@ -277,7 +277,7 @@ class TestStiffnessIdentities:
                 lhs, rhs = E.eos_identity_residual(eos, rho)
                 assert lhs == pytest.approx(rhs, rel=1e-4)
 
-    def test_pressure_inversion_matches_brentq(self, rad, p2, monkeypatch):
+    def test_pressure_inversion_matches_brentq(self, rad, p2, monkeypatch, make_table):
         roots = []
         newton = E.safeguarded_newton_lanes
 
@@ -286,7 +286,7 @@ class TestStiffnessIdentities:
             return roots[-1]
 
         monkeypatch.setattr(E, "safeguarded_newton_lanes", recording)
-        for eos, rho in ((rad, 0.7), (rad, 1.7), (p2, 0.7), (p2, 3.0), (_nonlinear_table(), 2.0)):
+        for eos, rho in ((rad, 0.7), (rad, 1.7), (p2, 0.7), (p2, 3.0), (make_table(), 2.0)):
             roots.clear()
             E.eos_identity_residual(eos, rho)
             assert len(roots) == 1
@@ -352,11 +352,6 @@ def _stripped(eos):
     )
 
 
-def _nonlinear_table():
-    rho = np.geomspace(0.05, 4.5, 400)
-    return E.from_table(np.column_stack([rho, 0.1 * rho**2 + 0.05 * rho]), rho_ref=1.0)
-
-
 def _quad_chart(eos, rho):
     """sigma and rho_tilde at the sorted densities ``rho`` (rho_ref among
     them) by adaptive quad between consecutive densities."""
@@ -377,10 +372,10 @@ def _quad_chart(eos, rho):
 
 
 @pytest.fixture(scope="module")
-def generic_laws(rad_generic, p2):
+def generic_laws(rad_generic, p2, make_table):
     """Generic laws with the densities their quad oracle steps over: the
     table's oracle steps node to node, where its pressure is one cubic."""
-    table = _nonlinear_table()
+    table = make_table()
     return {
         "rad_generic": (rad_generic, np.geomspace(rad_generic.rho_min, rad_generic.rho_max, 33)),
         "poly2_generic": (_stripped(p2), np.geomspace(p2.rho_min, p2.rho_max, 33)),

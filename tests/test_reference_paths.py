@@ -27,13 +27,6 @@ LAWS = ["rad", "p2", "table"]
 SHAPES = [(), (1,), (7,), (64,), (3, 64), (17, 17), (65, 65)]
 
 
-@pytest.fixture(scope="module")
-def table():
-    """Nonlinear tabulated law p = 0.1 rho^2 + 0.05 rho (chart route)."""
-    rho = np.geomspace(0.05, 4.5, 400)
-    return E.from_table(np.column_stack([rho, 0.1 * rho**2 + 0.05 * rho]), rho_ref=1.0)
-
-
 def random_pairs(rng, shape):
     rt = rng.uniform(-0.3, 0.3, shape)
     zeta = rng.uniform(-0.8, 0.8, shape)

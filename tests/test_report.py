@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import shockdev.free_boundary as FBD
+import shockdev.report as report_mod
 from shockdev.config import SolverConfig
 from shockdev.errors import ShockDevError
 from shockdev.free_boundary import SubCheck, blowup_fits
@@ -82,6 +83,21 @@ class TestVerifyReport:
         other = verify_report(dataclasses.replace(SolverConfig.canonical(), seed=1))
         assert other["all_pass"]
         assert render_report(other) != render_report(verify_report(SolverConfig.canonical()))
+
+    def test_state_checks_evaluate_one_lane_pair(self, monkeypatch):
+        # the speed and stress checks take their sampled states as one lane
+        # pair: one call of each state function through the report's names
+        calls = dict.fromkeys(("char_speeds", "velocity", "stress", "stress_derivatives"), 0)
+        for name in calls:
+            def counted(*args, _fn=getattr(report_mod, name), _name=name):
+                calls[_name] += 1
+                return _fn(*args)
+
+            monkeypatch.setattr(report_mod, name, counted)
+        rep = verify_report(SolverConfig.canonical())
+        assert calls == dict.fromkeys(calls, 1)
+        verdicts = {c["name"]: c["pass"] for c in rep["checks"]}
+        assert verdicts["state_speed_ordering"] and verdicts["state_stress_derivatives"]
 
 
 class TestFullReport:

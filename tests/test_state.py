@@ -16,6 +16,7 @@ import pytest
 from shockdev import eos as E
 from shockdev import jump as J
 from shockdev import state as S
+from shockdev import state_ahead as SA
 from shockdev.errors import OutOfRange
 
 from oracles import (
@@ -400,13 +401,6 @@ def enthalpy_and_sigma(eos, pair):
     return ws.enthalpy(eos), ws.sigma(eos)
 
 
-@pytest.fixture(scope="module")
-def table():
-    """Nonlinear tabulated law p = 0.1 rho^2 + 0.05 rho (chart route)."""
-    rho = np.geomspace(0.05, 4.5, 400)
-    return E.from_table(np.column_stack([rho, 0.1 * rho**2 + 0.05 * rho]), rho_ref=1.0)
-
-
 LAWS = ["rad", "p2", "rad_generic", "table"]
 
 
@@ -502,3 +496,65 @@ class TestWaveStateMatchesBundle:
         stiff.dp_drho_fn = lambda r: np.full_like(np.asarray(r, dtype=float), 1.5)
         with pytest.raises(OutOfRange, match="dp/drho"):
             S.char_speeds(stiff, S.RiemannPair(0.1, 0.2))
+
+
+# ---------------------------------------------------------------------------
+# The lane rule: a scalar is a lane of one, and comes back as a float.
+# ---------------------------------------------------------------------------
+
+def _as_lane(x):
+    """A float as a (1,) lane; pairs of floats component-wise; else as is."""
+    if isinstance(x, float):
+        return np.array([x])
+    if isinstance(x, tuple):
+        return type(x)(*map(_as_lane, x))
+    return x
+
+
+def _lane_calls(eos):
+    """(name, function, scalar arguments) of every public lane function."""
+    rho, rho_tilde = 1.3, 0.1
+    ahead = S.RiemannPair(0.02, -0.01)
+    behind = S.RiemannPair(0.1, J.solve_jump_beta(eos, 0.1, ahead))
+    model = SA.synthesize_model(
+        SA.CuspData.from_physics(eos, kappa=1.0, lam=1.0, dbeta_dt0=0.3), eos
+    )
+    calls = [
+        (E.sound_speed_sq, (eos, rho)),
+        (E.pressure, (eos, rho)),
+        (E.sigma, (eos, rho)),
+        (E.enthalpy, (eos, rho)),
+        (E.rho_of_enthalpy, (eos, E.enthalpy(eos, rho))),
+        (E.potential_of_rho, (eos, rho)),
+        (E.rho_of_potential, (eos, rho_tilde)),
+        (E.eta_of_potential, (eos, rho_tilde)),
+        (E.mu_coefficient, (eos, rho_tilde)),
+        (S.velocity, (eos, behind)),
+        (S.char_speeds, (eos, behind)),
+        (S.stress, (eos, behind)),
+        (S.stress_derivatives, (eos, behind)),
+        (J.jump_scale, (eos, ahead)),
+        (J.cubic_coefficient, (eos, ahead)),
+        (J.solve_jump_beta, (eos, 0.1, ahead)),
+        (J.shock_speed, (eos, J.JumpPair(ahead, behind))),
+        (J.entropy_q, (eos, behind)),
+        (model.eval, ("beta", 1e-4, 0.01, 1, 1)),
+        (SA.singular_boundary, (model, 0.01)),
+    ]
+    return [(getattr(fn, "__qualname__", fn.__name__), fn, args) for fn, args in calls]
+
+
+@pytest.mark.parametrize("law", ["rad", "p2", "table"])
+def test_scalar_is_a_lane_of_one(law, request):
+    """Each public lane function gives a Python float for a scalar argument,
+    bit for bit element 0 of the same call on a (1,) lane."""
+    eos = request.getfixturevalue(law)
+    for name, fn, args in _lane_calls(eos):
+        scalar, lane = fn(*args), fn(*map(_as_lane, args))
+        if not isinstance(scalar, tuple):
+            scalar, lane = (scalar,), (lane,)
+        assert len(scalar) == len(lane), name
+        for s, x in zip(scalar, lane):
+            assert type(s) is float, name
+            assert type(x) is np.ndarray and x.shape == (1,), name
+            assert np.float64(s).tobytes() == x[:1].tobytes(), name
