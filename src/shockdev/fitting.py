@@ -137,6 +137,14 @@ def _lane_result(x):
     return x if getattr(x, "ndim", 0) else float(x)
 
 
+def _hatted(v, raw, k, corner):
+    """The hatting rule: raw / v^k at v > 0, the corner value at v = 0."""
+    out = np.empty_like(v)
+    out[0] = corner
+    out[1:] = raw[1:] / v[1:] ** k
+    return out
+
+
 # bracketed steps a lane may take before it counts as not converged
 _NEWTON_MAX_ITER = 60
 

@@ -62,6 +62,7 @@ import numpy as np
 from . import eos as eos_mod
 from . import fitting
 from .errors import NonConvergence, ShockDevError, SingularGamma
+from .fitting import _hatted
 from .fixed_bvp import (
     BoundaryFunctions,
     FieldGrid,
@@ -80,7 +81,8 @@ from .jump import (
     solve_jump_beta,
 )
 from .state import RiemannPair, char_speeds
-from .state_ahead import CuspData, StateAheadModel, initial_data, singular_boundary
+# initial_data is not called here: the binding stays for tooling that wraps it by name
+from .state_ahead import CuspData, StateAheadModel, initial_data, singular_boundary  # noqa: F401
 
 # Anderson depth of the outer iteration: each mixed step uses the last
 # _ANDERSON_DEPTH + 1 iterates (depths 1/2/3/8 take 12/11/10/9 steps at n = 64)
@@ -197,9 +199,7 @@ def corner_expansion(
 
     # radius terms of the identification residual at linear order in v,
     # evaluated at the corner (f_hat = f2, y = -1)
-    r_lin = sum(
-        c * f2**ti * (-1.0) ** wj for c, ti, wj, e in _radius_tail_terms(model) if e == 1
-    )
+    r_lin = sum(c * f2**ti * (-1.0) ** wj for c, ti, wj, e in model.radius_terms if e == 1)
 
     def sample(y1: float):
         fhat1 = lam * y1 / (24.0 * kap**2)
@@ -348,7 +348,6 @@ class SolverContext:
         cls, model: StateAheadModel, eps: float, n: int, tol_outer: float = TOL_OUTER
     ) -> "SolverContext":
         grid = TriGrid(eps, n)
-        init = initial_data(model, model.eos, eps, n)
         trust_index = min(max(_TRUST_FLOOR, grid.n // _TRUST_DIVISOR), max(grid.n // 2, 1))
         # hatted-speed rounding floor: ~3 ulp of the speed scale over v^2
         # must stay below a third of the convergence tolerance
@@ -356,38 +355,8 @@ class SolverContext:
         v_speed = math.sqrt(3.0 * j_v / tol_outer)
         kt_speed = max(trust_index, math.ceil(v_speed / grid.delta))
         kt_speed = int(min(kt_speed, max(grid.n // 2, 1)))
-        return cls(
-            model=model,
-            grid=grid,
-            init=init,
-            trust_index=trust_index,
-            speed_trust_index=kt_speed,
-        )
-
-
-def _radius_tail_terms(model: StateAheadModel):
-    """Radius coefficients beyond the corner value and corner slope.
-
-    Returns (coefficient, time power, w power, hatted v power) tuples for
-    the exactly factored residual: with f = v^2 f_hat and z = v y,
-
-        c t^i w^j  ->  c f_hat^i y^j v^(2i + j),
-
-    so dividing by v^3 leaves the nonnegative exponent 2i + j - 3 for every
-    retained term (the dropped slots are exactly those absorbed by the
-    corner radius and the corner slope, plus the structurally zero ones).
-    """
-    terms = []
-    for (ti, wj), c in sorted(model.coeffs["r"].items()):
-        if (ti, wj) in ((0, 0), (1, 0)) or c == 0.0:
-            continue
-        e = 2 * ti + wj - 3
-        if e < 0:
-            raise ShockDevError(
-                f"radius coefficient at powers ({ti},{wj}) breaks the hatted factorization"
-            )
-        terms.append((c, ti, wj, e))
-    return terms
+        return cls(model=model, grid=grid, init=model.init_data(eps, n),
+                   trust_index=trust_index, speed_trust_index=kt_speed)
 
 
 def solve_identification(
@@ -399,13 +368,13 @@ def solve_identification(
     """Solve the shock-point identification for y at every diagonal node.
 
     The residual is ``(g + r0 - r_ahead(f, v y)) / v^3`` written in the
-    exactly factored hatted form (see ``_radius_tail_terms``), whose leading
-    part at v = 0 is the cubic with roots 0 and +-1; the physical corner
-    root y = -1 is imposed exactly at node 0.  Nodes 1..n are the lanes of
-    one safeguarded Newton solve with an analytic y-derivative, the residual
-    and its slope evaluated as array expressions over the radius terms.
-    Every lane starts at the corner root on the bracket [-1.5, -0.5], which
-    excludes the cubic's other two roots.
+    exactly factored hatted form of ``StateAheadModel.radius_terms``, whose
+    leading part at v = 0 is the cubic with roots 0 and +-1; the physical
+    corner root y = -1 is imposed exactly at node 0.  Nodes 1..n are the
+    lanes of one safeguarded Newton solve with an analytic y-derivative,
+    the residual and its slope evaluated as array expressions over the
+    radius terms.  Every lane starts at the corner root on the bracket
+    [-1.5, -0.5], which excludes the cubic's other two roots.
 
     The raw unfactored residual is also evaluated at the largest node and
     compared against the factored one; the tolerance is 1e-9 at v = 0.01
@@ -422,7 +391,7 @@ def solve_identification(
     # per radius term: its lane coefficients a = c f_hat^i v^e, its y power
     # wj and the slope's a wj
     terms = []
-    for c, ti, wj, e in _radius_tail_terms(model):
+    for c, ti, wj, e in model.radius_terms:
         a = c * f_hat[1:] ** ti * v[1:] ** e
         terms.append((a, wj, a * wj))
 
@@ -498,14 +467,6 @@ def jump_update(
     beta_plus = np.concatenate([[cusp.beta0], bp])
     V = np.concatenate([[cusp.c_plus0], V])
     return beta_plus, V, alpha_minus, beta_minus
-
-
-def _hatted(v, raw, k, corner):
-    """A hatted curve quantity: raw / v^k at v > 0, the corner value at v = 0."""
-    out = np.empty_like(v)
-    out[0] = corner
-    out[1:] = raw[1:] / v[1:] ** k
-    return out
 
 
 def _corner_fill(v, raw, kt, anchor, limit, slope):

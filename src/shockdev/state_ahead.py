@@ -30,8 +30,8 @@ from typing import Mapping, NamedTuple
 import numpy as np
 
 from . import eos as eos_mod
-from .errors import InconsistentCusp, LeftBox, NonConvergence, OutOfBox
-from .fitting import _lane_result
+from .errors import InconsistentCusp, LeftBox, NonConvergence, OutOfBox, ShockDevError
+from .fitting import _hatted, _lane_result
 from .state import RiemannPair, wave_state
 
 __all__ = [
@@ -220,6 +220,8 @@ class StateAheadModel:
 
     coeffs maps field name -> {(t-power, w-power): coefficient}; absent
     slots are zero.  Immutable after synthesis; safe for concurrent reads.
+    What is derived from it (term tables, radius factorization, corner
+    expansion, initial data per grid) is computed once, on first use.
     """
 
     cusp: CuspData
@@ -229,6 +231,8 @@ class StateAheadModel:
     coeffs: Mapping[str, Mapping[tuple[int, int], float]]
     # (factor, t-power, w-power) of every term, per (field, dt, dw)
     _terms: dict = dc_field(default_factory=dict, init=False, repr=False, compare=False)
+    # InitialData per (eps, n)
+    _init: dict = dc_field(default_factory=dict, init=False, repr=False, compare=False)
 
     def eval(self, field: str, t, w, dt: int = 0, dw: int = 0):
         """Evaluate a field or one of its partial derivatives.
@@ -270,10 +274,40 @@ class StateAheadModel:
         return _lane_result(out)
 
     @functools.cached_property
+    def radius_terms(self) -> tuple:
+        """The radius terms beyond the corner value and corner slope, in the
+        exactly factored form of the identification residual.
+
+        With f = v^2 f_hat and z = v y, c t^i w^j is c f_hat^i y^j v^(2i + j);
+        each entry is (c, i, j, 2i + j - 3), its v power over v^3.
+
+        Raises:
+            ShockDevError: a retained term's v power over v^3 is negative.
+        """
+        terms = []
+        for (ti, wj), c in sorted(self.coeffs["r"].items()):
+            if (ti, wj) in ((0, 0), (1, 0)) or c == 0.0:
+                continue
+            e = 2 * ti + wj - 3
+            if e < 0:
+                raise ShockDevError(
+                    f"radius coefficient at powers ({ti},{wj}) breaks the hatted factorization"
+                )
+            terms.append((c, ti, wj, e))
+        return tuple(terms)
+
+    @functools.cached_property
     def corner(self):
         """``free_boundary.corner_expansion`` of the model, computed once."""
         from . import free_boundary  # which imports this module
         return free_boundary.corner_expansion(self, self.eos)
+
+    def init_data(self, eps: float, n: int) -> "InitialData":
+        """:func:`initial_data` of the model on [0, eps] at n + 1 nodes,
+        marched once per (eps, n): its callers share the arrays, read-only."""
+        if (eps, n) not in self._init:
+            self._init[eps, n] = initial_data(self, self.eos, eps, n)
+        return self._init[eps, n]
 
 
 def synthesize_model(
@@ -501,12 +535,8 @@ def initial_data(
     u, h = curve.w, curve.t
     cusp = model.cusp
     alpha_i = np.asarray(model.eval("alpha", h, u), dtype=float)
-    h_hat = np.empty_like(h)
-    h_hat[0] = cusp.h_hat0
-    h_hat[1:] = h[1:] / u[1:] ** 3
-    alpha_i_hat = np.empty_like(h)
-    alpha_i_hat[0] = cusp.alpha_ddot0 / 2.0
-    alpha_i_hat[1:] = (alpha_i[1:] - cusp.alpha0 - cusp.alpha_dot0 * u[1:]) / u[1:] ** 2
+    tail = alpha_i - cusp.alpha0 - cusp.alpha_dot0 * u
     return InitialData(
-        u=u, h=h, dh_du=curve.slope, alpha_i=alpha_i, h_hat=h_hat, alpha_i_hat=alpha_i_hat
+        u=u, h=h, dh_du=curve.slope, alpha_i=alpha_i, h_hat=_hatted(u, h, 3, cusp.h_hat0),
+        alpha_i_hat=_hatted(u, tail, 2, cusp.alpha_ddot0 / 2.0),
     )

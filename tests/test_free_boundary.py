@@ -124,7 +124,7 @@ def continuation_identification(model, v, f_hat, delta_hat):
     steps of a scalar solve (tests/test_fitting.py).
     """
     cusp = model.cusp
-    terms = FBD._radius_tail_terms(model)
+    terms = model.radius_terms
 
     def fdf(k, ys):
         # scalar arithmetic per entry, over any leading axes of the lane

@@ -14,6 +14,7 @@ import pytest
 
 from shockdev import cli, fixed_bvp, free_boundary, jump, report, state_ahead
 from shockdev import eos as eos_mod
+from shockdev.config import SolverConfig
 from shockdev.state import RiemannPair
 from shockdev.state_ahead import CuspData, synthesize_model
 
@@ -163,3 +164,23 @@ def test_inversions_per_canonical_solve(rad, monkeypatch):
         "stress_derivatives": 44,
         "solve_jump_beta": 6,
     }
+
+
+def test_marches_per_canonical_bundle(monkeypatch):
+    # the benchmark's state_ahead.initial_data.calls of one canonical
+    # compute_bundle: its five solves run on four grids, and the base and
+    # perturbed solves share (model, eps, n), so the model marches that grid
+    # once for both (5 marches when each SolverContext marched its own).
+    # Both bindings the tracer wraps are counted
+    direct, calls = state_ahead.initial_data, []
+
+    def counting(*args, **kwargs):
+        calls.append(args[2:])
+        return direct(*args, **kwargs)
+
+    for module in (free_boundary, state_ahead):
+        monkeypatch.setattr(module, "initial_data", counting)
+    bundle = report.compute_bundle(SolverConfig.canonical())
+    assert not bundle.errors
+    assert calls == [(0.01, 64), (0.01, 32), (0.01, 128), (0.005, 64)]
+    assert bundle.perturbed.context.init is bundle.base.context.init

@@ -17,7 +17,8 @@ from scipy.integrate import solve_ivp
 from shockdev import eos as E
 from shockdev import fitting
 from shockdev import state_ahead as SA
-from shockdev.errors import InconsistentCusp, LeftBox, NonConvergence, OutOfBox
+from shockdev.errors import InconsistentCusp, LeftBox, NonConvergence, OutOfBox, ShockDevError
+from shockdev.free_boundary import run_shock_development
 from shockdev.state import RiemannPair, char_speeds, wave_state
 
 CUBIC_TARGET = math.sqrt(3.0) / 12.0  # lam / (6 kappa (c+0 - c-0)) at the canonical cusp
@@ -318,6 +319,70 @@ class TestInitialData:
         assert init.dh_du == pytest.approx(curve.slope, abs=1e-16)
         alpha_direct = model.eval("alpha", curve.t, curve.w)
         assert init.alpha_i == pytest.approx(alpha_direct, abs=1e-16)
+
+    @pytest.mark.parametrize("law", ["rad", "p2"])
+    def test_hatted_by_the_hatting_rule(self, law, request):
+        # h_hat and alpha_i_hat are the one hatting rule applied to h and to
+        # alpha_i - alpha0 - alpha_dot0 u, which is the division written out
+        # node by node, byte for byte
+        eos = request.getfixturevalue(law)
+        c = SA.CuspData.from_physics(
+            eos, kappa=1.0, lam=1.0, alpha0=0.05, dbeta_dt0=0.3, alpha_ddot0=0.4
+        )
+        init = SA.initial_data(SA.synthesize_model(c, eos, eps=0.01), eos, 0.01, 64)
+        u, tail = init.u, init.alpha_i - c.alpha0 - c.alpha_dot0 * init.u
+        for got, raw, k, corner in (
+            (init.h_hat, init.h, 3, c.h_hat0),
+            (init.alpha_i_hat, tail, 2, c.alpha_ddot0 / 2.0),
+        ):
+            assert got.tobytes() == fitting._hatted(u, raw, k, corner).tobytes()
+            assert got[0] == corner
+            assert got[1:].tobytes() == (raw[1:] / u[1:] ** k).tobytes()
+
+
+class TestDerivedOnce:
+    """What the model derives from its coefficients has one owner, the model."""
+
+    def test_initial_data_marched_once_per_grid(self, cusp, rad):
+        m = SA.synthesize_model(cusp, rad, eps=0.1)
+        first = m.init_data(0.05, 16)
+        assert m.init_data(0.05, 16) is first
+        assert m.init_data(0.05, 32) is not first
+        fresh = SA.initial_data(m, rad, 0.05, 16)
+        for name in fresh._fields:
+            assert getattr(first, name).tobytes() == getattr(fresh, name).tobytes(), name
+
+    def test_radius_factorization_built_once_per_canonical_solve(self, rad, monkeypatch):
+        # the corner expansion and the 11 identifications of an n = 64
+        # solve read it; each rebuilt it before it was the model's (12)
+        prop = SA.StateAheadModel.__dict__["radius_terms"]
+        direct, calls = prop.func, []
+
+        def counting(self):
+            calls.append(1)
+            return direct(self)
+
+        monkeypatch.setattr(prop, "func", counting)
+        c = SA.CuspData.from_physics(rad, kappa=1.0, lam=1.0, dbeta_dt0=0.3)
+        m = SA.synthesize_model(c, rad, eps=0.01)
+        run_shock_development(rad, m, c, eps=0.01, n=64)
+        assert len(calls) == 1
+
+    def test_radius_factorization_terms(self, cusp, rad):
+        m = SA.synthesize_model(cusp, rad, eps=0.01, overrides={"r": {(2, 1): 0.4}})
+        # (c, i, j, 2i + j - 3) of every nonzero slot past r0 + c_plus0 t
+        assert m.radius_terms == (
+            (-1.0 / 6.0, 0, 3, 0),
+            (1.0, 1, 1, 0),
+            (0.4, 2, 1, 2),
+        )
+
+    def test_bad_radius_slot_breaks_the_factorization(self, model):
+        coeffs = {f: dict(table) for f, table in model.coeffs.items()}
+        coeffs["r"][(0, 2)] = 0.1
+        bad = SA.StateAheadModel(model.cusp, model.eos, model.box_t, model.box_w, coeffs)
+        with pytest.raises(ShockDevError, match=r"\(0,2\) breaks the hatted factorization"):
+            bad.radius_terms
 
 
 def reference_eval(model, field, t, w, dt=0, dw=0):
