@@ -38,7 +38,7 @@ from .fixed_bvp import BoundaryFunctions
 from .free_boundary import ShockSolution, SubCheck, blowup_fits, run_shock_development
 from .jump import JumpPair, coincidence_structure, cubic_coefficient, jump_scale, solve_jump_beta
 from .state import RiemannPair, char_speeds, stress, stress_derivatives, velocity
-from .state_ahead import initial_data, singular_boundary, synthesize_model
+from .state_ahead import StateAheadModel, initial_data, singular_boundary, synthesize_model
 
 __all__ = [
     "SolutionBundle",
@@ -57,12 +57,13 @@ __all__ = [
 
 @dataclass
 class SolutionBundle:
-    """Converged solutions feeding the report's solver-level checks.
-
-    Any slot may be None; the corresponding checks then fail with the
-    recorded error note instead of raising.
+    """Converged solutions feeding the report's solver-level checks, and
+    the model of the base, grid and perturbed solves, whose EOS and cusp
+    the report reads.  Any solution slot may be None; the corresponding
+    checks then fail with the recorded error note instead of raising.
     """
 
+    model: StateAheadModel
     base: ShockSolution | None = None
     half_n: ShockSolution | None = None
     double_n: ShockSolution | None = None
@@ -84,7 +85,7 @@ def compute_bundle(cfg: SolverConfig) -> SolutionBundle:
     """
     eos, cusp, model = build_problem(cfg)
     opts = cfg.solver_options()
-    bundle = SolutionBundle()
+    bundle = SolutionBundle(model)
 
     def attempt(tag, model_, **kw):
         merged = dict(opts)
@@ -636,7 +637,7 @@ def _document(schema: str, cfg: SolverConfig, checks: list, **sections) -> dict:
 def full_report(cfg: SolverConfig, bundle: SolutionBundle) -> dict:
     """Build the complete diagnostics report (one check per criterion)
     from the validated ``cfg`` and the solutions of :func:`compute_bundle`."""
-    eos, cusp, model = build_problem(cfg)
+    eos, cusp = bundle.model.eos, bundle.model.cusp
     checks, _ = _pointwise_checks(cfg, eos)
     checks += [
         _check_inner_asymptotics(cusp, bundle),

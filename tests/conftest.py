@@ -140,11 +140,14 @@ def perturbed_sol(rad, canon_model, canon_cusp):
 
 
 @pytest.fixture(scope="session")
-def canon_bundle(canon_sol, canon_sol_n32, canon_sol_n128, half_eps_sol, perturbed_sol):
+def canon_bundle(
+    canon_model, canon_sol, canon_sol_n32, canon_sol_n128, half_eps_sol, perturbed_sol
+):
     """The five canonical solves packaged for the diagnostics report."""
     from shockdev.report import SolutionBundle
 
     return SolutionBundle(
+        canon_model,
         base=canon_sol,
         half_n=canon_sol_n32,
         double_n=canon_sol_n128,

@@ -8,12 +8,22 @@ import numpy as np
 import pytest
 
 import shockdev.cli as cli
+import shockdev.config as config
 import shockdev.free_boundary as FBD
+import shockdev.report as report_mod
 from shockdev.errors import ShockDevError
 
 
 def run_cli(argv):
     return cli.main(argv)
+
+
+def _counted(made, synthesize):
+    def counting(*args, **kwargs):
+        made.append(synthesize(*args, **kwargs))
+        return made[-1]
+
+    return counting
 
 
 class TestUsageErrors:
@@ -180,18 +190,24 @@ class TestRun:
         # the canonical run makes five solves on two models (the half-eps
         # solve has its own); each model's corner expansion is computed
         # once, through free_boundary.corner_expansion (5 calls when every
-        # solve computed its own), and the outputs do not change
+        # solve computed its own), and the outputs do not change.  The
+        # report reads the EOS and the cusp from the bundle's model, so the
+        # run synthesizes only those two (3 when it built the problem again)
         direct = FBD.corner_expansion
-        models = []
+        models, made = [], []
 
         def counting(model, eos):
             models.append(model)
             return direct(model, eos)
 
+        for module in (cli, config, report_mod):
+            monkeypatch.setattr(module, "synthesize_model", _counted(made, module.synthesize_model))
         monkeypatch.setattr(FBD, "corner_expansion", counting)
         assert run_cli(["run", "--out", str(tmp_path)]) == 0
         assert len(models) == 2
         assert models[0] is not models[1]
+        assert len(made) == 2
+        assert made[0] is models[0] and made[1] is models[1]
 
     def test_coarse_grid_flags_convergence_and_exits_3(self, tmp_path, capsys):
         """n = 8 is below the grid floor: outputs are still written, the

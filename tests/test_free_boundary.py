@@ -395,7 +395,7 @@ class TestAndersonAcceleration:
         # without warm steps, so that the mixed/plain retry rule is all
         # that acts on a failure
         if not warm:
-            monkeypatch.setattr(FBD, "_WARM_MAX_Q", 0.0)
+            _no_inner_ratio(monkeypatch)
         step = FBD.outer_iterate
         calls = []
 
@@ -482,9 +482,19 @@ def _traced_solve(monkeypatch, eos, model, cusp, n=64, solve_fixed=None):
     return sol, steps
 
 
+def _step_kind(warm):
+    # the polish is the call with warm fields and the cold jump solve
+    return "full" if warm is None else "warm" if warm[1] is not None else "polish"
+
+
+def _no_inner_ratio(monkeypatch):
+    # an undefined step-1 inner ratio (nan) keeps every outer step full
+    monkeypatch.setattr(FBD, "_first_ratio", lambda seq: math.nan)
+
+
 def _all_full(monkeypatch, eos, model, cusp, n=64):
     with monkeypatch.context() as m:
-        m.setattr(FBD, "_WARM_MAX_Q", 0.0)
+        _no_inner_ratio(m)
         return _traced_solve(monkeypatch, eos, model, cusp, n)
 
 
@@ -509,7 +519,8 @@ class TestWarmSteps:
         assert sol.fields.sweeps == 1
         # the inner ratio is carried from step 1's full inner solve
         assert len(sol.inner_changes) == 2
-        assert 0.0 < sol.inner_changes[1] / sol.inner_changes[0] < FBD._WARM_MAX_Q
+        # the canonical cusp is at rest, so its inner ratio is about 5.2e-8
+        assert 0.0 < sol.inner_changes[1] / sol.inner_changes[0] < 1e-6
 
     def test_matches_all_full_steps(self, rad, canon_model, canon_cusp, monkeypatch):
         full, steps = _all_full(monkeypatch, rad, canon_model, canon_cusp)
@@ -528,6 +539,43 @@ class TestWarmSteps:
         assert np.max(np.abs(sol.fields.t - full.fields.t)[m]) < 1e-10 * np.max(
             np.abs(full.fields.t[m])
         )
+
+    @pytest.mark.parametrize(
+        "eos_name, r0, alpha0, beta0", [("rad", 0.1, 0.2, -0.1), ("p2", 0.003, -0.3, 0.3)]
+    )
+    def test_warm_at_any_contracting_ratio(
+        self, request, monkeypatch, eos_name, r0, alpha0, beta0
+    ):
+        # a moving medium at a small r0 raises the step-1 inner ratio from
+        # the canonical 5.2e-8 to about 1.5e-3 (rad) and 0.26 (p2) at n = 32;
+        # every step from step 2 on is still warm, and the solve ends where
+        # the all-full one does
+        eos = request.getfixturevalue(eos_name)
+        cusp = SA.CuspData.from_physics(
+            eos, kappa=1.0, lam=1.0, dbeta_dt0=0.3, alpha0=alpha0, beta0=beta0, r0=r0
+        )
+        model = SA.synthesize_model(cusp, eos, eps=0.04)
+        step = FBD.outer_iterate
+        kinds = []
+
+        def recording(bf, ctx, *, warm=None):
+            kinds.append(_step_kind(warm))
+            return step(bf, ctx, warm=warm)
+
+        def solve():
+            return FBD.run_shock_development(eos, model, cusp, eps=0.04, n=32)
+
+        with monkeypatch.context() as m:
+            _no_inner_ratio(m)
+            full = solve()
+        monkeypatch.setattr(FBD, "outer_iterate", recording)
+        sol = solve()
+        k = len(sol.outer_history)
+        assert kinds[: k + 1] == ["full"] * 2 + ["warm"] * (k - 2) + ["polish"]
+        assert (sol.eps, sol.retries) == (full.eps, full.retries)
+        for name in ("y", "beta_hat_plus", "V_hat"):
+            d = np.max(np.abs(getattr(sol.boundary, name) - getattr(full.boundary, name)))
+            assert d < 5.0 * TOL_OUTER, name
 
     def test_failed_warm_call_retried_full(self, rad, canon_model, canon_cusp, monkeypatch):
         solve = FBD.solve_fixed_bvp
@@ -633,7 +681,7 @@ class TestWarmSteps:
 
         def missing_polish(bf, ctx, *, warm=None):
             bf_next, fg, curve = step(bf, ctx, warm=warm)
-            kind = "full" if warm is None else "warm" if warm[1] is not None else "polish"
+            kind = _step_kind(warm)
             if kind == "polish":
                 bf_next = bf_next.replace(V_hat=bf_next.V_hat + 1e-6)
             kinds.append(kind)

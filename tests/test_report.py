@@ -55,10 +55,10 @@ def rep():
 
 
 @pytest.fixture(scope="module")
-def broken():
+def broken(canon_model):
     """Report over an empty bundle: every solver-level check must fail
     gracefully, the pointwise ones still run."""
-    bundle = SolutionBundle(errors={"base": "NonConvergence: synthetic"})
+    bundle = SolutionBundle(canon_model, errors={"base": "NonConvergence: synthetic"})
     return full_report(SolverConfig.canonical(), bundle=bundle)
 
 
