@@ -20,6 +20,11 @@ start on the diagonal are taken as differences of cumulative integrals from
 the axis; the integrand is zeroed outside the triangle, and the spurious
 below-diagonal contributions cancel exactly in the difference.
 
+Per-node work -- the state, its speeds and v eta, the source terms and the
+transport integrands -- runs on the packed triangle of :meth:`TriGrid.pack`;
+the stencils, the row and column integrals and the time solve run on the
+(n+1, n+1) square.  No state or source term is evaluated above the diagonal.
+
 Each full (n+1, n+1) grid stays bound only while a later line reads it,
 and one that no later line reads is written over in place where a new grid
 of its shape is due.  So the time solve consumes the coefficient grids it
@@ -66,6 +71,10 @@ class TriGrid:
     [i, j]; entries with j > i are outside the domain (kept finite, never
     read).  The diagonal j = i is the shock; the edge j = 0 is the incoming
     characteristic carrying the initial data.
+
+    Per-node work runs on the packed triangle: :meth:`pack` gathers the
+    (n+1)(n+2)/2 nodes j <= i in C order through ``mask``, and
+    :meth:`unpack` scatters them back, so no index array is stored.
     """
 
     def __init__(self, eps: float, n: int):
@@ -84,6 +93,18 @@ class TriGrid:
         # nodes 1 <= j <= i - 1, where a centred v-stencil stays inside
         self.v_inner = idx[None, :] < idx[:, None]
         self.v_inner[:, 0] = False
+
+    def pack(self, X: np.ndarray) -> np.ndarray:
+        """The triangle nodes of a grid, in C order."""
+        return X[self.mask]
+
+    def unpack(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Packed nodes scattered into ``out`` (a fresh zero grid by default),
+        whose entries j > i are left as they are."""
+        if out is None:
+            out = np.zeros(self.mask.shape)
+        out[self.mask] = x
+        return out
 
     def __repr__(self) -> str:
         return f"TriGrid(eps={self.eps}, n={self.n})"
@@ -598,9 +619,13 @@ def solve_fixed_bvp(
     r0 = float(bf.cusp.r0)
 
     def assemble(alpha, beta):
-        """P, Q and r - r0 at (alpha, beta), and v eta, all that a sweep's
-        transport sources read of the state."""
-        cp, cm, ve = sweep_state(eos, RiemannPair(alpha, beta))
+        """P, Q and r - r0 at (alpha, beta), and v eta on the packed
+        triangle, all that a sweep's transport sources read of the state."""
+        cp, cm, ve = sweep_state(eos, RiemannPair(grid.pack(alpha), grid.pack(beta)))
+        # the speeds on the square for the stencils and the radius integrand,
+        # c+ over 1s and c- over 0s: mu and nu stay 0 outside the triangle
+        cp = grid.unpack(cp, np.ones(shape))
+        cm = grid.unpack(cm)
         spread = cp - cm
         # solve_linear_t reads no coefficient outside the triangle, and
         # forms its own in the storage of mu and nu
@@ -631,27 +656,23 @@ def solve_fixed_bvp(
     prev = math.inf
     for _ in range(_MAX_SWEEPS if warm is None else 1):
         P, Q, s, ve = assemble(alpha, beta)
-        # the radius r0 + s, for the sources, stays bound with P, Q and s:
-        # released here, the freed top of the heap goes back to the system
-        # and the next sweep faults it in again (a quarter more minor
-        # faults per n = 512 solve, for no lower peak)
-        r = r0 + s
-        A, B = sources_of(ve, r)
+        A, B = sources_of(ve, r0 + grid.pack(s))
         del ve
-        # a cold sweep reads its P and Q for the last time here, so the new
-        # fields are formed in their storage; the warm sweep returns them
-        alpha_new = np.multiply(Q, A, out=Q if warm is None else None)
-        beta_new = np.multiply(P, B, out=P if warm is None else None)
+        # Q A and P B on the packed triangle; a cold sweep reads its P and Q
+        # for the last time here, so they are scattered into their storage,
+        # and the warm sweep, which returns them, scatters into fresh grids
+        cold = warm is None
+        alpha_new = grid.unpack(np.multiply(grid.pack(Q), A, out=A), Q if cold else None)
+        beta_new = grid.unpack(np.multiply(grid.pack(P), B, out=B), P if cold else None)
         del A, B
         _ct_v(alpha_new, d, out=alpha_new)
         alpha_new += alpha_i[:, None]
         _from_diag(_ct_u(beta_new, d, out=beta_new))
         beta_new += beta_p[None, :]
-        if warm is None:
-            del P, Q, s, r
+        if cold:
+            del P, Q, s
         # a cold sweep discards its iterate, so its change is formed there;
         # a warm sweep's iterate belongs to the caller
-        cold = warm is None
         change = max(
             _sup(np.subtract(alpha_new, alpha, out=alpha if cold else None), mask),
             _sup(np.subtract(beta_new, beta, out=beta if cold else None), mask),
@@ -733,25 +754,26 @@ def characteristic_residuals(
         D -= dT
         res[name] = _sup(D, mask)
 
-    # each coefficient grid is formed when its residual is due and released
-    # after it: the speeds, then the sources from v eta, whose radius
-    # r0 + r_off is formed for them alone
-    cp, cm, ve = sweep_state(eos, RiemannPair(fg.alpha, fg.beta))
+    # the state and sources on the packed triangle, as a sweep takes them;
+    # each coefficient grid is scattered when its residual is due and
+    # released after it: the speeds, then the sources from v eta, whose
+    # radius r0 + r_off is formed for them alone
+    cp, cm, ve = sweep_state(eos, RiemannPair(grid.pack(fg.alpha), grid.pack(fg.beta)))
     # stencil validity: centered in v needs 1 <= j <= i - 1; centered in u
     # needs j + 1 <= i <= n - 1
     mask_v = grid.v_inner
     mask_u = np.tri(n + 1, k=-1, dtype=bool)
     mask_u[n] = False
-    record("radius_out", dv_grid(fg.r_off, grid), mask_v, Q, cp)
+    record("radius_out", dv_grid(fg.r_off, grid), mask_v, Q, grid.unpack(cp))
     del cp
-    record("radius_in", du_grid(fg.r_off, grid), mask_u, P, cm)
+    record("radius_in", du_grid(fg.r_off, grid), mask_u, P, grid.unpack(cm))
     del cm
-    A, B = sources_of(ve, fg.r)
+    A, B = sources_of(ve, fg.r0 + grid.pack(fg.r_off))
     del ve
     alpha_i = np.asarray(init.alpha_i, dtype=float)[:, None]
-    record("alpha", dv_grid(fg.alpha - alpha_i, grid), mask_v, Q, A)
+    record("alpha", dv_grid(fg.alpha - alpha_i, grid), mask_v, Q, grid.unpack(A))
     del A
-    record("beta", du_grid(fg.beta - bf.beta_plus()[None, :], grid), mask_u, P, B)
+    record("beta", du_grid(fg.beta - bf.beta_plus()[None, :], grid), mask_u, P, grid.unpack(B))
     del B
     record("time_out", dv_grid(fg.t, grid), mask_v, Q)
     record("time_in", du_grid(fg.t, grid), mask_u, P)

@@ -1,5 +1,6 @@
 """Tests for the characteristic-triangle inner solver."""
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -12,8 +13,8 @@ import shockdev.eos as E
 import shockdev.fitting as fitting
 import shockdev.fixed_bvp as FB
 import shockdev.state_ahead as SA
-from shockdev.errors import NonConvergence, SingularGamma
-from shockdev.state import RiemannPair, char_speeds, wave_state
+from shockdev.errors import NonConvergence, OutOfRange, SingularGamma
+from shockdev.state import RiemannPair, char_speeds, sweep_state, wave_state
 from test_state_ahead import sequential_march
 
 EPS = 0.01
@@ -72,6 +73,31 @@ class TestTriGrid:
     def test_validation(self, eps, n):
         with pytest.raises(ValueError):
             FB.TriGrid(eps, n)
+
+    def test_pack_gathers_the_triangle_in_c_order(self):
+        g = FB.TriGrid(0.01, 4)
+        X = np.arange(25.0).reshape(5, 5)
+        x = g.pack(X)
+        assert x.tolist() == [X[i, j] for i in range(5) for j in range(i + 1)]
+        assert np.array_equal(g.unpack(x), np.tril(X))
+        out = np.full((5, 5), -1.0)
+        assert g.unpack(x, out) is out
+        assert np.array_equal(out[g.mask], x) and (out[g.outside] == -1.0).all()
+
+    @pytest.mark.parametrize("law", ["rad", "p2"])
+    @pytest.mark.parametrize("n", [3, 16, 257])
+    def test_packed_sweep_state_matches_the_square(self, law, n, rng, request):
+        # the state is evaluated node by node, so the packed triangle gives
+        # the square's bits on every triangle node
+        eos = request.getfixturevalue(law)
+        g = FB.TriGrid(EPS, n)
+        alpha = rng.uniform(-0.3, 0.3, (n + 1, n + 1))
+        beta = rng.uniform(-0.3, 0.3, (n + 1, n + 1))
+        packed = sweep_state(eos, RiemannPair(g.pack(alpha), g.pack(beta)))
+        square = sweep_state(eos, RiemannPair(alpha, beta))
+        for got, ref in zip(packed, square):
+            assert got.shape == ((n + 1) * (n + 2) // 2,)
+            assert got.tobytes() == g.pack(ref).tobytes()
 
 
 class TestBoundaryFunctions:
@@ -850,8 +876,9 @@ class TestSolveFixedBvp:
         assert fg.sweeps <= 2
 
     def test_three_grid_state_evaluations_per_two_sweeps(self, rad, cusp, model, monkeypatch):
-        # each sweep evaluates the grid state once, for the speeds of its
-        # time solve and for its source terms; the closing assemble once more
+        # each sweep evaluates the state on the packed triangle once, for
+        # the speeds of its time solve and for its source terms; the closing
+        # assemble once more
         n = 32
         grid = FB.TriGrid(EPS, n)
         init = SA.initial_data(model, rad, EPS, n)
@@ -866,7 +893,8 @@ class TestSolveFixedBvp:
         monkeypatch.setattr(E, "rho_of_potential", counting)
         fg = FB.solve_fixed_bvp(bf, init, rad, grid)
         assert fg.sweeps == 2
-        assert shapes.count((n + 1, n + 1)) == 3
+        assert shapes.count(((n + 1) * (n + 2) // 2,)) == 3
+        assert (n + 1, n + 1) not in shapes
 
     def test_t_integrated_once(self, rad, cusp, model, monkeypatch):
         # a cold sweep discards its t, so a cold two-sweep solve integrates
@@ -1122,6 +1150,53 @@ class TestWarmSweep:
         assert gap(warm, cold) <= 1e-4 * start
 
 
+def out_of_range_alpha(eos, beta):
+    """alpha whose potential (alpha + beta)/2 lies beyond the law's range."""
+    return 2.0 * E.potential_of_rho(eos, eos.rho_max) - beta + 1.0
+
+
+class TestTriangleOnly:
+    """The state and source terms are evaluated on the triangle alone:
+    entries above the diagonal are never read, whatever their values."""
+
+    NAMES = ("t", "r_off", "alpha", "beta", "dt_du", "dt_dv")
+
+    @pytest.mark.parametrize("bad", ["nan", "range"])
+    def test_warm_sweep_ignores_entries_above_the_diagonal(self, base_run, rad, bad):
+        fg, bf, init = base_run
+        g = fg.grid
+        clean = FB.solve_fixed_bvp(bf, init, rad, g, warm=(fg.alpha, fg.beta))
+        alpha = fg.alpha.copy()
+        alpha[g.outside] = math.nan if bad == "nan" else out_of_range_alpha(rad, 0.0)
+        warm = FB.solve_fixed_bvp(bf, init, rad, g, warm=(alpha, fg.beta))
+        assert warm.changes == clean.changes
+        for name in self.NAMES:
+            assert getattr(warm, name).tobytes() == getattr(clean, name).tobytes(), name
+
+    @pytest.mark.parametrize("bad", ["nan", "range"])
+    def test_the_same_entry_inside_the_triangle_raises(self, base_run, rad, bad):
+        fg, bf, init = base_run
+        alpha = fg.alpha.copy()
+        alpha[7, 3] = math.nan if bad == "nan" else out_of_range_alpha(rad, fg.beta[7, 3])
+        with pytest.raises(OutOfRange):
+            FB.solve_fixed_bvp(bf, init, rad, fg.grid, warm=(alpha, fg.beta))
+
+    def test_residual_check_ignores_entries_above_the_diagonal(self, base_run, rad):
+        # a NaN iterate and a radius r <= 0 above the diagonal: the sources'
+        # r > 0 check covers the triangle nodes alone
+        fg, bf, init = base_run
+        g = fg.grid
+        alpha, r_off = fg.alpha.copy(), fg.r_off.copy()
+        alpha[g.outside] = math.nan
+        r_off[g.outside] = -2.0 * fg.r0
+        dirty = dataclasses.replace(fg, alpha=alpha, r_off=r_off)
+        clean = FB.characteristic_residuals(fg, rad, init, bf)
+        assert FB.characteristic_residuals(dirty, rad, init, bf) == clean
+        r_off[7, 3] = -2.0 * fg.r0
+        with pytest.raises(OutOfRange):
+            FB.characteristic_residuals(dataclasses.replace(fg, r_off=r_off), rad, init, bf)
+
+
 class TestReparametrization:
     def test_shock_curve_invariant(self, rad, cusp, model, base_run, half_run):
         """A smooth change of the diagonal parameter must not move the curve."""
@@ -1279,33 +1354,35 @@ class TestLiveSet:
         return fg, bf, init, peak
 
     def test_inner_solve_peak(self, traced_solve):
-        # 11.95 measured: the sweep's alpha, beta, v eta and c+ around the
-        # 7 grids the time solve holds across its march (15.08 when it
-        # copied mu and the sweep kept v and eta; 24.4 when the solve held
-        # the whole state, both speed grids and the previous t, P, Q)
-        assert traced_solve[3] <= 12.0
+        # 11.45 measured: the sweep's alpha, beta, c+ and the packed v eta
+        # around the 7 grids the time solve holds across its march (11.95
+        # with v eta on the square; 15.08 when the solve copied mu and the
+        # sweep kept v and eta; 24.4 when the solve held the whole state,
+        # both speed grids and the previous t, P, Q)
+        assert traced_solve[3] <= 11.5
 
     def test_residual_check_peak(self, traced_solve, rad):
         fg, bf, init, _ = traced_solve
         _, peak = traced_peak_grids(
             lambda: FB.characteristic_residuals(fg, rad, init, bf), self.N
         )
-        # 5.11 measured, above the solution's 6 grids: v, eta and the
-        # 3-grid peak of its speeds(), then v eta, c+, c- and one residual
-        # (7.14 when the solution held r and speeds() peaked at 5 grids)
-        assert peak <= 5.15
+        # 3.66 measured, above the solution's 6 grids, set by the state
+        # evaluation on the packed triangle; each speed and source grid is
+        # scattered only for its own residual (5.11 with the state on the
+        # square; 7.14 when the solution held r and speeds() peaked at 5)
+        assert peak <= 3.71
 
     def test_inner_solve_peak_n256(self, rad, cusp, model):
         grid, init, bf = self.frozen_curve(rad, cusp, model, 256)
         _, peak = traced_peak_grids(lambda: FB.solve_fixed_bvp(bf, init, rad, grid), 256)
-        # 11.33 measured (14.46 before the time solve took its coefficient
-        # grids over)
-        assert peak <= 11.4
+        # 10.83 measured (11.33 with the state on the square; 14.46 before
+        # the time solve took its coefficient grids over)
+        assert peak <= 10.88
 
     def test_solve_and_residual_check_peak_n256(self, rad, cusp, model):
         # the solve followed by its check, as the benchmark's interior
         # unit runs them: the solve sets the peak, since the check holds
-        # at most about 5.1 grids above the solution's 6
+        # at most about 3.7 grids above the solution's 6
         grid, init, bf = self.frozen_curve(rad, cusp, model, 256)
 
         def unit():
@@ -1313,8 +1390,9 @@ class TestLiveSet:
             return FB.characteristic_residuals(fg, rad, init, bf)
 
         _, peak = traced_peak_grids(unit, 256)
-        # 11.33 measured (14.77 before)
-        assert peak <= 11.4
+        # 10.84 measured (11.33 with the state on the square; 14.77 before
+        # the lean high-n live set)
+        assert peak <= 10.89
 
 
 class TestResiduals:
