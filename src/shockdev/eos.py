@@ -1,4 +1,4 @@
-"""Barotropic equation of state and the thermodynamic chart built on it.
+"""Barotropic equation of state and the thermodynamic chain built on it.
 
 A barotropic fluid is described by one function p(rho) with 0 < dp/drho < 1
 (subluminal sound speed, units with the light speed equal to one and a unit
@@ -14,26 +14,27 @@ else the solver needs is derived from it:
 * stiffness combination      Sigma_tilde = (1 - eta^2) / h^2
 * nonlinearity coefficient   mu = d eta / d rho_tilde + 1 - eta^2
 
-The two reference constants (rho_ref, h_ref) fix the free integration
-constants of sigma and rho_tilde. The radiation and quadratic laws carry
-closed forms; any other law (tabulated, or without closed forms) is read off
-one chart (``_ensure_chart``), for scalar and array input alike: a scalar is
-a lane of one, and its results come back as Python floats.
+rho_ref and the fixed gauge h_ref = 1 fix the integration constants of sigma
+and rho_tilde. Each law has one ``Chain``: the radiation and quadratic laws
+carry it in closed form; any other law (tabulated, or ``closed=None``) reads
+it off one chart (``_ensure_chart``), for scalar and array input alike: a
+scalar is a lane of one, and its results come back as Python floats.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, ClassVar, NamedTuple
 
 import numpy as np
 
 from .errors import OutOfRange
-from .fitting import _lane_result, safeguarded_newton_lanes
+from .fitting import _GAUSS_W, _GAUSS_X, _lane_result, safeguarded_newton_lanes
 
 __all__ = [
     "BarotropicEos",
+    "Chain",
     "radiation",
     "poly2",
     "from_table",
@@ -52,18 +53,29 @@ __all__ = [
     "eos_identity_residual",
 ]
 
-# gauge of the built-in laws: reference density and the enthalpy there
-_RHO_REF, _H_REF = 1.0, 1.0
+# reference density of the built-in laws
+_RHO_REF = 1.0
 
+# chart nodes; each segment's integrals take the 8-point Gauss-Legendre rule
+# (4 and 8 points agree to rounding on the tested laws)
 _CHART_NODES = 4097
-# Gauss-Legendre rule for each chart segment (4 and 8 points agree to
-# rounding on the tested laws)
-_GL_X, _GL_W = np.polynomial.legendre.leggauss(8)
+
+
+class Chain(NamedTuple):
+    """A law's chain: sigma(rho), h(rho), rho(h), rho_tilde(rho), rho(rho_tilde)
+    and d eta/d rho_tilde, each mapping a float array to a float array."""
+
+    sigma: Callable
+    enthalpy: Callable
+    rho_of_enthalpy: Callable
+    potential_of_rho: Callable
+    rho_of_potential: Callable
+    deta_dpotential: Callable
 
 
 @dataclass
 class BarotropicEos:
-    """A barotropic pressure law plus the derived thermodynamic chart.
+    """A barotropic pressure law plus its thermodynamic chain.
 
     Args:
         label: short name used in error messages and reports.
@@ -71,12 +83,13 @@ class BarotropicEos:
         dp_drho_fn: dp/drho, must lie in (0, 1) on the admissible range.
         rho_min, rho_max: admissible density interval.
         rho_ref: reference density where the enthalpy potential vanishes.
-        h_ref: specific enthalpy assigned at rho_ref.
+        closed: the chain in closed form, or None to read it off the chart
+            (see the module docstring), built on first use and cached.
 
-    The optional ``*_cf`` callables are closed forms; any left as None is
-    read off the chart (see the module docstring), built on first use and
-    cached on the instance.
+    The enthalpy at rho_ref is the fixed gauge ``h_ref`` = 1.
     """
+
+    h_ref: ClassVar[float] = 1.0
 
     label: str
     pressure_fn: Callable
@@ -84,15 +97,10 @@ class BarotropicEos:
     rho_min: float
     rho_max: float
     rho_ref: float = 1.0
-    h_ref: float = 1.0
-    sigma_cf: Callable | None = None
-    enthalpy_cf: Callable | None = None
-    rho_of_enthalpy_cf: Callable | None = None
-    potential_of_rho_cf: Callable | None = None
-    rho_of_potential_cf: Callable | None = None
-    deta_dpotential_cf: Callable | None = None
-    _chart: dict = field(default_factory=dict, repr=False)
-    _cf_range: dict = field(default_factory=dict, repr=False)
+    closed: Chain | None = None
+    # caches: the chart's chain, and the input range of each inverse
+    _chart: Chain | None = field(default=None, init=False, repr=False, compare=False)
+    _ranges: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     # densities where the pressure is only C1 (a table's knots), which the
     # chart takes as nodes; set by from_table
     _knots: np.ndarray = field(
@@ -105,8 +113,6 @@ class BarotropicEos:
                 f"{self.label}: need 0 < rho_min < rho_ref < rho_max, got "
                 f"({self.rho_min}, {self.rho_ref}, {self.rho_max})"
             )
-        if self.h_ref <= 0:
-            raise OutOfRange(f"{self.label}: h_ref must be positive")
         # Admissibility is asserted on a sampled log grid at construction.
         probe = np.geomspace(self.rho_min, self.rho_max, 65)
         p = np.asarray(self.pressure_fn(probe), dtype=float)
@@ -117,6 +123,10 @@ class BarotropicEos:
             raise OutOfRange(
                 f"{self.label}: dp/drho must lie in (0, 1) on the range"
             )
+        if self.closed is not None:
+            lacking = [f for f in Chain._fields if not callable(getattr(self.closed, f, None))]
+            if lacking:
+                raise TypeError(f"{self.label}: closed chain lacks callable {', '.join(lacking)}")
 
     @property
     def sigma_ref(self) -> float:
@@ -212,8 +222,8 @@ def pressure(eos: BarotropicEos, rho):
     return _lane_result(np.asarray(eos.pressure_fn(_check_rho(eos, rho)), dtype=float))
 
 
-def _ensure_chart(eos: BarotropicEos):
-    """Chart of the laws without closed forms, built once per instance.
+def _ensure_chart(eos: BarotropicEos) -> Chain:
+    """The chain of a law without closed forms, off a chart built once per law.
 
     Nodes are log-spaced over the admissible range plus rho_ref and the
     law's knots, so each segment lies where the pressure is smooth. The core
@@ -221,16 +231,17 @@ def _ensure_chart(eos: BarotropicEos):
     segments at once by the Gauss-Legendre rule; sigma, rho_tilde and the
     inverses rho(h), rho(rho_tilde) interpolate the node values with the
     exact slopes dsigma/drho = sigma/(rho+p), drho_tilde/drho = eta/(rho+p)
-    and dh/drho = eta^2/sigma (reciprocals for the inverses).
+    and dh/drho = eta^2/sigma (reciprocals for the inverses); h = (rho + p)/sigma,
+    and d eta/d rho_tilde is a symmetric 4th-order difference along rho_tilde.
     """
-    if eos._chart:
+    if eos._chart is not None:
         return eos._chart
     nodes = np.geomspace(eos.rho_min, eos.rho_max, _CHART_NODES)
     # place rho_ref exactly on the chart so the constants are exact there
     nodes = np.unique(np.concatenate([nodes, [eos.rho_ref], eos._knots]))
     half = 0.5 * np.diff(nodes)[:, None]
-    r = 0.5 * (nodes[1:] + nodes[:-1])[:, None] + half * _GL_X
-    w = half * _GL_W / (r + np.asarray(eos.pressure_fn(r), dtype=float))
+    r = 0.5 * (nodes[1:] + nodes[:-1])[:, None] + half * _GAUSS_X
+    w = half * _GAUSS_W / (r + np.asarray(eos.pressure_fn(r), dtype=float))
     eta_r = np.sqrt(np.asarray(eos.dp_drho_fn(r), dtype=float))
     cum_sigma = np.concatenate([[0.0], np.cumsum(w.sum(axis=1))])
     cum_pot = np.concatenate([[0.0], np.cumsum((w * eta_r).sum(axis=1))])
@@ -242,15 +253,33 @@ def _ensure_chart(eos: BarotropicEos):
     eta2 = np.asarray(eos.dp_drho_fn(nodes), dtype=float)
     eta = np.sqrt(eta2)
     h = e / sig
-    eos._chart = {
-        "sigma": _hermite(nodes, sig, sig / e),
-        "potential": _hermite(nodes, cum_pot, eta / e),
-        "rho_of_potential": _hermite(cum_pot, nodes, e / eta),
-        "rho_of_enthalpy": _hermite(h, nodes, sig / eta2),
-        "potential_range": (cum_pot[0], cum_pot[-1]),
-        "enthalpy_range": (h[0], h[-1]),
-    }
+    sig_at, rho_of_h, pot_at, rho_of_pot = (
+        _hermite(nodes, sig, sig / e), _hermite(h, nodes, sig / eta2),
+        _hermite(nodes, cum_pot, eta / e), _hermite(cum_pot, nodes, e / eta),
+    )
+
+    def deta_dpotential(a):
+        d = 1e-4 * (1.0 + np.abs(a))
+        em2, em1, ep1, ep2 = (
+            np.asarray(eta_of_potential(eos, a + j * d), dtype=float) for j in (-2, -1, 1, 2)
+        )
+        return (em2 - 8 * em1 + 8 * ep1 - ep2) / (12 * d)
+
+    eos._ranges.update(enthalpy=(h[0], h[-1]), potential=(cum_pot[0], cum_pot[-1]))
+    eos._chart = Chain(
+        sigma=lambda x: sig_at(x)[0],
+        enthalpy=lambda x: (x + np.asarray(eos.pressure_fn(x), dtype=float)) / sig_at(x)[0],
+        rho_of_enthalpy=lambda x: rho_of_h(x)[0],
+        potential_of_rho=lambda x: pot_at(x)[0],
+        rho_of_potential=lambda x: rho_of_pot(x)[0],
+        deta_dpotential=deta_dpotential,
+    )
     return eos._chart
+
+
+def _chain(eos: BarotropicEos) -> Chain:
+    """The law's chain: its closed forms, else its chart."""
+    return eos.closed if eos.closed is not None else _ensure_chart(eos)
 
 
 # The ``_*_at`` helpers evaluate at a density array that has already passed
@@ -267,72 +296,47 @@ def _sound_speed_sq_at(eos: BarotropicEos, a: np.ndarray) -> np.ndarray:
     return eta2
 
 
-def _sigma_at(eos: BarotropicEos, a: np.ndarray) -> np.ndarray:
-    if eos.sigma_cf is not None:
-        return np.asarray(eos.sigma_cf(a), dtype=float)
-    return np.asarray(_ensure_chart(eos)["sigma"](a)[0])
-
-
-def _enthalpy_at(eos: BarotropicEos, a: np.ndarray) -> np.ndarray:
-    if eos.enthalpy_cf is not None:
-        return np.asarray(eos.enthalpy_cf(a), dtype=float)
-    p = np.asarray(eos.pressure_fn(a), dtype=float)
-    return (a + p) / _sigma_at(eos, a)
-
-
 def sigma(eos: BarotropicEos, rho):
     """Flow potential sigma(rho), the integrating factor of d(rho)/(rho+p)."""
-    return _lane_result(_sigma_at(eos, _check_rho(eos, rho)))
+    return _lane_result(_chain(eos).sigma(_check_rho(eos, rho)))
 
 
 def enthalpy(eos: BarotropicEos, rho):
     """Specific enthalpy h = (rho + p)/sigma."""
-    return _lane_result(_enthalpy_at(eos, _check_rho(eos, rho)))
+    return _lane_result(_chain(eos).enthalpy(_check_rho(eos, rho)))
 
 
-def _inverse(eos: BarotropicEos, x, closed, forward, name: str):
-    """Density at x = h or rho_tilde: closed form, else the chart inverse.
+def _inverse(eos: BarotropicEos, x, forward, name: str):
+    """Density at x = h or rho_tilde, by the chain's inverse.
 
-    Either way x is first checked against the image of [rho_min, rho_max]
-    under the increasing forward map, so a closed form is never evaluated
-    outside its range (where it can wrap around or overflow).  The
-    closed-form image is computed once per instance.  An inverse taken at an
-    end of that image can land one rounding outside [rho_min, rho_max], so
-    the density is clipped back into it.
+    x is first checked against the image of [rho_min, rho_max] under the
+    increasing forward map (a closed chain's taken on first use, a chart's
+    when it is built), so a closed form never runs where it can wrap around
+    or overflow. An inverse at an end of that image can land one rounding
+    outside [rho_min, rho_max], so the density is clipped back into it.
     """
-    a = np.asarray(x, dtype=float)
-    if closed is not None:
-        if name not in eos._cf_range:
-            ends = forward(eos, np.array([eos.rho_min, eos.rho_max]))
-            eos._cf_range[name] = tuple(ends.tolist())
-        _check_in(eos, a, *eos._cf_range[name], name)
-        out = np.asarray(closed(a), dtype=float)
-    else:
-        chart = _ensure_chart(eos)
-        _check_in(eos, a, *chart[f"{name}_range"], name)
-        out = np.asarray(chart[f"rho_of_{name}"](a)[0])
+    chain = _chain(eos)
+    if name not in eos._ranges:
+        eos._ranges[name] = tuple(forward(eos, np.array([eos.rho_min, eos.rho_max])).tolist())
+    a = _check_in(eos, x, *eos._ranges[name], name)
+    out = getattr(chain, "rho_of_" + name)(a)
     # np.clip's arithmetic, without its Python wrapper
     return _lane_result(np.minimum(np.maximum(out, eos.rho_min), eos.rho_max))
 
 
 def rho_of_enthalpy(eos: BarotropicEos, h):
     """Inverse of enthalpy(rho); h is strictly increasing in rho."""
-    return _inverse(eos, h, eos.rho_of_enthalpy_cf, enthalpy, "enthalpy")
+    return _inverse(eos, h, enthalpy, "enthalpy")
 
 
 def potential_of_rho(eos: BarotropicEos, rho):
     """Enthalpy potential as a function of density."""
-    a = _check_rho(eos, rho)
-    if eos.potential_of_rho_cf is not None:
-        out = np.asarray(eos.potential_of_rho_cf(a), dtype=float)
-    else:
-        out = np.asarray(_ensure_chart(eos)["potential"](a)[0])
-    return _lane_result(out)
+    return _lane_result(_chain(eos).potential_of_rho(_check_rho(eos, rho)))
 
 
 def rho_of_potential(eos: BarotropicEos, rho_tilde):
     """Density at a given enthalpy potential (inverse of potential_of_rho)."""
-    return _inverse(eos, rho_tilde, eos.rho_of_potential_cf, potential_of_rho, "potential")
+    return _inverse(eos, rho_tilde, potential_of_rho, "potential")
 
 
 def eta_of_potential(eos: BarotropicEos, rho_tilde):
@@ -380,18 +384,7 @@ def mu_coefficient(eos: BarotropicEos, rho_tilde):
 
 def _mu_at(eos: BarotropicEos, a: np.ndarray, eta: np.ndarray) -> np.ndarray:
     """mu at potentials a whose sound speed eta is already known."""
-    eta2 = np.square(eta)
-    if eos.deta_dpotential_cf is not None:
-        slope = np.asarray(eos.deta_dpotential_cf(a), dtype=float)
-    else:
-        # symmetric 4th-order difference of eta along the potential
-        d = 1e-4 * (1.0 + np.abs(a))
-        em2 = np.asarray(eta_of_potential(eos, a - 2 * d), dtype=float)
-        em1 = np.asarray(eta_of_potential(eos, a - d), dtype=float)
-        ep1 = np.asarray(eta_of_potential(eos, a + d), dtype=float)
-        ep2 = np.asarray(eta_of_potential(eos, a + 2 * d), dtype=float)
-        slope = (em2 - 8 * em1 + 8 * ep1 - ep2) / (12 * d)
-    return slope + 1.0 - eta2
+    return _chain(eos).deta_dpotential(a) + 1.0 - np.square(eta)
 
 
 def eos_identity_residual(eos: BarotropicEos, rho):
@@ -442,7 +435,7 @@ def radiation() -> BarotropicEos:
         sigma = sigma_ref x^(3/4),  h = h_ref x^(1/4),
         rho_tilde = sqrt(3) log(h/h_ref),  mu = 2/3.
     """
-    rho_ref, h_ref = _RHO_REF, _H_REF
+    rho_ref, h_ref = _RHO_REF, BarotropicEos.h_ref
     sqrt3 = math.sqrt(3.0)
     sigma_ref = (rho_ref + rho_ref / 3.0) / h_ref
 
@@ -453,15 +446,16 @@ def radiation() -> BarotropicEos:
         rho_min=1e-6,
         rho_max=1e6,
         rho_ref=rho_ref,
-        h_ref=h_ref,
-        sigma_cf=lambda r: sigma_ref * (np.asarray(r, dtype=float) / rho_ref) ** 0.75,
-        enthalpy_cf=lambda r: h_ref * (np.asarray(r, dtype=float) / rho_ref) ** 0.25,
-        rho_of_enthalpy_cf=lambda h: rho_ref * (np.asarray(h, dtype=float) / h_ref) ** 4,
-        potential_of_rho_cf=lambda r: (sqrt3 / 4.0)
-        * np.log(np.asarray(r, dtype=float) / rho_ref),
-        rho_of_potential_cf=lambda pt: rho_ref
-        * np.exp(4.0 * np.asarray(pt, dtype=float) / sqrt3),
-        deta_dpotential_cf=lambda pt: np.zeros_like(np.asarray(pt, dtype=float)),
+        closed=Chain(
+            sigma=lambda r: sigma_ref * (np.asarray(r, dtype=float) / rho_ref) ** 0.75,
+            enthalpy=lambda r: h_ref * (np.asarray(r, dtype=float) / rho_ref) ** 0.25,
+            rho_of_enthalpy=lambda h: rho_ref * (np.asarray(h, dtype=float) / h_ref) ** 4,
+            potential_of_rho=lambda r: (sqrt3 / 4.0)
+            * np.log(np.asarray(r, dtype=float) / rho_ref),
+            rho_of_potential=lambda pt: rho_ref
+            * np.exp(4.0 * np.asarray(pt, dtype=float) / sqrt3),
+            deta_dpotential=lambda pt: np.zeros_like(np.asarray(pt, dtype=float)),
+        ),
     )
 
 
@@ -477,7 +471,7 @@ def poly2(k: float) -> BarotropicEos:
     """
     if k <= 0:
         raise OutOfRange("poly2: k must be positive")
-    rho_ref, h_ref = _RHO_REF, _H_REF
+    rho_ref, h_ref = _RHO_REF, BarotropicEos.h_ref
     C = (1.0 + k * rho_ref) ** 2 / h_ref
     sqrt2 = math.sqrt(2.0)
     eta_ref = math.sqrt(2.0 * k * rho_ref)
@@ -508,14 +502,15 @@ def poly2(k: float) -> BarotropicEos:
         rho_min=1e-6,
         rho_max=0.999 / (2.0 * k),
         rho_ref=rho_ref,
-        h_ref=h_ref,
-        sigma_cf=lambda r: C * np.asarray(r, dtype=float)
-        / (1.0 + k * np.asarray(r, dtype=float)),
-        enthalpy_cf=lambda r: np.square(1.0 + k * np.asarray(r, dtype=float)) / C,
-        rho_of_enthalpy_cf=rho_of_h,
-        potential_of_rho_cf=pot_of_rho,
-        rho_of_potential_cf=rho_of_pot,
-        deta_dpotential_cf=deta_dpot,
+        closed=Chain(
+            sigma=lambda r: C * np.asarray(r, dtype=float)
+            / (1.0 + k * np.asarray(r, dtype=float)),
+            enthalpy=lambda r: np.square(1.0 + k * np.asarray(r, dtype=float)) / C,
+            rho_of_enthalpy=rho_of_h,
+            potential_of_rho=pot_of_rho,
+            rho_of_potential=rho_of_pot,
+            deta_dpotential=deta_dpot,
+        ),
     )
 
 
@@ -561,7 +556,6 @@ def from_table(table, rho_ref: float | None = None) -> BarotropicEos:
         rho_min=float(rho[0]),
         rho_max=float(rho[-1]),
         rho_ref=float(rho_ref),
-        h_ref=_H_REF,
     )
     eos._knots = rho.copy()
     return eos

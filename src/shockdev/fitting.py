@@ -27,6 +27,8 @@ __all__ = [
     "safeguarded_newton_lanes",
 ]
 
+_GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(8)  # 8-point rule on [-1, 1]
+
 # central stencils of 4th-order accuracy: order -> (offsets, coefficients)
 _STENCILS = {
     1: ((-2, -1, 1, 2), (1 / 12, -8 / 12, 8 / 12, -1 / 12)),

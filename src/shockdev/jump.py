@@ -37,7 +37,7 @@ import numpy as np
 from . import eos as eos_mod
 from . import fitting
 from .errors import DegenerateJump, NoRoot, OutOfRange
-from .fitting import _lane_result
+from .fitting import _GAUSS_W, _GAUSS_X, _lane_result
 from .state import (
     RiemannPair,
     StressComponents,
@@ -77,7 +77,6 @@ _MAX_EXPAND = 4
 # stencil step of the coincidence derivatives (Richardson-refined at half)
 _COINCIDENCE_STEP = 1e-2
 
-_GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(8)
 _GAUSS_S = (0.5 * (_GAUSS_X + 1.0))[:, None]  # on [0, 1], a column
 _GAUSS_W01 = 0.5 * _GAUSS_W
 

@@ -139,11 +139,11 @@ class WaveState(NamedTuple):
 
     def enthalpy(self, eos: eos_mod.BarotropicEos):
         """Specific enthalpy h = (rho + p)/sigma at the (already checked) density."""
-        return _lane_result(eos_mod._enthalpy_at(eos, self.rho))
+        return _lane_result(eos_mod._chain(eos).enthalpy(self.rho))
 
     def sigma(self, eos: eos_mod.BarotropicEos):
         """Flow potential sigma at the (already checked) density."""
-        return _lane_result(eos_mod._sigma_at(eos, self.rho))
+        return _lane_result(eos_mod._chain(eos).sigma(self.rho))
 
 
 def sources_of(ve: np.ndarray, r):

@@ -325,8 +325,8 @@ def synthesize_model(
     Validity box: |t| <= 10 eps^2, |w| <= 2 eps.
 
     Raises:
-        ValueError: eps not finite and positive, unknown override field, or
-            override beyond the model degree.
+        ValueError: eps not finite and positive, unknown override field,
+            override beyond the model degree, or a non-finite override.
         InconsistentCusp: an override targets a constrained slot.
     """
     if not (math.isfinite(eps) and eps > 0):
@@ -345,6 +345,8 @@ def synthesize_model(
                     f"coefficient (t^{i} w^{j}) of {field} is fixed by the cusp data "
                     "and cannot be overridden"
                 )
+            if not math.isfinite(float(value)):
+                raise ValueError(f"override of {field} slot {slot} must be finite, got {value}")
             tables[field][(i, j)] = float(value)
     return StateAheadModel(
         cusp=cusp,

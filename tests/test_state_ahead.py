@@ -169,6 +169,13 @@ class TestSynthesisOverrides:
         with pytest.raises(ValueError, match=rf"^eps must be finite and positive, got {eps}"):
             SA.synthesize_model(cusp, rad, eps=eps)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_override_rejected(self, cusp, rad, value):
+        # a nan coefficient built a model whose solve failed far away, on
+        # a nan potential in the state inversion
+        with pytest.raises(ValueError, match=r"^override of beta slot \(2, 0\) must be finite"):
+            SA.synthesize_model(cusp, rad, eps=0.1, overrides={"beta": {(2, 0): value}})
+
     def test_degree_and_slot_validation(self, cusp, rad):
         with pytest.raises(ValueError):
             SA.synthesize_model(cusp, rad, eps=0.1, overrides={"r": {(4, 4): 1.0}})
