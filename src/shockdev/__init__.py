@@ -16,7 +16,6 @@ from .errors import (
     ConfigError,
     DegenerateJump,
     InconsistentCusp,
-    LeftBox,
     NonConvergence,
     NoRoot,
     OutOfBox,
@@ -113,6 +112,5 @@ __all__ = [
     "SingularGamma",
     "InconsistentCusp",
     "OutOfBox",
-    "LeftBox",
     "ConfigError",
 ]

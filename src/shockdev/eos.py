@@ -306,20 +306,24 @@ def enthalpy(eos: BarotropicEos, rho):
     return _lane_result(_chain(eos).enthalpy(_check_rho(eos, rho)))
 
 
+def _image(eos: BarotropicEos, forward, name: str) -> tuple:
+    """The range of h or rho_tilde: [rho_min, rho_max] mapped forward, cached."""
+    _chain(eos)
+    if name not in eos._ranges:
+        eos._ranges[name] = tuple(forward(eos, np.array([eos.rho_min, eos.rho_max])).tolist())
+    return eos._ranges[name]
+
+
 def _inverse(eos: BarotropicEos, x, forward, name: str):
     """Density at x = h or rho_tilde, by the chain's inverse.
 
-    x is first checked against the image of [rho_min, rho_max] under the
-    increasing forward map (a closed chain's taken on first use, a chart's
-    when it is built), so a closed form never runs where it can wrap around
-    or overflow. An inverse at an end of that image can land one rounding
-    outside [rho_min, rho_max], so the density is clipped back into it.
+    x is first checked against the :func:`_image` of the forward map, so a
+    closed form never runs where it can wrap around or overflow. An inverse
+    at an end of that image can land one rounding outside [rho_min,
+    rho_max], so the density is clipped back into it.
     """
-    chain = _chain(eos)
-    if name not in eos._ranges:
-        eos._ranges[name] = tuple(forward(eos, np.array([eos.rho_min, eos.rho_max])).tolist())
-    a = _check_in(eos, x, *eos._ranges[name], name)
-    out = getattr(chain, "rho_of_" + name)(a)
+    a = _check_in(eos, x, *_image(eos, forward, name), name)
+    out = getattr(_chain(eos), "rho_of_" + name)(a)
     # np.clip's arithmetic, without its Python wrapper
     return _lane_result(np.minimum(np.maximum(out, eos.rho_min), eos.rho_max))
 
@@ -365,11 +369,21 @@ def sigma_tilde(eos: BarotropicEos, h):
     return _lane_result((1.0 - eta2) / np.square(np.asarray(h, dtype=float)))
 
 
+def _inner_step(eos: BarotropicEos, x, rel: float, lo, hi, name: str):
+    """The symmetric differencing step at x, min(rel x, half the distance
+    to the nearer end), so x +- step stays in (lo, hi); OutOfRange there."""
+    a = np.asarray(x, dtype=float)
+    if not (np.all(lo < a) and np.all(a < hi)):
+        raise OutOfRange(f"{eos.label}: {name} {a} not strictly inside ({lo}, {hi})")
+    return np.minimum(rel * a, 0.5 * np.minimum(a - lo, hi - a))
+
+
 def sigma_tilde_slope(eos: BarotropicEos, h):
-    """d Sigma_tilde / dh by symmetric differencing at relative step 1e-4."""
-    hv = float(h)
-    d = 1e-4 * hv
-    return (sigma_tilde(eos, hv + d) - sigma_tilde(eos, hv - d)) / (2.0 * d)
+    """d Sigma_tilde / dh by symmetric differencing at relative step 1e-4
+    (near an end of h's range, half the distance to it)."""
+    hv = np.asarray(h, dtype=float)
+    d = _inner_step(eos, hv, 1e-4, *_image(eos, enthalpy, "enthalpy"), "enthalpy")
+    return _lane_result((sigma_tilde(eos, hv + d) - sigma_tilde(eos, hv - d)) / (2.0 * d))
 
 
 def mu_coefficient(eos: BarotropicEos, rho_tilde):
@@ -397,14 +411,15 @@ def eos_identity_residual(eos: BarotropicEos, rho):
 
     Returns:
         (lhs, rhs) evaluated with symmetric differencing in p (relative
-        step 1e-3) and h (relative step 1e-4).
+        step 1e-3) and h (relative step 1e-4), each step cut to half the
+        distance to its range's nearer end (OutOfRange at an end).
     """
-    rho0 = float(rho)
-    _check_rho(eos, rho0)
+    rho0 = np.asarray(rho, dtype=float)
+    p_range = eos.pressure_fn(np.array([eos.rho_min, eos.rho_max]))
     p0 = pressure(eos, rho0)
-    dp = 1e-3 * p0
+    dp = _inner_step(eos, p0, 1e-3, *p_range, "pressure")
     # invert p(rho) at p0 - dp, p0, p0 + dp, then v = 1/sigma
-    pv = np.array([p0 - dp, p0, p0 + dp])
+    pv = np.stack([p0 - dp, p0, p0 + dp])
 
     def fdf(r):
         return (
@@ -413,14 +428,14 @@ def eos_identity_residual(eos: BarotropicEos, rho):
         )
 
     r = safeguarded_newton_lanes(fdf, rho0, eos.rho_min, eos.rho_max, 1e-14 * pv)
-    vm, v0, vp = (1.0 / np.asarray(sigma(eos, r))).tolist()
+    vm, v0, vp = 1.0 / np.asarray(sigma(eos, r))
     dv_dp = (vp - vm) / (2 * dp)
     d2v_dp2 = (vp - 2 * v0 + vm) / dp**2
     h0 = enthalpy(eos, rho0)
     eta2 = sound_speed_sq(eos, rho0)
     lhs = 3 * v0 * dv_dp + h0 * d2v_dp2
     rhs = -(v0**3 * h0**2 / eta2**2) * sigma_tilde_slope(eos, h0)
-    return lhs, rhs
+    return _lane_result(lhs), _lane_result(rhs)
 
 
 # ----------------------------------------------------------------------

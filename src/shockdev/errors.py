@@ -1,8 +1,8 @@
 """Error taxonomy for the shock development solver.
 
-Every failure mode the library can diagnose maps to one exception type so
-that callers (and the command line driver) can translate failures into exit
-codes without string matching.
+Every failure mode the library can diagnose maps to one exception type, and
+each type to one mode, so that callers (and the command line driver) can
+translate failures into exit codes without string matching.
 """
 
 from __future__ import annotations
@@ -66,14 +66,7 @@ class InconsistentCusp(ShockDevError):
 class OutOfBox(ShockDevError):
     """A state-ahead model evaluation was requested outside its validity
 
-    box.
-    """
-
-
-class LeftBox(ShockDevError):
-    """The incoming characteristic exited the model validity box before
-
-    reaching the requested parameter range.
+    box, directly or by a march along the incoming characteristic.
     """
 
 

@@ -147,8 +147,20 @@ def _hatted(v, raw, k, corner):
     return out
 
 
-# bracketed steps a lane may take before it counts as not converged
+def _rounding_floor(size: float) -> float:
+    """2 ulp of ``size``: the floor of every stop on rounding."""
+    return 2.0 * np.spacing(size)
+
+
+def _error_left(change: float, prev: float) -> float:
+    """The error an update leaves under the contraction shown since ``prev``."""
+    return change * min(1.0, change / prev)
+
+
+# bracketed steps a lane may take before it counts as not converged, and
+# polish steps after it has (no solve measured takes more than 5)
 _NEWTON_MAX_ITER = 60
+_NEWTON_POLISH = 8
 
 
 def safeguarded_newton_lanes(
@@ -157,7 +169,6 @@ def safeguarded_newton_lanes(
     lo,
     hi,
     f_tol,
-    polish: int = 6,
     start=None,
 ) -> np.ndarray:
     """Newton iteration inside a bracket with bisection fallback, lane-wise.
@@ -171,7 +182,7 @@ def safeguarded_newton_lanes(
          Newton step when it lands strictly inside the bracket, else
          bisects it;
       3. once |f| < f_tol, further Newton steps polish the iterate while |f|
-         keeps decreasing (at most ``polish`` of them), so the root is a
+         keeps decreasing (at most ``_NEWTON_POLISH``), so the root is a
          machine-precision fixed point rather than a point of the tolerance
          band (callers difference downstream quantities against small
          scales and cannot afford tolerance-band jitter).
@@ -265,7 +276,7 @@ def safeguarded_newton_lanes(
 
         # polish each lane until its |f| stops decreasing
         going = np.ones_like(done)
-        for _ in range(polish):
+        for _ in range(_NEWTON_POLISH):
             xn = x - fx / dx
             going &= (xn != x) & np.isfinite(xn)  # a 0 or non-finite dx fails too
             if not going.any():

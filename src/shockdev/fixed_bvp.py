@@ -41,6 +41,7 @@ import numpy as np
 
 from . import eos as eos_mod
 from .errors import NonConvergence, SingularGamma
+from .fitting import _error_left, _rounding_floor
 from .state import RiemannPair, sources_of, sweep_state
 from .state_ahead import CuspData, InitialData
 
@@ -62,37 +63,53 @@ __all__ = [
 _TOL_INNER = 1e-12
 _MAX_SWEEPS = 60
 
+# fewest grid intervals: the stencils' corner fill and the shock curve's
+# corner fits need three nodes past the corner; read at call time
+MIN_N = 3
+
+
+def grid_errors(eps, n) -> list:
+    """(name, what is wrong) for eps and n out of bounds: the one statement
+    of a grid's bounds, which TriGrid and ``setting_errors`` read."""
+    rules = (
+        ("eps", eps, math.isfinite(eps) and eps > 0, "finite and positive"),
+        ("n", n, n >= MIN_N, f"at least {MIN_N}"),
+        ("n", n, float(n).is_integer(), "an integer"),
+    )
+    return [(name, f"must be {rule}, got {value}") for name, value, ok, rule in rules if not ok]
+
 
 class TriGrid:
     """Uniform characteristic grid on the triangle 0 <= v <= u <= eps.
 
     Nodes are (u_i, v_j) = (i delta, j delta) for 0 <= j <= i <= n with
-    delta = eps / n.  Arrays over the grid are stored (n+1, n+1) and indexed
-    [i, j]; entries with j > i are outside the domain (kept finite, never
-    read).  The diagonal j = i is the shock; the edge j = 0 is the incoming
-    characteristic carrying the initial data.
+    delta = eps / n and n >= ``MIN_N``; eps or n out of bounds raise the
+    ValueError of :func:`grid_errors`.  Arrays over the grid are stored
+    (n+1, n+1) and indexed [i, j]; entries with j > i are outside the
+    domain (kept finite, never read).  The diagonal j = i is the shock; the
+    edge j = 0 is the incoming characteristic carrying the initial data.
 
-    Per-node work runs on the packed triangle: :meth:`pack` gathers the
-    (n+1)(n+2)/2 nodes j <= i in C order through ``mask``, and
-    :meth:`unpack` scatters them back, so no index array is stored.
+    Node sets: ``mask`` (j <= i), ``outside`` (j > i), and where a centred
+    stencil stays inside, ``v_inner`` (1 <= j <= i - 1) and ``u_inner``
+    (j + 1 <= i <= n - 1).  Per-node work runs on the packed triangle:
+    :meth:`pack` gathers the (n+1)(n+2)/2 nodes j <= i in C order through
+    ``mask``, and :meth:`unpack` scatters them back.
     """
 
     def __init__(self, eps: float, n: int):
-        if not (eps > 0 and math.isfinite(eps)):
-            raise ValueError(f"eps must be positive and finite, got {eps}")
-        if int(n) != n or n < 1:
-            raise ValueError(f"n must be a positive integer, got {n}")
+        if bad := grid_errors(eps, n):
+            raise ValueError(" ".join(bad[0]))
         self.eps = float(eps)
         self.n = int(n)
         self.delta = self.eps / self.n
         self.nodes = np.linspace(0.0, self.eps, self.n + 1)
         idx = np.arange(self.n + 1)
         self.mask = idx[None, :] <= idx[:, None]
-        # entries j > i, which every solve on the grid sets to 0
         self.outside = ~self.mask
-        # nodes 1 <= j <= i - 1, where a centred v-stencil stays inside
         self.v_inner = idx[None, :] < idx[:, None]
+        self.u_inner = self.v_inner.copy()
         self.v_inner[:, 0] = False
+        self.u_inner[self.n] = False
 
     def pack(self, X: np.ndarray) -> np.ndarray:
         """The triangle nodes of a grid, in C order."""
@@ -247,22 +264,19 @@ def _sup(X: np.ndarray, mask: np.ndarray) -> float:
     return float(np.abs(X, out=X).max(where=mask, initial=0.0))
 
 
-def _rounding_floor(alpha: np.ndarray, beta: np.ndarray, mask: np.ndarray) -> float:
-    """2 ulp of max(|alpha|, |beta|) on the triangle, |alpha| and then |beta|
-    formed in one temporary."""
+def _field_floor(alpha: np.ndarray, beta: np.ndarray, mask: np.ndarray) -> float:
+    """The rounding floor of max(|alpha|, |beta|) on the triangle, |alpha|
+    and then |beta| formed in one temporary."""
     scratch = np.abs(alpha)
-    return 2.0 * np.spacing(max(_sup(scratch, mask), _sup(np.abs(beta, out=scratch), mask)))
+    return _rounding_floor(max(_sup(scratch, mask), _sup(np.abs(beta, out=scratch), mask)))
 
 
-def _extrapolate_entry(sources: list) -> float | None:
-    """Extrapolate the next uniform sample from up to three predecessors."""
-    if len(sources) >= 3:
+def _extrapolate_entry(sources: list) -> float:
+    """The next uniform sample from three predecessors (quadratic) or two
+    (linear), the counts every corner entry has at n >= ``MIN_N``."""
+    if len(sources) == 3:
         return 3.0 * sources[0] - 3.0 * sources[1] + sources[2]
-    if len(sources) == 2:
-        return 2.0 * sources[0] - sources[1]
-    if len(sources) == 1:
-        return sources[0]
-    return None
+    return 2.0 * sources[0] - sources[1]
 
 
 def dv_grid(X: np.ndarray, grid: TriGrid) -> np.ndarray:
@@ -270,32 +284,28 @@ def dv_grid(X: np.ndarray, grid: TriGrid) -> np.ndarray:
 
     Centered in the interior, one-sided at the row ends.  The corner rows
     i = 0, 1 are too short for a second-order stencil, so their entries are
-    filled by quadratic extrapolation down the columns, where full-length
-    stencils exist.  Entries with j > i are 0.
+    extrapolated down the columns, where full-length stencils exist: from
+    three entries, or two where the column has no third (n = 3).  Entries
+    with j > i are 0.
     """
     d = grid.delta
     n = grid.n
     X = np.asarray(X, dtype=float)
     out = np.zeros(X.shape)
-    if n >= 2:
-        # on the flattened rows: contiguous, where the row-wise view is not
-        inner = out.reshape(-1)[1:-1]
-        flat = X.reshape(-1)
-        np.subtract(flat[2:], flat[:-2], out=inner, where=grid.v_inner.reshape(-1)[1:-1])
-        inner /= 2.0 * d
-        # rows i >= 2: their first three entries are column views, their
-        # last three diagonal views (out's diagonal, strided on its storage)
-        out[2:, 0] = (-3.0 * X[2:, 0] + 4.0 * X[2:, 1] - X[2:, 2]) / (2.0 * d)
-        out.reshape(-1)[2 * (n + 2) :: n + 2] = (
-            3.0 * X.diagonal()[2:] - 4.0 * X.diagonal(-1)[1:] + X.diagonal(-2)
-        ) / (2.0 * d)
+    # on the flattened rows: contiguous, where the row-wise view is not
+    inner = out.reshape(-1)[1:-1]
+    flat = X.reshape(-1)
+    np.subtract(flat[2:], flat[:-2], out=inner, where=grid.v_inner.reshape(-1)[1:-1])
+    inner /= 2.0 * d
+    # rows i >= 2: their first three entries are column views, their last
+    # three diagonal views (out's diagonal, strided on its storage)
+    out[2:, 0] = (-3.0 * X[2:, 0] + 4.0 * X[2:, 1] - X[2:, 2]) / (2.0 * d)
+    out.reshape(-1)[2 * (n + 2) :: n + 2] = (
+        3.0 * X.diagonal()[2:] - 4.0 * X.diagonal(-1)[1:] + X.diagonal(-2)
+    ) / (2.0 * d)
     # the corner fix-ups run on Python floats, which round as NumPy's do
-    out[1, :2] = (X.item(1, 1) - X.item(1, 0)) / d
     for i, j in ((1, 0), (1, 1), (0, 0)):
-        sources = [out.item(k, j) for k in range(i + 1, min(i + 4, n + 1)) if k >= j]
-        fixed = _extrapolate_entry(sources)
-        if fixed is not None:
-            out[i, j] = fixed
+        out[i, j] = _extrapolate_entry(out[i + 1 : i + 4, j].tolist())
     return out
 
 
@@ -304,33 +314,29 @@ def du_grid(X: np.ndarray, grid: TriGrid) -> np.ndarray:
 
     Centered in the interior, one-sided at the column ends.  The corner
     columns j = n-1, n next to the diagonal tip are too short for a
-    second-order stencil, so their entries are filled by quadratic
-    extrapolation along the rows.  Entries with j > i are 0.
+    second-order stencil, so their entries are extrapolated along the
+    rows: from three entries, or two where the row has no third (n = 3).
+    Entries with j > i are 0.
     """
     d = grid.delta
     n = grid.n
     X = np.asarray(X, dtype=float)
     out = np.zeros(X.shape)
-    if n >= 2:
-        inner = out[1:-1, :]
-        np.subtract(X[2:, :], X[:-2, :], out=inner, where=grid.mask[:-2, :])
-        inner /= 2.0 * d
-        # columns j <= n - 2: their first three entries are diagonal views
-        # (out's diagonal, strided on its storage), their last three row views
-        out.reshape(-1)[: (n - 1) * (n + 2) : n + 2] = (
-            -3.0 * X.diagonal()[: n - 1]
-            + 4.0 * X.diagonal(-1)[: n - 1]
-            - X.diagonal(-2)
-        ) / (2.0 * d)
-        out[n, : n - 1] = (
-            3.0 * X[n, : n - 1] - 4.0 * X[n - 1, : n - 1] + X[n - 2, : n - 1]
-        ) / (2.0 * d)
-    out[n - 1 :, n - 1] = (X.item(n, n - 1) - X.item(n - 1, n - 1)) / d
+    inner = out[1:-1, :]
+    np.subtract(X[2:, :], X[:-2, :], out=inner, where=grid.u_inner[1:-1])
+    inner /= 2.0 * d
+    # columns j <= n - 2: their first three entries are diagonal views (out's
+    # diagonal, strided on its storage), their last three row views
+    out.reshape(-1)[: (n - 1) * (n + 2) : n + 2] = (
+        -3.0 * X.diagonal()[: n - 1]
+        + 4.0 * X.diagonal(-1)[: n - 1]
+        - X.diagonal(-2)
+    ) / (2.0 * d)
+    out[n, : n - 1] = (
+        3.0 * X[n, : n - 1] - 4.0 * X[n - 1, : n - 1] + X[n - 2, : n - 1]
+    ) / (2.0 * d)
     for i, j in ((n - 1, n - 1), (n, n - 1), (n, n)):
-        sources = [out.item(i, k) for k in range(j - 1, max(j - 4, -1), -1) if k >= 0]
-        fixed = _extrapolate_entry(sources)
-        if fixed is not None:
-            out[i, j] = fixed
+        out[i, j] = _extrapolate_entry(out[i, j - 1 :: -1][:3].tolist())
     return out
 
 
@@ -561,7 +567,7 @@ class FieldGrid:
     def rounding_floor(self) -> float:
         """2 ulp of max(|alpha|, |beta|) on the triangle: the sweep change
         that rounding alone leaves, the floor :func:`solve_fixed_bvp` stops on."""
-        return _rounding_floor(self.alpha, self.beta, self.grid.mask)
+        return _field_floor(self.alpha, self.beta, self.grid.mask)
 
 
 def _check_nodes(init: InitialData, bf: BoundaryFunctions, grid: TriGrid) -> None:
@@ -589,12 +595,12 @@ def solve_fixed_bvp(
     transported boundary data (alpha constant along v, beta constant along
     u).  Once the sup-norm change in (alpha, beta) is below ``_TOL_INNER``
     and at least two sweeps have run, stops when the error the last sweep
-    leaves under the observed contraction, change * min(1, change/prev),
-    is within 2 ulp of max(|alpha|, |beta|) on the triangle; it also stops
-    on a zero change or on the first sweep that fails to improve.  Every
-    solve with a nonzero first change thus makes at least two sweeps, so
-    ``changes[1] / changes[0]`` is defined.  The returned t, P, Q and r are
-    re-assembled from the final (alpha, beta).
+    leaves under the observed contraction, change * min(1, change/prev), is
+    within 2 ulp of max(|alpha|, |beta|) on the triangle (the ``fitting``
+    rules); it also stops on a zero change or on the first sweep that fails
+    to improve.  Every solve with a nonzero first change thus makes at least
+    two sweeps, so ``changes[1] / changes[0]`` is defined.  The returned t,
+    P, Q and r are re-assembled from the final (alpha, beta).
 
     With ``warm = (alpha, beta)``, the fields of a nearby solve, exactly
     one sweep runs from them instead: one state evaluation, one time solve
@@ -694,9 +700,8 @@ def solve_fixed_bvp(
             met = True
             if change == 0.0:
                 break
-            if len(history) >= 2:
-                if change * min(1.0, change / prev) <= _rounding_floor(alpha, beta, mask):
-                    break
+            if len(history) >= 2 and _error_left(change, prev) <= _field_floor(alpha, beta, mask):
+                break
         prev = change
     else:
         if not met:
@@ -735,14 +740,14 @@ def characteristic_residuals(
     quadrature error, not float cancellation against the O(1) offsets.
     The derivatives are those of :func:`dv_grid` and :func:`du_grid`, and
     residual maxima are taken over nodes where their centered stencil fits
-    inside the triangle, so no one-sided or corner entry is read.
+    inside the triangle (the grid's ``v_inner`` and ``u_inner``), so no
+    one-sided or corner entry is read.
 
     Returns:
         dict with per-equation maxima ("alpha", "beta", "radius_out",
         "radius_in", "time_out", "time_in") and their overall "max".
     """
     grid = fg.grid
-    n = grid.n
     P, Q = fg.dt_du, fg.dt_dv
     res = dict.fromkeys(("alpha", "beta", "radius_out", "radius_in", "time_out", "time_in"))
 
@@ -759,11 +764,7 @@ def characteristic_residuals(
     # released after it: the speeds, then the sources from v eta, whose
     # radius r0 + r_off is formed for them alone
     cp, cm, ve = sweep_state(eos, RiemannPair(grid.pack(fg.alpha), grid.pack(fg.beta)))
-    # stencil validity: centered in v needs 1 <= j <= i - 1; centered in u
-    # needs j + 1 <= i <= n - 1
-    mask_v = grid.v_inner
-    mask_u = np.tri(n + 1, k=-1, dtype=bool)
-    mask_u[n] = False
+    mask_v, mask_u = grid.v_inner, grid.u_inner
     record("radius_out", dv_grid(fg.r_off, grid), mask_v, Q, grid.unpack(cp))
     del cp
     record("radius_in", du_grid(fg.r_off, grid), mask_u, P, grid.unpack(cm))

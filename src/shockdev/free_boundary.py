@@ -69,6 +69,7 @@ from .fixed_bvp import (
     FieldGrid,
     TriGrid,
     characteristic_residuals,
+    grid_errors,
     solve_fixed_bvp,
 )
 from .jump import (
@@ -89,9 +90,7 @@ from .state_ahead import CuspData, StateAheadModel, initial_data, singular_bound
 # _ANDERSON_DEPTH + 1 iterates (depths 1/2/3/8 take 12/11/10/9 steps at n = 64)
 _ANDERSON_DEPTH = 3
 
-# fewest grid intervals (the corner extrapolation fits a quadratic to the
-# shock nodes), and the default outer tolerance and budgets; read at call time
-MIN_N = 3
+# the default outer tolerance and budgets; read at call time
 TOL_OUTER, MAX_OUTER, MAX_RETRIES = 1e-10, 60, 3
 # the corner fill's trust index is max(_TRUST_FLOOR, n // _TRUST_DIVISOR),
 # capped at n // 2; from ADEQUATE_N up it is n // _TRUST_DIVISOR, a fixed
@@ -344,13 +343,12 @@ class SolverContext:
         cls, model: StateAheadModel, eps: float, n: int, tol_outer: float = TOL_OUTER
     ) -> "SolverContext":
         grid = TriGrid(eps, n)
-        trust_index = min(max(_TRUST_FLOOR, grid.n // _TRUST_DIVISOR), max(grid.n // 2, 1))
+        trust_index = min(max(_TRUST_FLOOR, grid.n // _TRUST_DIVISOR), grid.n // 2)
         # hatted-speed rounding floor: ~3 ulp of the speed scale over v^2
         # must stay below a third of the convergence tolerance
         j_v = 3.0 * _MACH_EPS * max(1.0, abs(model.cusp.c_plus0))
         v_speed = math.sqrt(3.0 * j_v / tol_outer)
-        kt_speed = max(trust_index, math.ceil(v_speed / grid.delta))
-        kt_speed = int(min(kt_speed, max(grid.n // 2, 1)))
+        kt_speed = min(max(trust_index, math.ceil(v_speed / grid.delta)), grid.n // 2)
         return cls(model=model, grid=grid, init=model.init_data(eps, n),
                    trust_index=trust_index, speed_trust_index=kt_speed)
 
@@ -413,18 +411,17 @@ def solve_identification(
     )
     out = np.concatenate([[-1.0], roots])
 
-    if len(v) > 1:
-        vk, yk = v[-1], out[-1]
-        fk = vk**2 * f_hat[-1]
-        gk = vk**3 * delta_hat[-1] + cusp.c_plus0 * fk
-        raw = (gk + cusp.r0 - model.eval("r", fk, vk * yk)) / vk**3
-        fac = fdf(roots[-1:])[0][-1]
-        tol = 1e-9 * max(1.0, cusp.r0) * (0.01 / vk) ** 3
-        if abs(raw - fac) > tol:
-            raise ShockDevError(
-                f"identification residual paths disagree at v = {vk:.6g}: "
-                f"{raw:.3e} vs {fac:.3e} (tol {tol:.1e})"
-            )
+    vk, yk = v[-1], out[-1]
+    fk = vk**2 * f_hat[-1]
+    gk = vk**3 * delta_hat[-1] + cusp.c_plus0 * fk
+    raw = (gk + cusp.r0 - model.eval("r", fk, vk * yk)) / vk**3
+    fac = fdf(roots[-1:])[0][-1]
+    tol = 1e-9 * max(1.0, cusp.r0) * (0.01 / vk) ** 3
+    if abs(raw - fac) > tol:
+        raise ShockDevError(
+            f"identification residual paths disagree at v = {vk:.6g}: "
+            f"{raw:.3e} vs {fac:.3e} (tol {tol:.1e})"
+        )
     return out
 
 
@@ -734,16 +731,17 @@ def _attempt(ctx: SolverContext, *, tol_outer: float, max_outer: int, seed_fn) -
 
 def setting_errors(eps, n, tol_outer, max_outer, max_retries) -> list:
     """(name, what is wrong) for each solve setting out of its bounds: the
-    one statement of those bounds, which every caller asks."""
+    one statement of those bounds, which every caller asks.  The bounds of
+    eps and n are the grid's, :func:`fixed_bvp.grid_errors`."""
     rules = (
-        ("eps", eps, math.isfinite(eps) and eps > 0, "finite and positive"),
-        ("n", n, n >= MIN_N, f"at least {MIN_N}"),
         ("tol_outer", tol_outer, math.isfinite(tol_outer) and tol_outer > _MACH_EPS,
          f"finite and above machine epsilon ({_MACH_EPS:.2e})"),
         ("max_outer", max_outer, max_outer >= 1, "at least 1"),
         ("max_retries", max_retries, max_retries >= 0, "at least 0"),
     )
-    return [(name, f"must be {rule}, got {value}") for name, value, ok, rule in rules if not ok]
+    return grid_errors(eps, n) + [
+        (name, f"must be {rule}, got {value}") for name, value, ok, rule in rules if not ok
+    ]
 
 
 def run_shock_development(
@@ -775,10 +773,8 @@ def run_shock_development(
         raise ValueError("cusp is not the cusp the model was synthesized from")
     if eos is not model.eos:
         raise ValueError("eos is not the EOS the model was synthesized from")
-    bad = setting_errors(eps, n, tol_outer, max_outer, max_retries)
-    if bad:
-        name, text = bad[0]
-        raise ValueError(f"{name} {text}")
+    if bad := setting_errors(eps, n, tol_outer, max_outer, max_retries):
+        raise ValueError(" ".join(bad[0]))
     if seed_fn is None:
         seed_fn = BoundaryFunctions.seed
     attempt_eps = float(eps)

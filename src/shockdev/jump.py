@@ -248,7 +248,6 @@ def solve_jump_beta(
         pts[0],
         pts[1],
         f_tol=_J_TOL_REL * _scale_at(eos, w_ahead),
-        polish=8,
         start=start,
     )
     return _lane_result(out)

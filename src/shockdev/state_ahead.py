@@ -30,8 +30,8 @@ from typing import Mapping, NamedTuple
 import numpy as np
 
 from . import eos as eos_mod
-from .errors import InconsistentCusp, LeftBox, NonConvergence, OutOfBox, ShockDevError
-from .fitting import _hatted, _lane_result
+from .errors import InconsistentCusp, NonConvergence, OutOfBox, ShockDevError
+from .fitting import _error_left, _hatted, _lane_result, _rounding_floor
 from .state import RiemannPair, wave_state
 
 __all__ = [
@@ -244,7 +244,8 @@ class StateAheadModel:
 
         Raises:
             OutOfBox: any requested point outside |t| <= box_t, |w| <= box_w
-                (NaN counts as outside).
+                (NaN counts as outside), the first one named: the one box
+                check, which the incoming-characteristic march passes too.
         """
         key = (field, dt, dw)
         if key not in self._terms:
@@ -261,10 +262,13 @@ class StateAheadModel:
             )
         t_arr = np.asarray(t, dtype=float)
         w_arr = np.asarray(w, dtype=float)
-        slack = 1.0 + 1e-12
-        if not (_abs_max(t_arr) <= self.box_t * slack and _abs_max(w_arr) <= self.box_w * slack):
+        t_max, w_max = self.box_t * (1.0 + 1e-12), self.box_w * (1.0 + 1e-12)
+        if not (_abs_max(t_arr) <= t_max and _abs_max(w_arr) <= w_max):
+            tb, wb = (x.ravel() for x in np.broadcast_arrays(t_arr, w_arr))
+            k = int(np.argmin((np.abs(tb) <= t_max) & (np.abs(wb) <= w_max)))
             raise OutOfBox(
-                f"evaluation outside validity box |t| <= {self.box_t:g}, |w| <= {self.box_w:g}"
+                f"evaluation outside validity box |t| <= {self.box_t:g}, |w| <= {self.box_w:g} "
+                f"at (t, w) = ({tb[k]:g}, {wb[k]:g})"
             )
         out = np.zeros(np.broadcast(t_arr, w_arr).shape)
         for factor, pt, pw in self._terms[key]:
@@ -415,10 +419,9 @@ def incoming_characteristic(
     m marched intervals, carrying dphi_j/dtau_j along, and the bidiagonal
     Newton system d_{j+1} = phi_j' d_j + r_j (d = 0 on the last seeded
     node) is solved by one cumulative product/sum.  The march stops when
-    max|d|, or the error it leaves under quadratic convergence, max|d|
-    times its ratio to the previous pass's max|d|, is within 2 ulp of
-    max|tau|: 2 passes, so 9 right-hand-side evaluations with the slope,
-    for the built-in laws at n = 1...4096.
+    max|d|, or the error it leaves under quadratic convergence (``fitting``'s
+    rules), is within 2 ulp of max|tau|: 2 passes, 9 right-hand-side
+    evaluations with the slope, for the built-in laws at n = 1...4096.
 
     Args:
         u_max, n_points: uniform sampling of [0, u_max] with n_points
@@ -427,9 +430,9 @@ def incoming_characteristic(
     Raises:
         ValueError: u_max is not finite and positive, or n_points is not an
             integer >= 1.
-        LeftBox: the requested interval, or a Runge-Kutta stage of any pass,
-            leaves the model's validity box (the first such stage node is
-            named).
+        OutOfBox: the requested interval, or a Runge-Kutta stage of any
+            pass, leaves the model's validity box (:meth:`StateAheadModel.eval`
+            names the first point outside).
         NonConvergence: the Newton corrections have not settled after
             ``_MARCH_PASSES`` passes; ``history`` holds max|d| per pass.
     """
@@ -438,19 +441,9 @@ def incoming_characteristic(
     if not (n_points >= 1 and float(n_points).is_integer()):
         raise ValueError(f"n_points must be an integer >= 1, got {n_points}")
     w = np.linspace(0.0, float(u_max), int(n_points) + 1)
-    if u_max > model.box_w:
-        raise LeftBox(
-            f"requested interval [0, {u_max:g}] exceeds the validity box |w| <= {model.box_w:g}"
-        )
 
     def rhs(wv: np.ndarray, tv: np.ndarray):
         """dt/dw on lanes and its partial derivative in t."""
-        outside = (np.abs(tv) > model.box_t) | (np.abs(wv) > model.box_w)
-        if outside.any():
-            k = int(np.argmax(outside))
-            raise LeftBox(
-                f"incoming characteristic left the validity box at (t, w) = ({tv[k]:g}, {wv[k]:g})"
-            )
         pair = RiemannPair(model.eval("alpha", tv, wv), model.eval("beta", tv, wv))
         state = wave_state(eos, pair)
         cp, cm = state.speeds()
@@ -497,9 +490,9 @@ def incoming_characteristic(
         # quadratically, so this update leaves about max|d| times the ratio
         # of max|d| to the previous pass's
         size = _abs_max(delta)
-        left = size * min(1.0, size / history[-1]) if history else size
+        left = _error_left(size, history[-1]) if history else size
         history.append(size)
-        if left <= 2.0 * np.spacing(_abs_max(tau)):
+        if left <= _rounding_floor(_abs_max(tau)):
             break
     else:
         raise NonConvergence(

@@ -158,11 +158,13 @@ def hugoniot_residual(eos: eos_mod.BarotropicEos, jp: JumpPair):
     return hb**2 - ha**2 - (pb - pa) * (hb / wb.sigma(eos) + ha / wa.sigma(eos))
 
 
-# bracketed steps a lane may take in reference_newton_lanes
+# bracketed steps a lane may take in reference_newton_lanes, and polish
+# steps after it has converged
 REFERENCE_MAX_ITER = 60
+REFERENCE_POLISH = 8
 
 
-def reference_newton_lanes(fdf, x0, lo, hi, f_tol, polish: int = 6, f_ends=None):
+def reference_newton_lanes(fdf, x0, lo, hi, f_tol, f_ends=None):
     """Newton inside a bracket with bisection fallback, lane by lane.
 
     The steps of ``fitting.safeguarded_newton_lanes``: an end within f_tol
@@ -217,7 +219,7 @@ def reference_newton_lanes(fdf, x0, lo, hi, f_tol, polish: int = 6, f_ends=None)
                 )
 
         going = np.ones_like(done)
-        for _ in range(polish):
+        for _ in range(REFERENCE_POLISH):
             xn = x - fx / dx
             going &= (dx != 0) & np.isfinite(dx) & (xn != x) & np.isfinite(xn)
             if not going.any():

@@ -12,7 +12,7 @@ import pytest
 
 import shockdev.free_boundary as FBD
 import shockdev.report as report
-from shockdev import cli
+from shockdev import cli, fixed_bvp
 from shockdev.config import _SCHEMA, SolverConfig, build_problem, load_config
 from shockdev.errors import ConfigError, ShockDevError
 
@@ -291,11 +291,12 @@ def test_readme_ini_block_lists_every_key(tmp_path):
 
 
 class TestSolveSettingsOwner:
-    """The solve settings' floor and defaults are declared once, in
-    ``free_boundary``, and every other site reads them from there."""
+    """The solve settings' defaults are declared once, in ``free_boundary``,
+    and the grid's floor once, in ``fixed_bvp`` beside ``TriGrid``; every
+    other site reads them from there."""
 
     def test_grid_floor_is_read_at_call_time(self, monkeypatch, capsys):
-        monkeypatch.setattr(FBD, "MIN_N", 4)
+        monkeypatch.setattr(fixed_bvp, "MIN_N", 4)
         with pytest.raises(ConfigError, match=r"\[solver\] n: must be at least 4, got 3"):
             load_config(None, env={"SHOCKDEV_SOLVER_N": "3"})
         assert cli.main(["sweep", "--n", "3"]) == 2

@@ -286,6 +286,53 @@ class TestStiffnessIdentities:
                 )
                 assert r == pytest.approx(oracle, rel=2e-15, abs=0.0)
 
+    @pytest.mark.parametrize(
+        "law, rho", [("p2", 1e-4), ("p2", 4e-4), ("p2", 4.994), ("rad", 999_900.0),
+                     ("rad", 1.000_01e-6)],
+    )
+    def test_consistency_identity_near_the_range_ends(self, law, rho, request):
+        # the step in p or in h is cut to half the distance to its range's
+        # end: at a relative step h left its range at poly2's low densities
+        # (h is flat in rho there) and p + dp had no root near rho_max
+        eos = request.getfixturevalue(law)
+        lhs, rhs = E.eos_identity_residual(eos, rho)
+        assert abs(lhs - rhs) <= 1e-4 * max(abs(lhs), abs(rhs))
+
+    @pytest.mark.parametrize("law", ["rad", "p2", "table"])
+    def test_lanes_match_per_density_calls(self, law, request):
+        # a lane's powers may round 1 ulp apart from a scalar's (NumPy's
+        # array power against libm's pow), which the second difference in
+        # p, over a step 1e-3 p, amplifies to about 1e-10
+        eos = request.getfixturevalue(law)
+        rho = np.geomspace(1.0001 * eos.rho_min, 0.9999 * eos.rho_max, 64)
+        got = E.eos_identity_residual(eos, rho)
+        want = np.array([E.eos_identity_residual(eos, r) for r in rho.tolist()]).T
+        np.testing.assert_allclose(got, want, rtol=1e-10, atol=0.0)
+
+    def test_interior_densities_keep_the_relative_steps(self, rad, p2):
+        # lanes and scalars alike: the report's densities are differenced
+        # as before, so its numbers do not move
+        for eos in (rad, p2):
+            h = E.enthalpy(eos, np.array([0.5, 1.3, 4.0]))
+            d = 1e-4 * h
+            slope = (E.sigma_tilde(eos, h + d) - E.sigma_tilde(eos, h - d)) / (2.0 * d)
+            assert np.array_equal(E.sigma_tilde_slope(eos, h), slope)
+
+    def test_slope_near_the_enthalpy_range_end(self, p2):
+        # at rho = 1e-4 the relative step 1e-4 h crosses h(rho_min)
+        rho = 1e-4
+        h = E.enthalpy(p2, rho)
+        assert h - 1e-4 * h < E.enthalpy(p2, p2.rho_min)
+        want = -2.0 * E.mu_coefficient(p2, E.potential_of_rho(p2, rho)) / h**3
+        assert E.sigma_tilde_slope(p2, h) == pytest.approx(want, rel=1e-6)
+
+    @pytest.mark.parametrize("end", ["rho_min", "rho_max"])
+    def test_no_symmetric_difference_at_a_range_end(self, rad, end):
+        with pytest.raises(OutOfRange, match="not strictly inside"):
+            E.eos_identity_residual(rad, getattr(rad, end))
+        with pytest.raises(OutOfRange, match="not strictly inside"):
+            E.sigma_tilde_slope(rad, E.enthalpy(rad, getattr(rad, end)))
+
 
 class TestTabulated:
     def _table(self, rad):

@@ -121,6 +121,20 @@ def lane_roots(lanes, **kw):
     )
 
 
+class TestRoundingRules:
+    """The stops on rounding (the inner sweep's, the polish test's and the
+    incoming-characteristic march's) read these two rules."""
+
+    def test_rounding_floor_is_two_ulp(self):
+        assert fitting._rounding_floor(1.0) == 2.0**-51
+        assert fitting._rounding_floor(0.0) == 2.0 * 5e-324
+
+    def test_error_left_under_the_observed_contraction(self):
+        assert fitting._error_left(1e-8, 1e-4) == 1e-8 * (1e-8 / 1e-4)
+        # a change that did not shrink leaves itself
+        assert fitting._error_left(1e-4, 1e-8) == 1e-4
+
+
 class TestSafeguardedNewtonLanes:
     def test_equal_to_scalar_routine_on_every_lane(self):
         got = lane_roots(LANES, f_tol=1e-12)

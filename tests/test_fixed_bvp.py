@@ -12,6 +12,7 @@ from scipy.interpolate import CubicSpline
 import shockdev.eos as E
 import shockdev.fitting as fitting
 import shockdev.fixed_bvp as FB
+import shockdev.free_boundary as FBD
 import shockdev.state_ahead as SA
 from shockdev.errors import NonConvergence, OutOfRange, SingularGamma
 from shockdev.state import RiemannPair, char_speeds, sweep_state, wave_state
@@ -73,6 +74,30 @@ class TestTriGrid:
     def test_validation(self, eps, n):
         with pytest.raises(ValueError):
             FB.TriGrid(eps, n)
+
+    def test_grid_and_solve_settings_share_one_floor(self):
+        # MIN_N = 3: the grid refuses n = 2 with the text of the solve
+        # settings' check, which reads the grid's bounds, and takes n = 3
+        assert FB.MIN_N == 3
+        settings = (FBD.TOL_OUTER, FBD.MAX_OUTER, FBD.MAX_RETRIES)
+        [(name, text)] = FBD.setting_errors(0.01, 2, *settings)
+        assert (name, text) == ("n", "must be at least 3, got 2")
+        assert FB.grid_errors(0.01, 2) == [(name, text)]
+        with pytest.raises(ValueError, match=rf"^{name} {text}$"):
+            FB.TriGrid(0.01, 2)
+        assert FB.grid_errors(0.01, 3) == []
+        assert FB.TriGrid(0.01, 3).n == 3
+        with pytest.raises(ValueError, match=r"^n must be an integer, got 3.5$"):
+            FB.TriGrid(0.01, 3.5)
+
+    @pytest.mark.parametrize("n", [3, 4, 16])
+    def test_node_sets(self, n):
+        g = FB.TriGrid(0.01, n)
+        i, j = np.indices((n + 1, n + 1))
+        assert np.array_equal(g.mask, j <= i)
+        assert np.array_equal(g.outside, j > i)
+        assert np.array_equal(g.v_inner, (1 <= j) & (j <= i - 1))
+        assert np.array_equal(g.u_inner, (j + 1 <= i) & (i <= n - 1))
 
     def test_pack_gathers_the_triangle_in_c_order(self):
         g = FB.TriGrid(0.01, 4)
@@ -180,7 +205,7 @@ class TestGammaInverse:
         ginv = FB.gamma_inverse(bf, alpha_diag, rad)
         assert np.all(np.isinf(ginv))
 
-    @pytest.mark.parametrize("n", [2, 16, 64])
+    @pytest.mark.parametrize("n", [3, 16, 64])
     def test_infinite_only_at_the_corner(self, rad, cusp, n):
         g = FB.TriGrid(EPS, n)
         bf = FB.BoundaryFunctions.seed(cusp, g.nodes)
@@ -216,10 +241,9 @@ def per_line_dv(X, grid):
     for i in range(n + 1):
         out[i, : i + 1] = second_order_line(X[i, : i + 1], grid.delta)
     for i, j in ((1, 0), (1, 1), (0, 0)):
-        sources = [out[k, j] for k in range(i + 1, min(i + 4, n + 1)) if k >= j]
-        fixed = FB._extrapolate_entry(sources)
-        if fixed is not None:
-            out[i, j] = fixed
+        out[i, j] = FB._extrapolate_entry(
+            [out[k, j] for k in range(i + 1, min(i + 4, n + 1)) if k >= j]
+        )
     return out
 
 
@@ -230,15 +254,14 @@ def per_line_du(X, grid):
     for j in range(n + 1):
         out[j:, j] = second_order_line(X[j:, j], grid.delta)
     for i, j in ((n - 1, n - 1), (n, n - 1), (n, n)):
-        sources = [out[i, k] for k in range(j - 1, max(j - 4, -1), -1) if k >= 0]
-        fixed = FB._extrapolate_entry(sources)
-        if fixed is not None:
-            out[i, j] = fixed
+        out[i, j] = FB._extrapolate_entry(
+            [out[i, k] for k in range(j - 1, max(j - 4, -1), -1) if k >= 0]
+        )
     return out
 
 
 class TestGridDerivatives:
-    @pytest.mark.parametrize("n", [2, 3, 4, 16, 64, 256])
+    @pytest.mark.parametrize("n", [3, 4, 16, 64, 256])
     def test_bit_identical_to_per_line_reference(self, n, rng):
         g = FB.TriGrid(EPS, n)
         X = rng.normal(size=(n + 1, n + 1))
@@ -322,7 +345,7 @@ class TestCumulativeTrapezoid:
             FB._ct_v(X.T, d).T, cumulative_trapezoid(X, dx=d, axis=0, initial=0.0)
         )
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 64, 256])
+    @pytest.mark.parametrize("n", [3, 64, 256])
     @pytest.mark.parametrize("masked", [False, True], ids=["random", "triangle"])
     def test_contiguous_passes_match_row_slices_bit_for_bit(self, n, masked, rng):
         # the flattened row pass and the whole-row column pass do the
@@ -1405,7 +1428,7 @@ class TestResiduals:
         assert all(math.isfinite(x) and x >= 0 for x in res.values())
 
     @pytest.mark.parametrize("law", ["rad", "p2"])
-    @pytest.mark.parametrize("n", [2, 3, 16, 64])
+    @pytest.mark.parametrize("n", [3, 16, 64])
     def test_matches_centered_stencils_bit_for_bit(self, law, n, request):
         # the residual masks read only the centred interior entries of the
         # grid derivatives, never a one-sided or extrapolated corner entry

@@ -265,12 +265,12 @@ class TestOuterIteration:
         m_half = self._iterate(rad, model_h, canon_cusp, EPS / 2, 32, 2)
         assert m_half[1] / m_half[0] < m_full[1] / m_full[0]
 
-    @pytest.mark.parametrize("n, kt", [(2, 1), (8, 4), (64, 8), (256, 32)])
+    @pytest.mark.parametrize("n, kt", [(3, 1), (8, 4), (64, 8), (256, 32)])
     def test_trust_index_rule(self, rad, canon_model, canon_cusp, n, kt):
         # max(4, n // 8), capped at n // 2
         ctx = FBD.SolverContext.build(canon_model, EPS, n)
         assert ctx.trust_index == kt
-        assert kt <= ctx.speed_trust_index <= max(n // 2, 1)
+        assert kt <= ctx.speed_trust_index <= n // 2
 
     def test_idempotence_at_fixed_point(self, canon_sol):
         bf_next, _, _ = FBD.outer_iterate(canon_sol.boundary, canon_sol.context)

@@ -529,6 +529,8 @@ def _lane_calls(eos):
         (E.rho_of_potential, (eos, rho_tilde)),
         (E.eta_of_potential, (eos, rho_tilde)),
         (E.mu_coefficient, (eos, rho_tilde)),
+        (E.sigma_tilde_slope, (eos, E.enthalpy(eos, rho))),
+        (E.eos_identity_residual, (eos, rho)),
         (S.velocity, (eos, behind)),
         (S.char_speeds, (eos, behind)),
         (S.stress, (eos, behind)),

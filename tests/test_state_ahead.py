@@ -9,6 +9,7 @@ singular boundary, and least-squares expansion fits for the corner behavior.
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from scipy.integrate import solve_ivp
 from shockdev import eos as E
 from shockdev import fitting
 from shockdev import state_ahead as SA
-from shockdev.errors import InconsistentCusp, LeftBox, NonConvergence, OutOfBox, ShockDevError
+from shockdev.errors import InconsistentCusp, NonConvergence, OutOfBox, ShockDevError
 from shockdev.free_boundary import run_shock_development
 from shockdev.state import RiemannPair, char_speeds, wave_state
 
@@ -145,6 +146,12 @@ class TestModelCoefficients:
         with pytest.raises(OutOfBox):
             model.eval("beta", math.nan, 0.0)
         assert model.eval("r", np.zeros(0), 0.0).shape == (0,)
+        # the message names the first point outside, in broadcast order
+        w = model.box_w * np.array([0.5, 3.0, 4.0])
+        with pytest.raises(OutOfBox, match=rf"at \(t, w\) = \(0, {w[1]:g}\)$"):
+            model.eval("alpha", 0.0, w)
+        with pytest.raises(OutOfBox, match=r"at \(t, w\) = \(nan, 0\)$"):
+            model.eval("beta", np.array([0.0, math.nan]), 0.0)
 
     def test_eval_rejects_bad_requests(self, model):
         with pytest.raises(ValueError):
@@ -283,18 +290,24 @@ class TestIncomingCharacteristic:
         assert np.max(np.abs(sol.y[0] - curve.t)) < 1e-10
 
     def test_interval_outside_box(self, model, rad):
-        with pytest.raises(LeftBox, match=r"requested interval \[0, 0.3\]"):
+        # the model's one box check names the first stage node past
+        # box_w = 0.2: the last substep of the interval [0.18, 0.21]
+        with pytest.raises(OutOfBox, match=r"\|w\| <= 0.2 at \(t, w\) = \([^,]+, 0.2025\)$"):
             SA.incoming_characteristic(model, rad, 0.3, 10)
-        with pytest.raises(LeftBox):
+        with pytest.raises(OutOfBox):
             sequential_march(model, rad, 0.3, 10)
 
     def test_trajectory_exit(self, rad):
         # huge quartic shape term drives the curve out of the shallow box
         c = SA.CuspData.from_physics(rad, kappa=1.0, lam=1.0, dbeta_dt0=0.0, r0=1.0, xi=-1e6)
         m = SA.synthesize_model(c, rad, eps=0.01)
-        with pytest.raises(LeftBox, match=r"left the validity box at \(t, w\) = "):
+        with pytest.raises(OutOfBox, match=r"outside validity box") as exc:
             SA.incoming_characteristic(m, rad, 0.02, 64)
-        with pytest.raises(LeftBox):
+        # the named point is a stage node inside the requested interval
+        # whose time left the box
+        t, w = map(float, re.search(r"at \(t, w\) = \((\S+), (\S+)\)$", str(exc.value)).groups())
+        assert abs(t) > m.box_t and 0.0 < w <= 0.02
+        with pytest.raises(OutOfBox):
             sequential_march(m, rad, 0.02, 64)
 
     def test_pass_cap_raises_with_history(self, model, rad, monkeypatch):
@@ -450,14 +463,10 @@ def sequential_march(model, eos, u_max=None, n_points=None, *, w_nodes=None):
         u_max = float(w[-1])
     else:
         w = np.linspace(0.0, float(u_max), int(n_points) + 1)
-    if u_max > model.box_w:
-        raise LeftBox(f"requested interval [0, {u_max:g}] exceeds the validity box")
     cusp = model.cusp
     cubic = cusp.lam / (6.0 * cusp.kappa * (cusp.c_plus0 - cusp.c_minus0))
 
     def rhs(wv, tv):
-        if abs(tv) > model.box_t or abs(wv) > model.box_w:
-            raise LeftBox(f"left the validity box at (t, w) = ({tv:g}, {wv:g})")
         a = model.eval("alpha", tv, wv)
         b = model.eval("beta", tv, wv)
         cp, cm = char_speeds(eos, RiemannPair(a, b))
