@@ -23,8 +23,8 @@ from pathlib import Path
 
 from .config import build_problem, load_config
 from .errors import ConfigError, ShockDevError
-from .fixed_bvp import write_grid_csv
-from .free_boundary import run_shock_development, setting_errors, write_shock_csv
+from .fixed_bvp import grid_errors, write_grid_csv
+from .free_boundary import run_shock_development, write_shock_csv
 from .report import (
     compute_bundle,
     format_check_lines,
@@ -112,11 +112,10 @@ def _sweep_rows(cfg, eos, cusp, model, ns, epses, stderr):
     diagnostic fails its row as a failed solve does.
     """
     rows = []
-    opts = cfg.solver_options()
     if ns is not None:
         for n in ns:
             try:
-                sol = run_shock_development(eos, model, cusp, eps=cfg.eps, n=n, **opts)
+                sol = run_shock_development(eos, model, cusp, eps=cfg.eps, n=n)
                 rows.append((n, sol, sol.diagnostics["residuals"]["max"]))
             except ShockDevError as exc:
                 print(f"n={n}: {type(exc).__name__}: {exc}", file=stderr)
@@ -125,9 +124,7 @@ def _sweep_rows(cfg, eos, cusp, model, ns, epses, stderr):
         for eps in epses:
             try:
                 model_e = synthesize_model(cusp, eos, eps=eps)
-                sol = run_shock_development(
-                    eos, model_e, cusp, eps=eps, n=cfg.n, **opts
-                )
+                sol = run_shock_development(eos, model_e, cusp, eps=eps, n=cfg.n)
             except ShockDevError as exc:
                 print(f"eps={eps}: {type(exc).__name__}: {exc}", file=stderr)
                 sol = None
@@ -178,8 +175,7 @@ def cmd_sweep(args, cfg, stdout, stderr) -> int:
         print("nothing to sweep", file=stdout)
         return EXIT_OK
     swept = [(cfg.eps, n) for n in ns] if ns is not None else [(e, cfg.n) for e in epses]
-    bad = [f"{name} {text}" for eps, n in swept
-           for name, text in setting_errors(eps, n, **cfg.solver_options())]
+    bad = [f"{name} {text}" for eps, n in swept for name, text in grid_errors(eps, n)]
     if bad:
         raise ConfigError("invalid sweep:\n  " + "\n  ".join(bad))
     eos, cusp, model = build_problem(cfg)

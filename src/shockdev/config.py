@@ -13,24 +13,29 @@ Sections and keys::
 
     [eos]     kind (radiation | poly2), coefficient (poly2 stiffness)
     [cusp]    alpha0, beta0, kappa, lam, r0, dbeta_dt0, alpha_ddot0, xi
-    [solver]  eps, n, tol_outer, max_outer, max_retries
+    [solver]  eps, n
     [output]  grid_csv, shock_csv, report_json
     [checks]  seed (RNG seed for the sampled property checks)
 
-The inner solver's numerics have no keys: the corner value of the
-reflection ratio and the trust index of the hatted curve follow from the
-corner asymptotics, and the field sweep stops at its rounding floor well
-inside its fixed tolerance and budget.
+The solver's numerics have no keys: the corner value of the reflection
+ratio and the trust index of the hatted curve follow from the corner
+asymptotics, the field sweep stops at its rounding floor well inside its
+fixed tolerance and budget, and the outer iteration's tolerance and step
+budgets are the constants ``free_boundary.TOL_OUTER``, ``MAX_OUTER`` and
+``MAX_RETRIES``.  A file or variable that sets one of those is refused
+as an unknown key.
 
 The config owns the rules of its own layer: types, section and key
 names, the [eos] kind and coefficient (the kind decides whether the
 coefficient is read), a non-negative seed and relative output paths.  The
-[solver] bounds and defaults come from ``free_boundary.setting_errors``
-and its constants; the [cusp] bounds are judged when ``build_problem``
-makes the cusp data, so a bad cusp is a setup error, not a config error.
+[solver] bounds are the grid's, ``fixed_bvp.grid_errors``; the [cusp]
+bounds are judged when ``build_problem`` makes the cusp data, so a bad
+cusp is a setup error, not a config error.
 
 Validation failures raise :class:`~shockdev.errors.ConfigError` carrying
-every violation, so the command line can report them all at once.
+every violation, so the command line can report them all at once: the
+values are judged even when a name is unknown or a value fails to parse,
+and such a value keeps its default meanwhile.
 """
 
 from __future__ import annotations
@@ -43,7 +48,7 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from . import eos as eos_mod
-from . import free_boundary
+from .fixed_bvp import grid_errors
 from .errors import ConfigError
 from .state_ahead import CuspData, synthesize_model
 
@@ -76,9 +81,6 @@ class SolverConfig:
     xi: float = _key("cusp", 0.0)
     eps: float = _key("solver", 0.01)
     n: int = _key("solver", 64)
-    tol_outer: float = _key("solver", free_boundary.TOL_OUTER)
-    max_outer: int = _key("solver", free_boundary.MAX_OUTER)
-    max_retries: int = _key("solver", free_boundary.MAX_RETRIES)
     grid_csv: str = _key("output", "grid.csv")
     shock_csv: str = _key("output", "shock.csv")
     report_json: str = _key("output", "report.json")
@@ -95,14 +97,6 @@ class SolverConfig:
         for section, keys in _SCHEMA.items():
             out[section] = {key: getattr(self, _FIELD_OF[(section, key)]) for key in keys}
         return out
-
-    def solver_options(self) -> dict:
-        """Keyword arguments for ``run_shock_development`` besides eps and n."""
-        return {
-            "tol_outer": self.tol_outer,
-            "max_outer": self.max_outer,
-            "max_retries": self.max_retries,
-        }
 
 
 def _schema():
@@ -220,8 +214,7 @@ def _validate(values: dict, errors: list[str]) -> None:
         isinstance(get("eos", "coefficient"), float) and get("eos", "coefficient") > 0
     ):
         errors.append("[eos] coefficient: must be positive for the quadratic law")
-    solver = {key: get("solver", key) for key in _SCHEMA["solver"]}
-    for name, text in free_boundary.setting_errors(**solver):
+    for name, text in grid_errors(get("solver", "eps"), get("solver", "n")):
         errors.append(f"[solver] {name}: {text}")
     if get("checks", "seed") < 0:
         errors.append("[checks] seed: must be non-negative")
@@ -259,8 +252,7 @@ def load_config(path=None, env=None) -> SolverConfig:
             value = _coerce(section, key, raw, errors)
             if value is not None:
                 values[(section, key)] = value
-    if not errors:
-        _validate(values, errors)
+    _validate(values, errors)
     if errors:
         raise ConfigError("invalid configuration:\n  " + "\n  ".join(errors))
     return SolverConfig(

@@ -430,11 +430,11 @@ def eos_identity_residual(eos: BarotropicEos, rho):
     r = safeguarded_newton_lanes(fdf, rho0, eos.rho_min, eos.rho_max, 1e-14 * pv)
     vm, v0, vp = 1.0 / np.asarray(sigma(eos, r))
     dv_dp = (vp - vm) / (2 * dp)
-    d2v_dp2 = (vp - 2 * v0 + vm) / dp**2
+    d2v_dp2 = (vp - 2 * v0 + vm) / np.square(dp)
     h0 = enthalpy(eos, rho0)
     eta2 = sound_speed_sq(eos, rho0)
     lhs = 3 * v0 * dv_dp + h0 * d2v_dp2
-    rhs = -(v0**3 * h0**2 / eta2**2) * sigma_tilde_slope(eos, h0)
+    rhs = -(np.power(v0, 3) * np.square(h0) / np.square(eta2)) * sigma_tilde_slope(eos, h0)
     return _lane_result(lhs), _lane_result(rhs)
 
 
@@ -462,9 +462,11 @@ def radiation() -> BarotropicEos:
         rho_max=1e6,
         rho_ref=rho_ref,
         closed=Chain(
-            sigma=lambda r: sigma_ref * (np.asarray(r, dtype=float) / rho_ref) ** 0.75,
-            enthalpy=lambda r: h_ref * (np.asarray(r, dtype=float) / rho_ref) ** 0.25,
-            rho_of_enthalpy=lambda h: rho_ref * (np.asarray(h, dtype=float) / h_ref) ** 4,
+            # np.power, not **: a 0-d input's quotient is a NumPy scalar, whose
+            # ** rounds apart from a lane's (the lane rule)
+            sigma=lambda r: sigma_ref * np.power(np.asarray(r, dtype=float) / rho_ref, 0.75),
+            enthalpy=lambda r: h_ref * np.power(np.asarray(r, dtype=float) / rho_ref, 0.25),
+            rho_of_enthalpy=lambda h: rho_ref * np.power(np.asarray(h, dtype=float) / h_ref, 4),
             potential_of_rho=lambda r: (sqrt3 / 4.0)
             * np.log(np.asarray(r, dtype=float) / rho_ref),
             rho_of_potential=lambda pt: rho_ref

@@ -70,7 +70,8 @@ MIN_N = 3
 
 def grid_errors(eps, n) -> list:
     """(name, what is wrong) for eps and n out of bounds: the one statement
-    of a grid's bounds, which TriGrid and ``setting_errors`` read."""
+    of a grid's bounds, which TriGrid, the solve's entry check, the config
+    and ``shockdev sweep`` read."""
     rules = (
         ("eps", eps, math.isfinite(eps) and eps > 0, "finite and positive"),
         ("n", n, n >= MIN_N, f"at least {MIN_N}"),

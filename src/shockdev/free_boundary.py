@@ -90,7 +90,8 @@ from .state_ahead import CuspData, StateAheadModel, initial_data, singular_bound
 # _ANDERSON_DEPTH + 1 iterates (depths 1/2/3/8 take 12/11/10/9 steps at n = 64)
 _ANDERSON_DEPTH = 3
 
-# the default outer tolerance and budgets; read at call time
+# outer stopping tolerance, outer step budget per domain size and halvings
+# of eps after a failed attempt; read at call time
 TOL_OUTER, MAX_OUTER, MAX_RETRIES = 1e-10, 60, 3
 # the corner fill's trust index is max(_TRUST_FLOOR, n // _TRUST_DIVISOR),
 # capped at n // 2; from ADEQUATE_N up it is n // _TRUST_DIVISOR, a fixed
@@ -328,7 +329,7 @@ class SolverContext:
     n // 2 (see ``ADEQUATE_N``).  ``speed_trust_index`` bounds the fill of
     the hatted speed, whose raw extraction additionally divides ~ulp-level
     speed rounding by v^2, so its trusted region must satisfy
-    v^2 > ulp/tol_outer regardless of the grid.  The EOS, the cusp data and
+    v^2 > ulp/TOL_OUTER regardless of the grid.  The EOS, the cusp data and
     the corner expansion (computed once per model) are those of ``model``.
     """
 
@@ -339,15 +340,13 @@ class SolverContext:
     speed_trust_index: int
 
     @classmethod
-    def build(
-        cls, model: StateAheadModel, eps: float, n: int, tol_outer: float = TOL_OUTER
-    ) -> "SolverContext":
+    def build(cls, model: StateAheadModel, eps: float, n: int) -> "SolverContext":
         grid = TriGrid(eps, n)
         trust_index = min(max(_TRUST_FLOOR, grid.n // _TRUST_DIVISOR), grid.n // 2)
         # hatted-speed rounding floor: ~3 ulp of the speed scale over v^2
         # must stay below a third of the convergence tolerance
         j_v = 3.0 * _MACH_EPS * max(1.0, abs(model.cusp.c_plus0))
-        v_speed = math.sqrt(3.0 * j_v / tol_outer)
+        v_speed = math.sqrt(3.0 * j_v / TOL_OUTER)
         kt_speed = min(max(trust_index, math.ceil(v_speed / grid.delta)), grid.n // 2)
         return cls(model=model, grid=grid, init=model.init_data(eps, n),
                    trust_index=trust_index, speed_trust_index=kt_speed)
@@ -626,7 +625,7 @@ def _step(bf: BoundaryFunctions, ctx: SolverContext, warm=None):
     return outer_iterate(bf, ctx), False
 
 
-def _attempt(ctx: SolverContext, *, tol_outer: float, max_outer: int, seed_fn) -> dict:
+def _attempt(ctx: SolverContext, seed_fn) -> dict:
     """One outer solve on the domain of ``ctx``, Anderson-accelerated.
 
     Step 0 is plain, x_1 = G(x_0); later steps mix the window of the last
@@ -649,12 +648,12 @@ def _attempt(ctx: SolverContext, *, tol_outer: float, max_outer: int, seed_fn) -
     falls back); a warm step that fails is retried at the same iterate with
     a full step, the full inner solve and the cold jump solve, before the
     rule above applies.  Once a warm step's residual is below
-    ``tol_outer``, the same iterate is polished: one more sweep from that
+    ``TOL_OUTER``, the same iterate is polished: one more sweep from that
     step's own fields, kept only if it moves (alpha, beta) by rounding
     alone, else the full inner solve, and the cold jump solve either way.
     The polish is the step's history entry and the returned result, so the
     returned fields are the inner fixed point to rounding and the returned
-    curve is an exact jump root.  If that residual misses ``tol_outer``,
+    curve is an exact jump root.  If that residual misses ``TOL_OUTER``,
     the iteration goes on with full steps only.  The sweep changes of the
     last full inner solve, step 1 unless a later step or the polish ran
     one, are returned with the result: they hold q.  :func:`_step` makes
@@ -671,7 +670,7 @@ def _attempt(ctx: SolverContext, *, tol_outer: float, max_outer: int, seed_fn) -
     warm_ok = False  # set at step 1 from the measured inner ratio
     fg = curve = None
     inner_changes = []
-    for k in range(max_outer):
+    for k in range(MAX_OUTER):
         warm_start = ((fg.alpha, fg.beta), curve.beta_plus) if warm_ok else None
         # a step reads no more of the step before it than warm_start
         fg = curve = None
@@ -687,7 +686,7 @@ def _attempt(ctx: SolverContext, *, tol_outer: float, max_outer: int, seed_fn) -
             # an undefined ratio is nan, which keeps the steps full
             warm_ok = _first_ratio(fg.changes) < 1.0
         metric = boundary_difference(bf_next, bf)
-        if warm and max(metric) < tol_outer:
+        if warm and max(metric) < TOL_OUTER:
             warm_start = ((fg.alpha, fg.beta), None)
             fg = curve = None
             (bf_next, fg, curve), warm = _step(bf, ctx, warm_start)
@@ -697,7 +696,7 @@ def _attempt(ctx: SolverContext, *, tol_outer: float, max_outer: int, seed_fn) -
             inner_changes = fg.changes
         history.append(metric)
         worst = max(metric)
-        if worst < tol_outer:
+        if worst < TOL_OUTER:
             # an outer map that samples no curve leaves none to complete
             if curve is not None:
                 _fit_corner_value(curve)
@@ -723,25 +722,10 @@ def _attempt(ctx: SolverContext, *, tol_outer: float, max_outer: int, seed_fn) -
         else:
             bf, plain = bf_next, None
     raise NonConvergence(
-        f"outer iteration failed to reach {tol_outer:g} in {max_outer} steps",
+        f"outer iteration failed to reach {TOL_OUTER:g} in {MAX_OUTER} steps",
         [max(h) for h in history],
         diverging=max(history[-1]) > max(history[0]),
     )
-
-
-def setting_errors(eps, n, tol_outer, max_outer, max_retries) -> list:
-    """(name, what is wrong) for each solve setting out of its bounds: the
-    one statement of those bounds, which every caller asks.  The bounds of
-    eps and n are the grid's, :func:`fixed_bvp.grid_errors`."""
-    rules = (
-        ("tol_outer", tol_outer, math.isfinite(tol_outer) and tol_outer > _MACH_EPS,
-         f"finite and above machine epsilon ({_MACH_EPS:.2e})"),
-        ("max_outer", max_outer, max_outer >= 1, "at least 1"),
-        ("max_retries", max_retries, max_retries >= 0, "at least 0"),
-    )
-    return grid_errors(eps, n) + [
-        (name, f"must be {rule}, got {value}") for name, value, ok, rule in rules if not ok
-    ]
 
 
 def run_shock_development(
@@ -751,40 +735,37 @@ def run_shock_development(
     *,
     eps: float,
     n: int,
-    tol_outer: float = TOL_OUTER,
-    max_outer: int = MAX_OUTER,
-    max_retries: int = MAX_RETRIES,
     seed_fn=None,
 ) -> ShockSolution:
     """Construct the shock development on the largest workable domain <= eps.
 
     Runs the outer iteration from the flat seed (or ``seed_fn``); if it
     fails to contract (including a singular reflection ratio), halves the
-    domain and retries, up to ``max_retries`` times.  The solution's
+    domain and retries, up to ``MAX_RETRIES`` times.  The solution's
     diagnostics are computed when first read.
 
     Raises:
         ValueError: before any work, if cusp or eos is not the one the
-            model was synthesized from, or a setting is out of the bounds
-            of :func:`setting_errors`.
+            model was synthesized from, or eps or n is out of the grid's
+            bounds, :func:`fixed_bvp.grid_errors`.
         NonConvergence: every attempted domain size failed.
     """
     if cusp != model.cusp:
         raise ValueError("cusp is not the cusp the model was synthesized from")
     if eos is not model.eos:
         raise ValueError("eos is not the EOS the model was synthesized from")
-    if bad := setting_errors(eps, n, tol_outer, max_outer, max_retries):
+    if bad := grid_errors(eps, n):
         raise ValueError(" ".join(bad[0]))
     if seed_fn is None:
         seed_fn = BoundaryFunctions.seed
     attempt_eps = float(eps)
     attempted = []
     last_exc = None
-    for retry in range(max_retries + 1):
+    for retry in range(MAX_RETRIES + 1):
         attempted.append(attempt_eps)
         try:
-            ctx = SolverContext.build(model, attempt_eps, n, tol_outer=tol_outer)
-            solved = _attempt(ctx, tol_outer=tol_outer, max_outer=max_outer, seed_fn=seed_fn)
+            ctx = SolverContext.build(model, attempt_eps, n)
+            solved = _attempt(ctx, seed_fn)
         except (NonConvergence, SingularGamma) as exc:
             last_exc = exc
             attempt_eps *= 0.5

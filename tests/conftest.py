@@ -59,8 +59,10 @@ def table(make_table):
     return make_table()
 
 
-@pytest.fixture(scope="session")
+@pytest.fixture
 def rng():
+    """A generator of the test's own, seeded alike for every test, so that
+    no test's draws depend on which tests ran before it."""
     return np.random.default_rng(20260815)
 
 

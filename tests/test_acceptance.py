@@ -15,7 +15,7 @@ import math
 
 import pytest
 
-from shockdev.config import SolverConfig
+import shockdev.free_boundary as FBD
 
 
 def _check(report, name):
@@ -135,7 +135,7 @@ def test_criterion_08_grid_convergence(canon_report):
 
 def test_criterion_09_convergence_structure(canon_report):
     """Inner and outer contraction ratios below one, decreasing when the
-    domain halves; a perturbed start reconverges within 5 tol_outer."""
+    domain halves; a perturbed start reconverges within 5 TOL_OUTER."""
     detail = _check(canon_report, "convergence_structure")["detail"]
     outer = detail["outer_displacement_ratio"]
     inner = detail["inner_sweep_ratio"]
@@ -143,7 +143,7 @@ def test_criterion_09_convergence_structure(canon_report):
     assert outer["half_eps"] < outer["base"]
     assert inner["half_eps"] < inner["base"]
     uniq = detail["uniqueness_witness"]
-    assert uniq["bound"] == pytest.approx(5.0 * SolverConfig.canonical().tol_outer)
+    assert uniq["bound"] == pytest.approx(5.0 * FBD.TOL_OUTER)
     assert uniq["max_difference"] <= uniq["bound"]
 
 

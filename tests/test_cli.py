@@ -223,11 +223,13 @@ class TestRun:
         assert (tmp_path / "grid.csv").exists()
         assert (tmp_path / "shock.csv").exists()
 
-    def test_nonconvergence_still_writes_report(self, tmp_path, capsys):
+    def test_nonconvergence_still_writes_report(self, tmp_path, capsys, monkeypatch):
         """With the iteration budget strangled the solver cannot converge:
         the report is written with the failure recorded, CSVs are not."""
+        monkeypatch.setattr(FBD, "MAX_OUTER", 2)
+        monkeypatch.setattr(FBD, "MAX_RETRIES", 0)
         cfg = tmp_path / "strangled.ini"
-        cfg.write_text("[solver]\nn = 16\nmax_outer = 2\nmax_retries = 0\n")
+        cfg.write_text("[solver]\nn = 16\n")
         out_dir = tmp_path / "out"
         assert run_cli(["run", "--config", str(cfg), "--out", str(out_dir)]) == 3
         err = capsys.readouterr().err

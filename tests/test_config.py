@@ -17,7 +17,9 @@ from shockdev.config import _SCHEMA, SolverConfig, build_problem, load_config
 from shockdev.errors import ConfigError, ShockDevError
 
 # solver numerics that are fixed rules of the solver, not configuration
-REMOVED_SOLVER_KEYS = ("tol_inner", "max_sweeps", "v_floor", "trust_index")
+REMOVED_SOLVER_KEYS = (
+    "tol_inner", "max_sweeps", "v_floor", "trust_index", "tol_outer", "max_outer", "max_retries"
+)
 ALL_KEYS = [(s, k) for s, keys in _SCHEMA.items() for k in keys]
 
 
@@ -44,12 +46,8 @@ class TestDefaults:
         path.write_text(json.dumps(cfg.as_sections()))
         assert load_config(path, env={}) == cfg
 
-    def test_solver_options_keys(self):
-        opts = SolverConfig.canonical().solver_options()
-        assert set(opts) == {"tol_outer", "max_outer", "max_retries"}
-
     def test_schema_has_no_unset_defaults(self):
-        assert set(_SCHEMA["solver"]) == {"eps", "n", "tol_outer", "max_outer", "max_retries"}
+        assert set(_SCHEMA["solver"]) == {"eps", "n"}
         assert all(default is not None for _, default in (
             entry for keys in _SCHEMA.values() for entry in keys.values()
         ))
@@ -188,8 +186,27 @@ class TestValidation:
         with pytest.raises(ConfigError) as err:
             load_config(path, env={})
         msg = str(err.value)
-        for frag in ("[eos] kind", "[solver] eps", "[solver] n", "max_retries"):
+        for frag in ("[eos] kind", "[solver] eps", "[solver] n", "unknown key [solver] max_retries"):
             assert frag in msg
+
+    @pytest.mark.parametrize(
+        "line,error",
+        [
+            ("foo = 1", "unknown key [solver] foo"),
+            ("tol_outer = 1e-8", "unknown key [solver] tol_outer"),
+            ("eps = fast", "[solver] eps: cannot parse 'fast' as float"),
+        ],
+    )
+    def test_bad_names_do_not_hide_bad_values(self, tmp_path, line, error):
+        # the values are judged even when a name is unknown or a value fails
+        # to parse; a value that failed keeps its default meanwhile
+        path = tmp_path / "run.ini"
+        path.write_text(f"[solver]\nn = 2\n{line}\n")
+        with pytest.raises(ConfigError) as err:
+            load_config(path, env={})
+        assert str(err.value).splitlines()[1:] == [
+            f"  {error}", "  [solver] n: must be at least 3, got 2"
+        ]
 
     @pytest.mark.parametrize("n", [2, 1])
     def test_too_few_nodes(self, n):
@@ -241,12 +258,6 @@ class TestValidation:
         with pytest.raises(ConfigError, match="cannot parse 'fast'"):
             load_config(path, env={})
 
-    def test_tolerance_below_machine_eps(self, tmp_path):
-        path = tmp_path / "run.ini"
-        path.write_text("[solver]\ntol_outer = 1e-20\n")
-        with pytest.raises(ConfigError, match="machine epsilon"):
-            load_config(path, env={})
-
     def test_absolute_output_path_rejected(self, tmp_path):
         path = tmp_path / "run.ini"
         path.write_text("[output]\ngrid_csv = /etc/grid.csv\n")
@@ -291,9 +302,10 @@ def test_readme_ini_block_lists_every_key(tmp_path):
 
 
 class TestSolveSettingsOwner:
-    """The solve settings' defaults are declared once, in ``free_boundary``,
-    and the grid's floor once, in ``fixed_bvp`` beside ``TriGrid``; every
-    other site reads them from there."""
+    """The outer tolerance and step budgets are constants of
+    ``free_boundary``, and the grid's floor is declared once, in
+    ``fixed_bvp`` beside ``TriGrid``; every other site reads them from
+    there, when it runs."""
 
     def test_grid_floor_is_read_at_call_time(self, monkeypatch, capsys):
         monkeypatch.setattr(fixed_bvp, "MIN_N", 4)
@@ -314,12 +326,12 @@ class TestSolveSettingsOwner:
         assert set(bundle.errors) == {"base", "half_n", "double_n", "half_eps", "perturbed"}
 
     def test_solver_defaults_are_the_solvers(self):
+        # no config field, solve keyword or context argument carries them
+        assert (FBD.TOL_OUTER, FBD.MAX_OUTER, FBD.MAX_RETRIES) == (1e-10, 60, 3)
         params = inspect.signature(FBD.run_shock_development).parameters
-        defaults = {key: params[key].default for key in SolverConfig().solver_options()}
-        assert SolverConfig().solver_options() == defaults == {
-            "tol_outer": FBD.TOL_OUTER,
-            "max_outer": FBD.MAX_OUTER,
-            "max_retries": FBD.MAX_RETRIES,
-        }
+        assert [p.name for p in params.values() if p.kind is p.KEYWORD_ONLY] == [
+            "eps", "n", "seed_fn"
+        ]
         build = inspect.signature(FBD.SolverContext.build).parameters
-        assert build["tol_outer"].default == FBD.TOL_OUTER
+        assert list(build) == ["model", "eps", "n"]
+        assert not hasattr(SolverConfig(), "solver_options")

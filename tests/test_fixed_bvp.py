@@ -75,16 +75,16 @@ class TestTriGrid:
         with pytest.raises(ValueError):
             FB.TriGrid(eps, n)
 
-    def test_grid_and_solve_settings_share_one_floor(self):
-        # MIN_N = 3: the grid refuses n = 2 with the text of the solve
-        # settings' check, which reads the grid's bounds, and takes n = 3
+    def test_grid_and_solve_settings_share_one_floor(self, rad, canon_model, canon_cusp):
+        # MIN_N = 3: the grid and the solve's entry check both refuse n = 2
+        # with the text of grid_errors, and take n = 3
         assert FB.MIN_N == 3
-        settings = (FBD.TOL_OUTER, FBD.MAX_OUTER, FBD.MAX_RETRIES)
-        [(name, text)] = FBD.setting_errors(0.01, 2, *settings)
+        [(name, text)] = FB.grid_errors(0.01, 2)
         assert (name, text) == ("n", "must be at least 3, got 2")
-        assert FB.grid_errors(0.01, 2) == [(name, text)]
         with pytest.raises(ValueError, match=rf"^{name} {text}$"):
             FB.TriGrid(0.01, 2)
+        with pytest.raises(ValueError, match=rf"^{name} {text}$"):
+            FBD.run_shock_development(rad, canon_model, canon_cusp, eps=0.01, n=2)
         assert FB.grid_errors(0.01, 3) == []
         assert FB.TriGrid(0.01, 3).n == 3
         with pytest.raises(ValueError, match=r"^n must be an integer, got 3.5$"):

@@ -282,7 +282,7 @@ def picard_outer(eos, model, cusp, eps, n, seed_fn=BoundaryFunctions.seed):
     """Plain Picard iteration of the outer map, the reference for the
     accelerated solve: x_{k+1} = G(x_k) until the raw residual is below
     the outer tolerance.  Returns (G(x_k), history)."""
-    ctx = FBD.SolverContext.build(model, eps, n, tol_outer=TOL_OUTER)
+    ctx = FBD.SolverContext.build(model, eps, n)
     bf = seed_fn(cusp, ctx.grid.nodes)
     history = []
     for _ in range(60):
@@ -831,11 +831,11 @@ class TestJumpUpdate:
         attempt, corner = FBD._attempt, FBD.corner_expansion
         attempts, corners = [], []
 
-        def fails_once(ctx, **kwargs):
+        def fails_once(ctx, seed_fn):
             attempts.append(ctx)
             if len(attempts) == 1:
                 raise NonConvergence("outer iteration failed")
-            return attempt(ctx, **kwargs)
+            return attempt(ctx, seed_fn)
 
         def counting(*args):
             corners.append(args)
@@ -993,10 +993,10 @@ def _seed_slope(a):
 
 
 class TestOuterStepCounts:
-    """The outer stop counts steps against ``tol_outer`` with no margin, so
+    """The outer stop counts steps against ``TOL_OUTER`` with no margin, so
     a change that moves a last residual across it moves a whole step.
     These solves take 10 steps, and each ends at least 3x below
-    ``tol_outer``, so rounding-level changes upstream leave them at 10
+    ``TOL_OUTER``, so rounding-level changes upstream leave them at 10
     and a change that moves a count shows here.  poly2(0.1) at n = 128 is
     left out: its last residual is 9.66e-11 against 1e-10, on the edge."""
 
@@ -1085,12 +1085,13 @@ class TestRefinementAndRobustness:
         assert _rel_err(entry) < 0.01
         assert all(e.passed for e in moving_sol.diagnostics["geometry"].values())
 
-    def test_retry_exhaustion_reports_attempts(self, rad, canon_model, canon_cusp):
+    def test_retry_exhaustion_reports_attempts(self, rad, canon_model, canon_cusp,
+                                               monkeypatch):
+        # the budgets are read when the solve runs
+        monkeypatch.setattr(FBD, "MAX_OUTER", 2)
+        monkeypatch.setattr(FBD, "MAX_RETRIES", 1)
         with pytest.raises(NonConvergence) as exc:
-            FBD.run_shock_development(
-                rad, canon_model, canon_cusp,
-                eps=EPS, n=16, max_outer=2, max_retries=1,
-            )
+            FBD.run_shock_development(rad, canon_model, canon_cusp, eps=EPS, n=16)
         assert "0.005" in str(exc.value)
         assert exc.value.history
 
@@ -1129,13 +1130,6 @@ class TestRefinementAndRobustness:
     @pytest.mark.parametrize(
         "budget",
         [
-            {"max_outer": 0},
-            {"max_retries": -1},
-            {"tol_outer": 0.0},
-            {"tol_outer": -1e-10},
-            {"tol_outer": math.nan},
-            {"tol_outer": math.inf},
-            {"tol_outer": 1e-17},
             {"eps": 0.0},
             {"eps": -0.01},
             {"eps": math.nan},
@@ -1145,9 +1139,8 @@ class TestRefinementAndRobustness:
     )
     def test_bad_budget_rejected_before_any_work(self, rad, canon_model, canon_cusp,
                                                  no_setup, budget):
-        # without the entry checks these ended in IndexError, OverflowError,
-        # a math domain error or a NonConvergence over no domain at all; a
-        # tolerance below machine epsilon ran four domains before failing
+        # without the entry check these ended in IndexError, OverflowError
+        # or a math domain error
         (name,) = budget
         with pytest.raises(ValueError, match=rf"^{name} must be"):
             FBD.run_shock_development(

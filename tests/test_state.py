@@ -263,19 +263,27 @@ class TestStress:
             assert dp == pytest.approx(fd_pb, rel=1e-6)
 
 
+def _one_lane(pair):
+    """A scalar pair as a pair of (1,) lanes, and its own shape: an oracle
+    evaluates a scalar as the library does, as a lane of one."""
+    lanes = S.RiemannPair(*(np.atleast_1d(np.asarray(x, dtype=float)) for x in pair))
+    return lanes, np.shape(pair.alpha)
+
+
 def closed_form_derivatives(eos, pair):
     """The six closed forms of :func:`S.stress_derivatives` as written."""
+    pair, shape = _one_lane(pair)
     ws = S.wave_state(eos, pair)
     v, eta = ws.v, ws.eta
     w = (ws.rho + ws.pressure(eos)) / (1.0 - v**2) / (2.0 * eta)
-    return (
+    return tuple(np.reshape(x, shape) for x in (
         w * (1.0 + v * eta) ** 2,
         w * (v + eta) * (1.0 + v * eta),
         w * (v + eta) ** 2,
         w * (1.0 - v * eta) ** 2,
         w * (v - eta) * (1.0 - v * eta),
         w * (v - eta) ** 2,
-    )
+    ))
 
 
 class TestStressDerivativeRows:
@@ -335,10 +343,9 @@ class TestStressDerivativeRows:
 
 def bundle_quantities(eos, pair, r):
     """(name, value) of every state function, through the bundle."""
-    alpha = np.asarray(pair.alpha, dtype=float)
-    beta = np.asarray(pair.beta, dtype=float)
+    (alpha, beta), shape = _one_lane(pair)
     rho_tilde = 0.5 * (alpha + beta)
-    rho = E.rho_of_potential(eos, rho_tilde if rho_tilde.ndim else float(rho_tilde))
+    rho = E.rho_of_potential(eos, rho_tilde)
     h = np.asarray(E.enthalpy(eos, rho), dtype=float)
     sig = np.asarray(E.sigma(eos, rho), dtype=float)
     eta2 = np.asarray(E.sound_speed_sq(eos, rho), dtype=float)
@@ -353,7 +360,7 @@ def bundle_quantities(eos, pair, r):
     minus_den = 2.0 * (1.0 - v * eta) ** 2
     common = -2.0 * v * eta / np.asarray(r, dtype=float)
     w = Ew / (2.0 * eta)
-    return {
+    quantities = {
         "c_plus": (v + eta) / (1.0 + v * eta),
         "c_minus": (v - eta) / (1.0 - v * eta),
         "pa": one_m_v2 * mu / plus_den,
@@ -374,6 +381,7 @@ def bundle_quantities(eos, pair, r):
         "enthalpy": h,
         "sigma": sig,
     }
+    return {name: np.reshape(x, shape) for name, x in quantities.items()}
 
 
 def wave_quantities(eos, pair, r):
@@ -546,12 +554,30 @@ def _lane_calls(eos):
     return [(getattr(fn, "__qualname__", fn.__name__), fn, args) for fn, args in calls]
 
 
+def _density_calls(eos, rho):
+    """(name, function, scalar arguments) of the EOS lane functions at rho."""
+    rho_tilde, h = E.potential_of_rho(eos, rho), E.enthalpy(eos, rho)
+    calls = [E.sound_speed_sq, E.pressure, E.sigma, E.enthalpy, E.eos_identity_residual]
+    return [(fn.__name__, fn, (eos, rho)) for fn in calls] + [
+        (fn.__name__, fn, (eos, x))
+        for fn, x in [
+            (E.rho_of_enthalpy, h),
+            (E.rho_of_potential, rho_tilde),
+            (E.big_g, h * h),
+            (E.sigma_tilde, h),
+        ]
+    ]
+
+
 @pytest.mark.parametrize("law", ["rad", "p2", "table"])
-def test_scalar_is_a_lane_of_one(law, request):
+def test_scalar_is_a_lane_of_one(law, request, rng):
     """Each public lane function gives a Python float for a scalar argument,
-    bit for bit element 0 of the same call on a (1,) lane."""
+    bit for bit element 0 of the same call on a (1,) lane; the EOS functions
+    at 300 sampled densities, where a last-bit difference shows."""
     eos = request.getfixturevalue(law)
-    for name, fn, args in _lane_calls(eos):
+    rhos = rng.uniform(max(2.0 * eos.rho_min, 0.2), min(0.5 * eos.rho_max, 4.0), 300)
+    calls = _lane_calls(eos) + [c for rho in rhos.tolist() for c in _density_calls(eos, rho)]
+    for name, fn, args in calls:
         scalar, lane = fn(*args), fn(*map(_as_lane, args))
         if not isinstance(scalar, tuple):
             scalar, lane = (scalar,), (lane,)
