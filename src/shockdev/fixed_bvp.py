@@ -552,8 +552,9 @@ class FieldGrid:
     beta: np.ndarray
     dt_du: np.ndarray
     dt_dv: np.ndarray
-    sweeps: int = 0
+    # the change each sweep made; ``sweeps`` is their count
     changes: list = field(default_factory=list)
+    sweeps = property(lambda self: len(self.changes))
 
     @property
     def r(self) -> np.ndarray:
@@ -723,7 +724,6 @@ def solve_fixed_bvp(
         beta=beta,
         dt_du=P,
         dt_dv=Q,
-        sweeps=len(history),
         changes=history,
     )
 

@@ -270,19 +270,20 @@ class ShockSolution:
     so a solve that is never checked costs no checks.
     """
 
-    eps: float
-    n: int
-    retries: int
     fields: FieldGrid
     curve: ShockCurve
     boundary: BoundaryFunctions
     outer_history: list
     context: SolverContext
+    # domain sizes tried, the converged one last
+    attempted_eps: list
     # sweep changes of the last full inner solve: outer step 1 (whose ratio
     # decides the warm steps), or a later full step or cold polish
     inner_changes: list = field(default_factory=list)
-    # domain sizes tried, the converged one last
-    attempted_eps: list = field(default_factory=list)
+    # the grid solved on, and the number of domain sizes tried before it
+    eps = property(lambda self: self.context.grid.eps)
+    n = property(lambda self: self.context.grid.n)
+    retries = property(lambda self: len(self.attempted_eps) - 1)
 
     @property
     def corner(self) -> CornerExpansion:
@@ -319,37 +320,44 @@ def _first_ratio(seq) -> float:
     return seq[1] / seq[0] if len(seq) > 1 and seq[0] > 0 else math.nan
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolverContext:
-    """Everything one outer step needs besides the boundary functions.
+    """Everything one outer step needs besides the boundary functions: the
+    model and the grid, and what follows from them, formed on first read.
 
-    ``trust_index`` bounds the corner fill of the state-based hatted
-    quantities (delta_hat, beta_hat_plus) whose raw noise is the
-    grid-independent 1/k^2 quadrature law; it is max(4, n // 8), capped at
-    n // 2 (see ``ADEQUATE_N``).  ``speed_trust_index`` bounds the fill of
-    the hatted speed, whose raw extraction additionally divides ~ulp-level
-    speed rounding by v^2, so its trusted region must satisfy
-    v^2 > ulp/TOL_OUTER regardless of the grid.  The EOS, the cusp data and
-    the corner expansion (computed once per model) are those of ``model``.
+    ``init`` is the model's initial data on the grid.  ``trust_index``
+    bounds the corner fill of the state-based hatted quantities
+    (delta_hat, beta_hat_plus) whose raw noise is the grid-independent 1/k^2
+    quadrature law; it is max(4, n // 8), capped at n // 2 (see
+    ``ADEQUATE_N``).  ``speed_trust_index`` bounds the fill of the hatted
+    speed, whose raw extraction additionally divides ~ulp-level speed
+    rounding by v^2, so its trusted region must satisfy v^2 > ulp/TOL_OUTER
+    regardless of the grid.  The EOS, the cusp data and the corner expansion
+    (computed once per model) are those of ``model``.
     """
 
     model: StateAheadModel
     grid: TriGrid
-    init: object
-    trust_index: int
-    speed_trust_index: int
 
     @classmethod
     def build(cls, model: StateAheadModel, eps: float, n: int) -> "SolverContext":
-        grid = TriGrid(eps, n)
-        trust_index = min(max(_TRUST_FLOOR, grid.n // _TRUST_DIVISOR), grid.n // 2)
+        return cls(model, TriGrid(eps, n))
+
+    @functools.cached_property
+    def init(self):
+        return self.model.init_data(self.grid.eps, self.grid.n)
+
+    @functools.cached_property
+    def trust_index(self) -> int:
+        return min(max(_TRUST_FLOOR, self.grid.n // _TRUST_DIVISOR), self.grid.n // 2)
+
+    @functools.cached_property
+    def speed_trust_index(self) -> int:
         # hatted-speed rounding floor: ~3 ulp of the speed scale over v^2
         # must stay below a third of the convergence tolerance
-        j_v = 3.0 * _MACH_EPS * max(1.0, abs(model.cusp.c_plus0))
-        v_speed = math.sqrt(3.0 * j_v / TOL_OUTER)
-        kt_speed = min(max(trust_index, math.ceil(v_speed / grid.delta)), grid.n // 2)
-        return cls(model=model, grid=grid, init=model.init_data(eps, n),
-                   trust_index=trust_index, speed_trust_index=kt_speed)
+        j_v = 3.0 * _MACH_EPS * max(1.0, abs(self.model.cusp.c_plus0))
+        kt_speed = math.ceil(math.sqrt(3.0 * j_v / TOL_OUTER) / self.grid.delta)
+        return min(max(self.trust_index, kt_speed), self.grid.n // 2)
 
 
 def solve_identification(
@@ -761,7 +769,7 @@ def run_shock_development(
     attempt_eps = float(eps)
     attempted = []
     last_exc = None
-    for retry in range(MAX_RETRIES + 1):
+    for _ in range(MAX_RETRIES + 1):
         attempted.append(attempt_eps)
         try:
             ctx = SolverContext.build(model, attempt_eps, n)
@@ -770,9 +778,7 @@ def run_shock_development(
             last_exc = exc
             attempt_eps *= 0.5
             continue
-        return ShockSolution(
-            eps=attempt_eps, n=n, retries=retry, context=ctx, attempted_eps=attempted, **solved
-        )
+        return ShockSolution(context=ctx, attempted_eps=attempted, **solved)
     raise NonConvergence(
         f"no convergent domain size in {attempted}",
         getattr(last_exc, "history", []),

@@ -101,10 +101,11 @@ class WaveState(NamedTuple):
         """
         mu = self.mu(eos)
         s = mu - (1.0 - self.eta2)
-        one_m_v2 = 1.0 - self.v**2
+        # np.square, not **, keeps a scalar pair a lane of one
+        one_m_v2 = 1.0 - np.square(self.v)
         ve = self.v * self.eta
-        plus_den = 2.0 * (1.0 + ve) ** 2
-        minus_den = 2.0 * (1.0 - ve) ** 2
+        plus_den = 2.0 * np.square(1.0 + ve)
+        minus_den = 2.0 * np.square(1.0 - ve)
         return {
             "pa": _lane_result(one_m_v2 * mu / plus_den),
             "pb": _lane_result(one_m_v2 * (s - (1.0 - self.eta2)) / plus_den),
@@ -135,7 +136,7 @@ class WaveState(NamedTuple):
     def energy(self, eos: eos_mod.BarotropicEos):
         """(E, p) with E = (rho + p)/(1 - v^2), so T^tt = E - p."""
         p = self.pressure(eos)
-        return (self.rho + p) / (1.0 - self.v**2), p
+        return (self.rho + p) / (1.0 - np.square(self.v)), p
 
     def enthalpy(self, eos: eos_mod.BarotropicEos):
         """Specific enthalpy h = (rho + p)/sigma at the (already checked) density."""
@@ -229,7 +230,7 @@ def stress(eos: eos_mod.BarotropicEos, pair: RiemannPair) -> StressComponents:
     w = wave_state(eos, pair)
     E, p = w.energy(eos)
     return StressComponents(
-        _lane_result(E - p), _lane_result(E * w.v), _lane_result(E * w.v**2 + p)
+        _lane_result(E - p), _lane_result(E * w.v), _lane_result(E * np.square(w.v) + p)
     )
 
 

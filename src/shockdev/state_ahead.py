@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import InitVar, dataclass, field as dc_field, fields
 from typing import Mapping, NamedTuple
 
 import numpy as np
@@ -68,7 +68,7 @@ def _abs_max(a: np.ndarray) -> float:
 class CuspData:
     """Scalar data characterizing the shock-formation point.
 
-    Free parameters:
+    Free parameters (the constructor's, after the EOS):
         kappa: mixed (t, w) curvature of the pre-shock radius; the rate at
             which outgoing characteristics refocus.  Must be positive.
         lam: cubic flattening of the radius in w.  Must be positive.
@@ -76,10 +76,11 @@ class CuspData:
         dbeta_dt0: t-slope of the incoming invariant at the cusp.
         r0: cusp radius.  Must be positive.
         alpha_ddot0: second w-derivative of the outgoing invariant at the
-            cusp (free shape data, defaults to 0).
+            cusp (free shape data).
         xi: fourth w-derivative of the radius times kappa (free shape data).
 
-    Derived (filled in by :meth:`from_physics`):
+    Derived from the EOS at construction, which does not keep it (so
+    ``dataclasses.replace`` must be given it again):
         c_plus0, c_minus0: characteristic speeds at the cusp state.
         dcplus_dalpha0: sensitivity of the outgoing speed to the outgoing
             invariant at the cusp state.
@@ -87,8 +88,15 @@ class CuspData:
             consistent with kappa: alpha_dot0 * dcplus_dalpha0 = kappa.
         a_tilde0: spherical source term of the outgoing invariant at the
             cusp (zero exactly when the cusp-state fluid velocity is zero).
+
+    Raises:
+        InconsistentCusp: a parameter not finite, or kappa, lam or r0 not
+            positive (the one check of these bounds), or an EOS whose
+            outgoing speed does not respond to the outgoing invariant at the
+            cusp state (no finite alpha slope fits kappa).
     """
 
+    eos: InitVar[eos_mod.BarotropicEos]
     kappa: float
     lam: float
     alpha0: float
@@ -97,11 +105,33 @@ class CuspData:
     r0: float
     alpha_ddot0: float
     xi: float
-    c_plus0: float
-    c_minus0: float
-    dcplus_dalpha0: float
-    alpha_dot0: float
-    a_tilde0: float
+    c_plus0: float = dc_field(init=False)
+    c_minus0: float = dc_field(init=False)
+    dcplus_dalpha0: float = dc_field(init=False)
+    alpha_dot0: float = dc_field(init=False)
+    a_tilde0: float = dc_field(init=False)
+
+    def __post_init__(self, eos: eos_mod.BarotropicEos) -> None:
+        for name in ("kappa", "lam", "r0", "alpha0", "beta0", "dbeta_dt0", "alpha_ddot0", "xi"):
+            val = float(getattr(self, name))
+            positive = name in ("kappa", "lam", "r0")
+            if not (math.isfinite(val) and (val > 0 or not positive)):
+                rule = "finite and positive" if positive else "finite"
+                raise InconsistentCusp(f"{name} must be {rule}, got {val}")
+            object.__setattr__(self, name, val)
+        state0 = wave_state(eos, RiemannPair(self.alpha0, self.beta0))
+        c_plus0, c_minus0 = state0.speeds()
+        dcplus_dalpha0 = state0.speed_derivatives(eos)["pa"]
+        if abs(dcplus_dalpha0) < _SLOPE_FLOOR:
+            raise InconsistentCusp(
+                "outgoing speed is insensitive to the outgoing invariant at the "
+                f"cusp state (slope {dcplus_dalpha0:.3e}); no finite alpha slope "
+                "reproduces the refocusing rate"
+            )
+        a_tilde0, _ = state0.sources(self.r0)
+        derived = (c_plus0, c_minus0, dcplus_dalpha0, self.kappa / dcplus_dalpha0, a_tilde0)
+        for f, val in zip([f for f in fields(self) if not f.init], derived):
+            object.__setattr__(self, f.name, float(val))
 
     @classmethod
     def from_physics(
@@ -117,47 +147,10 @@ class CuspData:
         alpha_ddot0: float = 0.0,
         xi: float = 0.0,
     ) -> "CuspData":
-        """Build cusp data, deriving the constrained quantities from the EOS.
-
-        Raises:
-            InconsistentCusp: a parameter not finite, or kappa, lam or r0
-                not positive (the one check of these bounds), or an EOS whose
-                outgoing speed does not respond to the outgoing invariant at
-                the cusp state (no finite alpha slope fits kappa).
-        """
-        params = dict(kappa=kappa, lam=lam, r0=r0, alpha0=alpha0, beta0=beta0,
-                      dbeta_dt0=dbeta_dt0, alpha_ddot0=alpha_ddot0, xi=xi)
-        for name, val in params.items():
-            positive = name in ("kappa", "lam", "r0")
-            if not (math.isfinite(val) and (val > 0 or not positive)):
-                rule = "finite and positive" if positive else "finite"
-                raise InconsistentCusp(f"{name} must be {rule}, got {val}")
-        state0 = wave_state(eos, RiemannPair(float(alpha0), float(beta0)))
-        c_plus0, c_minus0 = state0.speeds()
-        dcplus_dalpha0 = state0.speed_derivatives(eos)["pa"]
-        if abs(dcplus_dalpha0) < _SLOPE_FLOOR:
-            raise InconsistentCusp(
-                "outgoing speed is insensitive to the outgoing invariant at the "
-                f"cusp state (slope {dcplus_dalpha0:.3e}); no finite alpha slope "
-                "reproduces the refocusing rate"
-            )
-        alpha_dot0 = kappa / dcplus_dalpha0
-        a_tilde0, _ = state0.sources(r0)
-        return cls(
-            kappa=float(kappa),
-            lam=float(lam),
-            alpha0=float(alpha0),
-            beta0=float(beta0),
-            dbeta_dt0=float(dbeta_dt0),
-            r0=float(r0),
-            alpha_ddot0=float(alpha_ddot0),
-            xi=float(xi),
-            c_plus0=float(c_plus0),
-            c_minus0=float(c_minus0),
-            dcplus_dalpha0=float(dcplus_dalpha0),
-            alpha_dot0=float(alpha_dot0),
-            a_tilde0=float(a_tilde0),
-        )
+        """The cusp data of ``eos`` with the free parameters not given at
+        their defaults: zero, and r0 = 1."""
+        return cls(eos, kappa=kappa, lam=lam, alpha0=alpha0, beta0=beta0,
+                   dbeta_dt0=dbeta_dt0, r0=r0, alpha_ddot0=alpha_ddot0, xi=xi)
 
     # Analytic corner limits of the hatted curve and data-edge quantities.
 

@@ -1136,6 +1136,15 @@ class TestWarmSweep:
         assert warm.sweeps == 1
         assert len(warm.changes) == 1
 
+    def test_sweeps_count_the_changes(self, base_run, rad):
+        # a cold solve and a warm sweep make one change entry per sweep, and
+        # the count is read off them, not stored beside them
+        fg, bf, init = base_run
+        warm = FB.solve_fixed_bvp(bf, init, rad, fg.grid, warm=(fg.alpha, fg.beta))
+        assert fg.sweeps == len(fg.changes) > 1
+        assert warm.sweeps == len(warm.changes) == 1
+        assert "sweeps" not in {f.name for f in dataclasses.fields(FB.FieldGrid)}
+
     def test_sweep_from_converged_fields(self, base_run, rad):
         # t, P, Q and r come from the given fields: from the converged ones
         # they are the cold solve's closing re-assembly, bit for bit, and

@@ -849,6 +849,34 @@ class TestJumpUpdate:
         assert attempts[0].model is attempts[1].model is model
         assert sol.corner is model.corner
 
+    def test_retried_solve_reads_its_domain_off_the_grid(
+        self, rad, canon_model, canon_cusp, monkeypatch
+    ):
+        # eps and n are the context's grid's and retries counts the domain
+        # sizes tried before it; the context holds the model and the grid,
+        # and forms its initial data and trust indices from them
+        attempt = FBD._attempt
+
+        def fails_once(ctx, seed_fn):
+            if ctx.grid.eps == EPS:
+                raise NonConvergence("outer iteration failed")
+            return attempt(ctx, seed_fn)
+
+        monkeypatch.setattr(FBD, "_attempt", fails_once)
+        sol = FBD.run_shock_development(rad, canon_model, canon_cusp, eps=EPS, n=16)
+        ctx = sol.context
+        assert sol.attempted_eps == [EPS, EPS / 2]
+        assert (sol.eps, sol.n) == (ctx.grid.eps, ctx.grid.n) == (EPS / 2, 16)
+        assert sol.retries == len(sol.attempted_eps) - 1 == 1
+        stored = {f.name: f for f in dataclasses.fields(FBD.ShockSolution)}
+        assert not stored.keys() & {"eps", "n", "retries"}
+        assert stored["attempted_eps"].default_factory is dataclasses.MISSING
+        assert [f.name for f in dataclasses.fields(FBD.SolverContext)] == ["model", "grid"]
+        assert ctx.init is canon_model.init_data(EPS / 2, 16)
+        assert (ctx.trust_index, ctx.speed_trust_index) == (
+            sol.curve.trust_index, sol.curve.speed_trust_index
+        )
+
 
 def _rel_err(check):
     return abs(check.value - check.target) / abs(check.target)

@@ -8,6 +8,8 @@ singular boundary, and least-squares expansion fits for the corner behavior.
 
 from __future__ import annotations
 
+import dataclasses
+import inspect
 import math
 import re
 
@@ -23,6 +25,9 @@ from shockdev.free_boundary import run_shock_development
 from shockdev.state import RiemannPair, char_speeds, wave_state
 
 CUBIC_TARGET = math.sqrt(3.0) / 12.0  # lam / (6 kappa (c+0 - c-0)) at the canonical cusp
+
+FREE = ("kappa", "lam", "alpha0", "beta0", "dbeta_dt0", "r0", "alpha_ddot0", "xi")
+DERIVED = ("c_plus0", "c_minus0", "dcplus_dalpha0", "alpha_dot0", "a_tilde0")
 
 
 @pytest.fixture(scope="module")
@@ -85,6 +90,32 @@ class TestCuspData:
         args[name] = value
         with pytest.raises(InconsistentCusp, match=rf"^{name} must be finite, got"):
             SA.CuspData.from_physics(rad, **args)
+
+    def test_derived_values_are_not_parameters(self):
+        assert tuple(inspect.signature(SA.CuspData).parameters) == ("eos",) + FREE
+        assert tuple(f.name for f in dataclasses.fields(SA.CuspData)) == FREE + DERIVED
+
+    @pytest.mark.parametrize("name", DERIVED)
+    def test_derived_values_cannot_be_given(self, rad, cusp, name):
+        # neither a new cusp nor a replaced one takes a derived value, which
+        # could then disagree with the EOS
+        given = {**{free: getattr(cusp, free) for free in FREE}, name: 0.5}
+        with pytest.raises(TypeError, match=rf"unexpected keyword argument '{name}'"):
+            SA.CuspData(rad, **given)
+        with pytest.raises(ValueError, match=rf"field {name} is declared with init=False"):
+            dataclasses.replace(cusp, eos=rad, **{name: 0.5})
+
+    def test_replace_derives_again_from_the_eos_given(self, rad, p2, cusp):
+        with pytest.raises(ValueError, match="InitVar 'eos' must be specified"):
+            dataclasses.replace(cusp, kappa=2.0)
+        free = {name: getattr(cusp, name) for name in FREE}
+        assert SA.CuspData(rad, **free) == cusp
+        moved = dataclasses.replace(cusp, eos=rad, kappa=2.0, alpha0=0.4)
+        assert moved == SA.CuspData.from_physics(rad, **{**free, "kappa": 2.0, "alpha0": 0.4})
+        assert moved.alpha_dot0 == 2.0 / moved.dcplus_dalpha0 and moved.a_tilde0 != 0.0
+        other = dataclasses.replace(cusp, eos=p2)
+        assert other == SA.CuspData.from_physics(p2, **free)
+        assert other.c_plus0 != cusp.c_plus0
 
     def test_rejects_insensitive_sound_speed(self):
         # quadratic pressure correction tuned so the steepening coefficient
